@@ -20,7 +20,7 @@ from .cubical import (
 )
 from .harrison import harrison_complex
 from .linalg import format_scalar
-from .modules import builtin, character, load_module, sgn_coinvariants_dim
+from .modules import builtin, load_module, serialize_module, sgn_coinvariants_dim
 from .perm import Permutation, symmetric_group
 from .suites import SUITE_NAMES, run_suite
 
@@ -84,12 +84,10 @@ def _resolve_module(family: str, n, custom_path):
 
 
 def _render_table(table, family: str, slots: int, fmt: str) -> str:
-    rows = [
-        {"m": r.m, "dim": r.dim, "rank_d": r.rank, "betti": r.betti}
-        for r in table.rows
-    ]
+    data = {**table.as_dict(), "family": family, "n": slots}
+    rows = data["rows"]
     if fmt == "json":
-        return json.dumps({"family": family, "n": slots, "rows": rows}, indent=2)
+        return json.dumps(data, indent=2)
     if fmt == "csv":
         lines = ["m,dim,rank_d,betti"]
         lines += [f"{r['m']},{r['dim']},{r['rank_d']},{r['betti']}" for r in rows]
@@ -184,19 +182,16 @@ def cmd_module_info(args) -> int:
     for partition in _partitions(module.N):
         rep = _cycle_type_rep(partition)
         label = "+".join(str(p) for p in partition)
-        chars.append((label, format_scalar(character(module, rep))))
+        chars.append((label, format_scalar(module.character(rep))))
     sgn_dim = sgn_coinvariants_dim(module, group)
+    generators = serialize_module(module)["generators"]
     if args.format == "json":
         payload = {
             "name": module.name,
             "slots": module.N,
             "dim": module.dim,
             "basis": list(module.basis_labels),
-            "generators": [
-                [[format_scalar(a.entry(i, j)) for j in range(module.dim)]
-                 for i in range(module.dim)]
-                for a in module.gen_actions
-            ],
+            "generators": generators,
             "characters": {label: value for label, value in chars},
             "sgn_coinvariants": sgn_dim,
         }
@@ -206,12 +201,8 @@ def cmd_module_info(args) -> int:
     print(f"slots: {module.N}")
     print(f"dim: {module.dim}")
     print("basis: " + ", ".join(module.basis_labels))
-    for i, a in enumerate(module.gen_actions, start=1):
-        rows = [
-            "[" + ", ".join(format_scalar(a.entry(r, c)) for c in range(module.dim)) + "]"
-            for r in range(module.dim)
-        ]
-        print(f"s{i}: [" + ", ".join(rows) + "]")
+    for i, rows in enumerate(generators, start=1):
+        print(f"s{i}: [" + ", ".join("[" + ", ".join(r) + "]" for r in rows) + "]")
     print("characters: " + ", ".join(f"{label}: {v}" for label, v in chars))
     print(f"sgn-coinvariants: {sgn_dim}")
     return 0
@@ -232,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_betti.add_argument("--mode", choices=("orbit", "naive"), default="orbit")
     p_betti.add_argument("--format", choices=("json", "csv", "table"), default="table")
     p_betti.add_argument("--cap", type=int)
-    p_betti.add_argument("--jobs", type=int, default=1)
     p_betti.set_defaults(func=cmd_betti)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")

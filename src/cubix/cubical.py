@@ -20,9 +20,12 @@ x (x) g.w = x.g (x) w.  Two constructions are provided:
 
 * orbit mode decomposes each degree into G-orbits of words; the block of
   the complex at an orbit is the coinvariant space of M under the orbit
-  representative's stabilizer, and the differential is assembled by
-  rewriting each coface term g.w_rep through the transfer identity and
-  projecting into the target orbit's coinvariant basis;
+  representative's stabilizer.  Any word operator that commutes with the
+  position action is assembled by ``OrbitComplexBuilder.operator_matrix``:
+  each term g.w_rep of the image of a representative is rewritten through
+  the transfer identity and projected into the target orbit's coinvariant
+  basis.  The differential is one such operator; the Eulerian idempotent
+  of ``harrison.py`` is another;
 * naive mode builds the full space M (x) (k^m)^{tensor n}, takes the image
   of the diagonal averaging projector, and restricts the full differential
   to it.  It exists purely as an oracle and enforces a dimension cap.
@@ -293,6 +296,8 @@ class Orbit:
     rep: tuple
     stabilizer: PermutationGroup
     size: int
+    # proper subgroups only: {word: g} with word = g.rep for every member
+    transfers: dict = None
 
 
 def orbit_decomposition(n: int, m: int, group: PermutationGroup) -> list:
@@ -300,7 +305,8 @@ def orbit_decomposition(n: int, m: int, group: PermutationGroup) -> list:
 
     For the full symmetric group the orbits are the letter contents and the
     stabilizers are Young subgroups; proper subgroups fall back to explicit
-    closure with lexicographically least representatives.
+    closure with lexicographically least representatives and record the
+    transfer of every member.
     """
     if group.is_symmetric():
         out = []
@@ -314,7 +320,7 @@ def orbit_decomposition(n: int, m: int, group: PermutationGroup) -> list:
             g for g in group.elements if position_action(g, rep) == rep
         )
         stab = PermutationGroup(n, stab_elems)
-        orbits.append(Orbit(rep, stab, len(members)))
+        orbits.append(Orbit(rep, stab, len(members), members))
     return orbits
 
 
@@ -406,12 +412,12 @@ class CoinvariantBasis:
         return out
 
 
-def _stab_signature(content):
-    return tuple(c for c in content if c)
-
-
 class _OrbitDegree:
-    """Basis bookkeeping of one degree of the orbit-mode complex."""
+    """Basis bookkeeping of one degree of the orbit-mode complex.
+
+    ``lookup`` maps each representative to its orbit index under the full
+    symmetric group, and each word to (orbit index, transfer) otherwise.
+    """
 
     def __init__(self, orbits, coinv):
         self.orbits = orbits
@@ -422,6 +428,12 @@ class _OrbitDegree:
             self.offsets.append(off)
             off += basis.k
         self.dim = off
+        self.lookup = {}
+        for idx, orbit in enumerate(orbits):
+            if orbit.transfers is None:
+                self.lookup[orbit.rep] = idx
+            else:
+                self.lookup.update((w, (idx, g)) for w, g in orbit.transfers.items())
 
 
 class OrbitComplexBuilder:
@@ -433,63 +445,41 @@ class OrbitComplexBuilder:
         self._coinv_cache = {}
         self._degrees = {}
 
-    def _coinv(self, stabilizer: PermutationGroup, signature):
-        basis = self._coinv_cache.get(signature)
+    def _coinv(self, stabilizer: PermutationGroup):
+        # groups compare by their generators, so Young subgroups with equal
+        # nonzero block sizes share one basis, as do subgroup stabilizers
+        # with equal element sets
+        basis = self._coinv_cache.get(stabilizer)
         if basis is None:
             basis = CoinvariantBasis(self.module, stabilizer)
-            self._coinv_cache[signature] = basis
+            self._coinv_cache[stabilizer] = basis
         return basis
 
     def degree(self, m: int) -> _OrbitDegree:
         deg = self._degrees.get(m)
-        if deg is not None:
-            return deg
-        if self.symmetric:
-            orbits = []
-            lookup = {}
-            coinv = []
-            for idx, content in enumerate(compositions(self.n, m)):
-                stab = young_subgroup(content)
-                orbits.append(
-                    Orbit(sorted_word(content), stab, factorial(self.n) // stab.order)
-                )
-                lookup[content] = idx
-                coinv.append(self._coinv(stab, _stab_signature(content)))
-            deg = _OrbitDegree(orbits, coinv)
-            deg.content_lookup = lookup
-        else:
-            orbits = []
-            coinv = []
-            transfers = {}
-            for idx, (rep, members) in enumerate(
-                _subgroup_orbits(self.n, m, self.group)
-            ):
-                stab_elems = tuple(
-                    g
-                    for g in self.group.elements
-                    if position_action(g, rep) == rep
-                )
-                stab = PermutationGroup(self.n, stab_elems)
-                orbits.append(Orbit(rep, stab, len(members)))
-                signature = frozenset(g.images for g in stab_elems)
-                coinv.append(self._coinv(stab, signature))
-                for w, g in members.items():
-                    transfers[w] = (idx, g)
-            deg = _OrbitDegree(orbits, coinv)
-            deg.transfers = transfers
-        self._degrees[m] = deg
+        if deg is None:
+            orbits = orbit_decomposition(self.n, m, self.group)
+            deg = _OrbitDegree(orbits, [self._coinv(o.stabilizer) for o in orbits])
+            self._degrees[m] = deg
         return deg
 
-    def locate(self, deg: _OrbitDegree, w, m: int):
-        """(orbit index, transfer g) with w = g.rep inside degree m."""
+    def locate(self, deg: _OrbitDegree, w):
+        """(orbit index, transfer g) with w = g.rep."""
         if self.symmetric:
             rep, g = sort_transfer(w)
-            return deg.content_lookup[content_of(w, m)], g
-        return deg.transfers[w]
+            return deg.lookup[rep], g
+        return deg.lookup[w]
 
-    def differential_matrix(self, m: int) -> RationalMatrix:
-        src = self.degree(m)
-        tgt = self.degree(m + 1)
+    def operator_matrix(self, src_m: int, tgt_m: int, images) -> RationalMatrix:
+        """Matrix of a word operator that commutes with the position action.
+
+        ``images(rep)`` yields (word, coefficient) terms of the operator's
+        image of a degree-src_m orbit representative.  Equal words are summed
+        first, so each surviving term g.rep' is rewritten through the
+        transfer identity and projected into its target orbit once.
+        """
+        src = self.degree(src_m)
+        tgt = self.degree(tgt_m)
 
         def emit():
             for oi, orbit in enumerate(src.orbits):
@@ -500,25 +490,33 @@ class OrbitComplexBuilder:
                 basis_mat = RationalMatrix.from_row_dicts(
                     src_basis.basis, src_basis.k, self.module.dim
                 )
-                block_cache = {}
-                for i in range(m + 2):
-                    sgn = -1 if i % 2 else 1
-                    for w2 in coface(i, orbit.rep, m):
-                        ti, g = self.locate(tgt, w2, m + 1)
-                        key = (g.images, ti)
-                        block = block_cache.get(key)
-                        if block is None:
-                            action = self.module.act(g)
-                            x = action if src_basis.trivial else basis_mat * action
-                            block = tgt.coinv[ti].class_block(x)
-                            block_cache[key] = block
-                        row_off = tgt.offsets[ti]
-                        for a, row in block.items():
-                            col = col_off + a
-                            for b, v in row.items():
-                                yield (row_off + b, col, sgn * v)
+                terms = {}
+                for w2, c in images(orbit.rep):
+                    terms[w2] = terms.get(w2, 0) + c
+                for w2, c in terms.items():
+                    if not c:
+                        continue
+                    ti, g = self.locate(tgt, w2)
+                    action = self.module.act(g)
+                    x = action if src_basis.trivial else basis_mat * action
+                    row_off = tgt.offsets[ti]
+                    for a, row in tgt.coinv[ti].class_block(x).items():
+                        col = col_off + a
+                        for b, v in row.items():
+                            yield (row_off + b, col, c * v)
 
         return RationalMatrix.from_entries(tgt.dim, src.dim, emit())
+
+    def differential_matrix(self, m: int) -> RationalMatrix:
+        return self.operator_matrix(
+            m,
+            m + 1,
+            lambda rep: (
+                (w2, -1 if i % 2 else 1)
+                for i in range(m + 2)
+                for w2 in coface(i, rep, m)
+            ),
+        )
 
     def labels(self, m: int):
         deg = self.degree(m)

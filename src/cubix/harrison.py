@@ -12,6 +12,11 @@ differential; both facts are enforced here rather than assumed, since the
 whole construction silently produces garbage when the normalization of the
 coefficients is off.
 
+This module supplies E_m as a word-level map only: its coefficients and the
+slot action.  On a coinvariant complex E_m is assembled, like the
+differential, by ``OrbitComplexBuilder.operator_matrix``, which the slot
+action may use because it commutes with the position action.
+
 The Harrison subcomplex is the image of E, with the differential restricted
 to it.  Restriction solves for coordinates in the image basis exactly and
 fails hard if the image of E is not preserved.
@@ -84,40 +89,12 @@ def word_eulerian_matrix(n: int, m: int):
     return RationalMatrix.from_entries(size, size, emit()), eulerian_scale(m)
 
 
-def _orbit_slot_entries(builder: OrbitComplexBuilder, deg, m, t, coeff):
-    """Entries of coeff . (slot action of t) on one orbit-mode degree."""
-    for oi, orbit in enumerate(deg.orbits):
-        src_basis = deg.coinv[oi]
-        if src_basis.k == 0:
-            continue
-        col_off = deg.offsets[oi]
-        w2 = slot_action(t, orbit.rep)
-        ti, g = builder.locate(deg, w2, m)
-        action = builder.module.act(g)
-        if src_basis.trivial:
-            x = action
-        else:
-            basis_mat = RationalMatrix.from_row_dicts(
-                src_basis.basis, src_basis.k, builder.module.dim
-            )
-            x = basis_mat * action
-        block = deg.coinv[ti].class_block(x)
-        row_off = deg.offsets[ti]
-        for a, row in block.items():
-            col = col_off + a
-            for b, v in row.items():
-                yield (row_off + b, col, coeff * v)
-
-
 def orbit_eulerian_matrix(builder: OrbitComplexBuilder, m: int):
     """(scaled matrix, scale) of E_m on a coinvariant complex degree."""
-    deg = builder.degree(m)
-
-    def emit():
-        for s, coeff in eulerian_terms(m):
-            yield from _orbit_slot_entries(builder, deg, m, s.inverse(), coeff)
-
-    mat = RationalMatrix.from_entries(deg.dim, deg.dim, emit())
+    terms = [(s.inverse(), coeff) for s, coeff in eulerian_terms(m)]
+    mat = builder.operator_matrix(
+        m, m, lambda rep: ((slot_action(t, rep), c) for t, c in terms)
+    )
     return mat, eulerian_scale(m)
 
 

@@ -130,9 +130,6 @@ class RationalMatrix:
     def row_dict(self, i):
         return self.rows.get(i, {})
 
-    def column_dict(self, j):
-        return {i: r[j] for i, r in self.rows.items() if j in r}
-
     # -- arithmetic -----------------------------------------------------
 
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
@@ -220,10 +217,6 @@ class RationalMatrix:
                         out[j * q + l] = _norm(a * b)
                 data[i * p + k] = out
         return RationalMatrix(self.nrows * p, self.ncols * q, data)
-
-
-def vector_entry(vec, j):
-    return vec.get(j, 0) if isinstance(vec, dict) else vec[j]
 
 
 def normalize_int_vector(vec):
@@ -633,8 +626,3 @@ class RowSpanSolver:
             ):
                 return None
         return out
-
-    def coords_block(self, block_rows):
-        """coords() for many integer dict vectors; skips the Fraction path
-        when every coordinate is integral, which is the common case."""
-        return [self.coords(v) for v in block_rows]

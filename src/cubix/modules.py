@@ -104,14 +104,6 @@ class ModuleSpec:
         return f"ModuleSpec({self.name}, N={self.N}, dim={self.dim})"
 
 
-def act(module: ModuleSpec, p: Permutation) -> RationalMatrix:
-    return module.act(p)
-
-
-def character(module: ModuleSpec, p: Permutation):
-    return module.character(p)
-
-
 class SubgroupModule:
     """Module over an arbitrary permutation group, given on its generators.
 

@@ -1,6 +1,7 @@
 """Suites and command-line behavior: exit codes, formats, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +87,32 @@ def test_betti_output_is_deterministic(capsys):
     first = capsys.readouterr().out
     assert main(args) == 0
     assert capsys.readouterr().out == first
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["betti", "--family", "tr", "--n", "3"], "betti-tr-3.table"),
+        (["betti", "--family", "tr", "--n", "3", "--format", "json"], "betti-tr-3.json"),
+        (["betti", "--family", "tr", "--n", "3", "--format", "csv"], "betti-tr-3.csv"),
+        (["module-info", "--family", "lie", "--n", "3"], "module-info-lie-3.table"),
+        (["module-info", "--family", "lie", "--n", "3", "--format", "json"],
+         "module-info-lie-3.json"),
+    ],
+)
+def test_stdout_matches_golden(argv, golden, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+def test_betti_rejects_jobs(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["betti", "--family", "lie", "--n", "2", "--jobs", "2"])
+    assert info.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_module_info_text(capsys):

@@ -5,6 +5,8 @@ sign(s) (-1)^{des s} / (m binom(m-1, des s)); everything else is pinned by
 the idempotent and commutation identities plus frozen dimension runs.
 """
 
+import pytest
+
 from cubix.cubical import OrbitComplexBuilder, differential
 from cubix.harrison import (
     check_idempotent,
@@ -17,8 +19,20 @@ from cubix.harrison import (
     word_eulerian_matrix,
     word_slot_matrix,
 )
-from cubix.modules import ModuleSpec, builtin, random_basis_change
-from cubix.perm import Permutation, symmetric_group
+from cubix.modules import (
+    ModuleSpec,
+    builtin,
+    induce,
+    random_basis_change,
+    trivial_subgroup_module,
+)
+from cubix.perm import (
+    Permutation,
+    cyclic_group,
+    symmetric_group,
+    trivial_group,
+    young_subgroup,
+)
 
 
 def test_eulerian_scales():
@@ -79,6 +93,35 @@ def test_orbit_eulerian_is_idempotent_on_coinvariants():
     for m in (1, 2, 3, 4):
         e, s = orbit_eulerian_matrix(builder, m)
         assert check_idempotent(e, s)
+
+
+def test_orbit_operators_over_trivial_group_are_word_operators():
+    # every word is its own orbit with a one-dimensional coinvariant block,
+    # so both orbit-mode operators must equal the word-level matrices
+    for n in (1, 2, 3):
+        group = trivial_group(n)
+        builder = OrbitComplexBuilder(trivial_subgroup_module(group), group)
+        for m in (1, 2, 3, 4):
+            assert builder.differential_matrix(m) == differential(n, m)
+            assert orbit_eulerian_matrix(builder, m) == word_eulerian_matrix(n, m)
+
+
+@pytest.mark.parametrize(
+    "group, dims",
+    [
+        (cyclic_group(3), [1, 2, 3, 6, 9, 12]),
+        (young_subgroup((2, 2)), [1, 5, 12, 24, 45, 75]),
+    ],
+)
+def test_harrison_over_subgroup_matches_induced_module(group, dims):
+    module = trivial_subgroup_module(group)
+    sub = harrison_complex(module, group, 5)
+    ind = harrison_complex(induce(module), symmetric_group(group.degree), 5)
+    assert [sub.dims[m] for m in range(1, 7)] == dims
+    assert [ind.dims[m] for m in range(1, 7)] == dims
+    assert [sub.rank_d(m) for m in range(1, 6)] == [
+        ind.rank_d(m) for m in range(1, 6)
+    ]
 
 
 def test_harrison_single_position_gives_module_dimension():
