@@ -4,7 +4,9 @@ Three commands: ``betti`` prints one Betti table, ``verify`` runs a named
 check suite, ``module-info`` dumps a module's matrices and characters.
 Output is deterministic: fixed orderings, no timestamps, no floats.
 
-Exit codes: 0 success, 1 verification failure, 2 bad input, 3 resource cap.
+Exit codes: 0 success, 1 verification failure, 2 bad input, 3 resource cap,
+4 internal error (a broken invariant such as a subspace escape, d E != E d
+or an impossible Betti row, or a KeyError, which no bad input raises).
 """
 
 import argparse
@@ -19,7 +21,7 @@ from .cubical import (
     full_complex,
 )
 from .harrison import harrison_complex
-from .linalg import format_scalar
+from .linalg import InvariantError, format_scalar
 from .modules import builtin, load_module, serialize_module, sgn_coinvariants_dim
 from .perm import Permutation, symmetric_group
 from .suites import SUITE_NAMES, run_suite
@@ -250,7 +252,10 @@ def main(argv=None) -> int:
     except DimensionCapExceeded as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, ArithmeticError, OSError, KeyError) as exc:
+    except (InvariantError, KeyError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

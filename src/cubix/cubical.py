@@ -42,8 +42,10 @@ from itertools import product
 from math import factorial
 
 from .linalg import (
+    InvariantError,
     RationalMatrix,
     RowSpanSolver,
+    SubspaceEscape,
     _norm,
     image_basis,
     rank,
@@ -196,7 +198,7 @@ class CochainComplex:
         table = BettiTable(self.label, self.n_slots, rows)
         for row in rows:
             if row.betti < 0 or row.betti > row.dim:
-                raise ArithmeticError(f"{self.label}: impossible Betti row {row}")
+                raise InvariantError(f"{self.label}: impossible Betti row {row}")
         return table
 
 
@@ -385,12 +387,9 @@ class CoinvariantBasis:
             self._scaled_projector = acc
             return
         solver = RowSpanSolver(self.basis, dim)
-        # W = P[:, piv] @ Tscaled, so coords(v) = v @ W / (L * |H|)
-        p_piv = RationalMatrix.from_rows(
-            [[acc.entry(r, c) for c in solver.piv] for r in range(dim)], len(solver.piv)
-        )
-        t_mat = RationalMatrix.from_rows(solver.tscaled, solver.k)
-        self.w_matrix = p_piv * t_mat
+        # the rows of P = |H| * projector span M_H, so W = L * coords(P) is
+        # integer for integer modules and coords(v) = v @ W / (L * |H|)
+        self.w_matrix = solver.solve(acc, "the coinvariant space").scale(solver.scale)
         self.scale = solver.scale * stabilizer.order
 
     def class_block(self, x: RationalMatrix) -> dict:
@@ -400,7 +399,7 @@ class CoinvariantBasis:
         if self.k == 0:
             check = x * self._scaled_projector
             if not check.is_zero():
-                raise ArithmeticError("nonzero class in a zero coinvariant space")
+                raise SubspaceEscape("nonzero class in a zero coinvariant space")
             return {}
         u = x * self.w_matrix
         s = self.scale
@@ -558,54 +557,22 @@ def _naive_complex(module, group, m_max, cap, label) -> CochainComplex:
     top = dim_m * (m_max + 1) ** n
     if top > cap:
         raise DimensionCapExceeded(top, cap, f"naive mode for {label}")
-    bases = {}
-    dims = {}
+    solvers = {}
     for m in range(1, m_max + 2):
         size = dim_m * m ** n
         acc = RationalMatrix.zeros(size, size)
         for g in group.elements:
             acc = acc + module.act(g).kron(position_matrix(g, n, m))
         proj = acc.scale(Fraction(1, group.order))
-        basis = image_basis(proj.transpose())
-        bases[m] = basis
-        dims[m] = len(basis)
+        solvers[m] = RowSpanSolver(image_basis(proj.transpose()), size)
+    dims = {m: solver.k for m, solver in solvers.items()}
+    # M (x) word space, indexed (module basis, word); d acts on the words
+    ident = RationalMatrix.identity(dim_m)
     diffs = {}
     for m in range(1, m_max + 1):
-        cols = differential_columns(n, m)
-        wcount = m ** n
-        wcount_t = (m + 1) ** n
-        tgt_rows = bases[m + 1]
-        solver = RowSpanSolver(tgt_rows, dim_m * wcount_t) if tgt_rows else None
-
-        def image_of(row):
-            out = {}
-            for idx, v in row.items():
-                b, w = divmod(idx, wcount)
-                for t, c in cols[w].items():
-                    key = b * wcount_t + t
-                    cur = out.get(key, 0) + v * c
-                    if cur:
-                        out[key] = cur
-                    elif key in out:
-                        del out[key]
-            return out
-
-        entries = []
-        for j, src_row in enumerate(bases[m]):
-            img = image_of(src_row)
-            if solver is None:
-                if img:
-                    raise ArithmeticError(f"{label}: image escapes zero space")
-                continue
-            coords = solver.coords(img, verify=True)
-            if coords is None:
-                raise ArithmeticError(
-                    f"{label}: differential image escapes the coinvariant space"
-                )
-            for i, v in enumerate(coords):
-                if v:
-                    entries.append((i, j, v))
-        diffs[m] = RationalMatrix.from_entries(dims[m + 1], dims[m], entries)
+        images = solvers[m].basis * ident.kron(differential(n, m)).transpose()
+        coords = solvers[m + 1].solve(images, f"{label}: the coinvariant space")
+        diffs[m] = coords.transpose()
     return CochainComplex(label, n, m_max, dims, diffs)
 
 

@@ -33,7 +33,7 @@ from .cubical import (
     OrbitComplexBuilder,
     words,
 )
-from .linalg import RationalMatrix, RowSpanSolver, image_basis
+from .linalg import InvariantError, RationalMatrix, RowSpanSolver, image_basis
 from .perm import Permutation, PermutationGroup
 
 
@@ -103,7 +103,7 @@ def check_idempotent(scaled: RationalMatrix, scale: int) -> bool:
     return scaled * scaled == scaled.scale(scale)
 
 
-class HarrisonRestrictionError(ArithmeticError):
+class HarrisonRestrictionError(InvariantError):
     pass
 
 
@@ -127,46 +127,17 @@ def harrison_complex(module, group: PermutationGroup, m_max: int) -> CochainComp
             raise HarrisonRestrictionError(
                 f"differential does not commute with the idempotent at degree {m}"
             )
-    bases = {}
-    solvers = {}
-    dims = {}
-    labels = {}
-    for m in range(1, m_max + 2):
-        basis = image_basis(scaled[m][0])
-        bases[m] = basis
-        dims[m] = len(basis)
-        base_dim = builder.degree(m).dim
-        solvers[m] = RowSpanSolver(basis, base_dim) if basis else None
-        labels[m] = [f"E{m}#{a}" for a in range(len(basis))]
+    solvers = {
+        m: RowSpanSolver(image_basis(scaled[m][0]), builder.degree(m).dim)
+        for m in range(1, m_max + 2)
+    }
+    dims = {m: solver.k for m, solver in solvers.items()}
+    labels = {m: [f"E{m}#{a}" for a in range(dims[m])] for m in dims}
     diffs = {}
     for m in range(1, m_max + 1):
-        tgt_solver = solvers[m + 1]
-        cols = []
-        d_cols = base_diffs[m].transpose()
-        for u in bases[m]:
-            img = {}
-            for j, uv in u.items():
-                for i, dv in d_cols.row_dict(j).items():
-                    cur = img.get(i, 0) + dv * uv
-                    if cur:
-                        img[i] = cur
-                    elif i in img:
-                        del img[i]
-            if tgt_solver is None:
-                if img:
-                    raise HarrisonRestrictionError(
-                        f"image escapes the zero Harrison space at degree {m}"
-                    )
-                cols.append({})
-                continue
-            coords = tgt_solver.coords(img, verify=True)
-            if coords is None:
-                raise HarrisonRestrictionError(
-                    f"image escapes the Harrison space at degree {m}"
-                )
-            cols.append({i: v for i, v in enumerate(coords) if v})
-        entries = ((i, j, v) for j, col in enumerate(cols) for i, v in col.items())
-        diffs[m] = RationalMatrix.from_entries(dims[m + 1], dims[m], entries)
+        images = solvers[m].basis * base_diffs[m].transpose()
+        coords = solvers[m + 1].solve(images, f"the Harrison space at degree {m + 1}")
+        diffs[m] = coords.transpose()
     name = getattr(module, "name", "M")
     label = f"harrison({name}/{'S' if group.is_symmetric() else 'G'}{group.degree})"
     return CochainComplex(label, group.degree, m_max, dims, diffs, labels)

@@ -20,8 +20,10 @@ Three drivers share the elimination core:
   that the resulting echelon structure, and in particular the set of pivot
   columns, is deterministic.
 * ``RowSpanSolver`` expresses vectors in a fixed independent row family by
-  inverting the square pivot submatrix once (fraction-free Jordan), after
-  which each coordinate vector costs one small matrix-vector product.
+  inverting the square pivot submatrix once (fraction-free Jordan).  Its
+  ``solve`` maps a whole block of vectors with one sparse product and
+  checks every row's membership in the span exactly; this is how each
+  linear map is restricted to an invariant subspace.
 
 Returned basis vectors are integer, have content 1, and their first nonzero
 entry is positive, so test fixtures can compare them literally.
@@ -518,36 +520,47 @@ def solve_in_span(basis, v, ncols=None):
                 ncols = max(ncols, max(vec) + 1)
         if v:
             ncols = max(ncols, max(v) + 1)
-    return RowSpanSolver(basis, ncols).coords(v, verify=True)
+    return RowSpanSolver(basis, ncols).coords(v)
+
+
+class InvariantError(ArithmeticError):
+    """Exact arithmetic contradicts an identity the construction relies on.
+
+    Raised for a broken internal invariant, never for bad input: a vector
+    escaping a subspace the differential must preserve, d E != E d, or an
+    impossible Betti row.
+    """
+
+
+class SubspaceEscape(InvariantError):
+    pass
 
 
 class RowSpanSolver:
     """Coordinates of vectors with respect to a fixed independent row family.
 
-    ``rows`` is a list of integer dict vectors of length ``ncols``.  The
-    constructor locates pivot columns by a deterministic sweep and inverts
-    the square pivot submatrix S once with a fraction-free Jordan pass,
-    producing an integer matrix T and scalar L with (T/L) @ S = I.  Each
-    ``coords`` call is then a dense k x k product.
-
-    Restriction to the pivot columns is injective on the row span, so the
-    returned coordinates are correct whenever the input lies in the span;
-    pass verify=True to check that membership exactly.
+    ``rows`` is a list of integer dict vectors of length ``ncols``; ``basis``
+    holds them as a k x ncols matrix.  The constructor locates pivot columns
+    by a deterministic sweep and inverts the square pivot submatrix S once
+    with a fraction-free Jordan pass, producing an integer matrix T and
+    scalar L with (T/L) @ S = I.  ``solve`` then maps a whole block of
+    vectors with one sparse product and checks every row's membership in
+    the span exactly.  k = 0 is valid: only the zero vector is in the span.
     """
 
     def __init__(self, rows, ncols):
-        self.rows = rows
         self.ncols = ncols
         k = len(rows)
         self.k = k
+        self.basis = RationalMatrix.from_row_dicts(rows, k, ncols)
         elim = _Eliminator({i: dict(r) for i, r in enumerate(rows)}, ncols)
         pivots = elim.sweep()
         if len(pivots) != k:
             raise ValueError("rows are linearly dependent")
-        self.piv = [c for c, _ in pivots]
+        piv = [c for c, _ in pivots]
+        self._piv = {c: j for j, c in enumerate(piv)}
         aug = [
-            [rows[i].get(c, 0) for c in self.piv]
-            + [1 if j == i else 0 for j in range(k)]
+            [rows[i].get(c, 0) for c in piv] + [1 if j == i else 0 for j in range(k)]
             for i in range(k)
         ]
         for j in range(k):
@@ -583,46 +596,41 @@ class RowSpanSolver:
         for d in diag:
             L = lcm(L, abs(d))
         self.scale = L
-        self.tscaled = []
+        tscaled = []
         for j in range(k):
             d = diag[j]
             f = L // d if d > 0 else -(L // -d)
-            self.tscaled.append([f * aug[j][k + i] for i in range(k)])
+            tscaled.append([f * aug[j][k + i] for i in range(k)])
+        self._t = RationalMatrix.from_rows(tscaled, k)
 
-    def coords(self, vec, verify: bool = False):
-        """Row vector c with sum_i c[i] * rows[i] == vec, as exact scalars.
+    def solve(self, x: RationalMatrix, space: str = "the row span") -> RationalMatrix:
+        """Matrix c with c * basis == x, for x with rows over the columns.
 
-        Returns None when verify=True and vec is outside the span.
+        Restriction to the pivot columns is injective on the span, so
+        u = x[:, piv] * T is L times the answer whenever x lies in it;
+        u * basis == L x checks that for every row at once.  A row outside
+        the span raises SubspaceEscape, naming ``space``.
         """
-        k = self.k
-        if isinstance(vec, dict):
-            vp = [vec.get(c, 0) for c in self.piv]
-        else:
-            vp = [vec[c] for c in self.piv]
-        out = []
+        if x.ncols != self.ncols:
+            raise ValueError(f"solve: {x.ncols} columns, expected {self.ncols}")
+        piv = self._piv
+        xp = {}
+        for i, row in x.rows.items():
+            r = {piv[c]: v for c, v in row.items() if c in piv}
+            if r:
+                xp[i] = r
+        u = RationalMatrix(x.nrows, self.k, xp) * self._t
         L = self.scale
-        for i in range(k):
-            s = 0
-            for j in range(k):
-                vj = vp[j]
-                if vj:
-                    s += vj * self.tscaled[j][i]
-            out.append(_norm(Fraction(s, L)) if s % L else s // L)
-        if verify:
-            recon = {}
-            for i, ci in enumerate(out):
-                if not ci:
-                    continue
-                for j, v in self.rows[i].items():
-                    recon[j] = recon.get(j, 0) + ci * v
-            recon = {j: v for j, v in recon.items() if v}
-            target = (
-                {j: v for j, v in vec.items() if v}
-                if isinstance(vec, dict)
-                else {j: v for j, v in enumerate(vec) if v}
-            )
-            if len(recon) != len(target) or any(
-                recon.get(j, 0) != v for j, v in target.items()
-            ):
-                return None
-        return out
+        if u * self.basis != x.scale(L):
+            raise SubspaceEscape(f"a vector escapes {space}")
+        return u if L == 1 else u.scale(Fraction(1, L))
+
+    def coords(self, vec):
+        """Coordinate list c with sum_i c[i] * rows[i] == vec, or None when
+        vec (a dict or dense sequence) is outside the span."""
+        x = RationalMatrix.from_row_dicts([_as_dict(vec)], 1, self.ncols)
+        try:
+            row = self.solve(x).row_dict(0)
+        except SubspaceEscape:
+            return None
+        return [row.get(i, 0) for i in range(self.k)]

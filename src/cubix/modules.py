@@ -190,27 +190,16 @@ def _bracket_label(seq):
     return out
 
 
-def _lie_gen_matrices(n, words, expansions):
-    """Relabeling matrices on the bracket basis: w -> s o w on words."""
+def _restrict_to_lie(words, basis, word_gens):
+    """Word-space generator matrices restricted to the bracket basis.
+
+    The generators must preserve the Lie subspace; ``solve`` checks that
+    exactly for every basis vector.
+    """
     index = _word_index(words)
-    rows = []
-    for vec in expansions:
-        rows.append({index[w]: c for w, c in vec.items()})
+    rows = [{index[w]: c for w, c in vec.items()} for _, vec in basis]
     solver = RowSpanSolver(rows, len(words))
-    mats = []
-    for i in range(1, n):
-        s = adjacent_transposition(n, i)
-        cols = []
-        for vec in expansions:
-            moved = {}
-            for w, c in vec.items():
-                moved[index[tuple(s(x) for x in w)]] = c
-            coords = solver.coords(moved, verify=True)
-            if coords is None:
-                raise ArithmeticError("relabeling escaped the Lie subspace")
-            cols.append(coords)
-        mats.append(RationalMatrix.from_rows(cols, len(expansions)))
-    return mats
+    return [solver.solve(solver.basis * gen, "the Lie subspace") for gen in word_gens]
 
 
 @lru_cache(maxsize=None)
@@ -262,11 +251,16 @@ def builtin(kind: str, n: int) -> ModuleSpec:
         return ModuleSpec(f"regular({n})", n, len(words), labels, mats)
     if kind == "lie":
         basis = lie_basis_multilinear(n)
-        words = sorted(permutations(range(1, n + 1)))
         labels = [_bracket_label(seq) for seq, _ in basis]
         if n == 1:
             return ModuleSpec("lie(1)", 1, 1, labels, [])
-        mats = _lie_gen_matrices(n, words, [vec for _, vec in basis])
+        words = sorted(permutations(range(1, n + 1)))
+        index = _word_index(words)
+        relabel = [
+            _perm_matrix(words, index, lambda w, s=s: tuple(s(x) for x in w))
+            for s in (adjacent_transposition(n, i) for i in range(1, n))
+        ]
+        mats = _restrict_to_lie(words, basis, relabel)
         return ModuleSpec(f"lie({n})", n, len(basis), labels, mats)
     if kind == "tr_cyclic":
         cyc = [c.images for c in cyclic_group(n).elements]
@@ -289,27 +283,9 @@ def builtin(kind: str, n: int) -> ModuleSpec:
         labels = ["".join(map(str, w)) for w in reps]
         return ModuleSpec(f"tr_cyclic({n})", n, len(reps), labels, mats)
     if kind == "lie_cyclic":
-        ass = cyclic_action(n)
         words = sorted(permutations(range(1, n + 1)))
-        index = _word_index(words)
         basis = lie_basis_multilinear(n)
-        rows = [{index[w]: c for w, c in vec.items()} for _, vec in basis]
-        solver = RowSpanSolver(rows, len(words))
-        mats = []
-        for gen in ass.gen_actions:
-            cols = []
-            for row in rows:
-                moved = {}
-                for j, c in row.items():
-                    for jj, a in gen.row_dict(j).items():
-                        moved[jj] = moved.get(jj, 0) + c * a
-                coords = solver.coords(moved, verify=True)
-                if coords is None:
-                    raise ArithmeticError(
-                        f"cyclic action escapes the Lie subspace at n={n}"
-                    )
-                cols.append(coords)
-            mats.append(RationalMatrix.from_rows(cols, len(basis)))
+        mats = _restrict_to_lie(words, basis, cyclic_action(n).gen_actions)
         labels = [_bracket_label(seq) for seq, _ in basis]
         return ModuleSpec(f"lie_cyclic({n})", n + 1, len(basis), labels, mats)
     raise ValueError(f"unknown module kind: {kind}")

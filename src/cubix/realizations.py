@@ -23,15 +23,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .cubical import BettiTable, CochainComplex, differential_columns, words
+from .cubical import (
+    BettiTable,
+    CochainComplex,
+    differential,
+    differential_columns,
+    words,
+)
 from .freelie import lie_projector_basis, witt_dim
 from .linalg import RationalMatrix, RowSpanSolver
+from .linalg import SubspaceEscape  # re-exported: the Lie restriction raises it
 
 FAMILY_MODULES = {"ass": "regular", "lie": "lie", "tr": "tr_cyclic"}
-
-
-class SubspaceEscape(ArithmeticError):
-    pass
 
 
 def necklace_count(m: int, n: int) -> int:
@@ -76,15 +79,12 @@ def _degree_basis(family: str, n: int, m: int):
 
 def substitution_differential(family: str, n: int, m: int) -> RationalMatrix:
     """Degree m -> m+1 map of the direct complex, target-by-source."""
-    cols = differential_columns(n, m)
+    if family == "ass":
+        return differential(n, m)
     src_descr, src_vecs = _degree_basis(family, n, m)
     tgt_descr, tgt_vecs = _degree_basis(family, n, m + 1)
-    if family == "ass":
-        entries = (
-            (i, j, c) for j, col in enumerate(cols) for i, c in col.items()
-        )
-        return RationalMatrix.from_entries(len(tgt_descr), len(src_descr), entries)
     if family == "tr":
+        cols = differential_columns(n, m)
         tgt_words = words(n, m + 1)
         rep_of = {i: rotation_class(w) for i, w in enumerate(tgt_words)}
         rep_index = {w: i for i, w in enumerate(tgt_descr)}
@@ -95,34 +95,12 @@ def substitution_differential(family: str, n: int, m: int) -> RationalMatrix:
             for i, c in cols[src_index[w]].items()
         )
         return RationalMatrix.from_entries(len(tgt_descr), len(src_descr), entries)
-    # lie: push each basis expansion through the word differential, then
-    # solve for its coordinates in the target Lyndon basis
-    solver = (
-        RowSpanSolver(list(tgt_vecs), (m + 1) ** n) if tgt_vecs else None
-    )
-    entries = []
-    for j, vec in enumerate(src_vecs):
-        img = {}
-        for widx, coeff in vec.items():
-            for i, c in cols[widx].items():
-                cur = img.get(i, 0) + coeff * c
-                if cur:
-                    img[i] = cur
-                elif i in img:
-                    del img[i]
-        if solver is None:
-            if img:
-                raise SubspaceEscape(
-                    f"lie n={n}: differential image at m={m} misses the zero space"
-                )
-            continue
-        coords = solver.coords(img, verify=True)
-        if coords is None:
-            raise SubspaceEscape(
-                f"lie n={n}: differential image at m={m} leaves the Lie subspace"
-            )
-        entries.extend((i, j, v) for i, v in enumerate(coords) if v)
-    return RationalMatrix.from_entries(len(tgt_descr), len(src_descr), entries)
+    # lie: push the source Lyndon expansions through the word differential,
+    # then solve for their coordinates in the target Lyndon basis
+    src = RationalMatrix.from_row_dicts(src_vecs, len(src_vecs), m ** n)
+    tgt = RowSpanSolver(list(tgt_vecs), (m + 1) ** n)
+    images = src * differential(n, m).transpose()
+    return tgt.solve(images, f"the Lie subspace at n={n}, m={m + 1}").transpose()
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from cubix.cli import main
+from cubix.harrison import HarrisonRestrictionError
+from cubix.linalg import InvariantError, SubspaceEscape
 from cubix.modules import builtin, random_basis_change, serialize_module
 from cubix.suites import Check, _run_spec, run_suite
 
@@ -162,6 +164,41 @@ def test_malformed_custom_module_names_relation(tmp_path, capsys):
     assert main(["betti", "--family", "custom", "--custom", str(path)]) == 2
     err = capsys.readouterr().err
     assert "s1" in err and "square" in err
+
+
+def test_zero_denominator_in_custom_module_is_an_input_error(tmp_path, capsys):
+    bad = {
+        "name": "bad",
+        "N": 2,
+        "dim": 1,
+        "basis_labels": ["e"],
+        "generators": [[["1/0"]]],
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert main(["betti", "--family", "custom", "--custom", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        SubspaceEscape("a vector escapes the Lie subspace"),
+        HarrisonRestrictionError("d E != E d"),
+        InvariantError("impossible Betti row"),
+        KeyError("lookup"),
+    ],
+    ids=["escape", "harrison", "betti-row", "key"],
+)
+def test_broken_invariants_exit_4(exc, monkeypatch, capsys):
+    import cubix.cli as cli
+
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "cubical_complex", broken)
+    assert main(["betti", "--family", "lie", "--n", "3"]) == 4
+    assert capsys.readouterr().err.startswith("internal error:")
 
 
 def test_missing_n_is_an_input_error(capsys):

@@ -1,9 +1,14 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
 from cubix.linalg import (
     RationalMatrix,
     RowSpanSolver,
+    SubspaceEscape,
     format_scalar,
     image_basis,
     kernel_basis,
@@ -188,15 +193,15 @@ def test_row_span_solver_roundtrip():
             for j, v in row.items():
                 vec[j] = vec.get(j, 0) + ci * v
         vec = {j: v for j, v in vec.items() if v}
-        got = solver.coords(vec, verify=True)
+        got = solver.coords(vec)
         assert got == coeffs
 
 
 def test_row_span_solver_rejects_outside_vectors():
     rows = [{0: 1, 1: 1}]
     solver = RowSpanSolver(rows, 3)
-    assert solver.coords({0: 1, 1: 1, 2: 1}, verify=True) is None
-    assert solver.coords({0: 2, 1: 2}, verify=True) == [2]
+    assert solver.coords({0: 1, 1: 1, 2: 1}) is None
+    assert solver.coords({0: 2, 1: 2}) == [2]
 
 
 def test_row_span_solver_fractional_coords():
@@ -211,6 +216,51 @@ def test_row_span_solver_rejects_dependent_rows():
         pass
     else:
         raise AssertionError("dependent rows must be rejected")
+
+
+small_ints = st.integers(-4, 4)
+rationals = st.one_of(st.just(0), st.fractions(-4, 4, max_denominator=5))
+
+
+@st.composite
+def independent_rows(draw, extra_cols=0):
+    """k independent integer rows over at least k + extra_cols columns."""
+    k = draw(st.integers(0, 4))
+    ncols = k + extra_cols + draw(st.integers(0, 3))
+    row = st.lists(small_ints, min_size=ncols, max_size=ncols)
+    b = RationalMatrix.from_rows(draw(st.lists(row, min_size=k, max_size=k)), ncols)
+    assume(rank(b) == k)
+    return b
+
+
+def solver_of(b):
+    return RowSpanSolver([b.row_dict(i) for i in range(b.nrows)], b.ncols)
+
+
+@given(independent_rows(), st.data())
+def test_solve_recovers_rational_coefficients(b, data):
+    nrows = data.draw(st.integers(0, 4))
+    row = st.lists(rationals, min_size=b.nrows, max_size=b.nrows)
+    c = RationalMatrix.from_rows(
+        data.draw(st.lists(row, min_size=nrows, max_size=nrows)), b.nrows
+    )
+    assert solver_of(b).solve(c * b) == c
+
+
+@given(independent_rows(extra_cols=1), st.data())
+def test_solve_rejects_a_row_outside_the_span(b, data):
+    v = data.draw(st.lists(small_ints, min_size=b.ncols, max_size=b.ncols))
+    assume(rank(RationalMatrix.from_rows(b.to_rows() + [v], b.ncols)) == b.nrows + 1)
+    inside = [sum(row[j] for row in b.to_rows()) for j in range(b.ncols)]
+    with pytest.raises(SubspaceEscape):
+        solver_of(b).solve(RationalMatrix.from_rows([inside, v], b.ncols))
+
+
+def test_solve_over_zero_rows():
+    solver = RowSpanSolver([], 3)
+    assert solver.solve(RationalMatrix.zeros(2, 3)) == RationalMatrix.zeros(2, 0)
+    with pytest.raises(SubspaceEscape):
+        solver.solve(RationalMatrix.from_rows([[0, 0, 0], [0, 1, 0]]))
 
 
 def test_normalize_int_vector():
