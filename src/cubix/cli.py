@@ -5,8 +5,9 @@ check suite, ``module-info`` dumps a module's matrices and characters.
 Output is deterministic: fixed orderings, no timestamps, no floats.
 
 Exit codes: 0 success, 1 verification failure, 2 bad input, 3 resource cap,
-4 internal error (a broken invariant such as a subspace escape, d E != E d
-or an impossible Betti row, or a KeyError, which no bad input raises).
+4 internal error (a broken invariant such as a subspace escape, d E != E d,
+an impossible Betti row or a failed rank or count check, or a KeyError,
+which no bad input raises).
 """
 
 import argparse

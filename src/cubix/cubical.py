@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial
 
 from .linalg import (
     InvariantError,
@@ -297,7 +296,6 @@ def sort_transfer(w):
 class Orbit:
     rep: tuple
     stabilizer: PermutationGroup
-    size: int
     # proper subgroups only: {word: g} with word = g.rep for every member
     transfers: dict = None
 
@@ -311,18 +309,14 @@ def orbit_decomposition(n: int, m: int, group: PermutationGroup) -> list:
     transfer of every member.
     """
     if group.is_symmetric():
-        out = []
-        for content in compositions(n, m):
-            stab = young_subgroup(content)
-            out.append(Orbit(sorted_word(content), stab, factorial(n) // stab.order))
-        return out
+        return [Orbit(sorted_word(c), young_subgroup(c)) for c in compositions(n, m)]
     orbits = []
     for rep, members in _subgroup_orbits(n, m, group):
         stab_elems = tuple(
             g for g in group.elements if position_action(g, rep) == rep
         )
         stab = PermutationGroup(n, stab_elems)
-        orbits.append(Orbit(rep, stab, len(members), members))
+        orbits.append(Orbit(rep, stab, members))
     return orbits
 
 

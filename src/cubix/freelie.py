@@ -18,7 +18,7 @@ downstream cohomology claims silently depend on them being bases:
 from functools import lru_cache, reduce
 from itertools import permutations, product
 
-from .linalg import RationalMatrix, rank
+from .linalg import InvariantError, RationalMatrix, rank
 
 
 def expand(tree) -> dict:
@@ -96,7 +96,7 @@ def _verify_rank(vectors, expected, what):
     mat = RationalMatrix.from_row_dicts(rows, len(rows), len(index))
     got = rank(mat)
     if got != expected:
-        raise ArithmeticError(f"{what}: rank {got}, expected {expected}")
+        raise InvariantError(f"{what}: rank {got}, expected {expected}")
 
 
 @lru_cache(maxsize=None)
@@ -128,7 +128,7 @@ def lie_projector_basis(m: int, n: int):
     expected = witt_dim(m, n)
     _verify_rank(vectors, len(vectors), f"Lyndon basis m={m} n={n}")
     if len(vectors) != expected:
-        raise ArithmeticError(
+        raise InvariantError(
             f"Lyndon basis m={m} n={n}: {len(vectors)} words, expected {expected}"
         )
     return vectors

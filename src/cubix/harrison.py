@@ -56,7 +56,7 @@ def eulerian_terms(m: int):
         des = s.descents()
         coeff = Fraction(s.sign() * (-1) ** des * scale, m * comb(m - 1, des))
         if coeff.denominator != 1:
-            raise ArithmeticError(f"scale {scale} does not clear degree {m}")
+            raise InvariantError(f"scale {scale} does not clear degree {m}")
         out.append((s, int(coeff)))
     return tuple(out)
 

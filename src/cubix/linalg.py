@@ -11,19 +11,21 @@ pivot_row * row_value`` followed by a gcd strip.  Row scaling by nonzero
 rationals preserves rank, the right kernel, and the set of pivot columns
 under a fixed column order, which is all the routines below rely on.
 
-Three drivers share the elimination core:
+One row step, ``_clear``, is the only place two rows are combined.  The
+sparse ``_Eliminator`` drives it in two column orders:
 
 * ``rank`` chooses pivot columns greedily by current column support (a lazy
-  min-heap), switching to a dense integer sweep when the remaining block is
-  small and has filled in.
-* ``kernel_basis`` and ``image_basis`` sweep the columns in index order so
-  that the resulting echelon structure, and in particular the set of pivot
+  min-heap).
+* ``image_basis`` and ``RowSpanSolver`` sweep the columns in index order,
+  so that the echelon structure, and in particular the set of pivot
   columns, is deterministic.
-* ``RowSpanSolver`` expresses vectors in a fixed independent row family by
-  inverting the square pivot submatrix once (fraction-free Jordan).  Its
-  ``solve`` maps a whole block of vectors with one sparse product and
-  checks every row's membership in the span exactly; this is how each
-  linear map is restricted to an invariant subspace.
+
+``RowSpanSolver`` expresses vectors in a fixed independent row family.  It
+builds its integer inverse of the pivot submatrix from that sweep, run on
+rows tagged with their own index, and a back pass with the same row step.
+Its ``solve`` maps a whole block of vectors with one sparse product and
+checks every row's membership in the span exactly; this is how each linear
+map is restricted to an invariant subspace.
 
 Returned basis vectors are integer, have content 1, and their first nonzero
 entry is positive, so test fixtures can compare them literally.
@@ -269,6 +271,38 @@ def _int_rows(matrix: RationalMatrix):
     return out
 
 
+def _clear(row, prow, c):
+    """``row * prow[c] - prow * row[c]`` with its content stripped.
+
+    This is the one row step of every elimination in this module: column c
+    drops out, the result is integer when both rows are, and the new row
+    is an integer combination of the two, so rank, pivot columns and any
+    tag columns carried along keep their meaning.
+    """
+    pval = prow[c]
+    rval = row[c]
+    if pval == 1:
+        new = dict(row)
+    elif pval == -1:
+        new = {cc: -v for cc, v in row.items()}
+    else:
+        new = {cc: v * pval for cc, v in row.items()}
+    for cc, pv in prow.items():
+        cur = new.get(cc, 0) - pv * rval
+        if cur:
+            new[cc] = cur
+        else:
+            del new[cc]
+    g = 0
+    for v in new.values():
+        g = gcd(g, v)
+        if g == 1:
+            break
+    if g > 1:
+        new = {cc: v // g for cc, v in new.items()}
+    return new
+
+
 class _Eliminator:
     """Fraction-free elimination on integer sparse rows.
 
@@ -307,32 +341,9 @@ class _Eliminator:
         col_rows = self.col_rows
         for cc in prow:
             col_rows[cc].discard(prid)
-        pval = prow[c]
         for rid in list(col_rows[c]):
             row = self.rows[rid]
-            rval = row.pop(c)
-            col_rows[c].discard(rid)
-            if pval == 1:
-                new = dict(row)
-            elif pval == -1:
-                new = {cc: -v for cc, v in row.items()}
-            else:
-                new = {cc: v * pval for cc, v in row.items()}
-            for cc, pv in prow.items():
-                if cc == c:
-                    continue
-                cur = new.get(cc, 0) - pv * rval
-                if cur:
-                    new[cc] = cur
-                else:
-                    new.pop(cc, None)
-            g = 0
-            for v in new.values():
-                g = gcd(g, v)
-                if g == 1:
-                    break
-            if g > 1:
-                new = {cc: v // g for cc, v in new.items()}
+            new = _clear(row, prow, c)
             for cc in row:
                 if cc not in new:
                     col_rows[cc].discard(rid)
@@ -346,10 +357,12 @@ class _Eliminator:
         return prow
 
     def sweep(self):
-        """Eliminate columns in index order; return [(pivot_col, pivot_row)].
+        """Eliminate columns 0..ncols-1 in index order; return
+        [(pivot_col, pivot_row)].
 
         The pivot rows form a row echelon basis of the row space: each one
         leads at its pivot column and is supported on later columns only.
+        Columns at or past ``ncols`` are carried along but never pivoted.
         """
         pivots = []
         for c in range(self.ncols):
@@ -366,7 +379,6 @@ class _Eliminator:
         heap = [(len(rids), c) for c, rids in self.col_rows.items() if rids]
         heapq.heapify(heap)
         rank = 0
-        steps = 0
         while heap:
             k, c = heapq.heappop(heap)
             rids = self.col_rows.get(c)
@@ -380,71 +392,7 @@ class _Eliminator:
             prid = self._pick_pivot_row(c)
             self._eliminate(c, prid)
             rank += 1
-            steps += 1
-            if steps % 64 == 0 and self._dense_worthwhile():
-                return rank + self._dense_rank()
         return rank
-
-    def _dense_worthwhile(self):
-        nrows = len(self.rows)
-        if not nrows or nrows > 1200:
-            return False
-        nnz = sum(len(r) for r in self.rows.values())
-        ncols_active = sum(1 for s in self.col_rows.values() if s)
-        if ncols_active > 1200:
-            return False
-        return nnz * 2 > nrows * ncols_active
-
-    def _dense_rank(self):
-        cols = sorted(c for c, s in self.col_rows.items() if s)
-        cmap = {c: k for k, c in enumerate(cols)}
-        mat = []
-        for row in self.rows.values():
-            dense = [0] * len(cols)
-            for c, v in row.items():
-                dense[cmap[c]] = v
-            mat.append(dense)
-        return _dense_int_rank(mat)
-
-
-def _dense_int_rank(mat):
-    """Fraction-free elimination on a dense list-of-lists integer matrix."""
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        best = None
-        for i in range(r, len(mat)):
-            v = mat[i][c]
-            if v:
-                k = abs(v).bit_length()
-                if best is None or k < best:
-                    pivot, best = i, k
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        prow = mat[r]
-        pval = prow[c]
-        for i in range(r + 1, len(mat)):
-            row = mat[i]
-            rval = row[c]
-            if not rval:
-                continue
-            g = 0
-            for j in range(c, ncols):
-                row[j] = row[j] * pval - prow[j] * rval
-                g = gcd(g, row[j])
-            if g > 1:
-                for j in range(c, ncols):
-                    row[j] //= g
-        r += 1
-        rank += 1
-        if r == len(mat):
-            break
-    return rank
 
 
 def rank(matrix: RationalMatrix) -> int:
@@ -454,32 +402,6 @@ def rank(matrix: RationalMatrix) -> int:
     if matrix.nrows > matrix.ncols:
         matrix = matrix.transpose()
     return _Eliminator(_int_rows(matrix), matrix.ncols).rank()
-
-
-def kernel_basis(matrix: RationalMatrix):
-    """Basis of the right kernel {x : A x = 0} as normalized dict vectors.
-
-    Free columns are processed in increasing index order, so the result is
-    deterministic; each vector has 1 at "its" free column before
-    normalization.
-    """
-    elim = _Eliminator(_int_rows(matrix), matrix.ncols)
-    pivots = elim.sweep()
-    pivot_cols = {c for c, _ in pivots}
-    basis = []
-    for f in range(matrix.ncols):
-        if f in pivot_cols:
-            continue
-        x = {f: Fraction(1)}
-        for c, row in reversed(pivots):
-            s = Fraction(0)
-            for j, v in row.items():
-                if j != c and j in x:
-                    s += v * x[j]
-            if s:
-                x[c] = -s / row[c]
-        basis.append(normalize_int_vector(x))
-    return basis
 
 
 def image_basis(matrix: RationalMatrix):
@@ -498,37 +420,13 @@ def image_basis(matrix: RationalMatrix):
     return [normalize_int_vector(cols[c]) for c, _ in pivots]
 
 
-def _as_dict(vec):
-    if isinstance(vec, dict):
-        return vec
-    return {j: v for j, v in enumerate(vec) if v}
-
-
-def solve_in_span(basis, v, ncols=None):
-    """Coordinates c with sum c[i] * basis[i] == v, or None if v is outside.
-
-    ``basis`` must be linearly independent.  Vectors may be dicts or dense
-    sequences.  "Not in span" is an ordinary result (None), not an error;
-    callers that treat it as impossible should raise on it themselves.
-    """
-    basis = [_as_dict(b) for b in basis]
-    v = _as_dict(v)
-    if ncols is None:
-        ncols = 0
-        for vec in basis:
-            if vec:
-                ncols = max(ncols, max(vec) + 1)
-        if v:
-            ncols = max(ncols, max(v) + 1)
-    return RowSpanSolver(basis, ncols).coords(v)
-
-
 class InvariantError(ArithmeticError):
     """Exact arithmetic contradicts an identity the construction relies on.
 
     Raised for a broken internal invariant, never for bad input: a vector
-    escaping a subspace the differential must preserve, d E != E d, or an
-    impossible Betti row.
+    escaping a subspace the differential must preserve, d E != E d, an
+    impossible Betti row, or a basis rank, Lyndon count, Eulerian scale or
+    sign-isotypic dimension that contradicts its closed form.
     """
 
 
@@ -540,12 +438,16 @@ class RowSpanSolver:
     """Coordinates of vectors with respect to a fixed independent row family.
 
     ``rows`` is a list of integer dict vectors of length ``ncols``; ``basis``
-    holds them as a k x ncols matrix.  The constructor locates pivot columns
-    by a deterministic sweep and inverts the square pivot submatrix S once
-    with a fraction-free Jordan pass, producing an integer matrix T and
-    scalar L with (T/L) @ S = I.  ``solve`` then maps a whole block of
-    vectors with one sparse product and checks every row's membership in
-    the span exactly.  k = 0 is valid: only the zero vector is in the span.
+    holds them as a k x ncols matrix.  The constructor inverts the square
+    pivot submatrix S through the same sweep ``image_basis`` runs: row i
+    carries a tag column ``ncols + i``, so each pivot row records which
+    combination of input rows it is, and a back pass with the same row step
+    clears every other pivot column.  Pivot row j then reads d_j at its
+    pivot and tags_j elsewhere, so T = (L / d_j) * tags_j, with
+    L = lcm |d_j|, is integer and (T/L) @ S = I.  ``solve`` then maps a
+    whole block of vectors with one sparse product and checks every row's
+    membership in the span exactly.  k = 0 is valid: only the zero vector
+    is in the span.
     """
 
     def __init__(self, rows, ncols):
@@ -553,55 +455,31 @@ class RowSpanSolver:
         k = len(rows)
         self.k = k
         self.basis = RationalMatrix.from_row_dicts(rows, k, ncols)
-        elim = _Eliminator({i: dict(r) for i, r in enumerate(rows)}, ncols)
-        pivots = elim.sweep()
+        tagged = {i: {**r, ncols + i: 1} for i, r in enumerate(rows)}
+        pivots = _Eliminator(tagged, ncols).sweep()
         if len(pivots) != k:
+            # a dependent row is swept down to its tags and never pivots
             raise ValueError("rows are linearly dependent")
-        piv = [c for c, _ in pivots]
-        self._piv = {c: j for j, c in enumerate(piv)}
-        aug = [
-            [rows[i].get(c, 0) for c in piv] + [1 if j == i else 0 for j in range(k)]
-            for i in range(k)
+        self._piv = piv = {c: j for j, (c, _) in enumerate(pivots)}
+        red = [
+            {c: v for c, v in prow.items() if c in piv or c >= ncols}
+            for _, prow in pivots
         ]
-        for j in range(k):
-            pivot = None
-            best = None
-            for i in range(j, k):
-                v = aug[i][j]
-                if v:
-                    b = abs(v).bit_length()
-                    if best is None or b < best:
-                        pivot, best = i, b
-            if pivot is None:
-                raise ArithmeticError("pivot submatrix is singular")
-            aug[j], aug[pivot] = aug[pivot], aug[j]
-            prow = aug[j]
-            pval = prow[j]
-            for i in range(k):
-                if i == j:
-                    continue
-                row = aug[i]
-                rval = row[j]
-                if not rval:
-                    continue
-                g = 0
-                for t in range(2 * k):
-                    row[t] = row[t] * pval - prow[t] * rval
-                    g = gcd(g, row[t])
-                if g > 1:
-                    for t in range(2 * k):
-                        row[t] //= g
-        diag = [aug[j][j] for j in range(k)]
-        L = 1
-        for d in diag:
-            L = lcm(L, abs(d))
+        # echelon order: pivot j's row holds no earlier pivot column, so
+        # clearing from the last pivot back leaves one pivot entry per row
+        for j in range(k - 1, 0, -1):
+            c = pivots[j][0]
+            for i in range(j):
+                if c in red[i]:
+                    red[i] = _clear(red[i], red[j], c)
+        diag = [row[c] for (c, _), row in zip(pivots, red)]
+        L = lcm(*(abs(d) for d in diag))
         self.scale = L
-        tscaled = []
-        for j in range(k):
-            d = diag[j]
-            f = L // d if d > 0 else -(L // -d)
-            tscaled.append([f * aug[j][k + i] for i in range(k)])
-        self._t = RationalMatrix.from_rows(tscaled, k)
+        t = {}
+        for j, (row, d) in enumerate(zip(red, diag)):
+            f = L // d
+            t[j] = {c - ncols: f * v for c, v in row.items() if c >= ncols}
+        self._t = RationalMatrix(k, k, t)
 
     def solve(self, x: RationalMatrix, space: str = "the row span") -> RationalMatrix:
         """Matrix c with c * basis == x, for x with rows over the columns.
@@ -627,8 +505,8 @@ class RowSpanSolver:
 
     def coords(self, vec):
         """Coordinate list c with sum_i c[i] * rows[i] == vec, or None when
-        vec (a dict or dense sequence) is outside the span."""
-        x = RationalMatrix.from_row_dicts([_as_dict(vec)], 1, self.ncols)
+        the dict vector ``vec`` is outside the span; a one-row ``solve``."""
+        x = RationalMatrix.from_row_dicts([vec], 1, self.ncols)
         try:
             row = self.solve(x).row_dict(0)
         except SubspaceEscape:

@@ -31,6 +31,7 @@ from itertools import permutations
 
 from .freelie import lie_basis_multilinear
 from .linalg import (
+    InvariantError,
     RationalMatrix,
     RowSpanSolver,
     format_scalar,
@@ -319,7 +320,7 @@ def sgn_coinvariants_dim(module, group: PermutationGroup) -> int:
         total += g.sign() * module.character(g)
     val = Fraction(total, group.order)
     if val.denominator != 1 or val < 0:
-        raise ArithmeticError(
+        raise InvariantError(
             f"sign-isotypic dimension of {module.name} is {val}, not a non-negative integer"
         )
     return int(val)
@@ -371,28 +372,57 @@ def induce(module: SubgroupModule) -> ModuleSpec:
 # -- custom modules -------------------------------------------------------
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def load_module(data) -> ModuleSpec:
-    """Build a module from the JSON dict format; validation errors name the
-    first violated Coxeter relation."""
+    """Build a module from the JSON dict format.
+
+    Mistyped fields raise ValueError: N is an int >= 1, dim an int >= 0,
+    basis_labels a list of strings, and generators a list of dim x dim
+    lists whose entries are ints or "p/q" strings.  Coxeter validation
+    errors name the first violated relation.
+    """
     if isinstance(data, str):
         with open(data) as fh:
             data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("custom module: the top level must be an object")
     for key in ("name", "N", "dim", "basis_labels", "generators"):
         if key not in data:
             raise ValueError(f"custom module: missing field {key!r}")
     name = data["name"]
     n, dim = data["N"], data["dim"]
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"{name}: N must be an integer >= 1, not {n!r}")
+    if not _is_int(dim) or dim < 0:
+        raise ValueError(f"{name}: dim must be an integer >= 0, not {dim!r}")
+    labels = data["basis_labels"]
+    if not isinstance(labels, list) or not all(isinstance(b, str) for b in labels):
+        raise ValueError(f"{name}: basis_labels must be a list of strings")
+    if not isinstance(data["generators"], list):
+        raise ValueError(f"{name}: generators must be a list of matrices")
     mats = []
     for k, rows in enumerate(data["generators"], start=1):
-        if len(rows) != dim or any(len(r) != dim for r in rows):
+        if not (
+            isinstance(rows, list)
+            and len(rows) == dim
+            and all(isinstance(r, list) and len(r) == dim for r in rows)
+        ):
             raise ValueError(f"{name}: generator s{k} is not {dim}x{dim}")
+        bad = [v for r in rows for v in r if not (_is_int(v) or isinstance(v, str))]
+        if bad:
+            raise ValueError(
+                f"{name}: generator s{k} entry {bad[0]!r} is not an int or a 'p/q' string"
+            )
         mats.append(
             RationalMatrix.from_rows(
                 [[parse_scalar(v) if isinstance(v, str) else v for v in r] for r in rows],
                 dim,
             )
         )
-    return ModuleSpec(name, n, dim, data["basis_labels"], mats)
+    return ModuleSpec(name, n, dim, labels, mats)
 
 
 def serialize_module(module: ModuleSpec) -> dict:

@@ -103,6 +103,9 @@ GOLDEN = Path(__file__).parent / "golden"
         (["module-info", "--family", "lie", "--n", "3"], "module-info-lie-3.table"),
         (["module-info", "--family", "lie", "--n", "3", "--format", "json"],
          "module-info-lie-3.json"),
+        (["betti", "--family", "harrison", "--n", "3"], "betti-harrison-3.table"),
+        (["betti", "--family", "lie", "--n", "3", "--mode", "naive"],
+         "betti-lie-3-naive.table"),
     ],
 )
 def test_stdout_matches_golden(argv, golden, capsys):
@@ -176,6 +179,32 @@ def test_zero_denominator_in_custom_module_is_an_input_error(tmp_path, capsys):
     }
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
+    assert main(["betti", "--family", "custom", "--custom", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+SIGN2 = {"name": "sign", "N": 2, "dim": 1, "basis_labels": ["e"],
+         "generators": [[[-1]]]}
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        {**SIGN2, "N": "2"},
+        {**SIGN2, "generators": [-1]},
+        {**SIGN2, "generators": None},
+        {**SIGN2, "generators": [[[[-1]]]]},
+        3,
+        {**SIGN2, "generators": [[[-1.0]]]},
+        {**SIGN2, "generators": [[[True]]]},
+        {**SIGN2, "N": 0, "generators": []},
+    ],
+    ids=["N-string", "flat-generators", "null-generators", "nested-entry",
+         "top-level-number", "float-entry", "bool-entry", "N-zero"],
+)
+def test_mistyped_custom_module_is_an_input_error(module, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(module))
     assert main(["betti", "--family", "custom", "--custom", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
 

@@ -123,9 +123,11 @@ def test_antisymmetrizer_is_a_nontrivial_cocycle():
 
 
 def test_orbit_decomposition_symmetric_group():
-    orbits = orbit_decomposition(3, 2, symmetric_group(3))
+    group = symmetric_group(3)
+    orbits = orbit_decomposition(3, 2, group)
     assert len(orbits) == 4
-    assert sum(o.size for o in orbits) == 2 ** 3
+    # orbit-stabilizer
+    assert sum(group.order // o.stabilizer.order for o in orbits) == 2 ** 3
     reps = sorted(o.rep for o in orbits)
     assert reps == [(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2)]
     stab = {o.rep: o.stabilizer.order for o in orbits}
@@ -135,8 +137,8 @@ def test_orbit_decomposition_symmetric_group():
 def test_orbit_decomposition_proper_subgroup():
     orbits = orbit_decomposition(3, 2, cyclic_group(3))
     assert len(orbits) == 4
-    assert sum(o.size for o in orbits) == 8
-    sizes = sorted(o.size for o in orbits)
+    assert sum(len(o.transfers) for o in orbits) == 8
+    sizes = sorted(len(o.transfers) for o in orbits)
     assert sizes == [1, 1, 3, 3]
 
 

@@ -1,5 +1,8 @@
 from itertools import permutations, product
 
+import pytest
+
+import cubix.freelie as freelie
 from cubix.freelie import (
     expand,
     is_lyndon,
@@ -10,7 +13,7 @@ from cubix.freelie import (
     lyndon_words,
     witt_dim,
 )
-from cubix.linalg import solve_in_span
+from cubix.linalg import InvariantError, RowSpanSolver
 
 
 def test_expand_small_brackets():
@@ -60,6 +63,13 @@ def test_lyndon_count_matches_witt_dim():
     for m in range(1, 5):
         for n in range(1, 7):
             assert len(lyndon_words(m, n)) == witt_dim(m, n)
+
+
+def test_wrong_lyndon_count_is_an_invariant_error(monkeypatch):
+    monkeypatch.setattr(freelie, "witt_dim", lambda m, n: 0)
+    lie_projector_basis.cache_clear()
+    with pytest.raises(InvariantError):
+        lie_projector_basis(2, 3)
 
 
 def test_witt_dim_values():
@@ -124,13 +134,13 @@ def test_relabeling_preserves_lie_subspace():
                 for vec in basis:
                     for w in vec:
                         idx.setdefault(tuple(sigma[x - 1] for x in w), len(idx))
-            ncols = len(idx)
+            solver = RowSpanSolver(rows, len(idx))
             for sigma in permutations(range(1, m + 1)):
                 for vec in basis[: min(len(basis), 4)]:
                     moved = {}
                     for w, c in vec.items():
                         moved[idx[tuple(sigma[x - 1] for x in w)]] = c
-                    assert solve_in_span(rows, moved, ncols) is not None
+                    assert solver.coords(moved) is not None
 
 
 def test_bracketing_expansion_leading_coefficient():
