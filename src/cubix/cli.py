@@ -5,7 +5,7 @@ check suite, ``module-info`` dumps a module's matrices and characters.
 Output is deterministic: fixed orderings, no timestamps, no floats.
 
 Exit codes: 0 success, 1 verification failure, 2 bad input, 3 resource cap,
-4 internal error (a broken invariant such as a subspace escape, d E != E d,
+4 internal error (a broken invariant such as a subspace escape, D^2 != m D,
 an impossible Betti row or a failed rank or count check, or a KeyError,
 which no bad input raises).
 """

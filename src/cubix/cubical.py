@@ -24,8 +24,8 @@ x (x) g.w = x.g (x) w.  Two constructions are provided:
   position action is assembled by ``OrbitComplexBuilder.operator_matrix``:
   each term g.w_rep of the image of a representative is rewritten through
   the transfer identity and projected into the target orbit's coinvariant
-  basis.  The differential is one such operator; the Eulerian idempotent
-  of ``harrison.py`` is another;
+  basis.  The differential is one such operator; the Dynkin element and
+  the Eulerian idempotent of ``harrison.py`` are others;
 * naive mode builds the full space M (x) (k^m)^{tensor n}, takes the image
   of the diagonal averaging projector, and restricts the full differential
   to it.  It exists purely as an oracle and enforces a dimension cap.

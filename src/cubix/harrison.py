@@ -1,30 +1,45 @@
-"""Eulerian idempotents and the Harrison subcomplex.
+"""Eulerian idempotents, the Dynkin element and the Harrison subcomplex.
 
 Slots admit a second action, by relabeling letters: t acts on a word by
 (t * w)(p) = t(w(p)).  It commutes with the position action, so it descends
-to every coinvariant complex.  The first Eulerian idempotent in degree m is
+to every coinvariant complex, and t -> slot(t) is a homomorphism from the
+group algebra Q[S_m].  The first Eulerian idempotent in degree m is
 
-    E_m = sum over s in S_m of  c_s . (slot action of s^{-1}),
+    E_m = sum over s in S_m of  c_s . slot(s^{-1}),
     c_s = sign(s) (-1)^{des s} / (m . binom(m-1, des s)),
 
-where des counts descents.  E_m is idempotent and commutes with the
-differential; both facts are enforced here rather than assumed, since the
-whole construction silently produces garbage when the normalization of the
-coefficients is off.
+where des counts descents.  The Harrison subcomplex is the image of E.
+E_m has m! terms, so it is not built on the hot path.  Every Lie
+idempotent has the same image (Reutenauer, Free Lie Algebras, ch. 3;
+Loday, Cyclic Homology, 4.5), and D_m / m is one, where the sign-twisted
+Dynkin element D_m has 2^(m-1) terms, every coefficient +-1:
 
-This module supplies E_m as a word-level map only: its coefficients and the
-slot action.  On a coinvariant complex E_m is assembled, like the
+    D_m = sum over subsets S of {2..m} of  (-1)^|S| sign(p_S) . slot(p_S^{-1}),
+
+where p_S in one-line notation is S decreasing, then 1, then the rest of
+{2..m} increasing.  In Q[S_m], with (p*q)(i) = p(q(i)),
+
+    E D = D,    D E = m E,    D D = m D,
+
+so im D = im E in every degree of every orbit complex; the tests check
+these identities for m <= 6.  Both twists matter: dropping the sign, or
+the inverse, gives a different subspace.
+
+On a coinvariant complex both operators are assembled, like the
 differential, by ``OrbitComplexBuilder.operator_matrix``, which the slot
 action may use because it commutes with the position action.
-
-The Harrison subcomplex is the image of E, with the differential restricted
-to it.  Restriction solves for coordinates in the image basis exactly and
-fails hard if the image of E is not preserved.
+``harrison_complex`` builds only D.  Two exact checks guard it, and a
+failure of either raises an ``InvariantError``.  D^2 = m D is checked in
+every degree as D b = m b on the basis of im D: the same statement, on
+dim im D rows instead of dim.  The membership check that
+``RowSpanSolver.solve`` runs on every restriction is exactly "d preserves
+im D".  E, its idempotency and d E = E d stay as oracles for the tests and
+the ``verify`` suites.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb, lcm
 
 from .cubical import (
@@ -89,13 +104,30 @@ def word_eulerian_matrix(n: int, m: int):
     return RationalMatrix.from_entries(size, size, emit()), eulerian_scale(m)
 
 
+def orbit_slot_operator(builder: OrbitComplexBuilder, m: int, terms) -> RationalMatrix:
+    """Matrix of sum c . slot(t), over (t, c) in ``terms``, on a coinvariant degree."""
+    return builder.operator_matrix(
+        m, m, lambda rep: ((slot_action(t, rep), c) for t, c in terms)
+    )
+
+
 def orbit_eulerian_matrix(builder: OrbitComplexBuilder, m: int):
     """(scaled matrix, scale) of E_m on a coinvariant complex degree."""
     terms = [(s.inverse(), coeff) for s, coeff in eulerian_terms(m)]
-    mat = builder.operator_matrix(
-        m, m, lambda rep: ((slot_action(t, rep), c) for t, c in terms)
-    )
-    return mat, eulerian_scale(m)
+    return orbit_slot_operator(builder, m, terms), eulerian_scale(m)
+
+
+@lru_cache(maxsize=None)
+def dynkin_terms(m: int):
+    """(t, +-1) pairs with D_m = sum of coeff . slot(t); see the module docstring."""
+    rest = range(2, m + 1)
+    out = []
+    for k in range(m):
+        for chosen in combinations(rest, k):
+            tail = tuple(x for x in rest if x not in chosen)
+            p = Permutation(tuple(sorted(chosen, reverse=True)) + (1,) + tail)
+            out.append((p.inverse(), (-1) ** k * p.sign()))
+    return tuple(out)
 
 
 def check_idempotent(scaled: RationalMatrix, scale: int) -> bool:
@@ -108,34 +140,27 @@ class HarrisonRestrictionError(InvariantError):
 
 
 def harrison_complex(module, group: PermutationGroup, m_max: int) -> CochainComplex:
-    """The image of the Eulerian idempotents inside the coinvariant complex.
+    """The image of the Dynkin elements inside the coinvariant complex.
 
-    Checks d E = E d in every degree before restricting; a failure means the
-    idempotent convention and the differential disagree, so it raises rather
-    than returning a complex whose cohomology would be meaningless.
+    Checks D^2 = m D in every degree and, on every restriction, that d maps
+    im D into im D; a failure means the operator or the differential is
+    wrong, so it raises rather than returning a complex whose cohomology
+    would be meaningless.
     """
     builder = OrbitComplexBuilder(module, group)
-    base_diffs = {m: builder.differential_matrix(m) for m in range(1, m_max + 1)}
-    scaled = {}
+    solvers = {}
     for m in range(1, m_max + 2):
-        scaled[m] = orbit_eulerian_matrix(builder, m)
-    for m in range(1, m_max + 1):
-        e_src, s_src = scaled[m]
-        e_tgt, s_tgt = scaled[m + 1]
-        d = base_diffs[m]
-        if (d * e_src).scale(s_tgt) != (e_tgt * d).scale(s_src):
-            raise HarrisonRestrictionError(
-                f"differential does not commute with the idempotent at degree {m}"
-            )
-    solvers = {
-        m: RowSpanSolver(image_basis(scaled[m][0]), builder.degree(m).dim)
-        for m in range(1, m_max + 2)
-    }
+        dyn = orbit_slot_operator(builder, m, dynkin_terms(m))
+        solver = RowSpanSolver(image_basis(dyn), builder.degree(m).dim)
+        # D^2 = m D exactly when D is m times the identity on a basis of im D
+        if solver.basis * dyn.transpose() != solver.basis.scale(m):
+            raise HarrisonRestrictionError(f"D^2 != {m} D at degree {m}")
+        solvers[m] = solver
     dims = {m: solver.k for m, solver in solvers.items()}
     labels = {m: [f"E{m}#{a}" for a in range(dims[m])] for m in dims}
     diffs = {}
     for m in range(1, m_max + 1):
-        images = solvers[m].basis * base_diffs[m].transpose()
+        images = solvers[m].basis * builder.differential_matrix(m).transpose()
         coords = solvers[m + 1].solve(images, f"the Harrison space at degree {m + 1}")
         diffs[m] = coords.transpose()
     name = getattr(module, "name", "M")

@@ -424,7 +424,7 @@ class InvariantError(ArithmeticError):
     """Exact arithmetic contradicts an identity the construction relies on.
 
     Raised for a broken internal invariant, never for bad input: a vector
-    escaping a subspace the differential must preserve, d E != E d, an
+    escaping a subspace the differential must preserve, D^2 != m D, an
     impossible Betti row, or a basis rank, Lyndon count, Eulerian scale or
     sign-isotypic dimension that contradicts its closed form.
     """

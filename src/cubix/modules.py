@@ -379,10 +379,10 @@ def _is_int(v) -> bool:
 def load_module(data) -> ModuleSpec:
     """Build a module from the JSON dict format.
 
-    Mistyped fields raise ValueError: N is an int >= 1, dim an int >= 0,
-    basis_labels a list of strings, and generators a list of dim x dim
-    lists whose entries are ints or "p/q" strings.  Coxeter validation
-    errors name the first violated relation.
+    Mistyped fields raise ValueError: name is a string, N an int >= 1, dim
+    an int >= 0, basis_labels a list of strings, and generators a list of
+    dim x dim lists whose entries are ints or "p/q" strings.  Coxeter
+    validation errors name the first violated relation.
     """
     if isinstance(data, str):
         with open(data) as fh:
@@ -393,6 +393,8 @@ def load_module(data) -> ModuleSpec:
         if key not in data:
             raise ValueError(f"custom module: missing field {key!r}")
     name = data["name"]
+    if not isinstance(name, str):
+        raise ValueError(f"custom module: name must be a string, not {name!r}")
     n, dim = data["N"], data["dim"]
     if not _is_int(n) or n < 1:
         raise ValueError(f"{name}: N must be an integer >= 1, not {n!r}")

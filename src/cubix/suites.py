@@ -22,6 +22,7 @@ from .harrison import (
 from .modules import (
     BUILTIN_KINDS,
     ModuleSpec,
+    _check_coxeter,
     builtin,
     induce,
     random_basis_change,
@@ -206,11 +207,16 @@ def chk_equivariance():
 
 
 def chk_coxeter():
-    built = []
+    count = 0
     for kind in BUILTIN_KINDS:
         for n in (1, 2, 3, 4):
-            built.append(builtin(kind, n).name)
-    return True, f"Coxeter relations hold for {len(built)} builtin modules"
+            module = builtin(kind, n)
+            try:
+                _check_coxeter(module.name, module.N, module.dim, module.gen_actions)
+            except ValueError as exc:
+                return False, str(exc)
+            count += 1
+    return True, f"Coxeter relations hold for {count} builtin modules"
 
 
 def chk_jacobi():

@@ -7,8 +7,8 @@ import pytest
 
 from cubix.cli import main
 from cubix.harrison import HarrisonRestrictionError
-from cubix.linalg import InvariantError, SubspaceEscape
-from cubix.modules import builtin, random_basis_change, serialize_module
+from cubix.linalg import InvariantError, RationalMatrix, SubspaceEscape
+from cubix.modules import ModuleSpec, builtin, random_basis_change, serialize_module
 from cubix.suites import Check, _run_spec, run_suite
 
 
@@ -42,6 +42,29 @@ def test_run_spec_turns_crash_into_failure():
         del suites._REGISTRY["chk_boom"]
     assert not check.passed
     assert "synthetic" in check.detail
+
+
+def test_coxeter_check_fails_on_a_broken_builtin(monkeypatch):
+    import cubix.suites as suites
+
+    real = suites.builtin
+
+    def broken(kind, n):
+        module = real(kind, n)
+        if kind != "regular" or n != 3:
+            return module
+        # s1 s2 s1 = s2 s1 s2 fails once s2 acts as the identity
+        gens = [module.gen_actions[0], RationalMatrix.identity(module.dim)]
+        return ModuleSpec(
+            module.name, 3, module.dim, module.basis_labels, gens, validate=False
+        )
+
+    passing = (True, "Coxeter relations hold for 24 builtin modules")
+    assert suites.chk_coxeter() == passing
+    monkeypatch.setattr(suites, "builtin", broken)
+    passed, detail = suites.chk_coxeter()
+    assert not passed
+    assert detail == "regular(3): braid relation s1 s2 s1 = s2 s1 s2 fails"
 
 
 def test_betti_table_format(capsys):
@@ -106,6 +129,8 @@ GOLDEN = Path(__file__).parent / "golden"
         (["betti", "--family", "harrison", "--n", "3"], "betti-harrison-3.table"),
         (["betti", "--family", "lie", "--n", "3", "--mode", "naive"],
          "betti-lie-3-naive.table"),
+        (["betti", "--family", "harrison", "--n", "4", "--mmax", "5"],
+         "betti-harrison-4-mmax5.table"),
     ],
 )
 def test_stdout_matches_golden(argv, golden, capsys):
@@ -198,9 +223,10 @@ SIGN2 = {"name": "sign", "N": 2, "dim": 1, "basis_labels": ["e"],
         {**SIGN2, "generators": [[[-1.0]]]},
         {**SIGN2, "generators": [[[True]]]},
         {**SIGN2, "N": 0, "generators": []},
+        {**SIGN2, "name": [1]},
     ],
     ids=["N-string", "flat-generators", "null-generators", "nested-entry",
-         "top-level-number", "float-entry", "bool-entry", "N-zero"],
+         "top-level-number", "float-entry", "bool-entry", "N-zero", "name-list"],
 )
 def test_mistyped_custom_module_is_an_input_error(module, tmp_path, capsys):
     path = tmp_path / "bad.json"

@@ -1,24 +1,33 @@
-"""Eulerian idempotents and Harrison subcomplexes.
+"""Eulerian idempotents, Dynkin elements and Harrison subcomplexes.
 
 Oracle values: degree-2 and degree-3 coefficients are expanded by hand from
-sign(s) (-1)^{des s} / (m binom(m-1, des s)); everything else is pinned by
-the idempotent and commutation identities plus frozen dimension runs.
+sign(s) (-1)^{des s} / (m binom(m-1, des s)) and from the subsets S of
+{2..m}; everything else is pinned by the idempotent, commutation and
+E D = D, D E = m E, D D = m D identities plus frozen dimension runs.
 """
+
+from fractions import Fraction
 
 import pytest
 
 from cubix.cubical import OrbitComplexBuilder, differential
+import cubix.harrison as harrison
+from cubix.cli import main
 from cubix.harrison import (
+    HarrisonRestrictionError,
     check_idempotent,
+    dynkin_terms,
     eulerian_scale,
     eulerian_terms,
     harrison_betti,
     harrison_complex,
     orbit_eulerian_matrix,
+    orbit_slot_operator,
     slot_action,
     word_eulerian_matrix,
     word_slot_matrix,
 )
+from cubix.linalg import RationalMatrix, RowSpanSolver, SubspaceEscape, image_basis
 from cubix.modules import (
     ModuleSpec,
     builtin,
@@ -156,3 +165,76 @@ def test_word_slot_matrix_is_a_permutation_action():
     a = word_slot_matrix(t, 2, 3)
     b = word_slot_matrix(u, 2, 3)
     assert a * b == word_slot_matrix(t * u, 2, 3)
+
+
+def test_dynkin_coefficients_degree_3():
+    # by hand, S = {}, {2}, {3}, {2,3}: p_S = 123, 213, 312, 321
+    terms = {t.images: c for t, c in dynkin_terms(3)}
+    assert terms == {(1, 2, 3): 1, (2, 1, 3): 1, (2, 3, 1): -1, (3, 2, 1): -1}
+
+
+def _times(a: dict, b: dict) -> dict:
+    """Product in Q[S_m] of {Permutation: coefficient} dicts."""
+    out = {}
+    for p, x in a.items():
+        for q, y in b.items():
+            out[p * q] = out.get(p * q, 0) + x * y
+    return {p: v for p, v in out.items() if v}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_dynkin_is_a_lie_idempotent_up_to_m(m):
+    dyn = dict(dynkin_terms(m))
+    assert len(dyn) == 2 ** (m - 1)
+    assert set(dyn.values()) <= {1, -1}
+    scale = eulerian_scale(m)
+    eul = {s.inverse(): Fraction(c, scale) for s, c in eulerian_terms(m)}
+    assert _times(eul, dyn) == dyn
+    assert _times(dyn, eul) == {p: m * v for p, v in eul.items()}
+    assert _times(dyn, dyn) == {p: m * v for p, v in dyn.items()}
+
+
+@pytest.mark.parametrize(
+    "module, group",
+    [
+        (builtin("regular", 3), symmetric_group(3)),
+        (builtin("lie", 4), symmetric_group(4)),
+        (trivial_subgroup_module(cyclic_group(3)), cyclic_group(3)),
+        (random_basis_change(builtin("lie_cyclic", 3), seed=5), symmetric_group(4)),
+    ],
+    ids=["regular3", "lie4", "c3-in-s3", "lie_cyclic3-moved"],
+)
+def test_orbit_dynkin_and_eulerian_have_one_image(module, group):
+    builder = OrbitComplexBuilder(module, group)
+    for m in (1, 2, 3, 4):
+        dim = builder.degree(m).dim
+        dyn = image_basis(orbit_slot_operator(builder, m, dynkin_terms(m)))
+        eul = image_basis(orbit_eulerian_matrix(builder, m)[0])
+        assert len(dyn) == len(eul)
+        # raises SubspaceEscape unless every Eulerian image row lies in im D
+        RowSpanSolver(dyn, dim).solve(RationalMatrix.from_row_dicts(eul, len(eul), dim))
+
+
+@pytest.mark.parametrize(
+    "m, index, error",
+    [(3, -1, HarrisonRestrictionError), (2, 1, SubspaceEscape)],
+    ids=["d-squared", "membership"],
+)
+def test_a_flipped_dynkin_sign_is_an_invariant_error(
+    m, index, error, monkeypatch, capsys
+):
+    # flipping the last degree-3 sign breaks D^2 = 3 D; flipping the degree-2
+    # transposition gives 1 - (12), whose square is 2 (1 - (12)) but whose
+    # image d does not preserve, so only the membership check catches it
+    def flipped(k):
+        terms = list(dynkin_terms(k))
+        if k == m:
+            t, c = terms[index]
+            terms[index] = (t, -c)
+        return tuple(terms)
+
+    monkeypatch.setattr(harrison, "dynkin_terms", flipped)
+    with pytest.raises(error):
+        harrison_complex(builtin("regular", 3), symmetric_group(3), 3)
+    assert main(["betti", "--family", "harrison", "--n", "3"]) == 4
+    assert capsys.readouterr().err.startswith("internal error:")
