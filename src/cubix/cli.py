@@ -5,14 +5,14 @@ check suite, ``module-info`` dumps a module's matrices and characters.
 Output is deterministic: fixed orderings, no timestamps, no floats.
 
 Exit codes: 0 success, 1 verification failure, 2 bad input, 3 resource cap,
-4 internal error (a broken invariant such as a subspace escape, D^2 != m D,
-an impossible Betti row or a failed rank or count check, or a KeyError,
-which no bad input raises).
+4 internal error (a broken invariant such as a subspace escape, a
+coinvariant relation with a nonzero class, D^2 != m D, an impossible Betti
+row or a failed rank or count check, or a KeyError, which no bad input
+raises).
 """
 
 import argparse
 import json
-import os
 import sys
 
 from .cubical import (
@@ -42,15 +42,6 @@ _MODULE_OF = {
     "sign": "sign",
     "regular": "regular",
 }
-
-
-def _cap_from(args) -> int:
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get("CUBIX_CAP")
-    if env:
-        return int(env)
-    return DEFAULT_NAIVE_CAP
 
 
 def _load_custom(path: str):
@@ -127,7 +118,7 @@ def cmd_betti(args) -> int:
             symmetric_group(slots),
             m_max,
             mode=args.mode,
-            cap=_cap_from(args),
+            cap=args.cap,
         ).betti_table()
     n_out = args.n if args.n is not None else slots
     print(_render_table(table, args.family, n_out, args.format))
@@ -225,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_betti.add_argument("--mmax", type=int)
     p_betti.add_argument("--mode", choices=("orbit", "naive"), default="orbit")
     p_betti.add_argument("--format", choices=("json", "csv", "table"), default="table")
-    p_betti.add_argument("--cap", type=int)
+    p_betti.add_argument("--cap", type=int, default=DEFAULT_NAIVE_CAP)
     p_betti.set_defaults(func=cmd_betti)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")

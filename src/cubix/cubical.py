@@ -35,19 +35,22 @@ of the acceptance suite, so neither implementation is allowed to borrow
 pieces of the other beyond the shared coface definition.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import lcm
 
 from .linalg import (
     InvariantError,
     RationalMatrix,
     RowSpanSolver,
     SubspaceEscape,
+    _int_rows,
     _norm,
     image_basis,
     rank,
+    reduced_echelon,
 )
 from .perm import Permutation, PermutationGroup, young_subgroup
 
@@ -70,10 +73,6 @@ class DimensionCapExceeded(RuntimeError):
 def words(n: int, m: int) -> list:
     """All words of length n over slots 1..m, lexicographic."""
     return list(product(range(1, m + 1), repeat=n))
-
-
-def word_label(w) -> str:
-    return "".join(str(x) for x in w)
 
 
 def position_action(g: Permutation, w):
@@ -159,7 +158,6 @@ class CochainComplex:
     m_max: int
     dims: dict
     diffs: dict
-    labels: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for m in range(1, self.m_max + 1):
@@ -248,8 +246,7 @@ def full_complex(n: int, m_max: int) -> CochainComplex:
     """The plain word complex: dimension m^n in degree m."""
     dims = {m: m ** n for m in range(1, m_max + 2)}
     diffs = {m: differential(n, m) for m in range(1, m_max + 1)}
-    labels = {m: [word_label(w) for w in words(n, m)] for m in range(1, m_max + 2)}
-    return CochainComplex(f"full(n={n})", n, m_max, dims, diffs, labels)
+    return CochainComplex(f"full(n={n})", n, m_max, dims, diffs)
 
 
 def betti(complex_: CochainComplex) -> BettiTable:
@@ -355,46 +352,45 @@ def _subgroup_orbits(n: int, m: int, group: PermutationGroup):
 
 
 class CoinvariantBasis:
-    """Basis of M_H as rows, with fast coordinates for projected classes.
+    """The coinvariant space M_H = M / I_H M, with coordinates of classes.
 
-    For a row vector v over M, the class of v in the coinvariant space has
-    coordinates (v @ W) / scale in this basis, where W folds the scaled
-    averaging projector restricted to pivot columns with the inverse of the
-    pivot submatrix.
+    M_H is M modulo the span of v.h - v over h in H.  That span equals
+    R = sum over the generators s of H of im(act(s) - 1), because
+    v.(g s) - v = (v.g)(s - 1) + (v.g - v); so only the generators are
+    read.  Let r_p, for p in the pivot columns P, be a reduced echelon
+    basis of the stacked rows of R, with pivot values d_p.  The unit
+    vectors at the other columns F (``free``) then give a basis of M_H,
+    and the class of a row vector x has coordinates (x @ W) / scale, where
+    scale = lcm |d_p| and W is scale at (f, f) and -(scale / d_p) r_p[f]
+    at (p, f).  R @ W = 0 is checked exactly: every relation must have
+    class zero.
     """
 
     def __init__(self, module, stabilizer: PermutationGroup):
         dim = module.dim
-        self.module_dim = dim
-        if stabilizer.order == 1:
-            self.trivial = True
-            self.k = dim
-            self.basis = [{j: 1} for j in range(dim)]
-            return
-        self.trivial = False
-        acc = RationalMatrix.zeros(dim, dim)
-        for h in stabilizer.elements:
-            acc = acc + module.act(h)
-        self.basis = image_basis(acc.transpose())
-        self.k = len(self.basis)
-        if self.k == 0:
-            self._scaled_projector = acc
-            return
-        solver = RowSpanSolver(self.basis, dim)
-        # the rows of P = |H| * projector span M_H, so W = L * coords(P) is
-        # integer for integer modules and coords(v) = v @ W / (L * |H|)
-        self.w_matrix = solver.solve(acc, "the coinvariant space").scale(solver.scale)
-        self.scale = solver.scale * stabilizer.order
+        ident = RationalMatrix.identity(dim)
+        rows = [
+            row
+            for s in stabilizer.generators
+            for row in (module.act(s) - ident).rows.values()
+        ]
+        relations = RationalMatrix(len(rows), dim, dict(enumerate(rows)))
+        red = reduced_echelon(_int_rows(relations), dim)
+        piv = {c for c, _ in red}
+        self.free = [j for j in range(dim) if j not in piv]
+        self.k = len(self.free)
+        col = {f: a for a, f in enumerate(self.free)}
+        self.scale = lcm(*(abs(row[c]) for c, row in red))
+        w = {f: {a: self.scale} for f, a in col.items()}
+        for c, row in red:
+            q = self.scale // row[c]
+            w[c] = {col[f]: -q * v for f, v in row.items() if f != c}
+        self.w_matrix = RationalMatrix(dim, self.k, {i: r for i, r in w.items() if r})
+        if not (relations * self.w_matrix).is_zero():
+            raise SubspaceEscape("a relation has a nonzero coinvariant class")
 
     def class_block(self, x: RationalMatrix) -> dict:
         """Coordinate rows of the classes of x's rows (x is rows x dim)."""
-        if self.trivial:
-            return x.rows
-        if self.k == 0:
-            check = x * self._scaled_projector
-            if not check.is_zero():
-                raise SubspaceEscape("nonzero class in a zero coinvariant space")
-            return {}
         u = x * self.w_matrix
         s = self.scale
         out = {}
@@ -473,16 +469,14 @@ class OrbitComplexBuilder:
         """
         src = self.degree(src_m)
         tgt = self.degree(tgt_m)
+        dim = self.module.dim
 
         def emit():
             for oi, orbit in enumerate(src.orbits):
-                src_basis = src.coinv[oi]
-                if src_basis.k == 0:
+                free = src.coinv[oi].free
+                if not free:
                     continue
                 col_off = src.offsets[oi]
-                basis_mat = RationalMatrix.from_row_dicts(
-                    src_basis.basis, src_basis.k, self.module.dim
-                )
                 terms = {}
                 for w2, c in images(orbit.rep):
                     terms[w2] = terms.get(w2, 0) + c
@@ -490,8 +484,14 @@ class OrbitComplexBuilder:
                     if not c:
                         continue
                     ti, g = self.locate(tgt, w2)
-                    action = self.module.act(g)
-                    x = action if src_basis.trivial else basis_mat * action
+                    # the source basis is the unit vectors at ``free``, so
+                    # basis . act(g) selects those rows of act(g)
+                    action = self.module.act(g).rows
+                    x = RationalMatrix(
+                        len(free),
+                        dim,
+                        {a: action[f] for a, f in enumerate(free) if f in action},
+                    )
                     row_off = tgt.offsets[ti]
                     for a, row in tgt.coinv[ti].class_block(x).items():
                         col = col_off + a
@@ -510,14 +510,6 @@ class OrbitComplexBuilder:
                 for w2 in coface(i, rep, m)
             ),
         )
-
-    def labels(self, m: int):
-        deg = self.degree(m)
-        out = []
-        for orbit, basis in zip(deg.orbits, deg.coinv):
-            for j in range(basis.k):
-                out.append(f"{word_label(orbit.rep)}#{j}")
-        return out
 
 
 def cubical_complex(
@@ -538,8 +530,7 @@ def cubical_complex(
         builder = OrbitComplexBuilder(module, group)
         dims = {m: builder.degree(m).dim for m in range(1, m_max + 2)}
         diffs = {m: builder.differential_matrix(m) for m in range(1, m_max + 1)}
-        labels = {m: builder.labels(m) for m in range(1, m_max + 2)}
-        return CochainComplex(label, n, m_max, dims, diffs, labels)
+        return CochainComplex(label, n, m_max, dims, diffs)
     if mode == "naive":
         return _naive_complex(module, group, m_max, cap, label)
     raise ValueError(f"unknown mode: {mode}")

@@ -157,7 +157,6 @@ def harrison_complex(module, group: PermutationGroup, m_max: int) -> CochainComp
             raise HarrisonRestrictionError(f"D^2 != {m} D at degree {m}")
         solvers[m] = solver
     dims = {m: solver.k for m, solver in solvers.items()}
-    labels = {m: [f"E{m}#{a}" for a in range(dims[m])] for m in dims}
     diffs = {}
     for m in range(1, m_max + 1):
         images = solvers[m].basis * builder.differential_matrix(m).transpose()
@@ -165,7 +164,7 @@ def harrison_complex(module, group: PermutationGroup, m_max: int) -> CochainComp
         diffs[m] = coords.transpose()
     name = getattr(module, "name", "M")
     label = f"harrison({name}/{'S' if group.is_symmetric() else 'G'}{group.degree})"
-    return CochainComplex(label, group.degree, m_max, dims, diffs, labels)
+    return CochainComplex(label, group.degree, m_max, dims, diffs)
 
 
 def harrison_betti(module, group: PermutationGroup, m_max: int) -> BettiTable:

@@ -20,12 +20,15 @@ sparse ``_Eliminator`` drives it in two column orders:
   so that the echelon structure, and in particular the set of pivot
   columns, is deterministic.
 
-``RowSpanSolver`` expresses vectors in a fixed independent row family.  It
-builds its integer inverse of the pivot submatrix from that sweep, run on
-rows tagged with their own index, and a back pass with the same row step.
-Its ``solve`` maps a whole block of vectors with one sparse product and
-checks every row's membership in the span exactly; this is how each linear
-map is restricted to an invariant subspace.
+``reduced_echelon`` follows that sweep with a back pass of the same row
+step, which clears every pivot column from the other pivot rows.  Both
+``RowSpanSolver`` and the coinvariant bases of ``cubical.py`` start from
+it.  ``RowSpanSolver`` expresses vectors in a fixed independent row family:
+it runs ``reduced_echelon`` on rows tagged with their own index, and reads
+its integer inverse of the pivot submatrix from the tags.  Its ``solve``
+maps a whole block of vectors with one sparse product and checks every
+row's membership in the span exactly; this is how each linear map is
+restricted to an invariant subspace.
 
 Returned basis vectors are integer, have content 1, and their first nonzero
 entry is positive, so test fixtures can compare them literally.
@@ -38,7 +41,8 @@ from math import gcd, lcm
 
 def _norm(x):
     """Collapse Fraction with denominator 1 to int; keep ints as ints."""
-    if isinstance(x, Fraction) and x.denominator == 1:
+    # an exact type test: isinstance goes through the numbers ABCs
+    if type(x) is Fraction and x.denominator == 1:
         return x.numerator
     return x
 
@@ -420,13 +424,36 @@ def image_basis(matrix: RationalMatrix):
     return [normalize_int_vector(cols[c]) for c, _ in pivots]
 
 
+def reduced_echelon(int_rows, ncols):
+    """[(pivot_col, row)] of a reduced row echelon basis of the rows' span.
+
+    ``int_rows`` is {id: integer dict row}.  The column-order ``sweep``
+    gives an echelon basis; a back pass with the same row step then clears
+    each pivot column from the earlier pivot rows, last pivot first, so
+    every row is zero at every other pivot column.  Rows stay integer and
+    are combinations of the input rows, so columns at or past ``ncols``
+    carry along which combination each row is.
+    """
+    pivots = _Eliminator(int_rows, ncols).sweep()
+    red = [row for _, row in pivots]
+    # pivot j's row holds no earlier pivot column, so clearing from the last
+    # pivot back leaves one pivot entry per row
+    for j in range(len(red) - 1, 0, -1):
+        c = pivots[j][0]
+        for i in range(j):
+            if c in red[i]:
+                red[i] = _clear(red[i], red[j], c)
+    return [(c, row) for (c, _), row in zip(pivots, red)]
+
+
 class InvariantError(ArithmeticError):
     """Exact arithmetic contradicts an identity the construction relies on.
 
     Raised for a broken internal invariant, never for bad input: a vector
-    escaping a subspace the differential must preserve, D^2 != m D, an
-    impossible Betti row, or a basis rank, Lyndon count, Eulerian scale or
-    sign-isotypic dimension that contradicts its closed form.
+    escaping a subspace the differential must preserve, a coinvariant
+    relation with a nonzero class, D^2 != m D, an impossible Betti row, or
+    a basis rank, Lyndon count, Eulerian scale or sign-isotypic dimension
+    that contradicts its closed form.
     """
 
 
@@ -439,15 +466,14 @@ class RowSpanSolver:
 
     ``rows`` is a list of integer dict vectors of length ``ncols``; ``basis``
     holds them as a k x ncols matrix.  The constructor inverts the square
-    pivot submatrix S through the same sweep ``image_basis`` runs: row i
-    carries a tag column ``ncols + i``, so each pivot row records which
-    combination of input rows it is, and a back pass with the same row step
-    clears every other pivot column.  Pivot row j then reads d_j at its
-    pivot and tags_j elsewhere, so T = (L / d_j) * tags_j, with
-    L = lcm |d_j|, is integer and (T/L) @ S = I.  ``solve`` then maps a
-    whole block of vectors with one sparse product and checks every row's
-    membership in the span exactly.  k = 0 is valid: only the zero vector
-    is in the span.
+    pivot submatrix S through ``reduced_echelon``: row i carries a tag
+    column ``ncols + i``, so each pivot row records which combination of
+    input rows it is.  Pivot row j then reads d_j at its pivot, zero at
+    every other pivot and tags_j in the tag columns, so
+    T = (L / d_j) * tags_j, with L = lcm |d_j|, is integer and
+    (T/L) @ S = I.  ``solve`` then maps a whole block of vectors with one
+    sparse product and checks every row's membership in the span exactly.
+    k = 0 is valid: only the zero vector is in the span.
     """
 
     def __init__(self, rows, ncols):
@@ -456,29 +482,17 @@ class RowSpanSolver:
         self.k = k
         self.basis = RationalMatrix.from_row_dicts(rows, k, ncols)
         tagged = {i: {**r, ncols + i: 1} for i, r in enumerate(rows)}
-        pivots = _Eliminator(tagged, ncols).sweep()
-        if len(pivots) != k:
+        red = reduced_echelon(tagged, ncols)
+        if len(red) != k:
             # a dependent row is swept down to its tags and never pivots
             raise ValueError("rows are linearly dependent")
-        self._piv = piv = {c: j for j, (c, _) in enumerate(pivots)}
-        red = [
-            {c: v for c, v in prow.items() if c in piv or c >= ncols}
-            for _, prow in pivots
-        ]
-        # echelon order: pivot j's row holds no earlier pivot column, so
-        # clearing from the last pivot back leaves one pivot entry per row
-        for j in range(k - 1, 0, -1):
-            c = pivots[j][0]
-            for i in range(j):
-                if c in red[i]:
-                    red[i] = _clear(red[i], red[j], c)
-        diag = [row[c] for (c, _), row in zip(pivots, red)]
-        L = lcm(*(abs(d) for d in diag))
+        self._piv = {c: j for j, (c, _) in enumerate(red)}
+        L = lcm(*(abs(row[c]) for c, row in red))
         self.scale = L
         t = {}
-        for j, (row, d) in enumerate(zip(red, diag)):
-            f = L // d
-            t[j] = {c - ncols: f * v for c, v in row.items() if c >= ncols}
+        for j, (c, row) in enumerate(red):
+            f = L // row[c]
+            t[j] = {cc - ncols: f * v for cc, v in row.items() if cc >= ncols}
         self._t = RationalMatrix(k, k, t)
 
     def solve(self, x: RationalMatrix, space: str = "the row span") -> RationalMatrix:

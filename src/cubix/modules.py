@@ -19,9 +19,11 @@ Built-in modules:
 * ``lie_cyclic``: the Lie elements as a module over S_{n+1} via the cyclic
   word action on associative words, restricted to the Lie subspace.
 
-Coinvariants are realized concretely as the row space of the averaging
-projector (characteristic zero), so downstream code can transfer vectors
-into a coinvariant basis with plain linear algebra.
+``coinvariants`` builds the averaging projector of a group and a basis of
+its row space, which models the coinvariant space in characteristic zero.
+It is an oracle only: the orbit engine builds coinvariant spaces from a
+stabilizer's generators (``cubical.CoinvariantBasis``), and the tests check
+the two against each other.
 """
 
 import json

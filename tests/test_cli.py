@@ -131,6 +131,10 @@ GOLDEN = Path(__file__).parent / "golden"
          "betti-lie-3-naive.table"),
         (["betti", "--family", "harrison", "--n", "4", "--mmax", "5"],
          "betti-harrison-4-mmax5.table"),
+        # serialize_module(random_basis_change(builtin("lie_cyclic", 3), 1))
+        (["betti", "--family", "custom", "--custom",
+          str(GOLDEN / "lie_cyclic3-seed1.json")],
+         "betti-custom-lie_cyclic3-seed1.table"),
     ],
 )
 def test_stdout_matches_golden(argv, golden, capsys):
@@ -285,10 +289,9 @@ def test_slot_caps_exit_3(capsys):
     assert "cap" in capsys.readouterr().err
 
 
-def test_cap_env_and_flag_precedence(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CUBIX_CAP", "10")
+def test_cap_flag_sets_the_naive_cap(capsys):
     args = ["betti", "--family", "ass", "--n", "2", "--mode", "naive"]
-    assert main(args) == 3
+    assert main(args + ["--cap", "10"]) == 3
     capsys.readouterr()
     assert main(args + ["--cap", "100000"]) == 0
     capsys.readouterr()

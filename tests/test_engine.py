@@ -8,8 +8,11 @@ tables against independent mode/route recomputations.
 
 import pytest
 
+import cubix.cubical as cubical
+from cubix.cli import main
 from cubix.cubical import (
     CochainComplex,
+    CoinvariantBasis,
     DimensionCapExceeded,
     antisymmetrizer_vector,
     coface,
@@ -25,14 +28,16 @@ from cubix.cubical import (
     sort_transfer,
     sorted_word,
     verify_cor2,
-    word_label,
     words,
 )
 from cubix.freelie import witt_dim
-from cubix.linalg import RationalMatrix
+from cubix.linalg import RationalMatrix, SubspaceEscape, rank
 from cubix.modules import (
+    BUILTIN_KINDS,
     builtin,
+    coinvariants,
     induce,
+    random_basis_change,
     restrict,
     trivial_subgroup_module,
 )
@@ -41,13 +46,13 @@ from cubix.perm import (
     PermutationGroup,
     cyclic_group,
     symmetric_group,
+    young_subgroup,
 )
 
 
 def test_words_and_labels():
     assert words(2, 2) == [(1, 1), (1, 2), (2, 1), (2, 2)]
     assert len(words(3, 4)) == 64
-    assert word_label((1, 3, 2)) == "132"
 
 
 def test_position_action_is_left_action():
@@ -276,3 +281,92 @@ def test_complex_rejects_bad_shapes():
             {1: 1, 2: 2},
             {1: RationalMatrix.zeros(3, 1)},
         )
+
+
+# -- coinvariant bases against the averaging projector ----------------------
+
+
+def positive_compositions(n):
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in positive_compositions(n - first):
+            yield (first,) + rest
+
+
+def assert_matches_averaging(module, group):
+    """Return the basis after checking it against the averaging projector.
+
+    The projector P is idempotent, so the rows of 1 - P span its kernel;
+    the classes kill all of them, and a rank-k class map has a kernel of
+    exactly that dimension.
+    """
+    basis = CoinvariantBasis(module, group)
+    proj, _ = coinvariants(module, group)
+    dim = module.dim
+    assert basis.k == rank(proj)
+    ident = RationalMatrix.identity(dim)
+    assert basis.class_block(ident - proj) == {}
+    classes = RationalMatrix(dim, basis.k, basis.class_block(ident))
+    assert rank(classes) == basis.k
+    return basis
+
+
+@pytest.mark.parametrize("kind", BUILTIN_KINDS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_coinvariant_basis_matches_averaging_over_young_subgroups(kind, n):
+    module = builtin(kind, n)
+    for content in positive_compositions(module.N):
+        assert_matches_averaging(module, young_subgroup(content))
+
+
+@pytest.mark.parametrize("kind", ["lie_cyclic", "tr_cyclic"])
+def test_coinvariant_basis_matches_averaging_after_a_basis_change(kind):
+    # seed 3 gives classes with fractional coordinates
+    module = random_basis_change(builtin(kind, 3), 3)
+    scales = [
+        assert_matches_averaging(module, young_subgroup(content)).scale
+        for content in positive_compositions(module.N)
+    ]
+    assert max(scales) > 1
+
+
+@pytest.mark.parametrize(
+    "group, kinds",
+    [
+        (cyclic_group(3), ("sign", "regular", "lie", "tr_cyclic")),
+        (young_subgroup((2, 2)), ("sign", "regular", "lie", "tr_cyclic")),
+    ],
+    ids=["C3<S3", "S2xS2<S4"],
+)
+def test_coinvariant_basis_matches_averaging_on_subgroup_stabilizers(group, kinds):
+    stabilizers = {
+        orbit.stabilizer
+        for m in range(1, 4)
+        for orbit in orbit_decomposition(group.degree, m, group)
+    }
+    assert any(len(s.generators) > 1 for s in stabilizers)
+    for kind in kinds:
+        for stab in stabilizers:
+            assert_matches_averaging(builtin(kind, group.degree), stab)
+
+
+def test_a_flipped_class_sign_is_a_subspace_escape(monkeypatch, capsys):
+    real = cubical.reduced_echelon
+
+    def flipped(rows, ncols):
+        # negating r_p[f] negates W at (p, f)
+        red = real(rows, ncols)
+        for c, row in red:
+            f = next((f for f in row if f != c), None)
+            if f is not None:
+                row[f] = -row[f]
+                break
+        return red
+
+    monkeypatch.setattr(cubical, "reduced_echelon", flipped)
+    with pytest.raises(SubspaceEscape):
+        CoinvariantBasis(builtin("regular", 3), symmetric_group(3))
+    assert main(["betti", "--family", "ass", "--n", "3"]) == 4
+    assert capsys.readouterr().err.startswith("internal error:")

@@ -12,15 +12,23 @@ Regenerate cases of ``golden/restrictions.json`` (only on purpose) with
     PYTHONPATH=src python tests/test_restrictions.py [CASE ...]
 
 which rewrites the named cases, or all of ``CASES``, and keeps every other
-key.  ``harrison-regular3-m3`` was regenerated when the Harrison space
-came to be built as the image of the Dynkin element instead of the
-Eulerian idempotent: the subspace is the same, its basis is not.  The old
-matrices stay under ``harrison-regular3-m3-eulerian-basis``, and a test
-checks that the two sets differ by exactly that change of basis.
+key.  Two regenerations changed a basis but not the complex, and the old
+matrices stay beside the new ones:
+
+* ``harrison-regular3-m3`` when the Harrison space came to be built as the
+  image of the Dynkin element instead of the Eulerian idempotent (the old
+  set is ``harrison-regular3-m3-eulerian-basis``);
+* ``harrison-regular3-m3`` and ``orbit-lie4~2-m3`` when coinvariant spaces
+  came to be built from the stabilizer's generators instead of from the
+  averaging projector (the old sets end in ``-averaging-basis``).
+
+Tests check that each old set is the new one in exactly that change of
+basis.
 """
 
 import json
 import sys
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -33,7 +41,7 @@ from cubix.harrison import (
     orbit_slot_operator,
 )
 from cubix.linalg import RationalMatrix, RowSpanSolver, image_basis, parse_scalar, rank
-from cubix.modules import builtin, random_basis_change
+from cubix.modules import builtin, coinvariants, random_basis_change
 from cubix.perm import symmetric_group
 from cubix.realizations import direct_complex
 
@@ -84,25 +92,94 @@ def decode(mats: dict) -> dict:
     }
 
 
+def assert_same_complex(old, new, change):
+    """C_old^T P[m+1] = P[m] C_new^T for C = diffs[m], with every P[m]
+    square and invertible.
+
+    P[m] holds the old basis rows in new coordinates: with
+    d(b_j) = sum_i C[i, j] b'_i, both sides are the images of the old
+    basis in new coordinates.
+    """
+    assert sorted(old) == sorted(new) == [1, 2, 3]
+    for p in change.values():
+        assert p.nrows == p.ncols == rank(p)
+    for m in (1, 2, 3):
+        assert old[m].transpose() * change[m + 1] == change[m] * new[m].transpose()
+
+
+def averaging_change(builder, m):
+    """Block-diagonal over orbits: row i holds the class, in the builder's
+    coinvariant basis, of the i-th row of the averaging projector's basis."""
+    deg = builder.degree(m)
+    dim = builder.module.dim
+    entries = []
+    for orbit, off, basis in zip(deg.orbits, deg.offsets, deg.coinv):
+        _, rows = coinvariants(builder.module, orbit.stabilizer)
+        assert len(rows) == basis.k
+        x = RationalMatrix.from_row_dicts(rows, basis.k, dim)
+        for a, row in basis.class_block(x).items():
+            entries.extend((off + a, off + b, v) for b, v in row.items())
+    return RationalMatrix.from_entries(deg.dim, deg.dim, entries)
+
+
+def inverse(q):
+    den = lcm(*(v.denominator for row in q.rows.values() for v in row.values()))
+    ints = q.scale(den)
+    solver = RowSpanSolver([ints.row_dict(i) for i in range(q.nrows)], q.ncols)
+    inv = solver.solve(RationalMatrix.identity(q.nrows)).scale(den)
+    assert q * inv == RationalMatrix.identity(q.nrows)
+    return inv
+
+
+def harrison_change(builder, m, old_operator):
+    """Old Harrison basis rows, image_basis(old_operator) in the averaging
+    coinvariant basis, as coordinates in the new one, image_basis(D) in
+    the builder's coinvariant basis."""
+    q = averaging_change(builder, m)
+    # an operator A in new coordinates reads Q^-T A Q^T in the old ones
+    op = old_operator(builder, m)
+    old_op = (q * op.transpose() * inverse(q)).transpose()
+    old_rows = image_basis(old_op)
+    old_basis = RationalMatrix.from_row_dicts(old_rows, len(old_rows), q.ncols)
+    dynkin = image_basis(orbit_slot_operator(builder, m, dynkin_terms(m)))
+    return RowSpanSolver(dynkin, q.ncols).solve(old_basis * q)
+
+
+def test_orbit_golden_is_the_averaging_golden_in_another_basis():
+    golden = json.loads(GOLDEN.read_text())
+    old = decode(golden["orbit-lie4~2-m3-averaging-basis"])
+    new = decode(golden["orbit-lie4~2-m3"])
+    module = random_basis_change(builtin("lie", 4), 2)
+    builder = OrbitComplexBuilder(module, symmetric_group(4))
+    assert_same_complex(old, new, {m: averaging_change(builder, m) for m in range(1, 5)})
+
+
+def test_harrison_golden_is_the_averaging_golden_in_another_basis():
+    golden = json.loads(GOLDEN.read_text())
+    old = decode(golden["harrison-regular3-m3-averaging-basis"])
+    new = decode(golden["harrison-regular3-m3"])
+    builder = OrbitComplexBuilder(builtin("regular", 3), symmetric_group(3))
+
+    def dynkin(builder, m):
+        return orbit_slot_operator(builder, m, dynkin_terms(m))
+
+    change = {m: harrison_change(builder, m, dynkin) for m in range(1, 5)}
+    assert_same_complex(old, new, change)
+
+
 def test_harrison_golden_is_the_eulerian_golden_in_another_basis():
-    # P[m] holds the Eulerian basis rows in Dynkin coordinates, so for
-    # C = diffs[m], with d(b_j) = sum_i C[i, j] b'_i, the frozen matrices
-    # must satisfy C_old^T P[m+1] = P[m] C_new^T, with every P[m] invertible
+    # the Eulerian set predates both changes: its Harrison basis is
+    # image_basis(E), in the averaging coinvariant basis
     golden = json.loads(GOLDEN.read_text())
     old = decode(golden["harrison-regular3-m3-eulerian-basis"])
     new = decode(golden["harrison-regular3-m3"])
     builder = OrbitComplexBuilder(builtin("regular", 3), symmetric_group(3))
-    change = {}
-    for m in range(1, 5):
-        dim = builder.degree(m).dim
-        euler = RowSpanSolver(image_basis(orbit_eulerian_matrix(builder, m)[0]), dim)
-        dynkin = image_basis(orbit_slot_operator(builder, m, dynkin_terms(m)))
-        change[m] = RowSpanSolver(dynkin, dim).solve(euler.basis)
-        assert change[m].shape == (euler.k, euler.k)
-        assert rank(change[m]) == euler.k
-    assert sorted(old) == sorted(new) == [1, 2, 3]
-    for m in (1, 2, 3):
-        assert old[m].transpose() * change[m + 1] == change[m] * new[m].transpose()
+
+    def eulerian(builder, m):
+        return orbit_eulerian_matrix(builder, m)[0]
+
+    change = {m: harrison_change(builder, m, eulerian) for m in range(1, 5)}
+    assert_same_complex(old, new, change)
 
 
 if __name__ == "__main__":
