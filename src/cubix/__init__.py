@@ -7,6 +7,7 @@ from .cubical import (
     betti,
     cubical_complex,
     full_complex,
+    quotient_betti,
     verify_cor2,
 )
 from .harrison import harrison_betti, harrison_complex
@@ -40,6 +41,7 @@ __all__ = [
     "betti",
     "cubical_complex",
     "full_complex",
+    "quotient_betti",
     "verify_cor2",
     "harrison_betti",
     "harrison_complex",

@@ -4,11 +4,22 @@ Three commands: ``betti`` prints one Betti table, ``verify`` runs a named
 check suite, ``module-info`` dumps a module's matrices and characters.
 Output is deterministic: fixed orderings, no timestamps, no floats.
 
+``betti --mode`` picks the construction (see ``cubical.py``); all three
+print the same table.  ``quotient``, the default, builds only the
+surjective-word quotient and reads the full complex's dimensions off
+characters; ``--family full`` takes it as the trivial module over the
+trivial group.  ``orbit`` builds every degree of the full orbit complex
+(``full_complex`` for ``--family full``), and ``naive`` the averaged
+product space; both are oracles of the default.  ``--family harrison``
+always builds the full orbit complex, and naive mode is not defined for
+``full`` and ``harrison``.
+
 Exit codes: 0 success, 1 verification failure, 2 bad input, 3 resource cap,
 4 internal error (a broken invariant such as a subspace escape, a
-coinvariant relation with a nonzero class, D^2 != m D, an impossible Betti
-row or a failed rank or count check, or a KeyError, which no bad input
-raises).
+coinvariant relation with a nonzero class, D^2 != m D, d^2 != 0 on the
+quotient, a character count that is not a dimension or disagrees with the
+quotient, a derived rank out of bounds, an impossible Betti row or a failed
+rank or count check, or a KeyError, which no bad input raises).
 """
 
 import argparse
@@ -20,11 +31,12 @@ from .cubical import (
     DimensionCapExceeded,
     cubical_complex,
     full_complex,
+    quotient_betti,
 )
 from .harrison import harrison_complex
 from .linalg import InvariantError, format_scalar
 from .modules import builtin, load_module, serialize_module, sgn_coinvariants_dim
-from .perm import Permutation, symmetric_group
+from .perm import cycle_classes, symmetric_group, trivial_group
 from .suites import SUITE_NAMES, run_suite
 
 ENGINE_SLOT_CAP = 6
@@ -108,8 +120,11 @@ def cmd_betti(args) -> int:
         raise ValueError(f"mode naive is not defined for family {args.family}")
     if args.mode == "naive" and slots > NAIVE_SLOT_CAP:
         raise DimensionCapExceeded(slots, NAIVE_SLOT_CAP, "naive mode slot count")
-    if args.family == "full":
+    if args.family == "full" and args.mode == "orbit":
         table = full_complex(slots, m_max).betti_table()
+    elif args.family == "full":
+        # the word complex is the trivial module over the trivial group
+        table = quotient_betti(builtin("trivial", slots), trivial_group(slots), m_max)
     elif args.family == "harrison":
         table = harrison_complex(module, symmetric_group(slots), m_max).betti_table()
     else:
@@ -143,27 +158,6 @@ def cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
-def _partitions(total: int, largest=None):
-    if largest is None:
-        largest = total
-    if total == 0:
-        yield ()
-        return
-    for part in range(min(total, largest), 0, -1):
-        for rest in _partitions(total - part, part):
-            yield (part,) + rest
-
-
-def _cycle_type_rep(partition) -> Permutation:
-    images = []
-    start = 1
-    for part in partition:
-        block = list(range(start, start + part))
-        images.extend(block[1:] + block[:1])
-        start += part
-    return Permutation(tuple(images))
-
-
 def cmd_module_info(args) -> int:
     if args.custom:
         module = _load_custom(args.custom)
@@ -172,11 +166,10 @@ def cmd_module_info(args) -> int:
             raise ValueError("module-info needs --family with --n, or --custom")
         module = builtin(_MODULE_OF[args.family], args.n)
     group = symmetric_group(module.N)
-    chars = []
-    for partition in _partitions(module.N):
-        rep = _cycle_type_rep(partition)
-        label = "+".join(str(p) for p in partition)
-        chars.append((label, format_scalar(module.character(rep))))
+    chars = [
+        ("+".join(map(str, rep.cycle_type())), format_scalar(module.character(rep)))
+        for rep, _, _ in cycle_classes(group)
+    ]
     sgn_dim = sgn_coinvariants_dim(module, group)
     generators = serialize_module(module)["generators"]
     if args.format == "json":
@@ -214,7 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_betti.add_argument("--custom", help="custom module JSON path")
     p_betti.add_argument("--n", type=int)
     p_betti.add_argument("--mmax", type=int)
-    p_betti.add_argument("--mode", choices=("orbit", "naive"), default="orbit")
+    p_betti.add_argument(
+        "--mode", choices=("quotient", "orbit", "naive"), default="quotient"
+    )
     p_betti.add_argument("--format", choices=("json", "csv", "table"), default="table")
     p_betti.add_argument("--cap", type=int, default=DEFAULT_NAIVE_CAP)
     p_betti.set_defaults(func=cmd_betti)

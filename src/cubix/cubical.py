@@ -16,7 +16,7 @@ m_max + 1.
 
 The group G permutes positions on the left, (g.w)(p) = w(g^{-1}(p)), and a
 right module M is tensored over G via the transfer identity
-x (x) g.w = x.g (x) w.  Two constructions are provided:
+x (x) g.w = x.g (x) w.  Three constructions are provided:
 
 * orbit mode decomposes each degree into G-orbits of words; the block of
   the complex at an orbit is the coinvariant space of M under the orbit
@@ -26,20 +26,78 @@ x (x) g.w = x.g (x) w.  Two constructions are provided:
   the transfer identity and projected into the target orbit's coinvariant
   basis.  The differential is one such operator; the Dynkin element and
   the Eulerian idempotent of ``harrison.py`` are others;
+* quotient mode runs the same orbit builder on the surjective-word
+  quotient Q below, which vanishes above degree n, and reads the full
+  complex's dimensions off characters; no matrix larger than Q is built;
 * naive mode builds the full space M (x) (k^m)^{tensor n}, takes the image
   of the diagonal averaging projector, and restricts the full differential
   to it.  It exists purely as an oracle and enforces a dimension cap.
 
-Both modes must agree on dimensions and Betti tables; that equality is part
-of the acceptance suite, so neither implementation is allowed to borrow
-pieces of the other beyond the shared coface definition.
+All modes must agree on dimensions and Betti tables; that equality is part
+of the acceptance suite, so naive mode is not allowed to borrow pieces of
+the orbit builder beyond the shared coface definition.  Orbit mode builds
+the full complex and does not use the quotient, so it is the oracle of
+quotient mode.
+
+The surjective-word quotient
+----------------------------
+Words that leave some slot of [m] empty span a subcomplex S of the word
+complex C: d^0 empties slot 1, d^{m+1} empties slot m+1, d^i for a letter i
+the word does not use empties slots i and i+1, and every other coface term
+keeps an empty slot empty (shifted).  S is G-stable, and Q = C/S has in
+degree m the words onto [m], so Q is zero above degree n.  On Q only the
+inner cofaces d^1..d^m survive, and of their terms only those that send
+letter i to both i and i+1.
+
+Claim: C -> Q is a quasi-isomorphism, and so is M (x)_G C -> M (x)_G Q.
+
+Filter C by image size: F^r, spanned by the words w with |im w| >= r, is a
+subcomplex, because no coface term shrinks an image, and F^{n+1} = 0.  A
+word with image A, |A| = r, is i_A o s, with s: [n] -> [r] onto and i_A
+the increasing map [r] -> A.  Modulo F^{r+1} every coface keeps s and acts
+on A alone: d^0 by A -> A + 1, d^{m+1} by inclusion, and d^i by shifting
+the elements above i and, when i is in A, by the sum of sending i to i and
+sending i to i+1; the terms that split the occurrences of i between i and
+i+1 have a larger image and vanish.  So F^r/F^{r+1} = k{Surj(n, r)} (x) I_r,
+where I_r has in degree m the r-subsets of [m] with these cofaces (it is
+the span of the increasing injective words on r positions).
+
+Lemma: H(I_r) is k in degree r and 0 elsewhere, for I_r in degrees m >= 0.
+Induction on r.  I_0 is k{empty set} in every degree, with d = 0 from even
+and d = 1 from odd degrees (an alternating sum of m+2 ones), so
+H(I_0) = k in degree 0.  For r >= 1, the subsets avoiding 1 span a
+subcomplex K: d^0 and d^1 both shift such a set by one, and d^i, i >= 2,
+fix 1.  Modulo K, d^0 and the "1 -> 2" term of d^1 vanish, and d^i acts on
+B, where A = {1} u (B + 1), as d^{i-1}; so I_r/K is I_{r-1} raised one
+degree with d negated, and has cohomology k in degree r.  On K, d^0 and d^1
+agree and cancel, so under A = A' + 1 the differential of K is -D' on I_r
+one degree lower, where D' = sum_{j>=1} (-1)^j d^j.  Deleting slot 1, h(A) = A - 1 if
+1 is not in A and h(A) = 0 otherwise, gives h D' + D' h = -1 in every
+degree (d^1 moves the smallest element 1 to 2 or shifts A by one, and
+h d^j = d^{j-1} h for j >= 2).  So K is acyclic and H(I_r) = H(I_r/K).
+
+In degree r, I_r is k{[r]} and d = 0 on it, so by the lemma I_r truncated
+to degrees > r is acyclic.  That truncation tensored with k{Surj(n, r)} is
+F^r S/F^{r+1} S, so every graded piece of S is acyclic; the filtration is
+finite, so S is acyclic and H(C) = H(Q).  (Equivalently, the spectral
+sequence of the filtration has E_1 = Q and collapses at E_2.)  Everything
+here commutes with G, which acts on the positions only, and M (x)_G - is
+exact over the rationals (kG is semisimple), so it keeps S acyclic.
+
+Dimensions come from characters.  For a G-set X of words,
+dim M (x)_G k{X} = (1/|G|) sum_g chi_M(g) |X^g|, and a word is fixed by g
+exactly when it is constant on the cycles of g.  With c(g) cycles that
+leaves m^{c(g)} words of degree m, of which m! S(c(g), m) are onto [m].
+Since betti_m = dim_m - rank_d(m) - rank_d(m-1), the ranks of the full
+differential follow from Q's Betti numbers: rank_d(m) = dim_m - betti_m -
+rank_d(m-1), with betti_m = 0 for m > n.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm
+from math import comb, lcm
 
 from .linalg import (
     InvariantError,
@@ -52,7 +110,13 @@ from .linalg import (
     rank,
     reduced_echelon,
 )
-from .perm import Permutation, PermutationGroup, young_subgroup
+from .perm import (
+    Permutation,
+    PermutationGroup,
+    cycle_classes,
+    generated_subgroup,
+    young_subgroup,
+)
 
 DEFAULT_NAIVE_CAP = 20000
 
@@ -131,17 +195,6 @@ def differential(n: int, m: int) -> RationalMatrix:
     return RationalMatrix.from_entries((m + 1) ** n, m ** n, entries)
 
 
-def antisymmetrizer_vector(n: int) -> dict:
-    """sum_s sign(s) (s(1), ..., s(n)) as {word index in degree n: sign}."""
-    from itertools import permutations as _perms
-
-    index = {w: i for i, w in enumerate(words(n, n))}
-    out = {}
-    for imgs in _perms(range(1, n + 1)):
-        out[index[imgs]] = Permutation(imgs).sign()
-    return out
-
-
 # -- complexes and Betti tables -------------------------------------------
 
 
@@ -188,15 +241,11 @@ class CochainComplex:
         return self.dims[m] - self.rank_d(m) - self.rank_d(m - 1)
 
     def betti_table(self) -> "BettiTable":
-        rows = tuple(
+        rows = [
             BettiRow(m, self.dims[m], self.rank_d(m), self.betti_number(m))
             for m in range(1, self.m_max + 1)
-        )
-        table = BettiTable(self.label, self.n_slots, rows)
-        for row in rows:
-            if row.betti < 0 or row.betti > row.dim:
-                raise InvariantError(f"{self.label}: impossible Betti row {row}")
-        return table
+        ]
+        return _checked_table(self.label, self.n_slots, rows)
 
 
 @dataclass(frozen=True)
@@ -240,6 +289,13 @@ class BettiTable:
                 for r in self.rows
             ],
         }
+
+
+def _checked_table(label: str, n: int, rows) -> BettiTable:
+    for row in rows:
+        if row.betti < 0 or row.betti > row.dim:
+            raise InvariantError(f"{label}: impossible Betti row {row}")
+    return BettiTable(label, n, tuple(rows))
 
 
 def full_complex(n: int, m_max: int) -> CochainComplex:
@@ -297,33 +353,40 @@ class Orbit:
     transfers: dict = None
 
 
-def orbit_decomposition(n: int, m: int, group: PermutationGroup) -> list:
-    """Orbits of the position action on degree-m words.
+def orbit_decomposition(
+    n: int, m: int, group: PermutationGroup, surjective: bool = False
+) -> list:
+    """Orbits of the position action on degree-m words, or with
+    ``surjective`` only on the words that use every slot.
 
-    For the full symmetric group the orbits are the letter contents and the
-    stabilizers are Young subgroups; proper subgroups fall back to explicit
-    closure with lexicographically least representatives and record the
-    transfer of every member.
+    For the full symmetric group the orbits are the letter contents (the
+    positive ones when ``surjective``) and the stabilizers are Young
+    subgroups; proper subgroups fall back to explicit closure with
+    lexicographically least representatives, record the transfer of every
+    member, and give each stabilizer a greedy generating set.
     """
     if group.is_symmetric():
-        return [Orbit(sorted_word(c), young_subgroup(c)) for c in compositions(n, m)]
+        return [
+            Orbit(sorted_word(c), young_subgroup(c))
+            for c in compositions(n, m)
+            if all(c) or not surjective
+        ]
     orbits = []
-    for rep, members in _subgroup_orbits(n, m, group):
-        stab_elems = tuple(
-            g for g in group.elements if position_action(g, rep) == rep
+    for rep, members in _subgroup_orbits(n, m, group, surjective):
+        stab = generated_subgroup(
+            n, (g for g in group.elements if position_action(g, rep) == rep)
         )
-        stab = PermutationGroup(n, stab_elems)
         orbits.append(Orbit(rep, stab, members))
     return orbits
 
 
-def _subgroup_orbits(n: int, m: int, group: PermutationGroup):
+def _subgroup_orbits(n: int, m: int, group: PermutationGroup, surjective: bool):
     """(lex-least representative, {word: transfer}) per orbit; the transfer
     g of a word w satisfies w = g.rep."""
     seen = {}
     out = []
     for w in words(n, m):
-        if w in seen:
+        if w in seen or (surjective and len(set(w)) < m):
             continue
         ident = Permutation(tuple(range(1, n + 1)))
         members = {w: ident}
@@ -426,10 +489,14 @@ class _OrbitDegree:
 
 
 class OrbitComplexBuilder:
-    def __init__(self, module, group: PermutationGroup):
+    """Degrees and word operators of M (x)_G (word complex), or with
+    ``surjective`` of M (x)_G Q, the surjective-word quotient."""
+
+    def __init__(self, module, group: PermutationGroup, surjective: bool = False):
         self.module = module
         self.group = group
         self.n = group.degree
+        self.surjective = surjective
         self.symmetric = group.is_symmetric()
         self._coinv_cache = {}
         self._degrees = {}
@@ -437,7 +504,7 @@ class OrbitComplexBuilder:
     def _coinv(self, stabilizer: PermutationGroup):
         # groups compare by their generators, so Young subgroups with equal
         # nonzero block sizes share one basis, as do subgroup stabilizers
-        # with equal element sets
+        # with equal element sets (their greedy generators are equal)
         basis = self._coinv_cache.get(stabilizer)
         if basis is None:
             basis = CoinvariantBasis(self.module, stabilizer)
@@ -447,7 +514,7 @@ class OrbitComplexBuilder:
     def degree(self, m: int) -> _OrbitDegree:
         deg = self._degrees.get(m)
         if deg is None:
-            orbits = orbit_decomposition(self.n, m, self.group)
+            orbits = orbit_decomposition(self.n, m, self.group, self.surjective)
             deg = _OrbitDegree(orbits, [self._coinv(o.stabilizer) for o in orbits])
             self._degrees[m] = deg
         return deg
@@ -501,13 +568,17 @@ class OrbitComplexBuilder:
         return RationalMatrix.from_entries(tgt.dim, src.dim, emit())
 
     def differential_matrix(self, m: int) -> RationalMatrix:
+        # on Q only the inner cofaces survive, and of their terms only those
+        # that send letter i to both i and i+1
+        q = self.surjective
         return self.operator_matrix(
             m,
             m + 1,
             lambda rep: (
                 (w2, -1 if i % 2 else 1)
-                for i in range(m + 2)
+                for i in (range(1, m + 1) if q else range(m + 2))
                 for w2 in coface(i, rep, m)
+                if not q or len(set(w2)) == m + 1
             ),
         )
 
@@ -522,10 +593,15 @@ def cubical_complex(
     """The complex M tensored over G with the word complex.
 
     ``module`` may be defined over the full symmetric group or over G only;
-    it must be able to act for every element of G.
+    it must be able to act for every element of G.  ``mode`` is "orbit",
+    "naive" (see the module docstring) or "quotient", which returns a
+    ``QuotientComplex``: the surjective-word quotient with the full
+    complex's dimensions, and the same Betti table.
     """
     n = group.degree
     label = f"{getattr(module, 'name', 'M')}/{'S' if group.is_symmetric() else 'G'}{n}"
+    if mode == "quotient":
+        return _quotient_complex(module, group, m_max, label)
     if mode == "orbit":
         builder = OrbitComplexBuilder(module, group)
         dims = {m: builder.degree(m).dim for m in range(1, m_max + 2)}
@@ -559,6 +635,90 @@ def _naive_complex(module, group, m_max, cap, label) -> CochainComplex:
         coords = solvers[m + 1].solve(images, f"{label}: the coinvariant space")
         diffs[m] = coords.transpose()
     return CochainComplex(label, n, m_max, dims, diffs)
+
+
+# -- the surjective-word quotient ---------------------------------------------
+
+
+def surjections(c: int, m: int) -> int:
+    """Number of maps from a c-set onto an m-set, m! S(c, m)."""
+    return sum((-1) ** j * comb(m, j) * (m - j) ** c for j in range(m + 1))
+
+
+@dataclass
+class QuotientComplex:
+    """M (x)_G Q, built through degree min(n, m_max + 1), with the full
+    complex's dimensions ``dims`` in degrees 1..m_max+1.
+
+    H(Q) = H(C) (module docstring), so ``betti_table`` reads each Betti
+    number off Q and each rank of the full differential off
+    rank_d(m) = dims[m] - betti_m - rank_d(m-1), checking
+    0 <= rank_d(m) <= min(dims[m], dims[m+1]).
+    """
+
+    quotient: CochainComplex
+    m_max: int
+    dims: dict
+
+    def betti_table(self) -> BettiTable:
+        q = self.quotient
+        rows = []
+        prev = 0
+        for m in range(1, self.m_max + 1):
+            betti = q.betti_number(m) if m <= q.n_slots else 0
+            r = self.dims[m] - betti - prev
+            if not 0 <= r <= min(self.dims[m], self.dims[m + 1]):
+                raise InvariantError(
+                    f"{q.label}: the rank of d at degree {m} comes out as {r}, "
+                    f"outside 0..min({self.dims[m]}, {self.dims[m + 1]})"
+                )
+            rows.append(BettiRow(m, self.dims[m], r, betti))
+            prev = r
+        return _checked_table(q.label, q.n_slots, rows)
+
+
+def _quotient_complex(module, group, m_max, label) -> QuotientComplex:
+    """Q from the orbit builder over surjective words, and the full
+    dimensions from characters; both counts are checked exactly."""
+    n = group.degree
+    weighted = [(count * module.character(g), c) for g, count, c in cycle_classes(group)]
+
+    def average(fixed_words, what):
+        # dim M (x)_G k{X} = (1/|G|) sum_g chi(g) |X^g|, with |X^g| a
+        # function of the cycle count of g
+        total = Fraction(sum(chi * fixed_words(c) for chi, c in weighted), group.order)
+        if total.denominator != 1 or total < 0:
+            raise InvariantError(f"{label}: {what} is {total}, not a dimension")
+        return int(total)
+
+    dims = {
+        m: average(lambda c: m ** c, f"the character count of degree {m}")
+        for m in range(1, m_max + 2)
+    }
+    builder = OrbitComplexBuilder(module, group, surjective=True)
+    top = min(n, m_max + 1)
+    q_dims = {}
+    for m in range(1, top + 1):
+        q_dims[m] = builder.degree(m).dim
+        want = average(
+            lambda c: surjections(c, m), f"the quotient's character count of degree {m}"
+        )
+        if q_dims[m] != want:
+            raise InvariantError(
+                f"{label}: the quotient has dimension {q_dims[m]} in degree {m}, "
+                f"its character count is {want}"
+            )
+    diffs = {m: builder.differential_matrix(m) for m in range(1, top)}
+    quotient = CochainComplex(label, n, top - 1, q_dims, diffs)
+    if not quotient.check_d_squared():
+        raise InvariantError(f"{label}: d^2 != 0 on the surjective-word quotient")
+    return QuotientComplex(quotient, m_max, dims)
+
+
+def quotient_betti(module, group: PermutationGroup, m_max: int) -> BettiTable:
+    """Betti table of M (x)_G (word complex) through degree m_max, computed
+    on the surjective-word quotient."""
+    return cubical_complex(module, group, m_max, mode="quotient").betti_table()
 
 
 # -- verification ------------------------------------------------------------

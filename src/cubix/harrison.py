@@ -82,13 +82,6 @@ def slot_action(t: Permutation, w):
     return tuple(imgs[x - 1] for x in w)
 
 
-def word_slot_matrix(t: Permutation, n: int, m: int) -> RationalMatrix:
-    ws = words(n, m)
-    index = {w: i for i, w in enumerate(ws)}
-    entries = ((index[slot_action(t, w)], index[w], 1) for w in ws)
-    return RationalMatrix.from_entries(len(ws), len(ws), entries)
-
-
 def word_eulerian_matrix(n: int, m: int):
     """(scaled matrix, scale) of E_m on the degree-m word space."""
     ws = words(n, m)

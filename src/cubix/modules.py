@@ -19,11 +19,9 @@ Built-in modules:
 * ``lie_cyclic``: the Lie elements as a module over S_{n+1} via the cyclic
   word action on associative words, restricted to the Lie subspace.
 
-``coinvariants`` builds the averaging projector of a group and a basis of
-its row space, which models the coinvariant space in characteristic zero.
-It is an oracle only: the orbit engine builds coinvariant spaces from a
-stabilizer's generators (``cubical.CoinvariantBasis``), and the tests check
-the two against each other.
+Coinvariant spaces are built by the orbit engine from a stabilizer's
+generators (``cubical.CoinvariantBasis``); the averaging projector the tests
+check them against lives in ``tests/conftest.py``.
 """
 
 import json
@@ -37,7 +35,6 @@ from .linalg import (
     RationalMatrix,
     RowSpanSolver,
     format_scalar,
-    image_basis,
     parse_scalar,
 )
 from .perm import (
@@ -297,22 +294,7 @@ def builtin(kind: str, n: int) -> ModuleSpec:
 BUILTIN_KINDS = ("trivial", "sign", "regular", "lie", "tr_cyclic", "lie_cyclic")
 
 
-# -- coinvariants and characters -----------------------------------------
-
-
-def coinvariants(module, group: PermutationGroup):
-    """Averaging projector and a basis (row vectors) of its row space.
-
-    The projector acts on row vectors from the right, so the row space of
-    its matrix is the image of the projection and models the coinvariant
-    space in characteristic zero.
-    """
-    acc = RationalMatrix.zeros(module.dim, module.dim)
-    for g in group.elements:
-        acc = acc + module.act(g)
-    proj = acc.scale(Fraction(1, group.order))
-    basis = image_basis(proj.transpose())
-    return proj, basis
+# -- characters ------------------------------------------------------------
 
 
 def sgn_coinvariants_dim(module, group: PermutationGroup) -> int:

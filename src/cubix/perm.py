@@ -14,9 +14,11 @@ Groups are given by generators; elements are enumerated by closure and
 kept sorted so that iteration order is deterministic.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from math import factorial, prod
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,21 @@ class Permutation:
 
     def sign(self) -> int:
         return -1 if self.inversions() % 2 else 1
+
+    def cycle_type(self) -> tuple:
+        """Cycle lengths, fixed points included, in decreasing order."""
+        seen = set()
+        lengths = []
+        for start in range(1, self.degree + 1):
+            length = 0
+            i = start
+            while i not in seen:
+                seen.add(i)
+                i = self(i)
+                length += 1
+            if length:
+                lengths.append(length)
+        return tuple(sorted(lengths, reverse=True))
 
     def descents(self) -> int:
         """Number of positions i with p(i) > p(i+1)."""
@@ -130,8 +147,6 @@ class PermutationGroup:
         return any(p.images == q.images for q in self.elements)
 
     def is_symmetric(self) -> bool:
-        from math import factorial
-
         return self.order == factorial(self.degree)
 
 
@@ -150,6 +165,61 @@ def cyclic_group(n: int) -> PermutationGroup:
 
 def trivial_group(n: int) -> PermutationGroup:
     return PermutationGroup(n, ())
+
+
+def generated_subgroup(n: int, elements) -> PermutationGroup:
+    """The group formed by ``elements``, on a greedy generating set.
+
+    Walking the elements in sorted order, each one not yet in the closure
+    of those kept is kept.  The identity is never kept, and equal element
+    sets get equal generators, so the groups compare equal.
+    """
+    gens = ()
+    closure = {identity_permutation(n).images}
+    for g in sorted(elements, key=lambda p: p.images):
+        if g.images not in closure:
+            gens += (g,)
+            closure = {p.images for p in PermutationGroup(n, gens).elements}
+    return PermutationGroup(n, gens)
+
+
+def _partitions(total: int, largest=None):
+    if largest is None:
+        largest = total
+    if total == 0:
+        yield ()
+        return
+    for part in range(min(total, largest), 0, -1):
+        for rest in _partitions(total - part, part):
+            yield (part,) + rest
+
+
+def _cycle_type_rep(partition) -> Permutation:
+    images = []
+    start = 1
+    for part in partition:
+        block = list(range(start, start + part))
+        images.extend(block[1:] + block[:1])
+        start += part
+    return Permutation(tuple(images))
+
+
+def cycle_classes(group: PermutationGroup):
+    """(representative, count, cycle count) triples that cover ``group``.
+
+    Over the full symmetric group there is one triple per cycle type, in
+    decreasing lexicographic order of the partition, and count is the class
+    size n! / z; otherwise there is one per element, with count 1.  Sums of
+    class functions over the group are thus sums of count * f(rep).
+    """
+    n = group.degree
+    if not group.is_symmetric():
+        for g in group.elements:
+            yield g, 1, len(g.cycle_type())
+        return
+    for partition in _partitions(n):
+        z = prod(k ** m * factorial(m) for k, m in Counter(partition).items())
+        yield _cycle_type_rep(partition), factorial(n) // z, len(partition)
 
 
 def young_subgroup(content: tuple) -> PermutationGroup:

@@ -323,3 +323,37 @@ def test_verify_exit_codes(capsys, monkeypatch):
 def test_naive_mode_rejected_for_projection_free_families(capsys):
     assert main(["betti", "--family", "full", "--n", "2", "--mode", "naive"]) == 2
     assert "not defined" in capsys.readouterr().err
+
+
+BETTI_GOLDENS = [
+    (["betti", "--family", "tr", "--n", "3"], "betti-tr-3.table"),
+    (["betti", "--family", "tr", "--n", "3", "--format", "json"], "betti-tr-3.json"),
+    (["betti", "--family", "tr", "--n", "3", "--format", "csv"], "betti-tr-3.csv"),
+    (["betti", "--family", "harrison", "--n", "3"], "betti-harrison-3.table"),
+    (["betti", "--family", "lie", "--n", "3"], "betti-lie-3-naive.table"),
+    (["betti", "--family", "harrison", "--n", "4", "--mmax", "5"],
+     "betti-harrison-4-mmax5.table"),
+    (["betti", "--family", "custom", "--custom", str(GOLDEN / "lie_cyclic3-seed1.json")],
+     "betti-custom-lie_cyclic3-seed1.table"),
+]
+
+
+def test_every_betti_golden_is_checked_in_every_engine_mode():
+    assert {g for _, g in BETTI_GOLDENS} == {p.name for p in GOLDEN.glob("betti-*")}
+
+
+@pytest.mark.parametrize("argv, golden", BETTI_GOLDENS, ids=[g for _, g in BETTI_GOLDENS])
+@pytest.mark.parametrize("mode", [[], ["--mode", "orbit"]], ids=["default", "orbit"])
+def test_betti_goldens_in_quotient_and_orbit_modes(argv, golden, mode, capsys):
+    assert main(argv + mode) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_full_family_prints_the_same_table_in_both_modes(n, capsys):
+    for mmax in ("2", str(n + 2)):
+        argv = ["betti", "--family", "full", "--n", str(n), "--mmax", mmax]
+        assert main(argv) == 0
+        quotient = capsys.readouterr().out
+        assert main(argv + ["--mode", "orbit"]) == 0
+        assert capsys.readouterr().out == quotient

@@ -6,7 +6,12 @@ must reproduce (word counts, Lyndon counts, necklace counts), and Betti
 tables against independent mode/route recomputations.
 """
 
+from itertools import combinations, permutations
+
 import pytest
+from conftest import coinvariants
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cubix.cubical as cubical
 from cubix.cli import main
@@ -14,7 +19,7 @@ from cubix.cubical import (
     CochainComplex,
     CoinvariantBasis,
     DimensionCapExceeded,
-    antisymmetrizer_vector,
+    OrbitComplexBuilder,
     coface,
     compositions,
     content_of,
@@ -25,17 +30,18 @@ from cubix.cubical import (
     orbit_decomposition,
     position_action,
     position_matrix,
+    quotient_betti,
     sort_transfer,
     sorted_word,
     verify_cor2,
     words,
 )
 from cubix.freelie import witt_dim
-from cubix.linalg import RationalMatrix, SubspaceEscape, rank
+from cubix.linalg import InvariantError, RationalMatrix, SubspaceEscape, rank
 from cubix.modules import (
     BUILTIN_KINDS,
+    ModuleSpec,
     builtin,
-    coinvariants,
     induce,
     random_basis_change,
     restrict,
@@ -46,6 +52,7 @@ from cubix.perm import (
     PermutationGroup,
     cyclic_group,
     symmetric_group,
+    trivial_group,
     young_subgroup,
 )
 
@@ -109,6 +116,12 @@ def test_full_complex_concentrated_in_degree_n():
     assert full_complex(1, 3).betti_table().bettis() == (1, 0, 0)
     assert full_complex(2, 4).betti_table().bettis() == (0, 1, 0, 0)
     assert full_complex(3, 5).betti_table().bettis() == (0, 0, 1, 0, 0)
+
+
+def antisymmetrizer_vector(n: int) -> dict:
+    """sum_s sign(s) (s(1), ..., s(n)) as {word index in degree n: sign}."""
+    index = {w: i for i, w in enumerate(words(n, n))}
+    return {index[imgs]: Permutation(imgs).sign() for imgs in permutations(range(1, n + 1))}
 
 
 def test_antisymmetrizer_is_a_nontrivial_cocycle():
@@ -346,7 +359,7 @@ def test_coinvariant_basis_matches_averaging_on_subgroup_stabilizers(group, kind
         for m in range(1, 4)
         for orbit in orbit_decomposition(group.degree, m, group)
     }
-    assert any(len(s.generators) > 1 for s in stabilizers)
+    assert any(s.order > 1 for s in stabilizers)
     for kind in kinds:
         for stab in stabilizers:
             assert_matches_averaging(builtin(kind, group.degree), stab)
@@ -368,5 +381,148 @@ def test_a_flipped_class_sign_is_a_subspace_escape(monkeypatch, capsys):
     monkeypatch.setattr(cubical, "reduced_echelon", flipped)
     with pytest.raises(SubspaceEscape):
         CoinvariantBasis(builtin("regular", 3), symmetric_group(3))
+    assert main(["betti", "--family", "ass", "--n", "3"]) == 4
+    assert capsys.readouterr().err.startswith("internal error:")
+
+
+def test_subgroup_stabilizers_get_greedy_generating_sets():
+    group = cyclic_group(4)
+    for m in range(1, 5):
+        for orbit in orbit_decomposition(4, m, group):
+            stab = orbit.stabilizer
+            assert len(stab.generators) <= 1
+            assert not any(g.is_identity() for g in stab.generators)
+            fixing = {g.images for g in group.elements if position_action(g, orbit.rep) == orbit.rep}
+            assert {g.images for g in stab.elements} == fixing
+
+
+# -- the surjective-word quotient --------------------------------------------
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_subset_complex_has_cohomology_k_in_degree_r(r):
+    # I_r, the lemma behind H(C) = H(Q) in the cubical.py docstring: the
+    # r-subsets of [m] as increasing words with distinct letters.  Every
+    # coface keeps such a word increasing and injective (a KeyError below
+    # would say otherwise), so they span a subcomplex of the word complex
+    # on r positions.
+    basis = {m: list(combinations(range(1, m + 1), r)) for m in range(1, 11)}
+    diffs = {}
+    for m in range(1, 10):
+        index = {w: i for i, w in enumerate(basis[m + 1])}
+        entries = (
+            (index[t], j, -1 if i % 2 else 1)
+            for j, w in enumerate(basis[m])
+            for i in range(m + 2)
+            for t in coface(i, w, m)
+        )
+        diffs[m] = RationalMatrix.from_entries(len(basis[m + 1]), len(basis[m]), entries)
+    cx = CochainComplex(f"I_{r}", r, 9, {m: len(b) for m, b in basis.items()}, diffs)
+    assert cx.check_d_squared()
+    assert cx.betti_table().bettis() == tuple(int(m == r) for m in range(1, 10))
+
+
+@st.composite
+def modules_and_groups(draw):
+    """A basis change of a builtin on at most 4 slots, over S_n or over the
+    group generated by one or two random permutations."""
+    kind = draw(st.sampled_from(BUILTIN_KINDS))
+    k = draw(st.integers(1, 3 if kind == "lie_cyclic" else 4))
+    module = random_basis_change(builtin(kind, k), draw(st.integers(0, 10 ** 6)))
+    n = module.N
+    if draw(st.booleans()):
+        return module, symmetric_group(n)
+    perms = st.permutations(range(1, n + 1)).map(lambda p: Permutation(tuple(p)))
+    return module, PermutationGroup(n, tuple(draw(st.lists(perms, min_size=1, max_size=2))))
+
+
+@settings(max_examples=40)
+@given(modules_and_groups(), st.integers(2, 3))
+def test_quotient_orbit_and_naive_tables_agree(case, m_max):
+    module, group = case
+    table = quotient_betti(module, group, m_max)
+    assert table == cubical_complex(module, group, m_max).betti_table()
+    # naive mode where its averaging projector stays small
+    if module.dim * (m_max + 1) ** group.degree <= 700:
+        naive = cubical_complex(module, group, m_max, mode="naive").betti_table()
+        assert table == naive
+
+
+QUOTIENT_CASES = {
+    "lie5": lambda: (builtin("lie", 5), symmetric_group(5)),
+    "regular5": lambda: (builtin("regular", 5), symmetric_group(5)),
+    "sign<C4": lambda: (restrict(builtin("sign", 4), cyclic_group(4)), cyclic_group(4)),
+    "regular4<C4": lambda: (restrict(builtin("regular", 4), cyclic_group(4)), cyclic_group(4)),
+    "lie4<S2xS2": lambda: (
+        restrict(builtin("lie", 4), young_subgroup((2, 2))),
+        young_subgroup((2, 2)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(QUOTIENT_CASES))
+def test_quotient_tables_equal_orbit_tables(case):
+    module, group = QUOTIENT_CASES[case]()
+    n = group.degree
+    for m_max in (2, n - 1, n + 2):
+        table = quotient_betti(module, group, m_max)
+        assert table == cubical_complex(module, group, m_max).betti_table()
+    if case == "regular4<C4":
+        assert table.betti(4) == 6
+
+
+def test_full_family_through_the_quotient_matches_the_word_complex():
+    # the word complex is the trivial module over the trivial group
+    for n in range(1, 6):
+        for m_max in (2, n + 2):
+            table = quotient_betti(builtin("trivial", n), trivial_group(n), m_max)
+            assert table.rows == full_complex(n, m_max).betti_table().rows
+
+
+def _flip_one_quotient_sign(monkeypatch):
+    real = OrbitComplexBuilder.differential_matrix
+
+    def flipped(self, m):
+        d = real(self, m)
+        if self.surjective and m == 1:
+            row = d.rows[min(d.rows)]
+            j = min(row)
+            row[j] = -row[j]
+        return d
+
+    monkeypatch.setattr(OrbitComplexBuilder, "differential_matrix", flipped)
+
+
+def _shift_characters(shift):
+    def patch(monkeypatch):
+        real = ModuleSpec.character
+        monkeypatch.setattr(
+            ModuleSpec, "character", lambda self, g: real(self, g) + shift(g)
+        )
+
+    return patch
+
+
+def _overstate_ranks(monkeypatch):
+    real = cubical.rank
+    monkeypatch.setattr(cubical, "rank", lambda a: real(a) + 1)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_flip_one_quotient_sign, "d\\^2 != 0"),
+        # a constant shift adds the number of orbits to each count: the full
+        # dimensions stay integers, and Q's count stops matching Q
+        (_shift_characters(lambda g: 1), "character count is"),
+        (_shift_characters(lambda g: int(g.is_identity())), "not a dimension"),
+        (_overstate_ranks, "the rank of d at degree"),
+    ],
+    ids=["d-squared", "quotient-count", "integer-dims", "rank-bounds"],
+)
+def test_broken_quotient_checks_raise_and_exit_4(mutate, message, monkeypatch, capsys):
+    mutate(monkeypatch)
+    with pytest.raises(InvariantError, match=message):
+        quotient_betti(builtin("regular", 3), symmetric_group(3), 5)
     assert main(["betti", "--family", "ass", "--n", "3"]) == 4
     assert capsys.readouterr().err.startswith("internal error:")

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from cubix.cubical import OrbitComplexBuilder, differential
+from cubix.cubical import OrbitComplexBuilder, differential, words
 import cubix.harrison as harrison
 from cubix.cli import main
 from cubix.harrison import (
@@ -25,7 +25,6 @@ from cubix.harrison import (
     orbit_slot_operator,
     slot_action,
     word_eulerian_matrix,
-    word_slot_matrix,
 )
 from cubix.linalg import RationalMatrix, RowSpanSolver, SubspaceEscape, image_basis
 from cubix.modules import (
@@ -157,6 +156,13 @@ def test_harrison_dimension_runs():
     assert [hc.dims[m] for m in range(1, 6)] == [0, 1, 3, 5, 8]
     hc = harrison_complex(builtin("trivial", 3), symmetric_group(3), 4)
     assert [hc.dims[m] for m in range(1, 6)] == [1, 2, 3, 5, 7]
+
+
+def word_slot_matrix(t: Permutation, n: int, m: int) -> RationalMatrix:
+    ws = words(n, m)
+    index = {w: i for i, w in enumerate(ws)}
+    entries = ((index[slot_action(t, w)], index[w], 1) for w in ws)
+    return RationalMatrix.from_entries(len(ws), len(ws), entries)
 
 
 def test_word_slot_matrix_is_a_permutation_action():

@@ -4,13 +4,14 @@ from itertools import permutations
 
 import pytest
 
+from conftest import coinvariants
+
 from cubix.linalg import RationalMatrix
 from cubix.modules import (
     BUILTIN_KINDS,
     ModuleSpec,
     SubgroupModule,
     builtin,
-    coinvariants,
     cyclic_action,
     induce,
     load_module,

@@ -4,7 +4,9 @@ from cubix.perm import (
     Permutation,
     PermutationGroup,
     adjacent_transposition,
+    cycle_classes,
     cyclic_group,
+    generated_subgroup,
     identity_permutation,
     symmetric_group,
     trivial_group,
@@ -92,3 +94,36 @@ def test_group_elements_cached_and_deterministic():
     g = symmetric_group(4)
     assert g.elements is g.elements
     assert PermutationGroup(4, g.generators).elements == g.elements
+
+
+def test_cycle_classes_cover_the_group():
+    for n in (1, 2, 3, 4, 5):
+        group = symmetric_group(n)
+        classes = list(cycle_classes(group))
+        by_type = {}
+        for g in group.elements:
+            by_type[g.cycle_type()] = by_type.get(g.cycle_type(), 0) + 1
+        assert {rep.cycle_type(): count for rep, count, _ in classes} == by_type
+        assert all(cycles == len(rep.cycle_type()) for rep, _, cycles in classes)
+    # a proper subgroup is summed element by element
+    c4 = cyclic_group(4)
+    triples = [(rep.images, count, cycles) for rep, count, cycles in cycle_classes(c4)]
+    assert triples == [((1, 2, 3, 4), 1, 4), ((2, 3, 4, 1), 1, 1),
+                       ((3, 4, 1, 2), 1, 2), ((4, 1, 2, 3), 1, 1)]
+
+
+def test_cycle_classes_follow_the_partition_order():
+    reps = [rep.cycle_type() for rep, _, _ in cycle_classes(symmetric_group(4))]
+    assert reps == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+
+
+def test_generated_subgroup_keeps_a_greedy_generating_set():
+    s4 = symmetric_group(4)
+    group = generated_subgroup(4, reversed(s4.elements))
+    assert group.order == 24
+    assert not any(g.is_identity() for g in group.generators)
+    # sorted walk: (1,2,4,3) and (1,3,2,4) generate only S3 on {2,3,4}
+    assert [g.images for g in group.generators] == [(1, 2, 4, 3), (1, 3, 2, 4), (2, 1, 3, 4)]
+    assert generated_subgroup(4, young_subgroup((2, 2)).elements) == generated_subgroup(
+        4, reversed(young_subgroup((2, 2)).elements)
+    )

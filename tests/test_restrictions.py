@@ -32,6 +32,7 @@ from math import lcm
 from pathlib import Path
 
 import pytest
+from conftest import coinvariants
 
 from cubix.cubical import OrbitComplexBuilder, cubical_complex
 from cubix.harrison import (
@@ -41,7 +42,7 @@ from cubix.harrison import (
     orbit_slot_operator,
 )
 from cubix.linalg import RationalMatrix, RowSpanSolver, image_basis, parse_scalar, rank
-from cubix.modules import builtin, coinvariants, random_basis_change
+from cubix.modules import builtin, random_basis_change
 from cubix.perm import symmetric_group
 from cubix.realizations import direct_complex
 
