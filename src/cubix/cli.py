@@ -8,18 +8,20 @@ Output is deterministic: fixed orderings, no timestamps, no floats.
 print the same table.  ``quotient``, the default, builds only the
 surjective-word quotient and reads the full complex's dimensions off
 characters; ``--family full`` takes it as the trivial module over the
-trivial group.  ``orbit`` builds every degree of the full orbit complex
-(``full_complex`` for ``--family full``), and ``naive`` the averaged
-product space; both are oracles of the default.  ``--family harrison``
-always builds the full orbit complex, and naive mode is not defined for
-``full`` and ``harrison``.
+trivial group, and ``--family harrison`` builds the Harrison space on the
+quotient only and reads its full dimensions off the trace of the Dynkin
+element (see ``harrison.py``).  ``orbit`` builds every degree of the full
+orbit complex (``full_complex`` for ``--family full``), and ``naive`` the
+averaged product space; both are oracles of the default.  Naive mode is
+not defined for ``full`` and ``harrison``.
 
 Exit codes: 0 success, 1 verification failure, 2 bad input, 3 resource cap,
 4 internal error (a broken invariant such as a subspace escape, a
-coinvariant relation with a nonzero class, D^2 != m D, d^2 != 0 on the
-quotient, a character count that is not a dimension or disagrees with the
-quotient, a derived rank out of bounds, an impossible Betti row or a failed
-rank or count check, or a KeyError, which no bad input raises).
+coinvariant relation with a nonzero class, D^2 != m D on a built degree or
+in Q[S_m], d^2 != 0 on the quotient or its Harrison space, a character or
+trace count that is not a dimension or disagrees with the quotient, a
+derived rank out of bounds, an impossible Betti row or a failed rank or
+count check, or a KeyError, which no bad input raises).
 """
 
 import argparse
@@ -126,7 +128,9 @@ def cmd_betti(args) -> int:
         # the word complex is the trivial module over the trivial group
         table = quotient_betti(builtin("trivial", slots), trivial_group(slots), m_max)
     elif args.family == "harrison":
-        table = harrison_complex(module, symmetric_group(slots), m_max).betti_table()
+        table = harrison_complex(
+            module, symmetric_group(slots), m_max, mode=args.mode
+        ).betti_table()
     else:
         table = cubical_complex(
             module,

@@ -139,6 +139,26 @@ def words(n: int, m: int) -> list:
     return list(product(range(1, m + 1), repeat=n))
 
 
+def surjective_words(n: int, m: int) -> list:
+    """The words of ``words(n, m)`` that use every slot, in the same order."""
+    out = []
+
+    def extend(prefix, used):
+        left = n - len(prefix)
+        if not left:
+            if bin(used).count("1") == m:
+                out.append(prefix)
+            return
+        for x in range(1, m + 1):
+            now = used | 1 << x
+            # the positions after this one must still cover every unused slot
+            if m - bin(now).count("1") < left:
+                extend(prefix + (x,), now)
+
+    extend((), 0)
+    return out
+
+
 def position_action(g: Permutation, w):
     """(g.w)(p) = w(g^{-1}(p)); a left action permuting tensor positions."""
     inv = g.inverse().images
@@ -382,15 +402,19 @@ def orbit_decomposition(
 
 def _subgroup_orbits(n: int, m: int, group: PermutationGroup, surjective: bool):
     """(lex-least representative, {word: transfer}) per orbit; the transfer
-    g of a word w satisfies w = g.rep."""
-    seen = {}
+    g of a word w satisfies w = g.rep.
+
+    The words come in lexicographic order and each orbit is closed when its
+    first word is met, so that word is the orbit's least: the representative.
+    """
+    seen = set()
     out = []
-    for w in words(n, m):
-        if w in seen or (surjective and len(set(w)) < m):
+    ident = Permutation(tuple(range(1, n + 1)))
+    for rep in surjective_words(n, m) if surjective else words(n, m):
+        if rep in seen:
             continue
-        ident = Permutation(tuple(range(1, n + 1)))
-        members = {w: ident}
-        frontier = [w]
+        members = {rep: ident}
+        frontier = [rep]
         while frontier:
             nxt = []
             for u in frontier:
@@ -401,13 +425,8 @@ def _subgroup_orbits(n: int, m: int, group: PermutationGroup, surjective: bool):
                         members[v] = s * gu
                         nxt.append(v)
             frontier = nxt
-        rep = min(members)
-        grep = members[rep]
-        # rebase transfers onto the representative: u = g_u . w = g_u g_rep^{-1} . rep
-        inv = grep.inverse()
-        rebased = {u: gu * inv for u, gu in members.items()}
-        seen.update(rebased)
-        out.append((rep, rebased))
+        seen.update(members)
+        out.append((rep, members))
     return out
 
 
@@ -677,22 +696,39 @@ class QuotientComplex:
         return _checked_table(q.label, q.n_slots, rows)
 
 
+def weighted_classes(module, group: PermutationGroup) -> list:
+    """(count * chi_M(g), cycle lengths of g) over ``perm.cycle_classes``."""
+    return [
+        (count * module.character(g), g.cycle_type())
+        for g, count, _ in cycle_classes(group)
+    ]
+
+
+def character_count(weighted, divisor: int, fixed, what: str) -> int:
+    """(1/divisor) sum of chi * fixed(cycles) over ``weighted``, which must
+    be a non-negative integer.
+
+    With divisor |G| and fixed(cycles) = |X^g|, this is
+    dim M (x)_G k{X} = (1/|G|) sum_g chi_M(g) |X^g|.
+    """
+    total = Fraction(sum(chi * fixed(cycles) for chi, cycles in weighted), divisor)
+    if total.denominator != 1 or total < 0:
+        raise InvariantError(f"{what} is {total}, not a dimension")
+    return int(total)
+
+
 def _quotient_complex(module, group, m_max, label) -> QuotientComplex:
     """Q from the orbit builder over surjective words, and the full
     dimensions from characters; both counts are checked exactly."""
     n = group.degree
-    weighted = [(count * module.character(g), c) for g, count, c in cycle_classes(group)]
-
-    def average(fixed_words, what):
-        # dim M (x)_G k{X} = (1/|G|) sum_g chi(g) |X^g|, with |X^g| a
-        # function of the cycle count of g
-        total = Fraction(sum(chi * fixed_words(c) for chi, c in weighted), group.order)
-        if total.denominator != 1 or total < 0:
-            raise InvariantError(f"{label}: {what} is {total}, not a dimension")
-        return int(total)
-
+    weighted = weighted_classes(module, group)
     dims = {
-        m: average(lambda c: m ** c, f"the character count of degree {m}")
+        m: character_count(
+            weighted,
+            group.order,
+            lambda cycles: m ** len(cycles),
+            f"{label}: the character count of degree {m}",
+        )
         for m in range(1, m_max + 2)
     }
     builder = OrbitComplexBuilder(module, group, surjective=True)
@@ -700,8 +736,11 @@ def _quotient_complex(module, group, m_max, label) -> QuotientComplex:
     q_dims = {}
     for m in range(1, top + 1):
         q_dims[m] = builder.degree(m).dim
-        want = average(
-            lambda c: surjections(c, m), f"the quotient's character count of degree {m}"
+        want = character_count(
+            weighted,
+            group.order,
+            lambda cycles: surjections(len(cycles), m),
+            f"{label}: the quotient's character count of degree {m}",
         )
         if q_dims[m] != want:
             raise InvariantError(

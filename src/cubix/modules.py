@@ -41,6 +41,7 @@ from .perm import (
     Permutation,
     PermutationGroup,
     adjacent_transposition,
+    cycle_classes,
     cyclic_group,
     identity_permutation,
 )
@@ -298,10 +299,15 @@ BUILTIN_KINDS = ("trivial", "sign", "regular", "lie", "tr_cyclic", "lie_cyclic")
 
 
 def sgn_coinvariants_dim(module, group: PermutationGroup) -> int:
-    """(1/|G|) sum of sign(g) * character(g); must be a non-negative integer."""
-    total = 0
-    for g in group.elements:
-        total += g.sign() * module.character(g)
+    """(1/|G|) sum of sign(g) * character(g); must be a non-negative integer.
+
+    Both factors are class functions, so the sum runs over
+    ``perm.cycle_classes``: p(n) traces over the full symmetric group.
+    """
+    total = sum(
+        count * rep.sign() * module.character(rep)
+        for rep, count, _ in cycle_classes(group)
+    )
     val = Fraction(total, group.order)
     if val.denominator != 1 or val < 0:
         raise InvariantError(

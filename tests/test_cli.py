@@ -243,7 +243,7 @@ def test_mistyped_custom_module_is_an_input_error(module, tmp_path, capsys):
     "exc",
     [
         SubspaceEscape("a vector escapes the Lie subspace"),
-        HarrisonRestrictionError("d E != E d"),
+        HarrisonRestrictionError("D^2 != 3 D at degree 3"),
         InvariantError("impossible Betti row"),
         KeyError("lookup"),
     ],
@@ -257,6 +257,17 @@ def test_broken_invariants_exit_4(exc, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "cubical_complex", broken)
     assert main(["betti", "--family", "lie", "--n", "3"]) == 4
+    assert capsys.readouterr().err.startswith("internal error:")
+
+
+def test_broken_harrison_invariant_exits_4(monkeypatch, capsys):
+    import cubix.cli as cli
+
+    def broken(*args, **kwargs):
+        raise HarrisonRestrictionError("D^2 != 3 D at degree 3")
+
+    monkeypatch.setattr(cli, "harrison_complex", broken)
+    assert main(["betti", "--family", "harrison", "--n", "3"]) == 4
     assert capsys.readouterr().err.startswith("internal error:")
 
 
@@ -335,6 +346,8 @@ BETTI_GOLDENS = [
      "betti-harrison-4-mmax5.table"),
     (["betti", "--family", "custom", "--custom", str(GOLDEN / "lie_cyclic3-seed1.json")],
      "betti-custom-lie_cyclic3-seed1.table"),
+    (["betti", "--family", "harrison", "--n", "5", "--mmax", "5"],
+     "betti-harrison-5-mmax5.table"),
 ]
 
 
@@ -347,6 +360,13 @@ def test_every_betti_golden_is_checked_in_every_engine_mode():
 def test_betti_goldens_in_quotient_and_orbit_modes(argv, golden, mode, capsys):
     assert main(argv + mode) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+def test_harrison_six_slots_runs_through_the_quotient(capsys):
+    assert main(["betti", "--family", "harrison", "--n", "6", "--format", "csv"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [int(r[1]) for r in rows] == [m ** 5 for m in range(1, 9)]
+    assert all(r[3] == "0" for r in rows)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -9,7 +9,7 @@ tables against independent mode/route recomputations.
 from itertools import combinations, permutations
 
 import pytest
-from conftest import coinvariants
+from conftest import coinvariants, modules_and_groups
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -49,7 +49,6 @@ from cubix.modules import (
 )
 from cubix.perm import (
     Permutation,
-    PermutationGroup,
     cyclic_group,
     symmetric_group,
     trivial_group,
@@ -150,6 +149,29 @@ def test_orbit_decomposition_symmetric_group():
     assert reps == [(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2)]
     stab = {o.rep: o.stabilizer.order for o in orbits}
     assert stab == {(1, 1, 1): 6, (1, 1, 2): 2, (1, 2, 2): 2, (2, 2, 2): 6}
+
+
+@pytest.mark.parametrize(
+    "group",
+    [trivial_group(n) for n in (2, 3, 4, 5)]
+    + [cyclic_group(3), cyclic_group(4), young_subgroup((2, 2))],
+    ids=["1<S2", "1<S3", "1<S4", "1<S5", "C3<S3", "C4<S4", "S2xS2<S4"],
+)
+def test_surjective_orbits_equal_the_filtered_walk(group):
+    n = group.degree
+    for m in range(1, n + 2):
+        surjective = orbit_decomposition(n, m, group, surjective=True)
+        walk = [o for o in orbit_decomposition(n, m, group) if len(set(o.rep)) == m]
+        assert surjective == walk
+        for a, b in zip(surjective, walk):
+            # same member order, the least member as representative, and
+            # transfers with w = g.rep
+            assert list(a.transfers.items()) == list(b.transfers.items())
+            assert a.rep == min(a.transfers)
+            assert all(position_action(g, a.rep) == w for w, g in a.transfers.items())
+    assert cubical.surjective_words(3, 2) == [
+        w for w in words(3, 2) if len(set(w)) == 2
+    ]
 
 
 def test_orbit_decomposition_proper_subgroup():
@@ -420,20 +442,6 @@ def test_subset_complex_has_cohomology_k_in_degree_r(r):
     cx = CochainComplex(f"I_{r}", r, 9, {m: len(b) for m, b in basis.items()}, diffs)
     assert cx.check_d_squared()
     assert cx.betti_table().bettis() == tuple(int(m == r) for m in range(1, 10))
-
-
-@st.composite
-def modules_and_groups(draw):
-    """A basis change of a builtin on at most 4 slots, over S_n or over the
-    group generated by one or two random permutations."""
-    kind = draw(st.sampled_from(BUILTIN_KINDS))
-    k = draw(st.integers(1, 3 if kind == "lie_cyclic" else 4))
-    module = random_basis_change(builtin(kind, k), draw(st.integers(0, 10 ** 6)))
-    n = module.N
-    if draw(st.booleans()):
-        return module, symmetric_group(n)
-    perms = st.permutations(range(1, n + 1)).map(lambda p: Permutation(tuple(p)))
-    return module, PermutationGroup(n, tuple(draw(st.lists(perms, min_size=1, max_size=2))))
 
 
 @settings(max_examples=40)

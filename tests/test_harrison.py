@@ -9,8 +9,11 @@ E D = D, D E = m E, D D = m D identities plus frozen dimension runs.
 from fractions import Fraction
 
 import pytest
+from conftest import modules_and_groups
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cubix.cubical import OrbitComplexBuilder, differential, words
+from cubix.cubical import OrbitComplexBuilder, QuotientComplex, differential, words
 import cubix.harrison as harrison
 from cubix.cli import main
 from cubix.harrison import (
@@ -26,7 +29,13 @@ from cubix.harrison import (
     slot_action,
     word_eulerian_matrix,
 )
-from cubix.linalg import RationalMatrix, RowSpanSolver, SubspaceEscape, image_basis
+from cubix.linalg import (
+    InvariantError,
+    RationalMatrix,
+    RowSpanSolver,
+    SubspaceEscape,
+    image_basis,
+)
 from cubix.modules import (
     ModuleSpec,
     builtin,
@@ -242,5 +251,134 @@ def test_a_flipped_dynkin_sign_is_an_invariant_error(
     monkeypatch.setattr(harrison, "dynkin_terms", flipped)
     with pytest.raises(error):
         harrison_complex(builtin("regular", 3), symmetric_group(3), 3)
+    assert main(["betti", "--family", "harrison", "--n", "3"]) == 4
+    assert capsys.readouterr().err.startswith("internal error:")
+
+
+# -- the surjective-word quotient ----------------------------------------------
+
+HARRISON_CASES = {
+    "regular3": lambda: (builtin("regular", 3), symmetric_group(3)),
+    "regular4": lambda: (builtin("regular", 4), symmetric_group(4)),
+    "regular5": lambda: (builtin("regular", 5), symmetric_group(5)),
+    "lie4": lambda: (builtin("lie", 4), symmetric_group(4)),
+    "lie5": lambda: (builtin("lie", 5), symmetric_group(5)),
+    "tr_cyclic4": lambda: (builtin("tr_cyclic", 4), symmetric_group(4)),
+    "sign4": lambda: (builtin("sign", 4), symmetric_group(4)),
+    "trivial3": lambda: (builtin("trivial", 3), symmetric_group(3)),
+    "lie_cyclic3-moved": lambda: (
+        random_basis_change(builtin("lie_cyclic", 3), 3),
+        symmetric_group(4),
+    ),
+    "trivial<C3": lambda: (trivial_subgroup_module(cyclic_group(3)), cyclic_group(3)),
+    "trivial<C4": lambda: (trivial_subgroup_module(cyclic_group(4)), cyclic_group(4)),
+    "trivial<S2xS2": lambda: (
+        trivial_subgroup_module(young_subgroup((2, 2))),
+        young_subgroup((2, 2)),
+    ),
+    # one slot: Harrison cohomology is the module itself, at m = 1
+    "wide1-moved": lambda: (
+        random_basis_change(ModuleSpec("wide", 1, 3, ["a", "b", "c"], ()), 11),
+        symmetric_group(1),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(HARRISON_CASES))
+def test_harrison_quotient_tables_equal_orbit_tables(case):
+    module, group = HARRISON_CASES[case]()
+    n = group.degree
+    # m_max = n - 1 builds Q in every degree it has; m_max = 2 stops short
+    for m_max in sorted({2, max(n - 1, 2)}):
+        quotient = harrison_complex(module, group, m_max, mode="quotient")
+        orbit = harrison_complex(module, group, m_max)
+        assert isinstance(quotient, QuotientComplex)
+        assert quotient.dims == orbit.dims
+        assert quotient.betti_table() == orbit.betti_table()
+    if case == "wide1-moved":
+        assert quotient.betti_table().bettis() == (3, 0)
+
+
+@pytest.mark.parametrize(
+    "kind, n, dims",
+    [
+        ("regular", 4, [m ** 3 for m in range(1, 7)]),
+        ("regular", 5, [m ** 4 for m in range(1, 7)]),
+        ("lie", 5, [0, 3, 16, 51, 125, 259]),
+    ],
+)
+def test_trace_dimensions_are_the_built_dimensions(kind, n, dims):
+    # each run is what the orbit route builds through m_max = 5
+    quotient = harrison_complex(builtin(kind, n), symmetric_group(n), 5, mode="quotient")
+    assert [quotient.dims[m] for m in range(1, 7)] == dims
+
+
+@settings(max_examples=30)
+@given(modules_and_groups(), st.integers(2, 3))
+def test_harrison_quotient_and_orbit_tables_agree(case, m_max):
+    module, group = case
+    quotient = harrison_complex(module, group, m_max, mode="quotient")
+    orbit = harrison_complex(module, group, m_max)
+    assert quotient.dims == orbit.dims
+    assert quotient.betti_table() == orbit.betti_table()
+
+
+def _flip_one_sign_on_q(monkeypatch):
+    real = harrison.orbit_slot_operator
+
+    def flipped(builder, m, terms):
+        terms = list(terms)
+        if builder.surjective and m == 3:
+            t, c = terms[-1]
+            terms[-1] = (t, -c)
+        return real(builder, m, terms)
+
+    monkeypatch.setattr(harrison, "orbit_slot_operator", flipped)
+
+
+def _shift_the_identity_term(monkeypatch):
+    # tr(slot(1)) grows by sum_g chi(g) / |G| = dim M_G = 1 for regular(3),
+    # so tr(D_2) / 2 is no longer an integer
+    real = harrison.fixed_words
+    monkeypatch.setattr(
+        harrison, "fixed_words", lambda t, g: real(t, g) + (max(t) == 1)
+    )
+
+
+def _double_the_onto_count(monkeypatch):
+    real = harrison.fixed_onto_words
+    monkeypatch.setattr(harrison, "fixed_onto_words", lambda t, g: 2 * real(t, g))
+
+
+def _corrupt_the_group_algebra_product(monkeypatch):
+    real = harrison._compose_sum
+
+    def corrupted(a, b):
+        out = real(a, b)
+        first = min(out)
+        out[first] += 1
+        return out
+
+    # a product checked before the patch would stay cached as a pass
+    harrison.check_dynkin_square.cache_clear()
+    monkeypatch.setattr(harrison, "_compose_sum", corrupted)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_flip_one_sign_on_q, "D\\^2 != 3 D at degree 3"),
+        (_shift_the_identity_term, "the trace count of degree 2 is .*not a dimension"),
+        (_double_the_onto_count, "the Harrison quotient has dimension"),
+        (_corrupt_the_group_algebra_product, "D_1 D_1 != 1 D_1 in Q\\[S_1\\]"),
+    ],
+    ids=["flipped-sign-on-q", "trace-term", "onto-count", "group-algebra"],
+)
+def test_broken_harrison_quotient_checks_raise_and_exit_4(
+    mutate, message, monkeypatch, capsys
+):
+    mutate(monkeypatch)
+    with pytest.raises(InvariantError, match=message):
+        harrison_complex(builtin("regular", 3), symmetric_group(3), 5, mode="quotient")
     assert main(["betti", "--family", "harrison", "--n", "3"]) == 4
     assert capsys.readouterr().err.startswith("internal error:")

@@ -199,6 +199,34 @@ def test_sgn_coinvariants_dimensions():
     assert sgn_coinvariants_dim(builtin("trivial", 3), symmetric_group(3)) == 0
 
 
+def _sgn_dim_by_elements(module, group):
+    total = sum(g.sign() * module.character(g) for g in group.elements)
+    return Fraction(total, group.order)
+
+
+@pytest.mark.parametrize("kind", BUILTIN_KINDS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sgn_coinvariants_by_classes_is_the_element_sum(kind, n):
+    module = builtin(kind, n)
+    group = symmetric_group(module.N)
+    assert sgn_coinvariants_dim(module, group) == _sgn_dim_by_elements(module, group)
+
+
+@pytest.mark.parametrize(
+    "group", [cyclic_group(3), cyclic_group(4), young_subgroup((2, 2))],
+    ids=["C3<S3", "C4<S4", "S2xS2<S4"],
+)
+def test_sgn_coinvariants_over_subgroups_is_the_element_sum(group):
+    n = group.degree
+    for module in (
+        trivial_subgroup_module(group),
+        sign_subgroup_module(group),
+        restrict(builtin("regular", n), group),
+        restrict(builtin("lie", n), group),
+    ):
+        assert sgn_coinvariants_dim(module, group) == _sgn_dim_by_elements(module, group)
+
+
 def test_induce_trivial_from_trivial_group_is_regular():
     ind = induce(trivial_subgroup_module(trivial_group(2)))
     reg = builtin("regular", 2)
