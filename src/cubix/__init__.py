@@ -4,7 +4,6 @@ from .cubical import (
     BettiTable,
     CochainComplex,
     DimensionCapExceeded,
-    betti,
     cubical_complex,
     full_complex,
     quotient_betti,
@@ -38,7 +37,6 @@ __all__ = [
     "BettiTable",
     "CochainComplex",
     "DimensionCapExceeded",
-    "betti",
     "cubical_complex",
     "full_complex",
     "quotient_betti",

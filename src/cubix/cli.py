@@ -6,20 +6,22 @@ Output is deterministic: fixed orderings, no timestamps, no floats.
 
 ``betti --mode`` picks the construction (see ``cubical.py``); all three
 print the same table.  ``quotient``, the default, builds only the
-surjective-word quotient and reads the full complex's dimensions off
-characters; ``--family full`` takes it as the trivial module over the
-trivial group, and ``--family harrison`` builds the Harrison space on the
-quotient only and reads its full dimensions off the trace of the Dynkin
-element (see ``harrison.py``).  ``orbit`` builds every degree of the full
-orbit complex (``full_complex`` for ``--family full``), and ``naive`` the
-averaged product space; both are oracles of the default.  Naive mode is
-not defined for ``full`` and ``harrison``.
+surjective-word quotient and reads the full complex's dimensions off a
+trace (``cubical.operator_complex``): of the identity, where ``--family
+full`` takes the trivial module over the trivial group, and of the Dynkin
+element for ``--family harrison`` (see ``harrison.py``).  ``orbit`` builds
+every degree of the full orbit complex (``full_complex`` for ``--family
+full``), and ``naive`` the averaged product space; both are oracles of the
+default.  Naive mode is not defined for ``full`` and ``harrison``.
+
+Resource caps are fixed slot counts, ``ENGINE_SLOT_CAP`` and, in naive
+mode, ``NAIVE_SLOT_CAP``; ``--cap`` sets naive mode's dimension cap.
 
 Exit codes: 0 success, 1 verification failure, 2 bad input, 3 resource cap,
 4 internal error (a broken invariant such as a subspace escape, a
 coinvariant relation with a nonzero class, D^2 != m D on a built degree or
-in Q[S_m], d^2 != 0 on the quotient or its Harrison space, a character or
-trace count that is not a dimension or disagrees with the quotient, a
+in Q[S_m], d^2 != 0 on the quotient or its Harrison space, a trace count
+that is not a dimension or disagrees with the quotient, a
 derived rank out of bounds, an impossible Betti row or a failed rank or
 count check, or a KeyError, which no bad input raises).
 """
@@ -114,14 +116,14 @@ def _render_table(table, family: str, slots: int, fmt: str) -> str:
 def cmd_betti(args) -> int:
     module, slots = _resolve_module(args.family, args.n, args.custom)
     if slots > ENGINE_SLOT_CAP:
-        raise DimensionCapExceeded(slots, ENGINE_SLOT_CAP, "slot count")
+        raise DimensionCapExceeded(slots, ENGINE_SLOT_CAP, "the slot count")
     m_max = args.mmax if args.mmax is not None else slots + 2
     if m_max < 2:
         raise ValueError("--mmax must be at least 2")
     if args.family in ("full", "harrison") and args.mode == "naive":
         raise ValueError(f"mode naive is not defined for family {args.family}")
     if args.mode == "naive" and slots > NAIVE_SLOT_CAP:
-        raise DimensionCapExceeded(slots, NAIVE_SLOT_CAP, "naive mode slot count")
+        raise DimensionCapExceeded(slots, NAIVE_SLOT_CAP, "the slot count of naive mode")
     if args.family == "full" and args.mode == "orbit":
         table = full_complex(slots, m_max).betti_table()
     elif args.family == "full":

@@ -28,7 +28,7 @@ x (x) g.w = x.g (x) w.  Three constructions are provided:
   the Eulerian idempotent of ``harrison.py`` are others;
 * quotient mode runs the same orbit builder on the surjective-word
   quotient Q below, which vanishes above degree n, and reads the full
-  complex's dimensions off characters; no matrix larger than Q is built;
+  complex's dimensions off traces; no matrix larger than Q is built;
 * naive mode builds the full space M (x) (k^m)^{tensor n}, takes the image
   of the diagonal averaging projector, and restricts the full differential
   to it.  It exists purely as an oracle and enforces a dimension cap.
@@ -84,10 +84,27 @@ sequence of the filtration has E_1 = Q and collapses at E_2.)  Everything
 here commutes with G, which acts on the positions only, and M (x)_G - is
 exact over the rationals (kG is semisimple), so it keeps S acyclic.
 
-Dimensions come from characters.  For a G-set X of words,
-dim M (x)_G k{X} = (1/|G|) sum_g chi_M(g) |X^g|, and a word is fixed by g
-exactly when it is constant on the cycles of g.  With c(g) cycles that
-leaves m^{c(g)} words of degree m, of which m! S(c(g), m) are onto [m].
+Dimensions come from traces.  Both complexes of this package are, degree by
+degree, the image of a word operator P = sum_t c_t slot(t), a combination of
+letter relabelings (t * w)(p) = t(w(p)), which commute with the position
+action: the word complex is im 1, and the Harrison complex of
+``harrison.py`` is im D_m.  When P P = q P in Q[S_m] for an integer q > 0
+(q = 1 for the identity, q = m for D_m), P/q is an idempotent, whose rank is
+its trace, so dim im P = tr(P)/q.  For a G-set X of words, M (x)_G k{X} is
+the image of the averaging idempotent (1/|G|) sum_g g (x) g, so a
+G-equivariant T has trace (1/|G|) sum_g chi_M(g) tr(g T) on it, and g slot(t)
+permutes the words, so its trace counts the words it fixes:
+
+    dim im P = (1/(|G| q)) sum_g chi_M(g) sum_t c_t fixed(t, g).
+
+A word fixed by g slot(t) satisfies w(g(p)) = t(w(p)), so it is free at one
+point of each cycle of g, of length l, where it takes a value fixed by t^l
+(``fixed_words``); fixed(t, g) depends only on the cycle types of t and g.
+Over Q the word must also be onto [m]: its image is then a union of cycles
+of t, and inclusion-exclusion over them counts the onto words
+(``fixed_onto_words``).  For P = 1, with c(g) cycles in g, that leaves
+m^{c(g)} words of degree m, of which m! S(c(g), m) are onto [m].
+``operator_complex`` builds both routes from one (images, trace) pair.
 Since betti_m = dim_m - rank_d(m) - rank_d(m-1), the ranks of the full
 differential follow from Q's Betti numbers: rank_d(m) = dim_m - betti_m -
 rank_d(m-1), with betti_m = 0 for m > n.
@@ -96,8 +113,8 @@ rank_d(m-1), with betti_m = 0 for m > n.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import comb, lcm
+from itertools import combinations, product
+from math import lcm, prod
 
 from .linalg import (
     InvariantError,
@@ -122,11 +139,11 @@ DEFAULT_NAIVE_CAP = 20000
 
 
 class DimensionCapExceeded(RuntimeError):
-    def __init__(self, required, cap, what):
-        super().__init__(
-            f"{what} needs dimension {required}, above the cap {cap}; "
-            "raise the cap to force the computation"
-        )
+    """``what`` is ``required``, above ``cap``; ``remedy`` says how to lift
+    the cap, where something can."""
+
+    def __init__(self, required, cap, what, remedy=""):
+        super().__init__(f"{what} is {required}, above the cap {cap}{remedy}")
         self.required = required
         self.cap = cap
 
@@ -325,10 +342,6 @@ def full_complex(n: int, m_max: int) -> CochainComplex:
     return CochainComplex(f"full(n={n})", n, m_max, dims, diffs)
 
 
-def betti(complex_: CochainComplex) -> BettiTable:
-    return complex_.betti_table()
-
-
 # -- orbit decomposition ---------------------------------------------------
 
 
@@ -340,13 +353,6 @@ def compositions(total: int, parts: int):
     for first in range(total, -1, -1):
         for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def content_of(w, m: int):
-    c = [0] * m
-    for x in w:
-        c[x - 1] += 1
-    return tuple(c)
 
 
 def sorted_word(content):
@@ -383,7 +389,8 @@ def orbit_decomposition(
     positive ones when ``surjective``) and the stabilizers are Young
     subgroups; proper subgroups fall back to explicit closure with
     lexicographically least representatives, record the transfer of every
-    member, and give each stabilizer a greedy generating set.
+    member, and give each stabilizer a greedy generating set, built once per
+    distinct stabilizer.
     """
     if group.is_symmetric():
         return [
@@ -392,10 +399,12 @@ def orbit_decomposition(
             if all(c) or not surjective
         ]
     orbits = []
+    stabilizers = {}
     for rep, members in _subgroup_orbits(n, m, group, surjective):
-        stab = generated_subgroup(
-            n, (g for g in group.elements if position_action(g, rep) == rep)
-        )
+        fixing = tuple(g for g in group.elements if position_action(g, rep) == rep)
+        stab = stabilizers.get(fixing)
+        if stab is None:
+            stab = stabilizers[fixing] = generated_subgroup(n, fixing)
         orbits.append(Orbit(rep, stab, members))
     return orbits
 
@@ -617,18 +626,14 @@ def cubical_complex(
     ``QuotientComplex``: the surjective-word quotient with the full
     complex's dimensions, and the same Betti table.
     """
-    n = group.degree
-    label = f"{getattr(module, 'name', 'M')}/{'S' if group.is_symmetric() else 'G'}{n}"
-    if mode == "quotient":
-        return _quotient_complex(module, group, m_max, label)
-    if mode == "orbit":
-        builder = OrbitComplexBuilder(module, group)
-        dims = {m: builder.degree(m).dim for m in range(1, m_max + 2)}
-        diffs = {m: builder.differential_matrix(m) for m in range(1, m_max + 1)}
-        return CochainComplex(label, n, m_max, dims, diffs)
+    label = complex_label(module, group)
     if mode == "naive":
         return _naive_complex(module, group, m_max, cap, label)
-    raise ValueError(f"unknown mode: {mode}")
+    return operator_complex(module, group, m_max, mode, label)
+
+
+def complex_label(module, group: PermutationGroup) -> str:
+    return f"{getattr(module, 'name', 'M')}/{'S' if group.is_symmetric() else 'G'}{group.degree}"
 
 
 def _naive_complex(module, group, m_max, cap, label) -> CochainComplex:
@@ -636,7 +641,12 @@ def _naive_complex(module, group, m_max, cap, label) -> CochainComplex:
     dim_m = module.dim
     top = dim_m * (m_max + 1) ** n
     if top > cap:
-        raise DimensionCapExceeded(top, cap, f"naive mode for {label}")
+        raise DimensionCapExceeded(
+            top,
+            cap,
+            f"the dimension of naive mode for {label}",
+            "; raise it with --cap to force the computation",
+        )
     solvers = {}
     for m in range(1, m_max + 2):
         size = dim_m * m ** n
@@ -657,11 +667,6 @@ def _naive_complex(module, group, m_max, cap, label) -> CochainComplex:
 
 
 # -- the surjective-word quotient ---------------------------------------------
-
-
-def surjections(c: int, m: int) -> int:
-    """Number of maps from a c-set onto an m-set, m! S(c, m)."""
-    return sum((-1) ** j * comb(m, j) * (m - j) ** c for j in range(m + 1))
 
 
 @dataclass
@@ -696,58 +701,101 @@ class QuotientComplex:
         return _checked_table(q.label, q.n_slots, rows)
 
 
-def weighted_classes(module, group: PermutationGroup) -> list:
-    """(count * chi_M(g), cycle lengths of g) over ``perm.cycle_classes``."""
-    return [
-        (count * module.character(g), g.cycle_type())
-        for g, count, _ in cycle_classes(group)
-    ]
+def fixed_words(t_cycles, g_cycles) -> int:
+    """Words w with g.(t * w) = w, for t and g of the given cycle lengths.
 
-
-def character_count(weighted, divisor: int, fixed, what: str) -> int:
-    """(1/divisor) sum of chi * fixed(cycles) over ``weighted``, which must
-    be a non-negative integer.
-
-    With divisor |G| and fixed(cycles) = |X^g|, this is
-    dim M (x)_G k{X} = (1/|G|) sum_g chi_M(g) |X^g|.
+    Such a word satisfies w(g(p)) = t(w(p)), so on a cycle of g of length l
+    it is fixed by its value at one point, which must be a fixed point of
+    t^l; t^l fixes the points of the cycles of t whose length divides l.
     """
-    total = Fraction(sum(chi * fixed(cycles) for chi, cycles in weighted), divisor)
-    if total.denominator != 1 or total < 0:
-        raise InvariantError(f"{what} is {total}, not a dimension")
-    return int(total)
+    return prod(sum(k for k in t_cycles if not ell % k) for ell in g_cycles)
 
 
-def _quotient_complex(module, group, m_max, label) -> QuotientComplex:
-    """Q from the orbit builder over surjective words, and the full
-    dimensions from characters; both counts are checked exactly."""
-    n = group.degree
-    weighted = weighted_classes(module, group)
-    dims = {
-        m: character_count(
-            weighted,
-            group.order,
-            lambda cycles: m ** len(cycles),
-            f"{label}: the character count of degree {m}",
-        )
-        for m in range(1, m_max + 2)
-    }
-    builder = OrbitComplexBuilder(module, group, surjective=True)
-    top = min(n, m_max + 1)
-    q_dims = {}
-    for m in range(1, top + 1):
-        q_dims[m] = builder.degree(m).dim
-        want = character_count(
-            weighted,
-            group.order,
-            lambda cycles: surjections(len(cycles), m),
-            f"{label}: the quotient's character count of degree {m}",
-        )
-        if q_dims[m] != want:
-            raise InvariantError(
-                f"{label}: the quotient has dimension {q_dims[m]} in degree {m}, "
-                f"its character count is {want}"
-            )
+def fixed_onto_words(t_cycles, g_cycles) -> int:
+    """The words of ``fixed_words`` that use every slot.
+
+    Such a word takes on each cycle of g the values of one cycle of t, so
+    its image is a union of cycles of t; inclusion-exclusion over the
+    subsets of t's cycles counts the words whose image is all of them.
+    """
+    r = len(t_cycles)
+    return sum(
+        (-1) ** (r - k) * fixed_words(sub, g_cycles)
+        for k in range(r + 1)
+        for sub in combinations(t_cycles, k)
+    )
+
+
+def word_images(builder: OrbitComplexBuilder, top: int):
+    """(dims, diffs) of the builder's degrees 1..top: the image of 1."""
+    dims = {m: builder.degree(m).dim for m in range(1, top + 1)}
     diffs = {m: builder.differential_matrix(m) for m in range(1, top)}
+    return dims, diffs
+
+
+def identity_trace(m: int):
+    """The operator 1 as ({cycle type of t: c_t}, q): one identity term."""
+    return {(1,) * m: 1}, 1
+
+
+def operator_complex(
+    module,
+    group: PermutationGroup,
+    m_max: int,
+    mode: str,
+    label: str,
+    images=word_images,
+    trace=identity_trace,
+):
+    """im P inside M (x)_G (word complex), for a word operator P.
+
+    ``images(builder, top)`` returns (dims, diffs) of im P on the builder's
+    degrees 1..top, with diffs[m] from degree m to m + 1.  ``trace(m)``
+    returns ({cycle type of t: c_t}, q) with P_m = sum_t c_t slot(t) and
+    P_m P_m = q P_m, checked by ``trace`` where it is not evident.
+
+    "orbit" builds im P in degrees 1..m_max+1 of the full orbit complex and
+    returns a ``CochainComplex``.  "quotient" builds it on the
+    surjective-word quotient only and returns a ``QuotientComplex`` whose
+    full dimensions are the trace counts of the module docstring.  Every
+    count must be a non-negative integer, Q's count in each degree must
+    equal the dimension built there, and d^2 must vanish on Q.
+    """
+    n = group.degree
+    if mode == "orbit":
+        dims, diffs = images(OrbitComplexBuilder(module, group), m_max + 1)
+        return CochainComplex(label, n, m_max, dims, diffs)
+    if mode != "quotient":
+        raise ValueError(f"unknown mode: {mode}")
+    weighted = [
+        (size * module.character(g), g.cycle_type())
+        for g, size, _ in cycle_classes(group)
+    ]
+    traces = {m: trace(m) for m in range(1, m_max + 2)}
+
+    def count(m, fixed, what):
+        terms, q = traces[m]
+        total = Fraction(
+            sum(
+                chi * sum(c * fixed(t, cycles) for t, c in terms.items())
+                for chi, cycles in weighted
+            ),
+            group.order * q,
+        )
+        if total.denominator != 1 or total < 0:
+            raise InvariantError(f"{label}: {what} of degree {m} is {total}, not a dimension")
+        return int(total)
+
+    dims = {m: count(m, fixed_words, "the trace count") for m in traces}
+    top = min(n, m_max + 1)
+    q_dims, diffs = images(OrbitComplexBuilder(module, group, surjective=True), top)
+    for m, dim in q_dims.items():
+        want = count(m, fixed_onto_words, "the quotient's trace count")
+        if dim != want:
+            raise InvariantError(
+                f"{label}: the quotient has dimension {dim} in degree {m}, "
+                f"its trace count is {want}"
+            )
     quotient = CochainComplex(label, n, top - 1, q_dims, diffs)
     if not quotient.check_d_squared():
         raise InvariantError(f"{label}: d^2 != 0 on the surjective-word quotient")

@@ -52,27 +52,17 @@ in Q[S_m], so im D = im E in every degree of C and of Q.  im D on Q
 vanishes above degree n like Q, and its Betti numbers are the Harrison
 Betti numbers.
 
-The full dimensions need no matrix: D D = m D makes D/m an idempotent,
-whose rank is its trace, so dim im D_m = tr(D_m)/m.  For a G-equivariant
-operator T on the words, the trace on M (x)_G k{X} is
-(1/|G|) sum_g chi_M(g) tr(g T), and g slot(t) permutes the words, so its
-trace counts the fixed ones:
+The full dimensions need no matrix: D D = m D makes D/m an idempotent, so
+dim im D_m = tr(D_m)/m, counted as in ``cubical.py`` ("Dimensions come from
+traces") from D_m's 2^(m-1) terms summed by the cycle type of t.
 
-    tr(slot(t)) = (1/|G|) sum_g chi_M(g) prod over cycles l of g of #fix(t^l).
-
-A fixed word satisfies w(g(p)) = t(w(p)), so it is free at one point of
-each cycle of g, where it takes a value fixed by t^l.  #fix(t^l) is the
-sum of the lengths of t's cycles that divide l, a function of t's cycle
-type, so D_m's 2^(m-1) terms are summed by cycle type first.  Over Q the
-word must also be onto [m]; on each cycle of g it takes the values of one
-cycle of t, so its image is a union of t-cycles, and inclusion-exclusion
-over the subsets of t's cycles counts the onto ones.
-
-``harrison_complex(..., mode="quotient")`` builds im D only on Q, with the
-same D b = m b and membership checks in every built degree, and adds four
-exact checks, each an ``InvariantError``: D_m D_m = m D_m in Q[S_m] for
-every degree up to m_max + 1, so that tr/m is a dimension where no matrix
-is built; every trace count is a non-negative integer; Q's built dimension
+``harrison_complex`` is ``cubical.operator_complex`` with im D as its image
+(``_dynkin_images``) and D_m as its trace (``dynkin_trace``).  In the
+quotient mode it builds im D only on Q, with the same D b = m b and
+membership checks in every built degree, and the route adds four exact
+checks, each an ``InvariantError``: D_m D_m = m D_m in Q[S_m] for every
+degree up to m_max + 1, so that tr/m is a dimension where no matrix is
+built; every trace count is a non-negative integer; Q's built dimension
 equals its own trace count over onto words; and d^2 = 0 on im D over Q.
 The full complex's ranks then follow from Q's Betti numbers as in
 ``cubical.QuotientComplex``.  The orbit mode stays the oracle.
@@ -81,15 +71,13 @@ The full complex's ranks then follow from Q's Betti numbers as in
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb, lcm, prod
+from math import comb, lcm
 
 from .cubical import (
     BettiTable,
-    CochainComplex,
     OrbitComplexBuilder,
-    QuotientComplex,
-    character_count,
-    weighted_classes,
+    complex_label,
+    operator_complex,
     words,
 )
 from .linalg import InvariantError, RationalMatrix, RowSpanSolver, image_basis
@@ -195,48 +183,15 @@ def check_dynkin_square(m: int) -> None:
         raise HarrisonRestrictionError(f"D_{m} D_{m} != {m} D_{m} in Q[S_{m}]")
 
 
-def fixed_words(t_cycles, g_cycles) -> int:
-    """Words w with g.(t * w) = w, for t and g of the given cycle lengths.
-
-    Such a word satisfies w(g(p)) = t(w(p)), so on a cycle of g of length l
-    it is fixed by its value at one point, which must be a fixed point of
-    t^l; t^l fixes the points of the cycles of t whose length divides l.
-    """
-    return prod(sum(k for k in t_cycles if not ell % k) for ell in g_cycles)
-
-
-def fixed_onto_words(t_cycles, g_cycles) -> int:
-    """The words of ``fixed_words`` that use every slot.
-
-    Such a word takes on each cycle of g the values of one cycle of t, so
-    its image is a union of cycles of t; inclusion-exclusion over the
-    subsets of t's cycles counts the words whose image is all of them.
-    """
-    r = len(t_cycles)
-    return sum(
-        (-1) ** (r - k) * fixed_words(sub, g_cycles)
-        for k in range(r + 1)
-        for sub in combinations(t_cycles, k)
-    )
-
-
-def dynkin_count(weighted, order: int, m: int, fixed, what: str) -> int:
-    """tr(D_m) / m on M (x)_G k{X}, the dimension of im D_m there.
-
-    ``fixed(t_cycles, g_cycles)`` counts the words of X fixed by g.slot(t),
-    so tr(slot(t)) = (1/|G|) sum_g chi_M(g) fixed(t, g); it depends on t
-    only through its cycle type, so D_m's terms are summed by cycle type.
-    """
+def dynkin_trace(m: int):
+    """D_m summed by the cycle type of t, and its square factor m; see
+    ``cubical.operator_complex``.  Checks D_m D_m = m D_m first."""
+    check_dynkin_square(m)
     by_type = {}
     for t, c in dynkin_terms(m):
         key = t.cycle_type()
         by_type[key] = by_type.get(key, 0) + c
-    return character_count(
-        weighted,
-        order * m,
-        lambda g_cycles: sum(c * fixed(t, g_cycles) for t, c in by_type.items()),
-        what,
-    )
+    return by_type, m
 
 
 def _dynkin_images(builder: OrbitComplexBuilder, top: int):
@@ -273,51 +228,8 @@ def harrison_complex(module, group: PermutationGroup, m_max: int, mode: str = "o
     the full complex's dimensions from the trace of D (module docstring).
     Both give the same Betti table.
     """
-    n = group.degree
-    name = getattr(module, "name", "M")
-    label = f"harrison({name}/{'S' if group.is_symmetric() else 'G'}{n})"
-    if mode == "quotient":
-        return _harrison_quotient(module, group, m_max, label)
-    if mode != "orbit":
-        raise ValueError(f"unknown mode: {mode}")
-    dims, diffs = _dynkin_images(OrbitComplexBuilder(module, group), m_max + 1)
-    return CochainComplex(label, n, m_max, dims, diffs)
-
-
-def _harrison_quotient(module, group, m_max, label) -> QuotientComplex:
-    """im D on Q, and the full dimensions tr(D_m)/m; every count is exact."""
-    n = group.degree
-    weighted = weighted_classes(module, group)
-    dims = {}
-    for m in range(1, m_max + 2):
-        check_dynkin_square(m)
-        dims[m] = dynkin_count(
-            weighted,
-            group.order,
-            m,
-            fixed_words,
-            f"{label}: the trace count of degree {m}",
-        )
-    top = min(n, m_max + 1)
-    builder = OrbitComplexBuilder(module, group, surjective=True)
-    q_dims, diffs = _dynkin_images(builder, top)
-    for m, dim in q_dims.items():
-        want = dynkin_count(
-            weighted,
-            group.order,
-            m,
-            fixed_onto_words,
-            f"{label}: the quotient's trace count of degree {m}",
-        )
-        if dim != want:
-            raise InvariantError(
-                f"{label}: the Harrison quotient has dimension {dim} in degree {m}, "
-                f"its trace count is {want}"
-            )
-    quotient = CochainComplex(label, n, top - 1, q_dims, diffs)
-    if not quotient.check_d_squared():
-        raise InvariantError(f"{label}: d^2 != 0 on the Harrison quotient")
-    return QuotientComplex(quotient, m_max, dims)
+    label = f"harrison({complex_label(module, group)})"
+    return operator_complex(module, group, m_max, mode, label, _dynkin_images, dynkin_trace)
 
 
 def harrison_betti(module, group: PermutationGroup, m_max: int) -> BettiTable:

@@ -227,52 +227,37 @@ class RationalMatrix:
         return RationalMatrix(self.nrows * p, self.ncols * q, data)
 
 
+def _int_row(row: dict) -> dict:
+    """The row scaled by the lcm of its denominators, then divided by the
+    gcd of its entries: integers with content 1."""
+    den = 1
+    for v in row.values():
+        if isinstance(v, Fraction):
+            den = lcm(den, v.denominator)
+    ints = dict(row) if den == 1 else {c: int(v * den) for c, v in row.items()}
+    g = 0
+    for v in ints.values():
+        g = gcd(g, v)
+        if g == 1:
+            break
+    return {c: v // g for c, v in ints.items()} if g > 1 else ints
+
+
 def normalize_int_vector(vec):
     """Scale to integer entries with content 1 and positive first nonzero.
 
     ``vec`` is a dict {index: scalar}; returns a new dict.  The zero vector
     comes back empty.
     """
-    items = [(j, v) for j, v in vec.items() if v]
-    if not items:
-        return {}
-    den = 1
-    for _, v in items:
-        if isinstance(v, Fraction):
-            den = lcm(den, v.denominator)
-    ints = [(j, int(v * den)) for j, v in items]
-    g = 0
-    for _, v in ints:
-        g = gcd(g, v)
-        if g == 1:
-            break
-    lead = min(ints)[1] if g == 1 else min(ints)[1] // g
-    if lead < 0:
-        g = -g
-    return {j: v // g for j, v in ints} if g != 1 else dict(ints)
+    ints = _int_row({j: v for j, v in vec.items() if v})
+    if ints and ints[min(ints)] < 0:
+        return {j: -v for j, v in ints.items()}
+    return ints
 
 
 def _int_rows(matrix: RationalMatrix):
     """Integer-scaled, gcd-stripped copies of the nonzero rows."""
-    out = {}
-    for i, row in matrix.rows.items():
-        den = 1
-        for v in row.values():
-            if isinstance(v, Fraction):
-                den = lcm(den, v.denominator)
-        if den == 1:
-            ints = dict(row)
-        else:
-            ints = {c: int(v * den) for c, v in row.items()}
-        g = 0
-        for v in ints.values():
-            g = gcd(g, v)
-            if g == 1:
-                break
-        if g > 1:
-            ints = {c: v // g for c, v in ints.items()}
-        out[i] = ints
-    return out
+    return {i: _int_row(row) for i, row in matrix.rows.items()}
 
 
 def _clear(row, prow, c):

@@ -288,16 +288,24 @@ def test_conflicting_n_is_an_input_error(tmp_path, capsys):
 
 
 def test_slot_caps_exit_3(capsys):
+    # the slot caps are fixed: no option raises them, so none is advised
     assert main(["betti", "--family", "full", "--n", "7"]) == 3
-    capsys.readouterr()
+    assert capsys.readouterr().err == "resource cap: the slot count is 7, above the cap 6\n"
+    assert main(["betti", "--family", "lie", "--n", "7"]) == 3
+    assert capsys.readouterr().err == "resource cap: the slot count is 7, above the cap 6\n"
     assert main(["betti", "--family", "lie", "--n", "5", "--mode", "naive"]) == 3
-    capsys.readouterr()
+    assert capsys.readouterr().err == (
+        "resource cap: the slot count of naive mode is 5, above the cap 4\n"
+    )
     assert (
         main(["betti", "--family", "ass", "--n", "3", "--mode", "naive",
               "--cap", "10"])
         == 3
     )
-    assert "cap" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "resource cap: the dimension of naive mode for regular(3)/S3 is 1296, above "
+        "the cap 10; raise it with --cap to force the computation\n"
+    )
 
 
 def test_cap_flag_sets_the_naive_cap(capsys):

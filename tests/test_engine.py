@@ -7,6 +7,7 @@ tables against independent mode/route recomputations.
 """
 
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 from conftest import coinvariants, modules_and_groups
@@ -22,11 +23,14 @@ from cubix.cubical import (
     OrbitComplexBuilder,
     coface,
     compositions,
-    content_of,
     cubical_complex,
     differential,
     differential_columns,
+    fixed_onto_words,
+    fixed_words,
     full_complex,
+    generated_subgroup,
+    identity_trace,
     orbit_decomposition,
     position_action,
     position_matrix,
@@ -49,6 +53,7 @@ from cubix.modules import (
 )
 from cubix.perm import (
     Permutation,
+    _partitions,
     cyclic_group,
     symmetric_group,
     trivial_group,
@@ -187,6 +192,13 @@ def test_sort_transfer_recovers_word():
         rep, g = sort_transfer(w)
         assert rep == tuple(sorted(w))
         assert position_action(g, rep) == w
+
+
+def content_of(w, m: int):
+    c = [0] * m
+    for x in w:
+        c[x - 1] += 1
+    return tuple(c)
 
 
 def test_compositions_cover_contents():
@@ -418,7 +430,47 @@ def test_subgroup_stabilizers_get_greedy_generating_sets():
             assert {g.images for g in stab.elements} == fixing
 
 
+@pytest.mark.parametrize(
+    "group",
+    [trivial_group(n) for n in (1, 2, 3, 4)]
+    + [cyclic_group(3), cyclic_group(4), young_subgroup((2, 2))],
+    ids=["1<S1", "1<S2", "1<S3", "1<S4", "C3<S3", "C4<S4", "S2xS2<S4"],
+)
+def test_shared_stabilizer_generators_equal_the_per_orbit_ones(group):
+    n = group.degree
+    for surjective in (False, True):
+        builder = OrbitComplexBuilder(builtin("trivial", n), group, surjective)
+        element_sets = set()
+        for m in range(1, n + 2):
+            for orbit in orbit_decomposition(n, m, group, surjective):
+                fixing = [g for g in group.elements if position_action(g, orbit.rep) == orbit.rep]
+                assert orbit.stabilizer.generators == generated_subgroup(n, fixing).generators
+                element_sets.add(frozenset(g.images for g in fixing))
+            builder.degree(m)
+        # equal stabilizers share one coinvariant basis
+        assert len(builder._coinv_cache) == len(element_sets)
+
+
 # -- the surjective-word quotient --------------------------------------------
+
+
+def surjections(c: int, m: int) -> int:
+    """Number of maps from a c-set onto an m-set, m! S(c, m)."""
+    return sum((-1) ** j * comb(m, j) * (m - j) ** c for j in range(m + 1))
+
+
+def test_identity_trace_counts_words_and_onto_words():
+    # the merged count with the identity's terms is m^c and m! S(c, m),
+    # for g with c cycles
+    for total in range(9):
+        for g_cycles in _partitions(total):
+            c = len(g_cycles)
+            for m in range(1, 8):
+                terms, q = identity_trace(m)
+                assert q == 1 and list(terms.values()) == [1]
+                (t,) = terms
+                assert fixed_words(t, g_cycles) == m ** c
+                assert fixed_onto_words(t, g_cycles) == surjections(c, m)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -522,7 +574,7 @@ def _overstate_ranks(monkeypatch):
         (_flip_one_quotient_sign, "d\\^2 != 0"),
         # a constant shift adds the number of orbits to each count: the full
         # dimensions stay integers, and Q's count stops matching Q
-        (_shift_characters(lambda g: 1), "character count is"),
+        (_shift_characters(lambda g: 1), "the quotient has dimension"),
         (_shift_characters(lambda g: int(g.is_identity())), "not a dimension"),
         (_overstate_ranks, "the rank of d at degree"),
     ],

@@ -13,6 +13,7 @@ from conftest import modules_and_groups
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cubix.cubical as cubical
 from cubix.cubical import OrbitComplexBuilder, QuotientComplex, differential, words
 import cubix.harrison as harrison
 from cubix.cli import main
@@ -339,15 +340,15 @@ def _flip_one_sign_on_q(monkeypatch):
 def _shift_the_identity_term(monkeypatch):
     # tr(slot(1)) grows by sum_g chi(g) / |G| = dim M_G = 1 for regular(3),
     # so tr(D_2) / 2 is no longer an integer
-    real = harrison.fixed_words
+    real = cubical.fixed_words
     monkeypatch.setattr(
-        harrison, "fixed_words", lambda t, g: real(t, g) + (max(t) == 1)
+        cubical, "fixed_words", lambda t, g: real(t, g) + (max(t) == 1)
     )
 
 
 def _double_the_onto_count(monkeypatch):
-    real = harrison.fixed_onto_words
-    monkeypatch.setattr(harrison, "fixed_onto_words", lambda t, g: 2 * real(t, g))
+    real = cubical.fixed_onto_words
+    monkeypatch.setattr(cubical, "fixed_onto_words", lambda t, g: 2 * real(t, g))
 
 
 def _corrupt_the_group_algebra_product(monkeypatch):
@@ -369,7 +370,7 @@ def _corrupt_the_group_algebra_product(monkeypatch):
     [
         (_flip_one_sign_on_q, "D\\^2 != 3 D at degree 3"),
         (_shift_the_identity_term, "the trace count of degree 2 is .*not a dimension"),
-        (_double_the_onto_count, "the Harrison quotient has dimension"),
+        (_double_the_onto_count, "the quotient has dimension"),
         (_corrupt_the_group_algebra_product, "D_1 D_1 != 1 D_1 in Q\\[S_1\\]"),
     ],
     ids=["flipped-sign-on-q", "trace-term", "onto-count", "group-algebra"],
