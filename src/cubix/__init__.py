@@ -7,7 +7,6 @@ from .cubical import (
     cubical_complex,
     full_complex,
     quotient_betti,
-    verify_cor2,
 )
 from .harrison import harrison_betti, harrison_complex
 from .modules import (
@@ -40,7 +39,6 @@ __all__ = [
     "cubical_complex",
     "full_complex",
     "quotient_betti",
-    "verify_cor2",
     "harrison_betti",
     "harrison_complex",
     "BUILTIN_KINDS",

@@ -38,7 +38,7 @@ from .cubical import (
     quotient_betti,
 )
 from .harrison import harrison_complex
-from .linalg import InvariantError, format_scalar
+from .linalg import InvariantError
 from .modules import builtin, load_module, serialize_module, sgn_coinvariants_dim
 from .perm import cycle_classes, symmetric_group, trivial_group
 from .suites import SUITE_NAMES, run_suite
@@ -173,7 +173,7 @@ def cmd_module_info(args) -> int:
         module = builtin(_MODULE_OF[args.family], args.n)
     group = symmetric_group(module.N)
     chars = [
-        ("+".join(map(str, rep.cycle_type())), format_scalar(module.character(rep)))
+        ("+".join(map(str, rep.cycle_type())), str(module.character(rep)))
         for rep, _, _ in cycle_classes(group)
     ]
     sgn_dim = sgn_coinvariants_dim(module, group)

@@ -806,30 +806,3 @@ def quotient_betti(module, group: PermutationGroup, m_max: int) -> BettiTable:
     """Betti table of M (x)_G (word complex) through degree m_max, computed
     on the surjective-word quotient."""
     return cubical_complex(module, group, m_max, mode="quotient").betti_table()
-
-
-# -- verification ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Cor2Report:
-    label: str
-    n_slots: int
-    expected_dim: int
-    table: BettiTable
-    ok: bool
-
-
-def verify_cor2(module, group, m_max=None, mode="orbit") -> Cor2Report:
-    """Cohomology concentrated in degree n with dimension dim(M (x)_G sgn)."""
-    from .modules import sgn_coinvariants_dim
-
-    n = group.degree
-    if m_max is None:
-        m_max = n + 2
-    expected = sgn_coinvariants_dim(module, group)
-    table = cubical_complex(module, group, m_max, mode=mode).betti_table()
-    ok = all(
-        row.betti == (expected if row.m == n else 0) for row in table.rows
-    )
-    return Cor2Report(table.label, n, expected, table, ok)

@@ -54,10 +54,6 @@ def parse_scalar(s: str):
     return int(s)
 
 
-def format_scalar(x) -> str:
-    return str(x)
-
-
 class RationalMatrix:
     """Sparse matrix with exact int/Fraction entries."""
 

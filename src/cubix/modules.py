@@ -10,12 +10,14 @@ generator matrices along any reduced word; with the composition convention
 Built-in modules:
 
 * ``trivial`` / ``sign``: one-dimensional.
-* ``regular``: basis = permutations of [n], right multiplication.
+* ``regular``: basis = permutations of [n], right multiplication; built by
+  ``induce`` from the trivial module of the trivial group.
 * ``lie``: the left-normed bracket basis of the multilinear Lie elements,
   dimension (n-1)!; a letter permutation sends a multilinear word w to
   s^{-1} o w, and the matrices express that relabeling in the bracket basis.
 * ``tr_cyclic``: basis = lexicographically least representatives of the
-  left cosets C_n \\ S_n; right multiplication followed by normalization.
+  right cosets C_n \\ S_n; built by ``induce`` from the trivial module of
+  the cyclic group C_n.
 * ``lie_cyclic``: the Lie elements as a module over S_{n+1} via the cyclic
   word action on associative words, restricted to the Lie subspace.
 
@@ -34,7 +36,6 @@ from .linalg import (
     InvariantError,
     RationalMatrix,
     RowSpanSolver,
-    format_scalar,
     parse_scalar,
 )
 from .perm import (
@@ -44,6 +45,7 @@ from .perm import (
     cycle_classes,
     cyclic_group,
     identity_permutation,
+    trivial_group,
 )
 
 
@@ -71,7 +73,7 @@ def _check_coxeter(name, n, dim, mats):
 class ModuleSpec:
     """Right S_N-module presented by adjacent-transposition matrices."""
 
-    def __init__(self, name, N, dim, basis_labels, gen_actions, validate=True):
+    def __init__(self, name, N, dim, basis_labels, gen_actions):
         if len(basis_labels) != dim:
             raise ValueError(f"{name}: {len(basis_labels)} labels for dim {dim}")
         if len(gen_actions) != max(N - 1, 0):
@@ -83,8 +85,7 @@ class ModuleSpec:
         self.dim = dim
         self.basis_labels = list(basis_labels)
         self.gen_actions = list(gen_actions)
-        if validate:
-            _check_coxeter(name, N, dim, gen_actions)
+        _check_coxeter(name, N, dim, gen_actions)
         self._memo = {identity_permutation(N).images: RationalMatrix.identity(dim)}
 
     def act(self, p: Permutation) -> RationalMatrix:
@@ -239,17 +240,12 @@ def builtin(kind: str, n: int) -> ModuleSpec:
     if kind == "sign":
         neg = RationalMatrix.from_rows([[-1]])
         return ModuleSpec(f"sign({n})", n, 1, ["sgn"], [neg] * (n - 1))
-    if kind == "regular":
-        words = sorted(permutations(range(1, n + 1)))
-        index = _word_index(words)
-        mats = []
-        for i in range(1, n):
-            s = adjacent_transposition(n, i)
-            mats.append(
-                _perm_matrix(words, index, lambda w, s=s: tuple(w[s(j + 1) - 1] for j in range(n)))
-            )
-        labels = ["".join(map(str, w)) for w in words]
-        return ModuleSpec(f"regular({n})", n, len(words), labels, mats)
+    if kind in ("regular", "tr_cyclic"):
+        group = cyclic_group(n) if kind == "tr_cyclic" else trivial_group(n)
+        module = induce(trivial_subgroup_module(group))
+        module.name = f"{kind}({n})"
+        module.basis_labels = [b.removesuffix(":1") for b in module.basis_labels]
+        return module
     if kind == "lie":
         basis = lie_basis_multilinear(n)
         labels = [_bracket_label(seq) for seq, _ in basis]
@@ -263,26 +259,6 @@ def builtin(kind: str, n: int) -> ModuleSpec:
         ]
         mats = _restrict_to_lie(words, basis, relabel)
         return ModuleSpec(f"lie({n})", n, len(basis), labels, mats)
-    if kind == "tr_cyclic":
-        cyc = [c.images for c in cyclic_group(n).elements]
-
-        def normalize(w):
-            return min(tuple(c[x - 1] for x in w) for c in cyc)
-
-        reps = sorted({normalize(w) for w in permutations(range(1, n + 1))})
-        index = _word_index(reps)
-        mats = []
-        for i in range(1, n):
-            s = adjacent_transposition(n, i)
-            mats.append(
-                _perm_matrix(
-                    reps,
-                    index,
-                    lambda w, s=s: normalize(tuple(w[s(j + 1) - 1] for j in range(n))),
-                )
-            )
-        labels = ["".join(map(str, w)) for w in reps]
-        return ModuleSpec(f"tr_cyclic({n})", n, len(reps), labels, mats)
     if kind == "lie_cyclic":
         words = sorted(permutations(range(1, n + 1)))
         basis = lie_basis_multilinear(n)
@@ -424,7 +400,7 @@ def serialize_module(module: ModuleSpec) -> dict:
         "dim": module.dim,
         "basis_labels": list(module.basis_labels),
         "generators": [
-            [[format_scalar(a.entry(i, j)) for j in range(module.dim)] for i in range(module.dim)]
+            [[str(a.entry(i, j)) for j in range(module.dim)] for i in range(module.dim)]
             for a in module.gen_actions
         ],
     }

@@ -143,9 +143,6 @@ class PermutationGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, p: Permutation) -> bool:
-        return any(p.images == q.images for q in self.elements)
-
     def is_symmetric(self) -> bool:
         return self.order == factorial(self.degree)
 

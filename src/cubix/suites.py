@@ -1,7 +1,8 @@
 """Named verification suites over the whole catalog of complexes.
 
-Each suite is a fixed list of checks; a check is a module-level function so
-that suites can run in worker processes.  Results come back in definition
+Each suite is a fixed list of checks.  A check's spec holds a module-level
+function and plain arguments, so it pickles for worker processes, and the
+function builds its modules where it runs.  Results come back in definition
 order no matter how they were scheduled, which keeps output byte-identical
 across worker counts.
 """
@@ -41,14 +42,10 @@ class Check:
     detail: str
 
 
-def _concentrated(table, degree: int, dim: int) -> bool:
-    return all(
-        row.betti == (dim if row.m == degree else 0) for row in table.rows
-    )
-
-
-def _fmt(table) -> str:
-    return f"betti={table.bettis()}"
+def _expect(label, table, degree: int, dim: int, want: str = ""):
+    """Pass when the table is ``dim`` copies of k in ``degree`` and 0 elsewhere."""
+    ok = all(row.betti == (dim if row.m == degree else 0) for row in table.rows)
+    return ok, f"{label}: betti={table.bettis()}, expected {want or f'{dim} at m={degree}'}"
 
 
 # -- individual checks -------------------------------------------------------
@@ -56,67 +53,24 @@ def _fmt(table) -> str:
 
 def chk_prop1(n: int):
     table = full_complex(n, n + 2).betti_table()
-    ok = _concentrated(table, n, 1)
-    return ok, f"full n={n}: {_fmt(table)}, expected single class at m={n}"
+    return _expect(f"full n={n}", table, n, 1, f"single class at m={n}")
 
 
-def chk_cor2_builtin(kind: str, n: int):
+def chk_concentrated(label: str, kind: str, n: int, dim=None, want="", seed=None):
+    """Cor. 2: H(M (x)_{S_N} C) is dim(M (x)_{S_N} sgn) copies of k in degree N.
+
+    M is ``builtin(kind, n)``, basis-changed when ``seed`` is given.  Cor. 3,
+    Cor. 4, ass and Cor. 5 pass their closed form as ``dim``, so they do not
+    rest on the character sum.
+    """
     module = builtin(kind, n)
-    group = symmetric_group(n)
-    expected = sgn_coinvariants_dim(module, group)
-    table = cubical_complex(module, group, n + 2).betti_table()
-    ok = _concentrated(table, n, expected)
-    return ok, f"{kind} n={n}: {_fmt(table)}, expected {expected} at m={n}"
-
-
-def chk_cor2_custom(kind: str, seed: int):
-    base = builtin(kind, 3)
-    module = random_basis_change(base, seed=seed)
-    group = symmetric_group(3)
-    expected = sgn_coinvariants_dim(module, group)
-    table = cubical_complex(module, group, 5).betti_table()
-    ok = _concentrated(table, 3, expected)
-    return ok, (
-        f"{module.name}: {_fmt(table)}, expected {expected} at m=3"
-    )
-
-
-def chk_cor3(n: int):
-    table = cubical_complex(builtin("lie", n), symmetric_group(n), n + 2).betti_table()
-    expected = 1 if n in (1, 2) else 0
-    ok = _concentrated(table, n, expected)
-    return ok, f"lie n={n}: {_fmt(table)}, expected {expected} at m={n}"
-
-
-def chk_ass(n: int):
-    table = cubical_complex(
-        builtin("regular", n), symmetric_group(n), n + 2
-    ).betti_table()
-    ok = _concentrated(table, n, 1)
-    return ok, f"regular n={n}: {_fmt(table)}, expected single class at m={n}"
-
-
-def chk_cor4(n: int):
-    table = cubical_complex(
-        builtin("tr_cyclic", n), symmetric_group(n), n + 2
-    ).betti_table()
-    expected = 1 if n % 2 else 0
-    ok = _concentrated(table, n, expected)
-    return ok, f"tr n={n}: {_fmt(table)}, expected {expected} at m={n}"
-
-
-def chk_cor5(n: int):
-    slots = n + 1
-    table = cubical_complex(
-        builtin("lie_cyclic", n), symmetric_group(slots), slots + 2
-    ).betti_table()
-    if n == 2:
-        ok = _concentrated(table, 3, 1)
-        want = "single class at m=3"
-    else:
-        ok = all(row.betti == 0 for row in table.rows)
-        want = "no cohomology"
-    return ok, f"sder n={n} ({slots} slots): {_fmt(table)}, expected {want}"
+    if seed is not None:
+        module = random_basis_change(module, seed=seed)
+    group = symmetric_group(module.N)
+    if dim is None:
+        dim = sgn_coinvariants_dim(module, group)
+    table = cubical_complex(module, group, module.N + 2).betti_table()
+    return _expect(label, table, module.N, dim, want)
 
 
 def chk_harrison_dim(kind: str):
@@ -128,14 +82,12 @@ def chk_harrison_dim(kind: str):
             ModuleSpec("wide", 1, 3, ["a", "b", "c"], ()), seed=11
         )
     table = harrison_betti(module, group, 3)
-    ok = _concentrated(table, 1, module.dim)
-    return ok, f"harrison {module.name} n=1: {_fmt(table)}, expected {module.dim} at m=1"
+    return _expect(f"harrison {module.name} n=1", table, 1, module.dim)
 
 
 def chk_harrison_vanishes(kind: str, n: int):
     table = harrison_betti(builtin(kind, n), symmetric_group(n), n + 2)
-    ok = all(row.betti == 0 for row in table.rows)
-    return ok, f"harrison {kind} n={n}: {_fmt(table)}, expected no cohomology"
+    return _expect(f"harrison {kind} n={n}", table, n, 0, "no cohomology")
 
 
 def chk_modes_agree(kind: str, n: int):
@@ -245,34 +197,11 @@ def chk_eulerian():
     return ok, "Eulerian idempotency and d-commutation (n<=3, m<=4)"
 
 
-_REGISTRY = {
-    f.__name__: f
-    for f in (
-        chk_prop1,
-        chk_cor2_builtin,
-        chk_cor2_custom,
-        chk_cor3,
-        chk_ass,
-        chk_cor4,
-        chk_cor5,
-        chk_harrison_dim,
-        chk_harrison_vanishes,
-        chk_modes_agree,
-        chk_realization,
-        chk_induction,
-        chk_d_squared,
-        chk_equivariance,
-        chk_coxeter,
-        chk_jacobi,
-        chk_eulerian,
-    )
-}
-
-
 # -- suite definitions -------------------------------------------------------
 
 
 def _specs(suite: str, nmax: int):
+    """(suite, name, check function, args) for each check of ``suite``."""
     out = []
 
     def add(name, func, *args):
@@ -280,49 +209,54 @@ def _specs(suite: str, nmax: int):
 
     if suite == "prop1":
         for n in range(1, min(nmax, 4) + 1):
-            add(f"full n={n}", "chk_prop1", n)
+            add(f"full n={n}", chk_prop1, n)
     elif suite == "cor2":
         for kind in ("trivial", "sign", "regular"):
             for n in range(1, min(nmax, 4) + 1):
-                add(f"{kind} n={n}", "chk_cor2_builtin", kind, n)
+                add(f"{kind} n={n}", chk_concentrated, f"{kind} n={n}", kind, n)
         for kind, seed in (("sign", 1), ("regular", 2), ("tr_cyclic", 3)):
-            add(f"custom({kind}) seed={seed}", "chk_cor2_custom", kind, seed)
+            label = f"{kind}(3)~seed{seed}"
+            add(f"custom({kind}) seed={seed}", chk_concentrated, label, kind, 3, None, "", seed)
     elif suite == "cor3":
         for n in range(1, min(nmax, 5) + 1):
-            add(f"lie n={n}", "chk_cor3", n)
+            add(f"lie n={n}", chk_concentrated, f"lie n={n}", "lie", n, int(n <= 2))
     elif suite == "ass":
         for n in range(1, min(nmax, 4) + 1):
-            add(f"regular n={n}", "chk_ass", n)
+            add(f"regular n={n}", chk_concentrated, f"regular n={n}", "regular", n, 1,
+                f"single class at m={n}")
     elif suite == "cor4":
         for n in range(1, min(nmax, 5) + 1):
-            add(f"tr n={n}", "chk_cor4", n)
+            add(f"tr n={n}", chk_concentrated, f"tr n={n}", "tr_cyclic", n, n % 2)
     elif suite == "cor5":
+        # lie_cyclic(n) lives on n + 1 slots
         for n in range(2, min(nmax, 4) + 1):
-            add(f"sder n={n}", "chk_cor5", n)
+            want = "single class at m=3" if n == 2 else "no cohomology"
+            add(f"sder n={n}", chk_concentrated, f"sder n={n} ({n + 1} slots)",
+                "lie_cyclic", n, int(n == 2), want)
     elif suite == "harrison":
-        add("dim M at n=1 (trivial)", "chk_harrison_dim", "trivial")
-        add("dim M at n=1 (custom)", "chk_harrison_dim", "custom")
+        add("dim M at n=1 (trivial)", chk_harrison_dim, "trivial")
+        add("dim M at n=1 (custom)", chk_harrison_dim, "custom")
         for kind in ("trivial", "regular", "lie"):
             for n in range(2, min(nmax, 3) + 1):
-                add(f"{kind} n={n}", "chk_harrison_vanishes", kind, n)
+                add(f"{kind} n={n}", chk_harrison_vanishes, kind, n)
     elif suite == "oracles":
         for kind in BUILTIN_KINDS:
             for n in range(1, min(nmax, 3) + 1):
-                add(f"modes {kind} n={n}", "chk_modes_agree", kind, n)
+                add(f"modes {kind} n={n}", chk_modes_agree, kind, n)
         for family in ("ass", "lie", "tr"):
             for n in range(1, min(nmax, 4) + 1):
-                add(f"direct {family} n={n}", "chk_realization", family, n)
+                add(f"direct {family} n={n}", chk_realization, family, n)
     elif suite == "induction":
-        add("C3 inside S3", "chk_induction", "c3")
-        add("S2 x S2 inside S4", "chk_induction", "s2s2")
+        add("C3 inside S3", chk_induction, "c3")
+        add("S2 x S2 inside S4", chk_induction, "s2s2")
     elif suite == "structural":
-        add("d squared, word complexes", "chk_d_squared", "full")
-        add("d squared, orbit complexes", "chk_d_squared", "orbit")
-        add("d squared, naive complex", "chk_d_squared", "naive")
-        add("position equivariance", "chk_equivariance")
-        add("Coxeter relations", "chk_coxeter")
-        add("Jacobi identity", "chk_jacobi")
-        add("Eulerian idempotent", "chk_eulerian")
+        add("d squared, word complexes", chk_d_squared, "full")
+        add("d squared, orbit complexes", chk_d_squared, "orbit")
+        add("d squared, naive complex", chk_d_squared, "naive")
+        add("position equivariance", chk_equivariance)
+        add("Coxeter relations", chk_coxeter)
+        add("Jacobi identity", chk_jacobi)
+        add("Eulerian idempotent", chk_eulerian)
     else:
         raise ValueError(f"unknown suite: {suite}")
     return out
@@ -345,7 +279,7 @@ SUITE_NAMES = (
 def _run_spec(spec) -> Check:
     suite, name, func, args = spec
     try:
-        passed, detail = _REGISTRY[func](*args)
+        passed, detail = func(*args)
     except Exception as exc:  # a crash is a failure, not an abort
         return Check(suite, name, False, f"error: {exc}")
     return Check(suite, name, bool(passed), detail)

@@ -1,6 +1,7 @@
 """Suites and command-line behavior: exit codes, formats, determinism."""
 
 import json
+import pickle
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ from cubix.cli import main
 from cubix.harrison import HarrisonRestrictionError
 from cubix.linalg import InvariantError, RationalMatrix, SubspaceEscape
 from cubix.modules import ModuleSpec, builtin, random_basis_change, serialize_module
-from cubix.suites import Check, _run_spec, run_suite
+from cubix.suites import SUITE_NAMES, Check, _run_spec, _specs, run_suite
 
 
 def test_prop1_suite_passes():
@@ -29,17 +30,18 @@ def test_suite_results_independent_of_workers():
     assert serial == parallel
 
 
-def test_run_spec_turns_crash_into_failure():
-    import cubix.suites as suites
+def test_every_spec_pickles_for_workers():
+    # --jobs sends each spec, check function included, to a worker process
+    for suite in SUITE_NAMES:
+        for spec in _specs(suite, 4):
+            assert pickle.loads(pickle.dumps(spec)) == spec
 
+
+def test_run_spec_turns_crash_into_failure():
     def boom():
         raise RuntimeError("synthetic")
 
-    suites._REGISTRY["chk_boom"] = boom
-    try:
-        check = _run_spec(("structural", "x", "chk_boom", ()))
-    finally:
-        del suites._REGISTRY["chk_boom"]
+    check = _run_spec(("structural", "x", boom, ()))
     assert not check.passed
     assert "synthetic" in check.detail
 
@@ -53,11 +55,12 @@ def test_coxeter_check_fails_on_a_broken_builtin(monkeypatch):
         module = real(kind, n)
         if kind != "regular" or n != 3:
             return module
-        # s1 s2 s1 = s2 s1 s2 fails once s2 acts as the identity
-        gens = [module.gen_actions[0], RationalMatrix.identity(module.dim)]
-        return ModuleSpec(
-            module.name, 3, module.dim, module.basis_labels, gens, validate=False
+        copy = ModuleSpec(
+            module.name, 3, module.dim, module.basis_labels, module.gen_actions
         )
+        # s1 s2 s1 = s2 s1 s2 fails once s2 acts as the identity
+        copy.gen_actions = [module.gen_actions[0], RationalMatrix.identity(module.dim)]
+        return copy
 
     passing = (True, "Coxeter relations hold for 24 builtin modules")
     assert suites.chk_coxeter() == passing
@@ -135,6 +138,9 @@ GOLDEN = Path(__file__).parent / "golden"
         (["betti", "--family", "custom", "--custom",
           str(GOLDEN / "lie_cyclic3-seed1.json")],
          "betti-custom-lie_cyclic3-seed1.table"),
+        (["verify", "--suite", "all", "--nmax", "4"], "verify-all-4.txt"),
+        (["module-info", "--family", "regular", "--n", "3"], "module-info-regular-3.table"),
+        (["module-info", "--family", "tr", "--n", "4"], "module-info-tr-4.table"),
     ],
 )
 def test_stdout_matches_golden(argv, golden, capsys):

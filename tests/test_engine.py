@@ -37,7 +37,6 @@ from cubix.cubical import (
     quotient_betti,
     sort_transfer,
     sorted_word,
-    verify_cor2,
     words,
 )
 from cubix.freelie import witt_dim
@@ -59,6 +58,7 @@ from cubix.perm import (
     trivial_group,
     young_subgroup,
 )
+from cubix.suites import chk_concentrated
 
 
 def test_words_and_labels():
@@ -292,12 +292,10 @@ def test_betti_tables_for_small_families():
 
 
 def test_verify_cor2_reports():
-    rep = verify_cor2(builtin("sign", 3), symmetric_group(3))
-    assert rep.ok and rep.expected_dim == 1
-    rep = verify_cor2(builtin("trivial", 3), symmetric_group(3))
-    assert rep.ok and rep.expected_dim == 0
-    rep = verify_cor2(builtin("regular", 4), symmetric_group(4))
-    assert rep.ok and rep.expected_dim == 1
+    # the expected dimension defaults to dim(M (x)_G sgn)
+    for kind, n, dim in (("sign", 3, 1), ("trivial", 3, 0), ("regular", 4, 1)):
+        ok, detail = chk_concentrated(f"{kind} n={n}", kind, n)
+        assert ok and detail.endswith(f", expected {dim} at m={n}")
 
 
 def test_induced_module_matches_subgroup_complex():

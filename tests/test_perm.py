@@ -73,8 +73,8 @@ def test_symmetric_group_enumeration():
 def test_cyclic_and_trivial_groups():
     c4 = cyclic_group(4)
     assert c4.order == 4
-    assert Permutation((2, 3, 4, 1)) in c4
-    assert Permutation((2, 1, 4, 3)) not in c4
+    assert Permutation((2, 3, 4, 1)) in c4.elements
+    assert Permutation((2, 1, 4, 3)) not in c4.elements
     assert trivial_group(3).order == 1
 
 
