@@ -8,7 +8,7 @@ from .cubical import (
     full_complex,
     quotient_betti,
 )
-from .harrison import harrison_betti, harrison_complex
+from .harrison import harrison_complex
 from .modules import (
     BUILTIN_KINDS,
     ModuleSpec,
@@ -39,7 +39,6 @@ __all__ = [
     "cubical_complex",
     "full_complex",
     "quotient_betti",
-    "harrison_betti",
     "harrison_complex",
     "BUILTIN_KINDS",
     "ModuleSpec",

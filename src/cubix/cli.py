@@ -14,6 +14,14 @@ every degree of the full orbit complex (``full_complex`` for ``--family
 full``), and ``naive`` the averaged product space; both are oracles of the
 default.  Naive mode is not defined for ``full`` and ``harrison``.
 
+``verify`` checks the paper's statements (cor2-cor5, ass, harrison,
+induction) and the engine side of every direct realization on the
+quotient too, which is valid because H(Q) = H(C).  Orbit and naive mode
+remain the object under test in ``prop1`` (``full_complex``), in the
+``modes`` checks of ``oracles`` (orbit, naive and quotient compared) and in
+``structural`` (d^2 = 0 on word, orbit and naive complexes); see
+``suites.py``.
+
 Resource caps are fixed slot counts, ``ENGINE_SLOT_CAP`` and, in naive
 mode, ``NAIVE_SLOT_CAP``; ``--cap`` sets naive mode's dimension cap.
 

@@ -186,7 +186,10 @@ def position_matrix(g: Permutation, n: int, m: int) -> RationalMatrix:
     """Column-convention matrix of w -> g.w on the degree-m word space."""
     ws = words(n, m)
     index = {w: i for i, w in enumerate(ws)}
-    entries = ((index[position_action(g, w)], index[w], 1) for w in ws)
+    inv = g.inverse().images
+    entries = (
+        (index[tuple(w[inv[p] - 1] for p in range(n))], j, 1) for j, w in enumerate(ws)
+    )
     return RationalMatrix.from_entries(len(ws), len(ws), entries)
 
 
@@ -597,16 +600,20 @@ class OrbitComplexBuilder:
 
     def differential_matrix(self, m: int) -> RationalMatrix:
         # on Q only the inner cofaces survive, and of their terms only those
-        # that send letter i to both i and i+1
-        q = self.surjective
+        # that send letter i to both i and i+1: every split but the first and
+        # last of ``coface``, which send every i to i or every i to i+1 (a
+        # word onto [m] uses the letter i)
+        if self.surjective:
+            cofaces, kept = range(1, m + 1), slice(1, -1)
+        else:
+            cofaces, kept = range(m + 2), slice(None)
         return self.operator_matrix(
             m,
             m + 1,
             lambda rep: (
                 (w2, -1 if i % 2 else 1)
-                for i in (range(1, m + 1) if q else range(m + 2))
-                for w2 in coface(i, rep, m)
-                if not q or len(set(w2)) == m + 1
+                for i in cofaces
+                for w2 in coface(i, rep, m)[kept]
             ),
         )
 
@@ -650,10 +657,14 @@ def _naive_complex(module, group, m_max, cap, label) -> CochainComplex:
     solvers = {}
     for m in range(1, m_max + 2):
         size = dim_m * m ** n
-        acc = RationalMatrix.zeros(size, size)
-        for g in group.elements:
-            acc = acc + module.act(g).kron(position_matrix(g, n, m))
-        proj = acc.scale(Fraction(1, group.order))
+        # |G| times the averaging projector, which has the same image
+        entries = (
+            (i, j, v)
+            for g in group.elements
+            for i, row in module.act(g).kron(position_matrix(g, n, m)).rows.items()
+            for j, v in row.items()
+        )
+        proj = RationalMatrix.from_entries(size, size, entries)
         solvers[m] = RowSpanSolver(image_basis(proj.transpose()), size)
     dims = {m: solver.k for m, solver in solvers.items()}
     # M (x) word space, indexed (module basis, word); d acts on the words

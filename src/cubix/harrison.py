@@ -74,7 +74,6 @@ from itertools import combinations, permutations
 from math import comb, lcm
 
 from .cubical import (
-    BettiTable,
     OrbitComplexBuilder,
     complex_label,
     operator_complex,
@@ -230,7 +229,3 @@ def harrison_complex(module, group: PermutationGroup, m_max: int, mode: str = "o
     """
     label = f"harrison({complex_label(module, group)})"
     return operator_complex(module, group, m_max, mode, label, _dynkin_images, dynkin_trace)
-
-
-def harrison_betti(module, group: PermutationGroup, m_max: int) -> BettiTable:
-    return harrison_complex(module, group, m_max).betti_table()

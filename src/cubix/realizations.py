@@ -149,14 +149,18 @@ class RealizationReport:
 
 
 def compare_with_engine(family: str, n: int, m_max: int) -> RealizationReport:
-    """Dimension-by-dimension and Betti-by-Betti face-off with the engine."""
+    """Dimension-by-dimension and Betti-by-Betti face-off with the engine.
+
+    The engine side is the shipped route, the surjective-word quotient; its
+    dimensions are the trace counts of the full complex.
+    """
     from .cubical import cubical_complex
     from .modules import builtin
     from .perm import symmetric_group
 
     direct = direct_complex(family, n, m_max)
     module = builtin(FAMILY_MODULES[family], n)
-    engine = cubical_complex(module, symmetric_group(n), m_max)
+    engine = cubical_complex(module, symmetric_group(n), m_max, mode="quotient")
     span = range(1, m_max + 2)
     return RealizationReport(
         family,

@@ -65,8 +65,9 @@ def test_criterion_07_harrison():
 
 
 def test_criterion_08_oracle_equivalence():
-    # orbit vs naive for all builtins (n <= 3), direct realizations vs
-    # engine for ass/lie/tr (n <= 4, degrees through 6)
+    # orbit vs naive vs quotient for all builtins (n <= 3), direct
+    # realizations vs the quotient engine for ass/lie/tr (n <= 4, degrees
+    # through 6)
     _run(8, "oracle equivalence", "oracles", nmax=4)
 
 

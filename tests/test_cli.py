@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+import cubix.suites as suites
 from cubix.cli import main
+from cubix.cubical import OrbitComplexBuilder
 from cubix.harrison import HarrisonRestrictionError
 from cubix.linalg import InvariantError, RationalMatrix, SubspaceEscape
 from cubix.modules import ModuleSpec, builtin, random_basis_change, serialize_module
@@ -47,8 +49,6 @@ def test_run_spec_turns_crash_into_failure():
 
 
 def test_coxeter_check_fails_on_a_broken_builtin(monkeypatch):
-    import cubix.suites as suites
-
     real = suites.builtin
 
     def broken(kind, n):
@@ -68,6 +68,84 @@ def test_coxeter_check_fails_on_a_broken_builtin(monkeypatch):
     passed, detail = suites.chk_coxeter()
     assert not passed
     assert detail == "regular(3): braid relation s1 s2 s1 = s2 s1 s2 fails"
+
+
+# the suites whose tables come from the surjective-word quotient, at the
+# window each runs in the acceptance tests
+QUOTIENT_SUITES = {
+    "cor2": 4, "cor3": 5, "cor4": 5, "cor5": 4, "ass": 4, "harrison": 3, "induction": 4,
+}
+QUOTIENT_SPECS = [spec for s, nmax in QUOTIENT_SUITES.items() for spec in _specs(s, nmax)]
+
+
+def _record_complexes(monkeypatch):
+    """[(build, module, group, m_max, mode, complex)] of every complex the
+    suites build through ``cubical_complex`` or ``harrison_complex``."""
+    calls = []
+    for name in ("cubical_complex", "harrison_complex"):
+        real = getattr(suites, name)
+
+        def build(module, group, m_max, mode="orbit", *rest, _real=real):
+            cx = _real(module, group, m_max, mode, *rest)
+            calls.append((_real, module, group, m_max, mode, cx))
+            return cx
+
+        monkeypatch.setattr(suites, name, build)
+    return calls
+
+
+@pytest.mark.parametrize("spec", QUOTIENT_SPECS, ids=lambda spec: f"{spec[0]}:{spec[1]}")
+def test_suite_quotient_tables_equal_orbit_tables(spec, monkeypatch):
+    # orbit mode stays the oracle of every table these suites read off Q
+    calls = _record_complexes(monkeypatch)
+    _, _, func, args = spec
+    passed, detail = func(*args)
+    assert passed, detail
+    assert calls
+    for build, module, group, m_max, mode, cx in calls:
+        assert mode == "quotient"
+        orbit = build(module, group, m_max, "orbit")
+        assert cx.dims == orbit.dims
+        assert cx.betti_table() == orbit.betti_table()
+
+
+def test_suites_build_the_quotient_and_modes_checks_build_every_route(monkeypatch):
+    flags = []
+    real_init = OrbitComplexBuilder.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        flags.append(self.surjective)
+
+    monkeypatch.setattr(OrbitComplexBuilder, "__init__", init)
+    direct = [spec for spec in _specs("oracles", 4) if spec[1].startswith("direct")]
+    for spec in QUOTIENT_SPECS + direct:
+        assert _run_spec(spec).passed
+    assert flags and all(flags)
+    calls = _record_complexes(monkeypatch)
+    for spec in _specs("oracles", 4):
+        if spec[1].startswith("modes"):
+            calls.clear()
+            assert _run_spec(spec).passed
+            assert [call[4] for call in calls] == ["orbit", "naive", "quotient"]
+
+
+def test_modes_check_names_the_quotient_on_a_mismatch(monkeypatch):
+    real = suites.cubical_complex
+
+    def build(module, group, m_max, mode="orbit"):
+        if mode == "quotient":
+            module = builtin("trivial", module.N)
+        return real(module, group, m_max, mode)
+
+    monkeypatch.setattr(suites, "cubical_complex", build)
+    passed, detail = suites.chk_modes_agree("sign", 2)
+    assert not passed
+    assert detail == (
+        "sign n=2: orbit dims=(0, 1, 3, 6, 10) betti=(0, 1, 0, 0) "
+        "vs naive dims=(0, 1, 3, 6, 10) betti=(0, 1, 0, 0) "
+        "vs quotient dims=(1, 3, 6, 10, 15) betti=(0, 0, 0, 0)"
+    )
 
 
 def test_betti_table_format(capsys):

@@ -37,6 +37,7 @@ from cubix.cubical import (
     quotient_betti,
     sort_transfer,
     sorted_word,
+    surjective_words,
     words,
 )
 from cubix.freelie import witt_dim
@@ -492,6 +493,18 @@ def test_subset_complex_has_cohomology_k_in_degree_r(r):
     cx = CochainComplex(f"I_{r}", r, 9, {m: len(b) for m, b in basis.items()}, diffs)
     assert cx.check_d_squared()
     assert cx.betti_table().bettis() == tuple(int(m == r) for m in range(1, 10))
+
+
+def test_kept_coface_terms_on_the_quotient_are_the_onto_ones():
+    # differential_matrix on Q keeps every term of the inner cofaces but the
+    # first and last; those must be exactly the terms onto [m+1]
+    for n in range(1, 6):
+        for m in range(1, n + 1):
+            for w in surjective_words(n, m):
+                for i in range(m + 2):
+                    terms = coface(i, w, m)
+                    onto = [t for t in terms if len(set(t)) == m + 1]
+                    assert onto == (terms[1:-1] if 1 <= i <= m else [])
 
 
 @settings(max_examples=40)

@@ -23,7 +23,6 @@ from cubix.harrison import (
     dynkin_terms,
     eulerian_scale,
     eulerian_terms,
-    harrison_betti,
     harrison_complex,
     orbit_eulerian_matrix,
     orbit_slot_operator,
@@ -144,11 +143,12 @@ def test_harrison_over_subgroup_matches_induced_module(group, dims):
 
 def test_harrison_single_position_gives_module_dimension():
     group = symmetric_group(1)
-    assert harrison_betti(builtin("trivial", 1), group, 3).bettis() == (1, 0, 0)
+    trivial = builtin("trivial", 1)
+    assert harrison_complex(trivial, group, 3).betti_table().bettis() == (1, 0, 0)
     wide = ModuleSpec("wide", 1, 3, ["a", "b", "c"], ())
-    assert harrison_betti(wide, group, 3).bettis() == (3, 0, 0)
+    assert harrison_complex(wide, group, 3).betti_table().bettis() == (3, 0, 0)
     moved = random_basis_change(wide, seed=11)
-    assert harrison_betti(moved, group, 3).bettis() == (3, 0, 0)
+    assert harrison_complex(moved, group, 3).betti_table().bettis() == (3, 0, 0)
 
 
 def test_harrison_vanishes_for_small_builtin_modules():
