@@ -6,7 +6,6 @@ from .cubical import (
     DimensionCapExceeded,
     cubical_complex,
     full_complex,
-    quotient_betti,
 )
 from .harrison import harrison_complex
 from .modules import (
@@ -38,7 +37,6 @@ __all__ = [
     "DimensionCapExceeded",
     "cubical_complex",
     "full_complex",
-    "quotient_betti",
     "harrison_complex",
     "BUILTIN_KINDS",
     "ModuleSpec",

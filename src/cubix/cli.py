@@ -43,7 +43,6 @@ from .cubical import (
     DimensionCapExceeded,
     cubical_complex,
     full_complex,
-    quotient_betti,
 )
 from .harrison import harrison_complex
 from .linalg import InvariantError
@@ -136,7 +135,9 @@ def cmd_betti(args) -> int:
         table = full_complex(slots, m_max).betti_table()
     elif args.family == "full":
         # the word complex is the trivial module over the trivial group
-        table = quotient_betti(builtin("trivial", slots), trivial_group(slots), m_max)
+        table = cubical_complex(
+            builtin("trivial", slots), trivial_group(slots), m_max, mode="quotient"
+        ).betti_table()
     elif args.family == "harrison":
         table = harrison_complex(
             module, symmetric_group(slots), m_max, mode=args.mode

@@ -121,6 +121,7 @@ from .linalg import (
     RationalMatrix,
     RowSpanSolver,
     SubspaceEscape,
+    _Eliminator,
     _int_rows,
     _norm,
     image_basis,
@@ -445,31 +446,47 @@ def _subgroup_orbits(n: int, m: int, group: PermutationGroup, surjective: bool):
 # -- coinvariant bases ------------------------------------------------------
 
 
+def relation_block(module, s: Permutation) -> list:
+    """A row echelon basis of the row space of act(s) - 1, from one sweep."""
+    relations = module.act(s) - RationalMatrix.identity(module.dim)
+    return [row for _, row in _Eliminator(_int_rows(relations), module.dim).sweep()]
+
+
 class CoinvariantBasis:
     """The coinvariant space M_H = M / I_H M, with coordinates of classes.
 
     M_H is M modulo the span of v.h - v over h in H.  That span equals
     R = sum over the generators s of H of im(act(s) - 1), because
     v.(g s) - v = (v.g)(s - 1) + (v.g - v); so only the generators are
-    read.  Let r_p, for p in the pivot columns P, be a reduced echelon
-    basis of the stacked rows of R, with pivot values d_p.  The unit
-    vectors at the other columns F (``free``) then give a basis of M_H,
-    and the class of a row vector x has coordinates (x @ W) / scale, where
-    scale = lcm |d_p| and W is scale at (f, f) and -(scale / d_p) r_p[f]
-    at (p, f).  R @ W = 0 is checked exactly: every relation must have
+    read.  The same generators (s_1 ... s_{N-1} over S_N) recur in many
+    stabilizers, so ``blocks`` maps each generator s to its
+    ``relation_block``, an echelon basis of the rows of act(s) - 1, which a
+    builder thus eliminates once.  Let r_p, for p in the pivot columns P, be
+    a reduced echelon basis of the union of the generators' blocks, with
+    pivot values d_p.  The unit vectors at the other columns F (``free``)
+    then give a basis of M_H, and the class of a row vector x has
+    coordinates (x @ W) / scale, where scale = lcm |d_p| and W is scale at
+    (f, f) and -(scale / d_p) r_p[f] at (p, f).  R @ W = 0 is checked
+    exactly on the rows of every act(s) - 1, rebuilt from act(s) rather than
+    kept in ``blocks``, which would cost memory: every relation must have
     class zero.
+
+    The result does not depend on which rows span R.  Under a fixed column
+    order a subspace has one reduced echelon basis of content-1 integer
+    rows, up to the sign of each row; so P, F and scale depend on R alone,
+    and W does not change when r_p and d_p change sign together.
     """
 
-    def __init__(self, module, stabilizer: PermutationGroup):
+    def __init__(self, module, stabilizer: PermutationGroup, blocks=None):
+        blocks = {} if blocks is None else blocks
         dim = module.dim
-        ident = RationalMatrix.identity(dim)
-        rows = [
-            row
-            for s in stabilizer.generators
-            for row in (module.act(s) - ident).rows.values()
-        ]
-        relations = RationalMatrix(len(rows), dim, dict(enumerate(rows)))
-        red = reduced_echelon(_int_rows(relations), dim)
+        echelon = []
+        for s in stabilizer.generators:
+            block = blocks.get(s)
+            if block is None:
+                block = blocks[s] = relation_block(module, s)
+            echelon.extend(block)
+        red = reduced_echelon(dict(enumerate(echelon)), dim)
         piv = {c for c, _ in red}
         self.free = [j for j in range(dim) if j not in piv]
         self.k = len(self.free)
@@ -480,8 +497,10 @@ class CoinvariantBasis:
             q = self.scale // row[c]
             w[c] = {col[f]: -q * v for f, v in row.items() if f != c}
         self.w_matrix = RationalMatrix(dim, self.k, {i: r for i, r in w.items() if r})
-        if not (relations * self.w_matrix).is_zero():
-            raise SubspaceEscape("a relation has a nonzero coinvariant class")
+        ident = RationalMatrix.identity(dim)
+        for s in stabilizer.generators:
+            if not ((module.act(s) - ident) * self.w_matrix).is_zero():
+                raise SubspaceEscape("a relation has a nonzero coinvariant class")
 
     def class_block(self, x: RationalMatrix) -> dict:
         """Coordinate rows of the classes of x's rows (x is rows x dim)."""
@@ -530,6 +549,8 @@ class OrbitComplexBuilder:
         self.surjective = surjective
         self.symmetric = group.is_symmetric()
         self._coinv_cache = {}
+        # generator -> relation_block, shared by the stabilizers' bases
+        self._blocks = {}
         self._degrees = {}
 
     def _coinv(self, stabilizer: PermutationGroup):
@@ -538,7 +559,7 @@ class OrbitComplexBuilder:
         # with equal element sets (their greedy generators are equal)
         basis = self._coinv_cache.get(stabilizer)
         if basis is None:
-            basis = CoinvariantBasis(self.module, stabilizer)
+            basis = CoinvariantBasis(self.module, stabilizer, self._blocks)
             self._coinv_cache[stabilizer] = basis
         return basis
 
@@ -812,8 +833,3 @@ def operator_complex(
         raise InvariantError(f"{label}: d^2 != 0 on the surjective-word quotient")
     return QuotientComplex(quotient, m_max, dims)
 
-
-def quotient_betti(module, group: PermutationGroup, m_max: int) -> BettiTable:
-    """Betti table of M (x)_G (word complex) through degree m_max, computed
-    on the surjective-word quotient."""
-    return cubical_complex(module, group, m_max, mode="quotient").betti_table()

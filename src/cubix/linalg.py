@@ -21,14 +21,17 @@ sparse ``_Eliminator`` drives it in two column orders:
   columns, is deterministic.
 
 ``reduced_echelon`` follows that sweep with a back pass of the same row
-step, which clears every pivot column from the other pivot rows.  Both
-``RowSpanSolver`` and the coinvariant bases of ``cubical.py`` start from
-it.  ``RowSpanSolver`` expresses vectors in a fixed independent row family:
-it runs ``reduced_echelon`` on rows tagged with their own index, and reads
-its integer inverse of the pivot submatrix from the tags.  Its ``solve``
-maps a whole block of vectors with one sparse product and checks every
-row's membership in the span exactly; this is how each linear map is
-restricted to an invariant subspace.
+step, which clears every pivot column from the other pivot rows.  The back
+pass keeps an index from each pivot column to the rows that hold it and
+visits only those, so it costs the row steps it makes rather than a
+membership test per pair of pivot rows.  Both ``RowSpanSolver`` and the
+coinvariant bases of ``cubical.py`` start from it.  ``RowSpanSolver``
+expresses vectors in a fixed independent row family: it runs
+``reduced_echelon`` on rows tagged with their own index, and reads its
+integer inverse of the pivot submatrix from the tags.  Its ``solve`` maps a
+whole block of vectors with one sparse product and checks every row's
+membership in the span exactly; this is how each linear map is restricted
+to an invariant subspace.
 
 Returned basis vectors are integer, have content 1, and their first nonzero
 entry is positive, so test fixtures can compare them literally.
@@ -418,12 +421,24 @@ def reduced_echelon(int_rows, ncols):
     pivots = _Eliminator(int_rows, ncols).sweep()
     red = [row for _, row in pivots]
     # pivot j's row holds no earlier pivot column, so clearing from the last
-    # pivot back leaves one pivot entry per row
+    # pivot back leaves one pivot entry per row.  When pivot j is cleared its
+    # row holds no other pivot column, so the step drops c from row i and
+    # only scales row i's other pivot entries: the rows holding c then are
+    # those that held it after the sweep, which ``holders`` lists in
+    # ascending order, ending with row j (later rows start past c)
+    holders = {c: [] for c, _ in pivots}
+    for i, row in enumerate(red):
+        for c in row:
+            rows = holders.get(c)
+            if rows is not None:
+                rows.append(i)
     for j in range(len(red) - 1, 0, -1):
         c = pivots[j][0]
-        for i in range(j):
-            if c in red[i]:
-                red[i] = _clear(red[i], red[j], c)
+        prow = red[j]
+        for i in holders[c]:
+            if i >= j:
+                break
+            red[i] = _clear(red[i], prow, c)
     return [(c, row) for (c, _), row in zip(pivots, red)]
 
 

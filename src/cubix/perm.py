@@ -139,8 +139,13 @@ class PermutationGroup:
             frontier = nxt
         return tuple(seen[w] for w in sorted(seen))
 
-    @property
+    @cached_property
     def order(self) -> int:
+        # the adjacent transpositions generate S_n, so n! needs no closure
+        gens = {g.images for g in self.generators}
+        n = self.degree
+        if all(adjacent_transposition(n, i).images in gens for i in range(1, n)):
+            return factorial(n)
         return len(self.elements)
 
     def is_symmetric(self) -> bool:

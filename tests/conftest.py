@@ -6,11 +6,12 @@ removed at exit and no ``.hypothesis/`` appears in the checkout."""
 
 import tempfile
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import configuration, settings
 from hypothesis import strategies as st
 
-from cubix.linalg import RationalMatrix, image_basis
+from cubix.linalg import RationalMatrix, _clear, _Eliminator, _int_rows, image_basis
 from cubix.modules import BUILTIN_KINDS, builtin, random_basis_change
 from cubix.perm import Permutation, PermutationGroup, symmetric_group
 
@@ -35,6 +36,43 @@ def coinvariants(module, group):
     proj = acc.scale(Fraction(1, group.order))
     basis = image_basis(proj.transpose())
     return proj, basis
+
+
+def plain_reduced_echelon(int_rows, ncols):
+    """``linalg.reduced_echelon`` with an unindexed back pass: every earlier
+    pivot row is tested for the pivot column.  Its oracle."""
+    pivots = _Eliminator(int_rows, ncols).sweep()
+    red = [row for _, row in pivots]
+    for j in range(len(red) - 1, 0, -1):
+        c = pivots[j][0]
+        for i in range(j):
+            if c in red[i]:
+                red[i] = _clear(red[i], red[j], c)
+    return [(c, row) for (c, _), row in zip(pivots, red)]
+
+
+def stacked_coinvariant_basis(module, stabilizer):
+    """(free, scale, W) of M_H from one plain reduced echelon form of the
+    stacked rows of every act(s) - 1: the oracle of the per-generator
+    blocks of ``cubix.cubical.CoinvariantBasis``."""
+    dim = module.dim
+    ident = RationalMatrix.identity(dim)
+    rows = [
+        row
+        for s in stabilizer.generators
+        for row in (module.act(s) - ident).rows.values()
+    ]
+    relations = RationalMatrix(len(rows), dim, dict(enumerate(rows)))
+    red = plain_reduced_echelon(_int_rows(relations), dim)
+    piv = {c for c, _ in red}
+    free = [j for j in range(dim) if j not in piv]
+    col = {f: a for a, f in enumerate(free)}
+    scale = lcm(*(abs(row[c]) for c, row in red))
+    w = {f: {a: scale} for f, a in col.items()}
+    for c, row in red:
+        q = scale // row[c]
+        w[c] = {col[f]: -q * v for f, v in row.items() if f != c}
+    return free, scale, RationalMatrix(dim, len(free), {i: r for i, r in w.items() if r})
 
 
 @st.composite

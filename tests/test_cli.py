@@ -226,6 +226,24 @@ def test_stdout_matches_golden(argv, golden, capsys):
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
+EXPECTED = Path(__file__).parent.parent / "perfbench" / "expected"
+
+
+def test_lie6_matches_the_benchmark_output(capsys):
+    assert main(["betti", "--family", "lie", "--n", "6"]) == 0
+    assert capsys.readouterr().out == (EXPECTED / "lie6.txt").read_text()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_dense_sder5_matches_the_benchmark_output(seed, tmp_path, capsys):
+    # the module file the benchmark writes for its sder5-dense workload
+    path = tmp_path / "sder5-dense.json"
+    module = random_basis_change(builtin("lie_cyclic", 5), seed)
+    path.write_text(json.dumps(serialize_module(module), sort_keys=True) + "\n")
+    assert main(["betti", "--family", "custom", "--custom", str(path)]) == 0
+    assert capsys.readouterr().out == (EXPECTED / "sder5-dense.txt").read_text()
+
+
 def test_betti_rejects_jobs(capsys):
     with pytest.raises(SystemExit) as info:
         main(["betti", "--family", "lie", "--n", "2", "--jobs", "2"])

@@ -10,7 +10,7 @@ from itertools import combinations, permutations
 from math import comb
 
 import pytest
-from conftest import coinvariants, modules_and_groups
+from conftest import coinvariants, modules_and_groups, stacked_coinvariant_basis
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +34,6 @@ from cubix.cubical import (
     orbit_decomposition,
     position_action,
     position_matrix,
-    quotient_betti,
     sort_transfer,
     sorted_word,
     surjective_words,
@@ -450,6 +449,77 @@ def test_shared_stabilizer_generators_equal_the_per_orbit_ones(group):
         assert len(builder._coinv_cache) == len(element_sets)
 
 
+def builder_bases(module, group):
+    """(stabilizer, basis) of every stabilizer that the orbit and the
+    quotient builders meet through degree n + 1."""
+    bases = []
+    for surjective in (False, True):
+        builder = OrbitComplexBuilder(module, group, surjective)
+        for m in range(1, group.degree + 2):
+            builder.degree(m)
+        bases.extend(builder._coinv_cache.items())
+    return bases
+
+
+BLOCK_CASES = {
+    **{
+        f"{kind}{n}": (lambda kind=kind, n=n: builtin(kind, n), None)
+        for kind in BUILTIN_KINDS
+        for n in (1, 2, 3, 4)
+    },
+    # seeds with fractional classes
+    "lie4-seed3": (lambda: random_basis_change(builtin("lie", 4), 3), None),
+    "lie_cyclic3-seed3": (lambda: random_basis_change(builtin("lie_cyclic", 3), 3), None),
+    **{
+        f"{kind}<{name}": (lambda kind=kind: builtin(kind, 4), group)
+        for kind in ("sign", "regular", "lie", "tr_cyclic")
+        for name, group in (("C4", cyclic_group(4)), ("S2xS2", young_subgroup((2, 2))))
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+def test_generator_blocks_give_the_stacked_rows_basis(case):
+    make, group = BLOCK_CASES[case]
+    module = make()
+    if group is None:
+        group = symmetric_group(module.N)
+    else:
+        module = restrict(module, group)
+    bases = builder_bases(module, group)
+    assert bases
+    for stab, basis in bases:
+        free, scale, w = stacked_coinvariant_basis(module, stab)
+        assert (basis.free, basis.scale, basis.w_matrix) == (free, scale, w)
+    if "seed" in case:
+        assert max(basis.scale for _, basis in bases) > 1
+
+
+def test_a_builder_eliminates_each_generator_once(monkeypatch):
+    real = cubical.relation_block
+    calls = []
+
+    def counted(module, s):
+        calls.append(s)
+        return real(module, s)
+
+    monkeypatch.setattr(cubical, "relation_block", counted)
+    by_images = lambda perms: sorted(perms, key=lambda p: p.images)  # noqa: E731
+    for module, group in (
+        (builtin("lie", 5), symmetric_group(5)),
+        (restrict(builtin("lie", 4), young_subgroup((2, 2))), young_subgroup((2, 2))),
+    ):
+        for surjective in (False, True):
+            calls.clear()
+            builder = OrbitComplexBuilder(module, group, surjective)
+            for m in range(1, group.degree + 2):
+                builder.degree(m)
+            gens = [s for stab in builder._coinv_cache for s in stab.generators]
+            # the bases share generators, and each is eliminated once
+            assert len(gens) > len(set(gens))
+            assert by_images(calls) == by_images(set(gens)) == by_images(builder._blocks)
+
+
 # -- the surjective-word quotient --------------------------------------------
 
 
@@ -511,7 +581,7 @@ def test_kept_coface_terms_on_the_quotient_are_the_onto_ones():
 @given(modules_and_groups(), st.integers(2, 3))
 def test_quotient_orbit_and_naive_tables_agree(case, m_max):
     module, group = case
-    table = quotient_betti(module, group, m_max)
+    table = cubical_complex(module, group, m_max, mode="quotient").betti_table()
     assert table == cubical_complex(module, group, m_max).betti_table()
     # naive mode where its averaging projector stays small
     if module.dim * (m_max + 1) ** group.degree <= 700:
@@ -536,7 +606,7 @@ def test_quotient_tables_equal_orbit_tables(case):
     module, group = QUOTIENT_CASES[case]()
     n = group.degree
     for m_max in (2, n - 1, n + 2):
-        table = quotient_betti(module, group, m_max)
+        table = cubical_complex(module, group, m_max, mode="quotient").betti_table()
         assert table == cubical_complex(module, group, m_max).betti_table()
     if case == "regular4<C4":
         assert table.betti(4) == 6
@@ -546,7 +616,8 @@ def test_full_family_through_the_quotient_matches_the_word_complex():
     # the word complex is the trivial module over the trivial group
     for n in range(1, 6):
         for m_max in (2, n + 2):
-            table = quotient_betti(builtin("trivial", n), trivial_group(n), m_max)
+            trivial = builtin("trivial", n)
+            table = cubical_complex(trivial, trivial_group(n), m_max, mode="quotient").betti_table()
             assert table.rows == full_complex(n, m_max).betti_table().rows
 
 
@@ -594,6 +665,6 @@ def _overstate_ranks(monkeypatch):
 def test_broken_quotient_checks_raise_and_exit_4(mutate, message, monkeypatch, capsys):
     mutate(monkeypatch)
     with pytest.raises(InvariantError, match=message):
-        quotient_betti(builtin("regular", 3), symmetric_group(3), 5)
+        cubical_complex(builtin("regular", 3), symmetric_group(3), 5, mode="quotient").betti_table()
     assert main(["betti", "--family", "ass", "--n", "3"]) == 4
     assert capsys.readouterr().err.startswith("internal error:")

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import plain_reduced_echelon
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from cubix.linalg import (
     normalize_int_vector,
     parse_scalar,
     rank,
+    reduced_echelon,
 )
 
 
@@ -231,6 +233,23 @@ def test_solve_rejects_a_row_outside_the_span(b, data):
     inside = [sum(row[j] for row in b.to_rows()) for j in range(b.ncols)]
     with pytest.raises(SubspaceEscape):
         solver_of(b).solve(RationalMatrix.from_rows([inside, v], b.ncols))
+
+
+@given(st.data())
+def test_indexed_back_pass_equals_the_plain_loop(data):
+    # up to 10 rows over ncols columns plus tag columns past them, some
+    # tagged with their own index as RowSpanSolver tags them
+    ncols = data.draw(st.integers(1, 8))
+    width = ncols + data.draw(st.integers(0, 4))
+    entry = st.integers(-5, 5).filter(bool)
+    rows = data.draw(
+        st.lists(st.dictionaries(st.integers(0, width - 1), entry, max_size=width), max_size=10)
+    )
+    if data.draw(st.booleans()):
+        rows = [{**r, width + i: 1} for i, r in enumerate(rows)]
+    got = reduced_echelon({i: dict(r) for i, r in enumerate(rows)}, ncols)
+    want = plain_reduced_echelon({i: dict(r) for i, r in enumerate(rows)}, ncols)
+    assert got == want
 
 
 def test_solve_over_zero_rows():

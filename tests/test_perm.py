@@ -70,6 +70,20 @@ def test_symmetric_group_enumeration():
     assert words == sorted(words)
 
 
+def test_symmetric_order_comes_from_the_adjacent_transpositions():
+    s7 = symmetric_group(7)
+    assert s7.order == 5040
+    assert s7.is_symmetric()
+    assert "elements" not in vars(s7)
+    # S_5 from (1 2) and the 5-cycle: not adjacent generators, so counted
+    cyc = cyclic_group(5).generators[0]
+    s5 = PermutationGroup(5, (adjacent_transposition(5, 1), cyc))
+    assert s5.is_symmetric()
+    assert "elements" in vars(s5) and len(s5.elements) == 120
+    for group in (cyclic_group(4), young_subgroup((2, 2)), trivial_group(3)):
+        assert not group.is_symmetric()
+
+
 def test_cyclic_and_trivial_groups():
     c4 = cyclic_group(4)
     assert c4.order == 4
