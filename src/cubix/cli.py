@@ -22,8 +22,8 @@ remain the object under test in ``prop1`` (``full_complex``), in the
 ``structural`` (d^2 = 0 on word, orbit and naive complexes); see
 ``suites.py``.
 
-Resource caps are fixed slot counts, ``ENGINE_SLOT_CAP`` and, in naive
-mode, ``NAIVE_SLOT_CAP``; ``--cap`` sets naive mode's dimension cap.
+Every route counts its size before it builds a matrix (``cubical.py``),
+and ``--cap`` sets the one cap on that count for every family and mode.
 
 Exit codes: 0 success, 1 verification failure, 2 bad input, 3 resource cap,
 4 internal error (a broken invariant such as a subspace escape, a
@@ -39,7 +39,7 @@ import json
 import sys
 
 from .cubical import (
-    DEFAULT_NAIVE_CAP,
+    DEFAULT_CAP,
     DimensionCapExceeded,
     cubical_complex,
     full_complex,
@@ -49,9 +49,6 @@ from .linalg import InvariantError
 from .modules import builtin, load_module, serialize_module, sgn_coinvariants_dim
 from .perm import cycle_classes, symmetric_group, trivial_group
 from .suites import SUITE_NAMES, run_suite
-
-ENGINE_SLOT_CAP = 6
-NAIVE_SLOT_CAP = 4
 
 BETTI_FAMILIES = ("full", "ass", "lie", "tr", "sder", "harrison", "custom")
 MODULE_FAMILIES = ("trivial", "sign", "regular", "ass", "lie", "tr", "sder")
@@ -74,7 +71,9 @@ def _load_custom(path: str):
 
 
 def _resolve_module(family: str, n, custom_path):
-    """(module or None, slot count) for one family token."""
+    """(module, slot count) for one family token."""
+    if custom_path and family not in ("custom", "harrison"):
+        raise ValueError(f"--custom conflicts with --family {family}, which reads no module file")
     if family == "custom":
         module = _load_custom(custom_path)
         if n is not None and n != module.N:
@@ -87,7 +86,7 @@ def _resolve_module(family: str, n, custom_path):
     if n < 1:
         raise ValueError("--n must be at least 1")
     if family == "full":
-        return None, n
+        return builtin("trivial", n), n
     if family == "harrison":
         module = _load_custom(custom_path) if custom_path else builtin("regular", n)
         if module.N != n:
@@ -122,41 +121,30 @@ def _render_table(table, family: str, slots: int, fmt: str) -> str:
 
 def cmd_betti(args) -> int:
     module, slots = _resolve_module(args.family, args.n, args.custom)
-    if slots > ENGINE_SLOT_CAP:
-        raise DimensionCapExceeded(slots, ENGINE_SLOT_CAP, "the slot count")
     m_max = args.mmax if args.mmax is not None else slots + 2
     if m_max < 2:
         raise ValueError("--mmax must be at least 2")
     if args.family in ("full", "harrison") and args.mode == "naive":
         raise ValueError(f"mode naive is not defined for family {args.family}")
-    if args.mode == "naive" and slots > NAIVE_SLOT_CAP:
-        raise DimensionCapExceeded(slots, NAIVE_SLOT_CAP, "the slot count of naive mode")
     if args.family == "full" and args.mode == "orbit":
-        table = full_complex(slots, m_max).betti_table()
-    elif args.family == "full":
-        # the word complex is the trivial module over the trivial group
-        table = cubical_complex(
-            builtin("trivial", slots), trivial_group(slots), m_max, mode="quotient"
-        ).betti_table()
-    elif args.family == "harrison":
-        table = harrison_complex(
-            module, symmetric_group(slots), m_max, mode=args.mode
-        ).betti_table()
+        cx = full_complex(slots, m_max, args.cap)
     else:
-        table = cubical_complex(
-            module,
-            symmetric_group(slots),
-            m_max,
-            mode=args.mode,
-            cap=args.cap,
-        ).betti_table()
+        # the word complex is the trivial module over the trivial group
+        group = trivial_group(slots) if args.family == "full" else symmetric_group(slots)
+        build = harrison_complex if args.family == "harrison" else cubical_complex
+        cx = build(module, group, m_max, args.mode, args.cap)
+    table = cx.betti_table()
     n_out = args.n if args.n is not None else slots
     print(_render_table(table, args.family, n_out, args.format))
     return 0
 
 
 def cmd_verify(args) -> int:
+    if args.nmax < 1:
+        raise ValueError("--nmax must be at least 1")
     checks = run_suite(args.suite, nmax=args.nmax, jobs=args.jobs)
+    if not checks:
+        raise ValueError(f"--suite {args.suite} holds no check at --nmax {args.nmax}")
     for c in checks:
         print(f"{'PASS' if c.passed else 'FAIL'} [{c.suite}] {c.name}: {c.detail}")
     failed = sum(1 for c in checks if not c.passed)
@@ -175,6 +163,8 @@ def cmd_verify(args) -> int:
 
 def cmd_module_info(args) -> int:
     if args.custom:
+        if args.family is not None or args.n is not None:
+            raise ValueError("--custom conflicts with --family and --n: the file fixes the module")
         module = _load_custom(args.custom)
     else:
         if args.family is None or args.n is None:
@@ -226,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", choices=("quotient", "orbit", "naive"), default="quotient"
     )
     p_betti.add_argument("--format", choices=("json", "csv", "table"), default="table")
-    p_betti.add_argument("--cap", type=int, default=DEFAULT_NAIVE_CAP)
+    p_betti.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p_betti.set_defaults(func=cmd_betti)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")

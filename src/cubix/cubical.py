@@ -31,7 +31,14 @@ x (x) g.w = x.g (x) w.  Three constructions are provided:
   complex's dimensions off traces; no matrix larger than Q is built;
 * naive mode builds the full space M (x) (k^m)^{tensor n}, takes the image
   of the diagonal averaging projector, and restricts the full differential
-  to it.  It exists purely as an oracle and enforces a dimension cap.
+  to it.  It exists purely as an oracle.
+
+Every route counts its size before it builds a matrix and refuses a size
+above ``cap`` (``check_cap``): orbit and quotient mode count the trace
+dimensions of the degrees they build plus dim M per distinct stabilizer (one
+``CoinvariantBasis`` each), naive mode |G| times the order
+dim M (m_max + 1)^n of the Kronecker products it sums, and ``full_complex``
+its dimensions.
 
 All modes must agree on dimensions and Betti tables; that equality is part
 of the acceptance suite, so naive mode is not allowed to borrow pieces of
@@ -136,17 +143,25 @@ from .perm import (
     young_subgroup,
 )
 
-DEFAULT_NAIVE_CAP = 20000
+DEFAULT_CAP = 450000
 
 
 class DimensionCapExceeded(RuntimeError):
-    """``what`` is ``required``, above ``cap``; ``remedy`` says how to lift
-    the cap, where something can."""
+    """The size count of a route, ``required``, is above ``cap``; raised
+    before any matrix is built (module docstring)."""
 
-    def __init__(self, required, cap, what, remedy=""):
-        super().__init__(f"{what} is {required}, above the cap {cap}{remedy}")
+    def __init__(self, required, cap, what):
+        super().__init__(
+            f"{what} is {required}, above the cap {cap}; raise it with --cap "
+            "to force the computation"
+        )
         self.required = required
         self.cap = cap
+
+
+def check_cap(required: int, cap: int, what: str) -> None:
+    if required > cap:
+        raise DimensionCapExceeded(required, cap, what)
 
 
 # -- words ----------------------------------------------------------------
@@ -303,12 +318,6 @@ class BettiTable:
     n_slots: int
     rows: tuple
 
-    def betti(self, m: int) -> int:
-        for row in self.rows:
-            if row.m == m:
-                return row.betti
-        raise KeyError(m)
-
     def bettis(self) -> tuple:
         return tuple(row.betti for row in self.rows)
 
@@ -339,9 +348,10 @@ def _checked_table(label: str, n: int, rows) -> BettiTable:
     return BettiTable(label, n, tuple(rows))
 
 
-def full_complex(n: int, m_max: int) -> CochainComplex:
+def full_complex(n: int, m_max: int, cap: int = DEFAULT_CAP) -> CochainComplex:
     """The plain word complex: dimension m^n in degree m."""
     dims = {m: m ** n for m in range(1, m_max + 2)}
+    check_cap(sum(dims.values()), cap, f"the size of full(n={n})")
     diffs = {m: differential(n, m) for m in range(1, m_max + 1)}
     return CochainComplex(f"full(n={n})", n, m_max, dims, diffs)
 
@@ -551,6 +561,7 @@ class OrbitComplexBuilder:
         self._coinv_cache = {}
         # generator -> relation_block, shared by the stabilizers' bases
         self._blocks = {}
+        self._orbits = {}
         self._degrees = {}
 
     def _coinv(self, stabilizer: PermutationGroup):
@@ -563,10 +574,17 @@ class OrbitComplexBuilder:
             self._coinv_cache[stabilizer] = basis
         return basis
 
+    def orbits(self, m: int) -> list:
+        orbits = self._orbits.get(m)
+        if orbits is None:
+            orbits = orbit_decomposition(self.n, m, self.group, self.surjective)
+            self._orbits[m] = orbits
+        return orbits
+
     def degree(self, m: int) -> _OrbitDegree:
         deg = self._degrees.get(m)
         if deg is None:
-            orbits = orbit_decomposition(self.n, m, self.group, self.surjective)
+            orbits = self.orbits(m)
             deg = _OrbitDegree(orbits, [self._coinv(o.stabilizer) for o in orbits])
             self._degrees[m] = deg
         return deg
@@ -644,7 +662,7 @@ def cubical_complex(
     group: PermutationGroup,
     m_max: int,
     mode: str = "orbit",
-    cap: int = DEFAULT_NAIVE_CAP,
+    cap: int = DEFAULT_CAP,
 ) -> CochainComplex:
     """The complex M tensored over G with the word complex.
 
@@ -652,12 +670,13 @@ def cubical_complex(
     it must be able to act for every element of G.  ``mode`` is "orbit",
     "naive" (see the module docstring) or "quotient", which returns a
     ``QuotientComplex``: the surjective-word quotient with the full
-    complex's dimensions, and the same Betti table.
+    complex's dimensions, and the same Betti table.  Every mode refuses a
+    size count above ``cap`` (module docstring).
     """
     label = complex_label(module, group)
     if mode == "naive":
         return _naive_complex(module, group, m_max, cap, label)
-    return operator_complex(module, group, m_max, mode, label)
+    return operator_complex(module, group, m_max, mode, label, cap=cap)
 
 
 def complex_label(module, group: PermutationGroup) -> str:
@@ -667,14 +686,7 @@ def complex_label(module, group: PermutationGroup) -> str:
 def _naive_complex(module, group, m_max, cap, label) -> CochainComplex:
     n = group.degree
     dim_m = module.dim
-    top = dim_m * (m_max + 1) ** n
-    if top > cap:
-        raise DimensionCapExceeded(
-            top,
-            cap,
-            f"the dimension of naive mode for {label}",
-            "; raise it with --cap to force the computation",
-        )
+    check_cap(group.order * dim_m * (m_max + 1) ** n, cap, f"the size of naive mode for {label}")
     solvers = {}
     for m in range(1, m_max + 2):
         size = dim_m * m ** n
@@ -778,6 +790,7 @@ def operator_complex(
     label: str,
     images=word_images,
     trace=identity_trace,
+    cap: int = DEFAULT_CAP,
 ):
     """im P inside M (x)_G (word complex), for a word operator P.
 
@@ -789,16 +802,18 @@ def operator_complex(
     "orbit" builds im P in degrees 1..m_max+1 of the full orbit complex and
     returns a ``CochainComplex``.  "quotient" builds it on the
     surjective-word quotient only and returns a ``QuotientComplex`` whose
-    full dimensions are the trace counts of the module docstring.  Every
-    count must be a non-negative integer, Q's count in each degree must
-    equal the dimension built there, and d^2 must vanish on Q.
+    full dimensions are the trace counts of the module docstring.  Both
+    count the dimensions they will build before building anything (over
+    onto words on Q) and refuse, above ``cap``, their sum, and then that sum
+    plus dim M per distinct stabilizer.  Every count must be a non-negative
+    integer, each built dimension must equal its count, and d^2 must vanish
+    on Q.
     """
-    n = group.degree
-    if mode == "orbit":
-        dims, diffs = images(OrbitComplexBuilder(module, group), m_max + 1)
-        return CochainComplex(label, n, m_max, dims, diffs)
-    if mode != "quotient":
+    if mode not in ("orbit", "quotient"):
         raise ValueError(f"unknown mode: {mode}")
+    n = group.degree
+    surjective = mode == "quotient"
+    top = min(n, m_max + 1) if surjective else m_max + 1
     weighted = [
         (size * module.character(g), g.cycle_type())
         for g, size, _ in cycle_classes(group)
@@ -819,17 +834,27 @@ def operator_complex(
         return int(total)
 
     dims = {m: count(m, fixed_words, "the trace count") for m in traces}
-    top = min(n, m_max + 1)
-    q_dims, diffs = images(OrbitComplexBuilder(module, group, surjective=True), top)
-    for m, dim in q_dims.items():
-        want = count(m, fixed_onto_words, "the quotient's trace count")
-        if dim != want:
+    want = dims
+    if surjective:
+        want = {
+            m: count(m, fixed_onto_words, "the quotient's trace count") for m in range(1, top + 1)
+        }
+    # the dimension sum first: it refuses without enumerating a single orbit
+    size, what = sum(want.values()), f"the size of {mode} mode for {label}"
+    check_cap(size, cap, what)
+    builder = OrbitComplexBuilder(module, group, surjective)
+    stabilizers = {o.stabilizer for m in want for o in builder.orbits(m)}
+    check_cap(size + module.dim * len(stabilizers), cap, what)
+    built, diffs = images(builder, top)
+    for m, dim in built.items():
+        if dim != want[m]:
             raise InvariantError(
-                f"{label}: the quotient has dimension {dim} in degree {m}, "
-                f"its trace count is {want}"
+                f"{label}: the {'quotient' if surjective else 'complex'} has dimension "
+                f"{dim} in degree {m}, its trace count is {want[m]}"
             )
-    quotient = CochainComplex(label, n, top - 1, q_dims, diffs)
-    if not quotient.check_d_squared():
+    cx = CochainComplex(label, n, top - 1, built, diffs)
+    if not surjective:
+        return cx
+    if not cx.check_d_squared():
         raise InvariantError(f"{label}: d^2 != 0 on the surjective-word quotient")
-    return QuotientComplex(quotient, m_max, dims)
-
+    return QuotientComplex(cx, m_max, dims)

@@ -74,6 +74,7 @@ from itertools import combinations, permutations
 from math import comb, lcm
 
 from .cubical import (
+    DEFAULT_CAP,
     OrbitComplexBuilder,
     complex_label,
     operator_complex,
@@ -218,14 +219,19 @@ def _dynkin_images(builder: OrbitComplexBuilder, top: int):
     return dims, diffs
 
 
-def harrison_complex(module, group: PermutationGroup, m_max: int, mode: str = "orbit"):
+def harrison_complex(
+    module, group: PermutationGroup, m_max: int, mode: str = "orbit", cap: int = DEFAULT_CAP
+):
     """The image of the Dynkin elements inside the coinvariant complex.
 
     ``mode`` "orbit" builds im D in every degree of the full orbit complex
     and returns a ``CochainComplex``; "quotient" builds it on the
     surjective-word quotient only and returns a ``QuotientComplex`` with
     the full complex's dimensions from the trace of D (module docstring).
-    Both give the same Betti table.
+    Both give the same Betti table, and both refuse a size count above
+    ``cap`` (``cubical.operator_complex``).
     """
     label = f"harrison({complex_label(module, group)})"
-    return operator_complex(module, group, m_max, mode, label, _dynkin_images, dynkin_trace)
+    return operator_complex(
+        module, group, m_max, mode, label, _dynkin_images, dynkin_trace, cap
+    )

@@ -167,11 +167,6 @@ def trivial_subgroup_module(group: PermutationGroup) -> SubgroupModule:
     return SubgroupModule("triv", group, 1, [one] * len(group.generators), ["1"])
 
 
-def sign_subgroup_module(group: PermutationGroup) -> SubgroupModule:
-    mats = [RationalMatrix.from_rows([[g.sign()]]) for g in group.generators]
-    return SubgroupModule("sgn", group, 1, mats, ["sgn"])
-
-
 # -- built-in catalog ----------------------------------------------------
 
 

@@ -49,9 +49,6 @@ class Permutation:
             inv[j - 1] = i + 1
         return Permutation(tuple(inv))
 
-    def is_identity(self) -> bool:
-        return all(j == i + 1 for i, j in enumerate(self.images))
-
     def inversions(self) -> int:
         w = self.images
         return sum(1 for a, b in combinations(range(len(w)), 2) if w[a] > w[b])

@@ -24,7 +24,6 @@ from functools import lru_cache
 from math import gcd
 
 from .cubical import (
-    BettiTable,
     CochainComplex,
     differential,
     differential_columns,
@@ -103,32 +102,16 @@ def substitution_differential(family: str, n: int, m: int) -> RationalMatrix:
     return tgt.solve(images, f"the Lie subspace at n={n}, m={m + 1}").transpose()
 
 
-@dataclass(frozen=True)
-class DirectComplex:
-    family: str
-    n: int
-    m_max: int
-    bases: dict
-    complex: CochainComplex
-
-    def betti_table(self) -> BettiTable:
-        return self.complex.betti_table()
-
-
-def direct_complex(family: str, n: int, m_max: int) -> DirectComplex:
+def direct_complex(family: str, n: int, m_max: int) -> CochainComplex:
     if family not in FAMILY_MODULES:
         raise ValueError(f"unknown family: {family}")
-    bases = {}
     dims = {}
     for m in range(1, m_max + 2):
-        descr, _ = _degree_basis(family, n, m)
-        bases[m] = descr
-        dims[m] = len(descr)
+        dims[m] = len(_degree_basis(family, n, m)[0])
         if family == "lie":
             assert dims[m] == witt_dim(m, n)
     diffs = {m: substitution_differential(family, n, m) for m in range(1, m_max + 1)}
-    cx = CochainComplex(f"direct-{family}(n={n})", n, m_max, dims, diffs)
-    return DirectComplex(family, n, m_max, bases, cx)
+    return CochainComplex(f"direct-{family}(n={n})", n, m_max, dims, diffs)
 
 
 @dataclass(frozen=True)
@@ -165,7 +148,7 @@ def compare_with_engine(family: str, n: int, m_max: int) -> RealizationReport:
     return RealizationReport(
         family,
         n,
-        tuple(direct.complex.dims[m] for m in span),
+        tuple(direct.dims[m] for m in span),
         tuple(engine.dims[m] for m in span),
         direct.betti_table().bettis(),
         engine.betti_table().bettis(),

@@ -12,7 +12,7 @@ from hypothesis import configuration, settings
 from hypothesis import strategies as st
 
 from cubix.linalg import RationalMatrix, _clear, _Eliminator, _int_rows, image_basis
-from cubix.modules import BUILTIN_KINDS, builtin, random_basis_change
+from cubix.modules import BUILTIN_KINDS, SubgroupModule, builtin, random_basis_change
 from cubix.perm import Permutation, PermutationGroup, symmetric_group
 
 settings.register_profile("cubix", derandomize=True, deadline=None, database=None)
@@ -20,6 +20,13 @@ settings.load_profile("cubix")
 
 _home = tempfile.TemporaryDirectory(prefix="cubix-hypothesis-")
 configuration.set_hypothesis_home_dir(_home.name)
+
+
+def sign_subgroup_module(group):
+    """The sign character of a permutation group, as a one-dimensional
+    module over that group only."""
+    mats = [RationalMatrix.from_rows([[g.sign()]]) for g in group.generators]
+    return SubgroupModule("sgn", group, 1, mats, ["sgn"])
 
 
 def coinvariants(module, group):

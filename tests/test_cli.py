@@ -2,13 +2,15 @@
 
 import json
 import pickle
+import re
+import time
 from pathlib import Path
 
 import pytest
 
 import cubix.suites as suites
 from cubix.cli import main
-from cubix.cubical import OrbitComplexBuilder
+from cubix.cubical import DEFAULT_CAP, OrbitComplexBuilder
 from cubix.harrison import HarrisonRestrictionError
 from cubix.linalg import InvariantError, RationalMatrix, SubspaceEscape
 from cubix.modules import ModuleSpec, builtin, random_basis_change, serialize_module
@@ -389,25 +391,113 @@ def test_conflicting_n_is_an_input_error(tmp_path, capsys):
     assert "conflicts" in capsys.readouterr().err
 
 
-def test_slot_caps_exit_3(capsys):
-    # the slot caps are fixed: no option raises them, so none is advised
-    assert main(["betti", "--family", "full", "--n", "7"]) == 3
-    assert capsys.readouterr().err == "resource cap: the slot count is 7, above the cap 6\n"
-    assert main(["betti", "--family", "lie", "--n", "7"]) == 3
-    assert capsys.readouterr().err == "resource cap: the slot count is 7, above the cap 6\n"
-    assert main(["betti", "--family", "lie", "--n", "5", "--mode", "naive"]) == 3
+def _refused_count(args, cap, capsys):
+    """The size count a betti run prints when ``cap`` refuses it."""
+    assert main(["betti", *args, "--cap", str(cap)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource cap: ") and "raise it with --cap" in err
+    return int(re.search(r" is (\d+), above the cap ", err).group(1))
+
+
+def test_eight_slots_of_the_word_complex_are_refused_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["betti", "--family", "full", "--n", "8"]) == 3
+    assert time.perf_counter() - start < 1
     assert capsys.readouterr().err == (
-        "resource cap: the slot count of naive mode is 5, above the cap 4\n"
+        f"resource cap: the size of quotient mode for trivial(8)/G8 is 545835, above "
+        f"the cap {DEFAULT_CAP}; raise it with --cap to force the computation\n"
     )
-    assert (
-        main(["betti", "--family", "ass", "--n", "3", "--mode", "naive",
-              "--cap", "10"])
-        == 3
-    )
-    assert capsys.readouterr().err == (
-        "resource cap: the dimension of naive mode for regular(3)/S3 is 1296, above "
-        "the cap 10; raise it with --cap to force the computation\n"
-    )
+
+
+def test_seven_slots_run_under_the_default_cap(capsys):
+    # Cor. 4: the cyclic trace module over S_7 has cohomology k[-7]
+    assert main(["betti", "--family", "tr", "--n", "7"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "cohomology: k[-7]"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--family", "harrison", "--n", "3"],
+        ["--family", "harrison", "--n", "3", "--mode", "orbit"],
+        ["--family", "lie", "--n", "3"],
+        ["--family", "lie", "--n", "3", "--mode", "orbit"],
+        ["--family", "lie", "--n", "3", "--mode", "naive"],
+        ["--family", "full", "--n", "3"],
+        ["--family", "full", "--n", "3", "--mode", "orbit"],
+    ],
+    ids=lambda args: " ".join(args[1::2]),
+)
+def test_cap_reaches_every_route(args, capsys):
+    assert _refused_count(args, 1, capsys) > 1
+
+
+def test_cap_lifts_naive_mode_past_four_slots(capsys):
+    args = ["--family", "lie", "--n", "5", "--mode", "naive", "--mmax", "2"]
+    # |G| dim M (m_max + 1)^n = 120 * 24 * 3^5
+    assert _refused_count(args, DEFAULT_CAP, capsys) == 699840
+    assert main(["betti", *args, "--cap", "1000000"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "cohomology: 0"
+
+
+# (arguments, the counts refused at cap 0 and then at each count before it,
+# under the default cap).  Orbit and quotient mode check the dimension sum
+# first and then add dim M per distinct stabilizer; naive mode and the full
+# orbit complex have one count.
+CALIBRATION = [
+    (["--family", "full", "--n", "7"], (47293, 47294), True),
+    (["--family", "full", "--n", "8"], (545835,), False),
+    (["--family", "tr", "--n", "7"], (6757, 52837), True),
+    (["--family", "sder", "--n", "6"], (1112, 8792), True),
+    (["--family", "tr", "--n", "6", "--mode", "orbit"], (163515, 167355), True),
+    (["--family", "lie", "--n", "4", "--mode", "naive", "--mmax", "6"], (345744,), True),
+    (["--family", "full", "--n", "6", "--mode", "orbit"], (978405,), False),
+    (["--family", "ass", "--n", "6", "--mode", "orbit"], (978405, 1001445), False),
+]
+
+
+@pytest.mark.parametrize(
+    "args, counts, runs", CALIBRATION, ids=[" ".join(c[0][1::2]) for c in CALIBRATION]
+)
+def test_default_cap_calibration(args, counts, runs, capsys):
+    cap = 0
+    for want in counts:
+        cap = _refused_count(args, cap, capsys)
+        assert cap == want
+    assert (counts[-1] <= DEFAULT_CAP) == runs
+
+
+@pytest.mark.parametrize(
+    "suite, nmax, message",
+    [
+        ("prop1", "0", "--nmax must be at least 1"),
+        ("all", "-3", "--nmax must be at least 1"),
+        ("cor5", "1", "--suite cor5 holds no check at --nmax 1"),
+    ],
+)
+def test_verify_rejects_a_run_without_checks(suite, nmax, message, capsys):
+    assert main(["verify", "--suite", suite, "--nmax", nmax]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_custom_is_refused_where_no_module_file_is_read(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(serialize_module(builtin("regular", 3))))
+    for argv in (
+        ["betti", "--family", "lie", "--n", "3", "--custom", str(path)],
+        ["betti", "--family", "full", "--n", "3", "--custom", "/nonexistent"],
+        ["module-info", "--family", "lie", "--n", "3", "--custom", str(path)],
+        ["module-info", "--n", "3", "--custom", str(path)],
+    ):
+        assert main(argv) == 2
+        assert "--custom conflicts with --" in capsys.readouterr().err
+    # custom and harrison read the file
+    assert main(["betti", "--family", "harrison", "--n", "3", "--custom", str(path)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "betti-harrison-3.table").read_text()
+    assert main(["module-info", "--custom", str(path)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "module-info-regular-3.table").read_text()
 
 
 def test_cap_flag_sets_the_naive_cap(capsys):
@@ -470,6 +560,26 @@ def test_every_betti_golden_is_checked_in_every_engine_mode():
 def test_betti_goldens_in_quotient_and_orbit_modes(argv, golden, mode, capsys):
     assert main(argv + mode) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("argv, golden", BETTI_GOLDENS, ids=[g for _, g in BETTI_GOLDENS])
+@pytest.mark.parametrize("mode", [[], ["--mode", "orbit"]], ids=["default", "orbit"])
+def test_stabilizer_term_is_the_coinvariant_cache(argv, golden, mode, monkeypatch, capsys):
+    args = argv[1:] + mode
+    dims = _refused_count(args, 0, capsys)
+    term = _refused_count(args, dims, capsys) - dims
+    builders = []
+    real_init = OrbitComplexBuilder.__init__
+
+    def init(self, *a, **kw):
+        real_init(self, *a, **kw)
+        builders.append(self)
+
+    monkeypatch.setattr(OrbitComplexBuilder, "__init__", init)
+    assert main(argv + mode) == 0
+    capsys.readouterr()
+    (builder,) = builders
+    assert term == builder.module.dim * len(builder._coinv_cache)
 
 
 def test_harrison_six_slots_runs_through_the_quotient(capsys):

@@ -54,6 +54,7 @@ from cubix.perm import (
     Permutation,
     _partitions,
     cyclic_group,
+    identity_permutation,
     symmetric_group,
     trivial_group,
     young_subgroup,
@@ -276,7 +277,8 @@ def test_naive_mode_enforces_cap():
         cubical_complex(
             builtin("regular", 3), symmetric_group(3), 4, mode="naive", cap=100
         )
-    assert info.value.required == 6 * 5 ** 3
+    # |G| times the order dim M (m_max + 1)^n of the Kronecker products
+    assert info.value.required == 6 * 6 * 5 ** 3
     assert info.value.cap == 100
 
 
@@ -423,7 +425,7 @@ def test_subgroup_stabilizers_get_greedy_generating_sets():
         for orbit in orbit_decomposition(4, m, group):
             stab = orbit.stabilizer
             assert len(stab.generators) <= 1
-            assert not any(g.is_identity() for g in stab.generators)
+            assert identity_permutation(4) not in stab.generators
             fixing = {g.images for g in group.elements if position_action(g, orbit.rep) == orbit.rep}
             assert {g.images for g in stab.elements} == fixing
 
@@ -609,7 +611,7 @@ def test_quotient_tables_equal_orbit_tables(case):
         table = cubical_complex(module, group, m_max, mode="quotient").betti_table()
         assert table == cubical_complex(module, group, m_max).betti_table()
     if case == "regular4<C4":
-        assert table.betti(4) == 6
+        assert table.bettis()[3] == 6
 
 
 def test_full_family_through_the_quotient_matches_the_word_complex():
@@ -657,7 +659,7 @@ def _overstate_ranks(monkeypatch):
         # a constant shift adds the number of orbits to each count: the full
         # dimensions stay integers, and Q's count stops matching Q
         (_shift_characters(lambda g: 1), "the quotient has dimension"),
-        (_shift_characters(lambda g: int(g.is_identity())), "not a dimension"),
+        (_shift_characters(lambda g: int(g == identity_permutation(g.degree))), "not a dimension"),
         (_overstate_ranks, "the rank of d at degree"),
     ],
     ids=["d-squared", "quotient-count", "integer-dims", "rank-bounds"],
@@ -668,3 +670,15 @@ def test_broken_quotient_checks_raise_and_exit_4(mutate, message, monkeypatch, c
         cubical_complex(builtin("regular", 3), symmetric_group(3), 5, mode="quotient").betti_table()
     assert main(["betti", "--family", "ass", "--n", "3"]) == 4
     assert capsys.readouterr().err.startswith("internal error:")
+
+
+@pytest.mark.parametrize("family", ["ass", "harrison"])
+def test_a_mutated_trace_count_makes_orbit_mode_exit_4(family, monkeypatch, capsys):
+    # a constant shift adds the number of orbits to each full count, which
+    # orbit mode then builds a different dimension from
+    _shift_characters(lambda g: 1)(monkeypatch)
+    if family == "ass":
+        with pytest.raises(InvariantError, match="the complex has dimension"):
+            cubical_complex(builtin("regular", 3), symmetric_group(3), 5)
+    assert main(["betti", "--family", family, "--n", "3", "--mode", "orbit"]) == 4
+    assert "the complex has dimension" in capsys.readouterr().err

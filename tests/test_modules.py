@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from conftest import coinvariants
+from conftest import coinvariants, sign_subgroup_module
 
 from cubix.linalg import RationalMatrix
 from cubix.modules import (
@@ -19,7 +19,6 @@ from cubix.modules import (
     restrict,
     serialize_module,
     sgn_coinvariants_dim,
-    sign_subgroup_module,
     trivial_subgroup_module,
 )
 from cubix.perm import (

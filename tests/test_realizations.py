@@ -12,6 +12,7 @@ from cubix.freelie import witt_dim
 from cubix.realizations import (
     RealizationReport,
     SubspaceEscape,
+    _degree_basis,
     compare_with_engine,
     direct_complex,
     necklace_count,
@@ -46,10 +47,10 @@ def test_ass_family_is_the_word_complex():
 
 def test_lie_dimensions_follow_witt():
     dc = direct_complex("lie", 2, 3)
-    assert [dc.complex.dims[m] for m in range(1, 5)] == [0, 1, 3, 6]
-    assert dc.bases[2] == ((1, 2),)
+    assert [dc.dims[m] for m in range(1, 5)] == [0, 1, 3, 6]
+    assert _degree_basis("lie", 2, 2)[0] == ((1, 2),)
     for m in range(1, 5):
-        assert dc.complex.dims[m] == witt_dim(m, 2)
+        assert dc.dims[m] == witt_dim(m, 2)
 
 
 def test_tr_differential_hand_value():
@@ -61,7 +62,7 @@ def test_tr_differential_hand_value():
 def test_direct_complexes_square_to_zero():
     for family in ("ass", "lie", "tr"):
         for n in (1, 2, 3):
-            assert direct_complex(family, n, 4).complex.check_d_squared()
+            assert direct_complex(family, n, 4).check_d_squared()
 
 
 def test_direct_complex_rejects_unknown_family():

@@ -55,7 +55,7 @@ CASES = {
     "naive-regular2-m3": lambda: cubical_complex(
         builtin("regular", 2), symmetric_group(2), 3, mode="naive"
     ).diffs,
-    "direct-lie3-m4": lambda: direct_complex("lie", 3, 4).complex.diffs,
+    "direct-lie3-m4": lambda: direct_complex("lie", 3, 4).diffs,
     "lie_cyclic3-generators": lambda: dict(
         enumerate(builtin("lie_cyclic", 3).gen_actions, start=1)
     ),
