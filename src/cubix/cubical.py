@@ -31,7 +31,9 @@ x (x) g.w = x.g (x) w.  Three constructions are provided:
   complex's dimensions off traces; no matrix larger than Q is built;
 * naive mode builds the full space M (x) (k^m)^{tensor n}, takes the image
   of the diagonal averaging projector, and restricts the full differential
-  to it.  It exists purely as an oracle.
+  to it.  |G| times the projector is summed over every g of G, filled
+  from act(g) and the permutation of the words by g
+  (``position_indices``).  It exists purely as an oracle.
 
 Every route counts its size before it builds a matrix and refuses a size
 above ``cap`` (``check_cap``): orbit and quotient mode count the trace
@@ -198,15 +200,23 @@ def position_action(g: Permutation, w):
     return tuple(w[inv[p] - 1] for p in range(len(w)))
 
 
+def position_indices(g: Permutation, n: int, m: int) -> list:
+    """The index in ``words(n, m)`` of g.w, for each word w in that order.
+
+    Letter q of w lands at position g(q), whose place value in the
+    lexicographic order is m^(n - g(q)).
+    """
+    out = [0]
+    for gq in g.images:
+        step = m ** (n - gq)
+        out = [i + x * step for i in out for x in range(m)]
+    return out
+
+
 def position_matrix(g: Permutation, n: int, m: int) -> RationalMatrix:
     """Column-convention matrix of w -> g.w on the degree-m word space."""
-    ws = words(n, m)
-    index = {w: i for i, w in enumerate(ws)}
-    inv = g.inverse().images
-    entries = (
-        (index[tuple(w[inv[p] - 1] for p in range(n))], j, 1) for j, w in enumerate(ws)
-    )
-    return RationalMatrix.from_entries(len(ws), len(ws), entries)
+    idx = position_indices(g, n, m)
+    return RationalMatrix(len(idx), len(idx), {i: {j: 1} for j, i in enumerate(idx)})
 
 
 def coface(i: int, w, m: int) -> list:
@@ -246,9 +256,9 @@ def differential_columns(n: int, m: int):
 
 def differential(n: int, m: int) -> RationalMatrix:
     """The map C^m -> C^{m+1} on word spaces, target-by-source."""
-    cols = differential_columns(n, m)
-    entries = ((i, j, c) for j, col in enumerate(cols) for i, c in col.items())
-    return RationalMatrix.from_entries((m + 1) ** n, m ** n, entries)
+    # each (i, j) occurs once in the columns, and is nonzero
+    cols = dict(enumerate(differential_columns(n, m)))
+    return RationalMatrix(m ** n, (m + 1) ** n, cols).transpose()
 
 
 # -- complexes and Betti tables -------------------------------------------
@@ -683,22 +693,33 @@ def complex_label(module, group: PermutationGroup) -> str:
     return f"{getattr(module, 'name', 'M')}/{'S' if group.is_symmetric() else 'G'}{group.degree}"
 
 
+def _naive_projector(module, group, m: int) -> RationalMatrix:
+    """The transpose of |G| times the averaging projector on degree m of
+    M (x) word space, indexed (module basis, word); it has the projector's
+    image.  The projector is the sum over g of act(g) (x) position_matrix(g),
+    so row (b, j) of its transpose gains act(g)[a][b] at column (a, g.w_j)."""
+    n = group.degree
+    size = m ** n
+    rows = [{} for _ in range(module.dim * size)]
+    for g in group.elements:
+        idx = position_indices(g, n, m)
+        for a, arow in module.act(g).rows.items():
+            off = a * size
+            for b, v in arow.items():
+                for row, i in zip(rows[b * size : (b + 1) * size], idx):
+                    c = off + i
+                    row[c] = row.get(c, 0) + v
+    return RationalMatrix.from_row_dicts(rows, len(rows), len(rows))
+
+
 def _naive_complex(module, group, m_max, cap, label) -> CochainComplex:
     n = group.degree
     dim_m = module.dim
     check_cap(group.order * dim_m * (m_max + 1) ** n, cap, f"the size of naive mode for {label}")
     solvers = {}
     for m in range(1, m_max + 2):
-        size = dim_m * m ** n
-        # |G| times the averaging projector, which has the same image
-        entries = (
-            (i, j, v)
-            for g in group.elements
-            for i, row in module.act(g).kron(position_matrix(g, n, m)).rows.items()
-            for j, v in row.items()
-        )
-        proj = RationalMatrix.from_entries(size, size, entries)
-        solvers[m] = RowSpanSolver(image_basis(proj.transpose()), size)
+        proj_t = _naive_projector(module, group, m)
+        solvers[m] = RowSpanSolver(image_basis(proj_t), proj_t.nrows)
     dims = {m: solver.k for m, solver in solvers.items()}
     # M (x) word space, indexed (module basis, word); d acts on the words
     ident = RationalMatrix.identity(dim_m)

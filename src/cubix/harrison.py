@@ -78,7 +78,6 @@ from .cubical import (
     OrbitComplexBuilder,
     complex_label,
     operator_complex,
-    words,
 )
 from .linalg import InvariantError, RationalMatrix, RowSpanSolver, image_basis
 from .perm import Permutation, PermutationGroup
@@ -115,18 +114,23 @@ def slot_action(t: Permutation, w):
 
 
 def word_eulerian_matrix(n: int, m: int):
-    """(scaled matrix, scale) of E_m on the degree-m word space."""
-    ws = words(n, m)
-    index = {w: i for i, w in enumerate(ws)}
+    """(scaled matrix, scale) of E_m on the degree-m word space.
 
-    def emit():
-        for s, coeff in eulerian_terms(m):
-            inv = s.inverse()
-            for w in ws:
-                yield (index[slot_action(inv, w)], index[w], coeff)
-
-    size = len(ws)
-    return RationalMatrix.from_entries(size, size, emit()), eulerian_scale(m)
+    slot(t) sends word j of ``words(n, m)`` to the word whose letter at
+    position p, of place value m^(n - p), is t(w_j(p)).
+    """
+    rows = {}
+    for s, coeff in eulerian_terms(m):
+        digits = [t - 1 for t in s.inverse().images]
+        idx = [0]
+        for _ in range(n):
+            idx = [m * i + d for i in idx for d in digits]
+        for j, i in enumerate(idx):
+            row = rows.setdefault(i, {})
+            row[j] = row.get(j, 0) + coeff
+    nonzero = ({j: c for j, c in row.items() if c} for row in rows.values())
+    data = {i: row for i, row in zip(rows, nonzero) if row}
+    return RationalMatrix(m ** n, m ** n, data), eulerian_scale(m)
 
 
 def orbit_slot_operator(builder: OrbitComplexBuilder, m: int, terms) -> RationalMatrix:
@@ -174,7 +178,6 @@ def _compose_sum(a: dict, b: dict) -> dict:
     return {p: v for p, v in out.items() if v}
 
 
-@lru_cache(maxsize=None)
 def check_dynkin_square(m: int) -> None:
     """Raise unless D_m D_m = m D_m in Q[S_m], so that D_m / m is an
     idempotent in every degree, built or not."""

@@ -231,7 +231,7 @@ def _int_row(row: dict) -> dict:
     gcd of its entries: integers with content 1."""
     den = 1
     for v in row.values():
-        if isinstance(v, Fraction):
+        if type(v) is Fraction:
             den = lcm(den, v.denominator)
     ints = dict(row) if den == 1 else {c: int(v * den) for c, v in row.items()}
     g = 0

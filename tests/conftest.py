@@ -11,8 +11,16 @@ from math import lcm
 from hypothesis import configuration, settings
 from hypothesis import strategies as st
 
+from cubix.cubical import differential_columns, position_action, words
+from cubix.harrison import eulerian_terms, slot_action
 from cubix.linalg import RationalMatrix, _clear, _Eliminator, _int_rows, image_basis
-from cubix.modules import BUILTIN_KINDS, SubgroupModule, builtin, random_basis_change
+from cubix.modules import (
+    BUILTIN_KINDS,
+    ModuleSpec,
+    SubgroupModule,
+    builtin,
+    random_basis_change,
+)
 from cubix.perm import Permutation, PermutationGroup, symmetric_group
 
 settings.register_profile("cubix", derandomize=True, deadline=None, database=None)
@@ -27,6 +35,19 @@ def sign_subgroup_module(group):
     module over that group only."""
     mats = [RationalMatrix.from_rows([[g.sign()]]) for g in group.generators]
     return SubgroupModule("sgn", group, 1, mats, ["sgn"])
+
+
+def halved_basis_change(module):
+    """The module in the basis whose first vector is halved.  The change is
+    not unimodular, unlike ``random_basis_change``, so act(g) has Fraction
+    entries."""
+    dim = module.dim
+    p = RationalMatrix.identity(dim)
+    p.rows[0] = {0: 2}
+    p_inv = RationalMatrix.identity(dim)
+    p_inv.rows[0] = {0: Fraction(1, 2)}
+    mats = [p * a * p_inv for a in module.gen_actions]
+    return ModuleSpec(f"{module.name}~half", module.N, dim, module.basis_labels, mats)
 
 
 def coinvariants(module, group):
@@ -80,6 +101,51 @@ def stacked_coinvariant_basis(module, stabilizer):
         q = scale // row[c]
         w[c] = {col[f]: -q * v for f, v in row.items() if f != c}
     return free, scale, RationalMatrix(dim, len(free), {i: r for i, r in w.items() if r})
+
+
+def per_word_position_matrix(g, n, m):
+    """``cubix.cubical.position_matrix`` one word at a time, through a
+    word-to-index dict: the oracle of ``position_indices``."""
+    ws = words(n, m)
+    index = {w: i for i, w in enumerate(ws)}
+    entries = ((index[position_action(g, w)], j, 1) for j, w in enumerate(ws))
+    return RationalMatrix.from_entries(len(ws), len(ws), entries)
+
+
+def kron_naive_projector(module, group, m):
+    """The transpose of |G| times the averaging projector, summed entry by
+    entry from act(g) (x) position_matrix(g) over g in G: the oracle of
+    ``cubix.cubical._naive_projector``."""
+    n = group.degree
+    size = module.dim * m ** n
+    entries = (
+        (i, j, v)
+        for g in group.elements
+        for i, row in module.act(g).kron(per_word_position_matrix(g, n, m)).rows.items()
+        for j, v in row.items()
+    )
+    return RationalMatrix.from_entries(size, size, entries).transpose()
+
+
+def entrywise_differential(n, m):
+    """``cubix.cubical.differential`` summed entry by entry from its
+    columns: its oracle."""
+    cols = differential_columns(n, m)
+    entries = ((i, j, c) for j, col in enumerate(cols) for i, c in col.items())
+    return RationalMatrix.from_entries((m + 1) ** n, m ** n, entries)
+
+
+def entrywise_eulerian_matrix(n, m):
+    """The scaled matrix of ``cubix.harrison.word_eulerian_matrix`` summed
+    entry by entry from ``slot_action`` on every word: its oracle."""
+    ws = words(n, m)
+    index = {w: i for i, w in enumerate(ws)}
+    entries = (
+        (index[slot_action(s.inverse(), w)], j, coeff)
+        for s, coeff in eulerian_terms(m)
+        for j, w in enumerate(ws)
+    )
+    return RationalMatrix.from_entries(len(ws), len(ws), entries)
 
 
 @st.composite

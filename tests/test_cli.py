@@ -221,6 +221,10 @@ GOLDEN = Path(__file__).parent / "golden"
         (["verify", "--suite", "all", "--nmax", "4"], "verify-all-4.txt"),
         (["module-info", "--family", "regular", "--n", "3"], "module-info-regular-3.table"),
         (["module-info", "--family", "tr", "--n", "4"], "module-info-tr-4.table"),
+        # naive mode on a module read from a file
+        (["betti", "--family", "custom", "--custom",
+          str(GOLDEN / "lie_cyclic3-seed1.json"), "--mode", "naive"],
+         "betti-custom-lie_cyclic3-seed1.table"),
     ],
 )
 def test_stdout_matches_golden(argv, golden, capsys):

@@ -6,11 +6,21 @@ must reproduce (word counts, Lyndon counts, necklace counts), and Betti
 tables against independent mode/route recomputations.
 """
 
+from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 
 import pytest
-from conftest import coinvariants, modules_and_groups, stacked_coinvariant_basis
+from conftest import (
+    coinvariants,
+    entrywise_differential,
+    halved_basis_change,
+    kron_naive_projector,
+    modules_and_groups,
+    per_word_position_matrix,
+    sign_subgroup_module,
+    stacked_coinvariant_basis,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +43,7 @@ from cubix.cubical import (
     identity_trace,
     orbit_decomposition,
     position_action,
+    position_indices,
     position_matrix,
     sort_transfer,
     sorted_word,
@@ -78,6 +89,17 @@ def test_position_action_is_left_action():
     assert lhs == rhs
 
 
+@pytest.mark.parametrize("group", [symmetric_group(3), cyclic_group(4)], ids=["S3", "C4"])
+def test_position_indices_are_the_position_action(group):
+    n = group.degree
+    for m in (1, 2, 3):
+        ws = words(n, m)
+        index = {w: i for i, w in enumerate(ws)}
+        for g in group.elements:
+            assert position_indices(g, n, m) == [index[position_action(g, w)] for w in ws]
+            assert position_matrix(g, n, m) == per_word_position_matrix(g, n, m)
+
+
 def test_coface_splits_and_shifts():
     # middle coface splits every letter equal to i into {i, i+1}
     assert coface(1, (1, 1), 1) == [(1, 1), (1, 2), (2, 1), (2, 2)]
@@ -98,6 +120,39 @@ def test_differential_n2_m1_hand_value():
     cols = differential_columns(2, 1)
     tgt = {w: i for i, w in enumerate(words(2, 2))}
     assert cols[0] == {tgt[(1, 2)]: -1, tgt[(2, 1)]: -1}
+
+
+def test_differential_matches_its_entrywise_oracle():
+    for n in (1, 2, 3, 4):
+        for m in (1, 2, 3, 4, 5):
+            assert differential(n, m) == entrywise_differential(n, m)
+
+
+NAIVE_PROJECTOR_CASES = {
+    **{
+        f"{kind}{k}": (lambda kind=kind, k=k: builtin(kind, k))
+        for kind in BUILTIN_KINDS
+        for k in (1, 2, 3)
+    },
+    "lie3-basis-change": lambda: random_basis_change(builtin("lie", 3), 7),
+    "lie_cyclic3-halved": lambda: halved_basis_change(builtin("lie_cyclic", 3)),
+    "trivial<C3": lambda: trivial_subgroup_module(cyclic_group(3)),
+    "trivial<S2xS2": lambda: trivial_subgroup_module(young_subgroup((2, 2))),
+    "sign<S2xS2": lambda: sign_subgroup_module(young_subgroup((2, 2))),
+}
+
+
+@pytest.mark.parametrize("make", NAIVE_PROJECTOR_CASES.values(), ids=NAIVE_PROJECTOR_CASES)
+def test_naive_projector_matches_its_kronecker_oracle(make):
+    module = make()
+    group = getattr(module, "group", None) or symmetric_group(module.N)
+    if module.name.endswith("~half"):
+        rows = (r for g in group.elements for r in module.act(g).rows.values())
+        assert any(type(v) is Fraction for r in rows for v in r.values())
+    for m in (1, 2, 3, 4):
+        assert cubical._naive_projector(module, group, m) == kron_naive_projector(
+            module, group, m
+        )
 
 
 def test_differential_squares_to_zero_on_word_spaces():
