@@ -142,6 +142,8 @@ def cmd_betti(args) -> int:
 def cmd_verify(args) -> int:
     if args.nmax < 1:
         raise ValueError("--nmax must be at least 1")
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
     checks = run_suite(args.suite, nmax=args.nmax, jobs=args.jobs)
     if not checks:
         raise ValueError(f"--suite {args.suite} holds no check at --nmax {args.nmax}")
@@ -173,7 +175,7 @@ def cmd_module_info(args) -> int:
     group = symmetric_group(module.N)
     chars = [
         ("+".join(map(str, rep.cycle_type())), str(module.character(rep)))
-        for rep, _, _ in cycle_classes(group)
+        for rep, _ in cycle_classes(group)
     ]
     sgn_dim = sgn_coinvariants_dim(module, group)
     generators = serialize_module(module)["generators"]

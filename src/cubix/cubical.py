@@ -40,7 +40,8 @@ above ``cap`` (``check_cap``): orbit and quotient mode count the trace
 dimensions of the degrees they build plus dim M per distinct stabilizer (one
 ``CoinvariantBasis`` each), naive mode |G| times the order
 dim M (m_max + 1)^n of the Kronecker products it sums, and ``full_complex``
-its dimensions.
+its dimensions.  The Harrison complex of ``harrison.py`` then counts the
+(4^(m_max+1) - 1)/3 products of its D_m D_m = m D_m checks.
 
 All modes must agree on dimensions and Betti tables; that equality is part
 of the acceptance suite, so naive mode is not allowed to borrow pieces of
@@ -137,6 +138,7 @@ from .linalg import (
     rank,
     reduced_echelon,
 )
+from .modules import character_count
 from .perm import (
     Permutation,
     PermutationGroup,
@@ -200,16 +202,18 @@ def position_action(g: Permutation, w):
     return tuple(w[inv[p] - 1] for p in range(len(w)))
 
 
-def position_indices(g: Permutation, n: int, m: int) -> list:
-    """The index in ``words(n, m)`` of g.w, for each word w in that order.
+def position_indices(g: Permutation, n: int, m: int, t: Permutation = None) -> list:
+    """The index in ``words(n, m)`` of t * (g.w), for each word w in that
+    order; with no ``t``, of g.w.
 
-    Letter q of w lands at position g(q), whose place value in the
-    lexicographic order is m^(n - g(q)).
+    The letter x at position q of w becomes t(x) at position g(q), whose
+    place value in the lexicographic order is m^(n - g(q)).
     """
+    digits = range(m) if t is None else [x - 1 for x in t.images]
     out = [0]
     for gq in g.images:
         step = m ** (n - gq)
-        out = [i + x * step for i in out for x in range(m)]
+        out = [i + d * step for i in out for d in digits]
     return out
 
 
@@ -835,24 +839,18 @@ def operator_complex(
     n = group.degree
     surjective = mode == "quotient"
     top = min(n, m_max + 1) if surjective else m_max + 1
-    weighted = [
-        (size * module.character(g), g.cycle_type())
-        for g, size, _ in cycle_classes(group)
-    ]
     traces = {m: trace(m) for m in range(1, m_max + 2)}
+    # character_count reads the class function at the class representatives
+    # only, once per count, so their cycle types are computed here once
+    cycles = {g: g.cycle_type() for g, _ in cycle_classes(group)}
 
     def count(m, fixed, what):
         terms, q = traces[m]
-        total = Fraction(
-            sum(
-                chi * sum(c * fixed(t, cycles) for t, c in terms.items())
-                for chi, cycles in weighted
-            ),
-            group.order * q,
-        )
-        if total.denominator != 1 or total < 0:
-            raise InvariantError(f"{label}: {what} of degree {m} is {total}, not a dimension")
-        return int(total)
+
+        def per_g(g):
+            return sum(c * fixed(t, cycles[g]) for t, c in terms.items())
+
+        return character_count(module, group, per_g, q, f"{label}: {what} of degree {m}")
 
     dims = {m: count(m, fixed_words, "the trace count") for m in traces}
     want = dims

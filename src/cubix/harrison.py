@@ -62,8 +62,9 @@ quotient mode it builds im D only on Q, with the same D b = m b and
 membership checks in every built degree, and the route adds four exact
 checks, each an ``InvariantError``: D_m D_m = m D_m in Q[S_m] for every
 degree up to m_max + 1, so that tr/m is a dimension where no matrix is
-built; every trace count is a non-negative integer; Q's built dimension
-equals its own trace count over onto words; and d^2 = 0 on im D over Q.
+built (4^(m-1) products each, counted against the cap before any of them);
+every trace count is a non-negative integer; Q's built dimension equals
+its own trace count over onto words; and d^2 = 0 on im D over Q.
 The full complex's ranks then follow from Q's Betti numbers as in
 ``cubical.QuotientComplex``.  The orbit mode stays the oracle.
 """
@@ -76,11 +77,13 @@ from math import comb, lcm
 from .cubical import (
     DEFAULT_CAP,
     OrbitComplexBuilder,
+    check_cap,
     complex_label,
     operator_complex,
+    position_indices,
 )
 from .linalg import InvariantError, RationalMatrix, RowSpanSolver, image_basis
-from .perm import Permutation, PermutationGroup
+from .perm import Permutation, PermutationGroup, identity_permutation
 
 
 @lru_cache(maxsize=None)
@@ -116,16 +119,13 @@ def slot_action(t: Permutation, w):
 def word_eulerian_matrix(n: int, m: int):
     """(scaled matrix, scale) of E_m on the degree-m word space.
 
-    slot(t) sends word j of ``words(n, m)`` to the word whose letter at
-    position p, of place value m^(n - p), is t(w_j(p)).
+    The term of s sends word j of ``words(n, m)`` to s^{-1} * w_j, whose
+    index ``position_indices`` gives with g the identity and t = s^{-1}.
     """
+    ident = identity_permutation(n)
     rows = {}
     for s, coeff in eulerian_terms(m):
-        digits = [t - 1 for t in s.inverse().images]
-        idx = [0]
-        for _ in range(n):
-            idx = [m * i + d for i in idx for d in digits]
-        for j, i in enumerate(idx):
+        for j, i in enumerate(position_indices(ident, n, m, s.inverse())):
             row = rows.setdefault(i, {})
             row[j] = row.get(j, 0) + coeff
     nonzero = ({j: c for j, c in row.items() if c} for row in rows.values())
@@ -188,8 +188,8 @@ def check_dynkin_square(m: int) -> None:
 
 def dynkin_trace(m: int):
     """D_m summed by the cycle type of t, and its square factor m; see
-    ``cubical.operator_complex``.  Checks D_m D_m = m D_m first."""
-    check_dynkin_square(m)
+    ``cubical.operator_complex``.  ``harrison_complex`` checks
+    D_m D_m = m D_m before it builds anything."""
     by_type = {}
     for t, c in dynkin_terms(m):
         key = t.cycle_type()
@@ -231,10 +231,17 @@ def harrison_complex(
     and returns a ``CochainComplex``; "quotient" builds it on the
     surjective-word quotient only and returns a ``QuotientComplex`` with
     the full complex's dimensions from the trace of D (module docstring).
-    Both give the same Betti table, and both refuse a size count above
-    ``cap`` (``cubical.operator_complex``).
+    Both give the same Betti table.  Both refuse, above ``cap``, the size
+    counts of ``cubical.operator_complex`` and then the (4^(m_max+1) - 1)/3
+    products of the D_m D_m = m D_m checks, before any of those checks.
     """
     label = f"harrison({complex_label(module, group)})"
-    return operator_complex(
-        module, group, m_max, mode, label, _dynkin_images, dynkin_trace, cap
-    )
+
+    def images(builder, top):
+        # after the size counts: D_m D_m = m D_m takes 4^(m-1) products
+        check_cap((4 ** (m_max + 1) - 1) // 3, cap, f"the Dynkin square checks for {label}")
+        for m in range(1, m_max + 2):
+            check_dynkin_square(m)
+        return _dynkin_images(builder, top)
+
+    return operator_complex(module, group, m_max, mode, label, images, dynkin_trace, cap)

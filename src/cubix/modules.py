@@ -269,22 +269,28 @@ BUILTIN_KINDS = ("trivial", "sign", "regular", "lie", "tr_cyclic", "lie_cyclic")
 # -- characters ------------------------------------------------------------
 
 
-def sgn_coinvariants_dim(module, group: PermutationGroup) -> int:
-    """(1/|G|) sum of sign(g) * character(g); must be a non-negative integer.
+def character_count(module, group: PermutationGroup, f, divisor: int, what: str) -> int:
+    """(1/(|G| divisor)) sum over g in G of character(g) * f(g), for a class
+    function f; raise ``InvariantError`` naming ``what`` unless it is a
+    non-negative integer.
 
     Both factors are class functions, so the sum runs over
     ``perm.cycle_classes``: p(n) traces over the full symmetric group.
     """
-    total = sum(
-        count * rep.sign() * module.character(rep)
-        for rep, count, _ in cycle_classes(group)
+    total = Fraction(
+        sum(count * module.character(rep) * f(rep) for rep, count in cycle_classes(group)),
+        group.order * divisor,
     )
-    val = Fraction(total, group.order)
-    if val.denominator != 1 or val < 0:
-        raise InvariantError(
-            f"sign-isotypic dimension of {module.name} is {val}, not a non-negative integer"
-        )
-    return int(val)
+    if total.denominator != 1 or total < 0:
+        raise InvariantError(f"{what} is {total}, not a dimension")
+    return int(total)
+
+
+def sgn_coinvariants_dim(module, group: PermutationGroup) -> int:
+    """(1/|G|) sum of sign(g) * character(g), the dimension of M (x)_G sgn."""
+    return character_count(
+        module, group, Permutation.sign, 1, f"the sign-isotypic dimension of {module.name}"
+    )
 
 
 # -- induction ------------------------------------------------------------

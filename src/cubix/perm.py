@@ -16,7 +16,7 @@ kept sorted so that iteration order is deterministic.
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import factorial, prod
 
@@ -203,22 +203,24 @@ def _cycle_type_rep(partition) -> Permutation:
     return Permutation(tuple(images))
 
 
-def cycle_classes(group: PermutationGroup):
-    """(representative, count, cycle count) triples that cover ``group``.
+@lru_cache(maxsize=None)
+def cycle_classes(group: PermutationGroup) -> tuple:
+    """(representative, count) pairs that cover ``group``.
 
-    Over the full symmetric group there is one triple per cycle type, in
+    Over the full symmetric group there is one pair per cycle type, in
     decreasing lexicographic order of the partition, and count is the class
     size n! / z; otherwise there is one per element, with count 1.  Sums of
-    class functions over the group are thus sums of count * f(rep).
+    class functions over the group are thus sums of count * f(rep); every
+    trace count sums one, so the pairs are built once per group.
     """
     n = group.degree
     if not group.is_symmetric():
-        for g in group.elements:
-            yield g, 1, len(g.cycle_type())
-        return
+        return tuple((g, 1) for g in group.elements)
+    out = []
     for partition in _partitions(n):
         z = prod(k ** m * factorial(m) for k, m in Counter(partition).items())
-        yield _cycle_type_rep(partition), factorial(n) // z, len(partition)
+        out.append((_cycle_type_rep(partition), factorial(n) // z))
+    return tuple(out)
 
 
 def young_subgroup(content: tuple) -> PermutationGroup:

@@ -5,7 +5,8 @@ with no reference to modules, orbits, or coinvariants:
 
 * ass: all words of length n over [m], with the substitution differential
   f(x_1..x_m) -> f(x_2..x_{m+1}) - f(x_1+x_2, x_3..) + ... +- f(.., x_m+x_{m+1})
-  -+ f(x_1..x_m), which is exactly the word-complex differential;
+  -+ f(x_1..x_m), which is exactly the word-complex differential, so this
+  family is ``cubical.full_complex``;
 * lie: the degree-n part of the free Lie algebra on m generators, embedded
   in the word space by expanding the standard bracketings of Lyndon words.
   Substitutions are Lie algebra maps, so the subspace must be preserved;
@@ -27,6 +28,7 @@ from .cubical import (
     CochainComplex,
     differential,
     differential_columns,
+    full_complex,
     words,
 )
 from .freelie import lie_projector_basis, witt_dim
@@ -59,9 +61,6 @@ def necklace_representatives(m: int, n: int) -> list:
 def _degree_basis(family: str, n: int, m: int):
     """(descriptors, expansion dicts over word indices) for one degree."""
     index = {w: i for i, w in enumerate(words(n, m))}
-    if family == "ass":
-        descr = tuple(words(n, m))
-        return descr, tuple({index[w]: 1} for w in descr)
     if family == "lie":
         from .freelie import lyndon_words
 
@@ -78,8 +77,6 @@ def _degree_basis(family: str, n: int, m: int):
 
 def substitution_differential(family: str, n: int, m: int) -> RationalMatrix:
     """Degree m -> m+1 map of the direct complex, target-by-source."""
-    if family == "ass":
-        return differential(n, m)
     src_descr, src_vecs = _degree_basis(family, n, m)
     tgt_descr, tgt_vecs = _degree_basis(family, n, m + 1)
     if family == "tr":
@@ -105,6 +102,8 @@ def substitution_differential(family: str, n: int, m: int) -> RationalMatrix:
 def direct_complex(family: str, n: int, m_max: int) -> CochainComplex:
     if family not in FAMILY_MODULES:
         raise ValueError(f"unknown family: {family}")
+    if family == "ass":
+        return full_complex(n, m_max)
     dims = {}
     for m in range(1, m_max + 2):
         dims[m] = len(_degree_basis(family, n, m)[0])

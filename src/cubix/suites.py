@@ -315,6 +315,6 @@ def run_suite(suite: str, nmax: int = 4, jobs: int = 1) -> list:
     if jobs > 1 and len(specs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
             return list(pool.map(_run_spec, specs))
     return [_run_spec(spec) for spec in specs]

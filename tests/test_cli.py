@@ -1,5 +1,6 @@
 """Suites and command-line behavior: exit codes, formats, determinism."""
 
+import concurrent.futures
 import json
 import pickle
 import re
@@ -32,6 +33,49 @@ def test_suite_results_independent_of_workers():
     serial = run_suite("induction", nmax=4, jobs=1)
     parallel = run_suite("induction", nmax=4, jobs=2)
     assert serial == parallel
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "made", [])
+    return _RecordingPool.made
+
+
+def test_verify_starts_no_more_workers_than_checks(recording_pool):
+    serial = run_suite("prop1", nmax=2, jobs=1)
+    assert recording_pool == []
+    # two checks: two workers, however many jobs were asked for
+    assert run_suite("prop1", nmax=2, jobs=64) == serial
+    assert run_suite("structural", nmax=2, jobs=3) == run_suite("structural", nmax=2)
+    assert recording_pool == [2, 3]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_verify_rejects_fewer_than_one_job(jobs, recording_pool, capsys):
+    assert main(["verify", "--suite", "prop1", "--nmax", "2", "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --jobs must be at least 1\n"
+    assert recording_pool == []
 
 
 def test_every_spec_pickles_for_workers():

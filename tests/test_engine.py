@@ -51,6 +51,7 @@ from cubix.cubical import (
     words,
 )
 from cubix.freelie import witt_dim
+from cubix.harrison import slot_action
 from cubix.linalg import InvariantError, RationalMatrix, SubspaceEscape, rank
 from cubix.modules import (
     BUILTIN_KINDS,
@@ -98,6 +99,20 @@ def test_position_indices_are_the_position_action(group):
         for g in group.elements:
             assert position_indices(g, n, m) == [index[position_action(g, w)] for w in ws]
             assert position_matrix(g, n, m) == per_word_position_matrix(g, n, m)
+
+
+@pytest.mark.parametrize("group", [symmetric_group(3), cyclic_group(4)], ids=["S3", "C4"])
+def test_position_indices_with_a_relabeling_are_t_after_g(group):
+    # the word-index helper of the naive projector and the Eulerian matrix:
+    # with t, the index of t * (g.w), letters relabeled after positions move
+    n = group.degree
+    for m in (1, 2, 3):
+        ws = words(n, m)
+        index = {w: i for i, w in enumerate(ws)}
+        for t in symmetric_group(m).elements:
+            for g in group.elements:
+                want = [index[slot_action(t, position_action(g, w))] for w in ws]
+                assert position_indices(g, n, m, t) == want
 
 
 def test_coface_splits_and_shifts():

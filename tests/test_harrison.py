@@ -14,7 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cubix.cubical as cubical
-from cubix.cubical import OrbitComplexBuilder, QuotientComplex, differential, words
+from cubix.cubical import (
+    DEFAULT_CAP,
+    DimensionCapExceeded,
+    OrbitComplexBuilder,
+    QuotientComplex,
+    differential,
+    words,
+)
 import cubix.harrison as harrison
 from cubix.cli import main
 from cubix.harrison import (
@@ -393,3 +400,44 @@ def test_broken_harrison_quotient_checks_raise_and_exit_4(
         harrison_complex(builtin("regular", 3), symmetric_group(3), 5, mode="quotient")
     assert main(["betti", "--family", "harrison", "--n", "3"]) == 4
     assert capsys.readouterr().err.startswith("internal error:")
+
+
+class _Admitted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("mode", ["quotient", "orbit"])
+def test_the_dynkin_square_checks_are_counted_against_the_cap(mode, monkeypatch, capsys):
+    checked = []
+    real = harrison.check_dynkin_square
+    monkeypatch.setattr(harrison, "check_dynkin_square", lambda m: (checked.append(m), real(m)))
+    module, group = builtin("regular", 2), symmetric_group(2)
+    # 4^0 + ... + 4^10 = 1 398 101 products, refused before the first is taken
+    with pytest.raises(DimensionCapExceeded) as refused:
+        harrison_complex(module, group, 10, mode)
+    assert refused.value.required == (4 ** 11 - 1) // 3 == 1398101
+    assert str(refused.value).startswith(
+        "the Dynkin square checks for harrison(regular(2)/S2) is 1398101, above the cap "
+        f"{DEFAULT_CAP}"
+    )
+    assert checked == []
+    assert main(["betti", "--family", "harrison", "--n", "2", "--mmax", "10", "--mode", mode]) == 3
+    assert capsys.readouterr().err.startswith("resource cap: the Dynkin square checks")
+    # a cap at the count admits it, and every degree through m_max + 1 is checked
+    table = harrison_complex(module, group, 3, mode, cap=85).betti_table()
+    assert checked == [1, 2, 3, 4] and table.bettis() == (0, 0, 0)
+    with pytest.raises(DimensionCapExceeded, match=" is 85, above the cap 84"):
+        harrison_complex(module, group, 3, mode, cap=84)
+
+
+def test_the_default_cap_admits_the_square_checks_through_m_max_9(monkeypatch):
+    # harrison --n 7 at its default m_max 9 counts 349 525 products; the
+    # checks are stubbed, so nothing of that size runs
+    def admitted(m):
+        raise _Admitted(m)
+
+    monkeypatch.setattr(harrison, "check_dynkin_square", admitted)
+    with pytest.raises(_Admitted):
+        harrison_complex(builtin("regular", 2), symmetric_group(2), 9)
+    assert (4 ** 10 - 1) // 3 == 349525 <= DEFAULT_CAP
+    assert (4 ** 6 - 1) // 3 == 1365  # the benchmark's harrison4 at m_max 5

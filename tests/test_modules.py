@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import permutations
 
@@ -6,12 +7,13 @@ import pytest
 
 from conftest import coinvariants, sign_subgroup_module
 
-from cubix.linalg import RationalMatrix
+from cubix.linalg import InvariantError, RationalMatrix
 from cubix.modules import (
     BUILTIN_KINDS,
     ModuleSpec,
     SubgroupModule,
     builtin,
+    character_count,
     cyclic_action,
     induce,
     load_module,
@@ -196,6 +198,35 @@ def test_sgn_coinvariants_dimensions():
         )
     assert sgn_coinvariants_dim(builtin("sign", 3), symmetric_group(3)) == 1
     assert sgn_coinvariants_dim(builtin("trivial", 3), symmetric_group(3)) == 0
+
+
+@pytest.mark.parametrize(
+    "shift, module, value",
+    [
+        # one more at the identity: (0 + 1) / 6
+        (lambda g: int(g == identity_permutation(3)), builtin("lie", 3), "1/6"),
+        # minus the sign everywhere: (0 - 6) / 6
+        (lambda g: -g.sign(), builtin("trivial", 3), "-1"),
+    ],
+    ids=["fraction", "negative"],
+)
+def test_a_broken_character_makes_the_sign_count_raise(shift, module, value, monkeypatch):
+    real = ModuleSpec.character
+    monkeypatch.setattr(ModuleSpec, "character", lambda self, g: real(self, g) + shift(g))
+    message = f"the sign-isotypic dimension of {module.name} is {value}, not a dimension"
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        sgn_coinvariants_dim(module, symmetric_group(3))
+
+
+def test_character_count_is_the_checked_class_function_sum():
+    s3 = symmetric_group(3)
+    # the trivial character's multiplicity: dim M_G, one class per orbit of S_3
+    assert character_count(builtin("regular", 3), s3, lambda g: 1, 1, "dim") == 1
+    assert character_count(builtin("lie", 3), s3, lambda g: 1, 1, "dim") == 0
+    # the divisor divides the whole sum, and a quotient that is no integer raises
+    assert character_count(builtin("regular", 3), s3, lambda g: 2, 2, "dim") == 1
+    with pytest.raises(InvariantError, match="^half is 1/2, not a dimension$"):
+        character_count(builtin("regular", 3), s3, lambda g: 1, 2, "half")
 
 
 def _sgn_dim_by_elements(module, group):

@@ -7,7 +7,7 @@ engine comparisons are the two-route check and must agree exactly.
 
 import pytest
 
-from cubix.cubical import differential
+from cubix.cubical import differential, full_complex
 from cubix.freelie import witt_dim
 from cubix.realizations import (
     RealizationReport,
@@ -40,9 +40,11 @@ def test_necklace_representatives_small():
 
 
 def test_ass_family_is_the_word_complex():
-    for m in (1, 2, 3, 4):
-        assert substitution_differential("ass", 1, m) == differential(1, m)
-        assert substitution_differential("ass", 3, m) == differential(3, m)
+    for n in (1, 2, 3, 4):
+        direct, full = direct_complex("ass", n, 6), full_complex(n, 6)
+        assert direct.dims == full.dims == {m: m ** n for m in range(1, 8)}
+        assert direct.diffs == full.diffs
+        assert all(direct.diffs[m] == differential(n, m) for m in range(1, 7))
 
 
 def test_lie_dimensions_follow_witt():
