@@ -23,7 +23,8 @@ remain the object under test in ``prop1`` (``full_complex``), in the
 ``suites.py``.
 
 Every route counts its size before it builds a matrix (``cubical.py``),
-and ``--cap`` sets the one cap on that count for every family and mode.
+and ``--cap`` sets the one cap on that count for every family and mode; a
+cap below 0 is bad input.
 
 Exit codes: 0 success, 1 verification failure, 2 bad input, 3 resource cap,
 4 internal error (a broken invariant such as a subspace escape, a
@@ -120,6 +121,8 @@ def _render_table(table, family: str, slots: int, fmt: str) -> str:
 
 
 def cmd_betti(args) -> int:
+    if args.cap < 0:
+        raise ValueError("--cap must be at least 0")
     module, slots = _resolve_module(args.family, args.n, args.custom)
     m_max = args.mmax if args.mmax is not None else slots + 2
     if m_max < 2:

@@ -120,7 +120,6 @@ differential follow from Q's Betti numbers: rank_d(m) = dim_m - betti_m -
 rank_d(m-1), with betti_m = 0 for m > n.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -268,7 +267,6 @@ def differential(n: int, m: int) -> RationalMatrix:
 # -- complexes and Betti tables -------------------------------------------
 
 
-@dataclass
 class CochainComplex:
     """Spaces for degrees 1..m_max+1 and differentials for 1..m_max.
 
@@ -276,20 +274,19 @@ class CochainComplex:
     dims[m+1] x dims[m].
     """
 
-    label: str
-    n_slots: int
-    m_max: int
-    dims: dict
-    diffs: dict
-
-    def __post_init__(self):
-        for m in range(1, self.m_max + 1):
-            d = self.diffs[m]
-            if d.shape != (self.dims[m + 1], self.dims[m]):
+    def __init__(self, label: str, n_slots: int, m_max: int, dims: dict, diffs: dict):
+        for m in range(1, m_max + 1):
+            d = diffs[m]
+            if d.shape != (dims[m + 1], dims[m]):
                 raise ValueError(
-                    f"{self.label}: differential {m} has shape {d.shape}, "
-                    f"expected {(self.dims[m + 1], self.dims[m])}"
+                    f"{label}: differential {m} has shape {d.shape}, "
+                    f"expected {(dims[m + 1], dims[m])}"
                 )
+        self.label = label
+        self.n_slots = n_slots
+        self.m_max = m_max
+        self.dims = dims
+        self.diffs = diffs
         self._ranks = {}
 
     def rank_d(self, m: int) -> int:
@@ -318,19 +315,32 @@ class CochainComplex:
         return _checked_table(self.label, self.n_slots, rows)
 
 
-@dataclass(frozen=True)
-class BettiRow:
-    m: int
-    dim: int
-    rank: int
-    betti: int
+class Record:
+    """A plain record: its attributes are its fields, and two records are
+    equal when they are of one class with equal fields."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
-@dataclass(frozen=True)
-class BettiTable:
-    label: str
-    n_slots: int
-    rows: tuple
+class BettiRow(Record):
+    def __init__(self, m: int, dim: int, rank: int, betti: int):
+        self.m = m
+        self.dim = dim
+        self.rank = rank
+        self.betti = betti
+
+    def __repr__(self):
+        return f"BettiRow(m={self.m}, dim={self.dim}, rank={self.rank}, betti={self.betti})"
+
+
+class BettiTable(Record):
+    def __init__(self, label: str, n_slots: int, rows: tuple):
+        self.label = label
+        self.n_slots = n_slots
+        self.rows = rows
 
     def bettis(self) -> tuple:
         return tuple(row.betti for row in self.rows)
@@ -399,12 +409,12 @@ def sort_transfer(w):
     return rep, g
 
 
-@dataclass(frozen=True)
-class Orbit:
-    rep: tuple
-    stabilizer: PermutationGroup
-    # proper subgroups only: {word: g} with word = g.rep for every member
-    transfers: dict = None
+class Orbit(Record):
+    def __init__(self, rep: tuple, stabilizer: PermutationGroup, transfers: dict = None):
+        self.rep = rep
+        self.stabilizer = stabilizer
+        # proper subgroups only: {word: g} with word = g.rep for every member
+        self.transfers = transfers
 
 
 def orbit_decomposition(
@@ -738,7 +748,6 @@ def _naive_complex(module, group, m_max, cap, label) -> CochainComplex:
 # -- the surjective-word quotient ---------------------------------------------
 
 
-@dataclass
 class QuotientComplex:
     """M (x)_G Q, built through degree min(n, m_max + 1), with the full
     complex's dimensions ``dims`` in degrees 1..m_max+1.
@@ -749,9 +758,10 @@ class QuotientComplex:
     0 <= rank_d(m) <= min(dims[m], dims[m+1]).
     """
 
-    quotient: CochainComplex
-    m_max: int
-    dims: dict
+    def __init__(self, quotient: CochainComplex, m_max: int, dims: dict):
+        self.quotient = quotient
+        self.m_max = m_max
+        self.dims = dims
 
     def betti_table(self) -> BettiTable:
         q = self.quotient

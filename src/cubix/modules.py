@@ -343,6 +343,18 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _entry(name: str, k: int, v):
+    """A generator entry: an int, or a string that parses as one or as p/q."""
+    if _is_int(v):
+        return v
+    if isinstance(v, str):
+        try:
+            return parse_scalar(v)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{name}: generator s{k} entry {v!r} is not an int or a 'p/q' string")
+
+
 def load_module(data) -> ModuleSpec:
     """Build a module from the JSON dict format.
 
@@ -380,16 +392,8 @@ def load_module(data) -> ModuleSpec:
             and all(isinstance(r, list) and len(r) == dim for r in rows)
         ):
             raise ValueError(f"{name}: generator s{k} is not {dim}x{dim}")
-        bad = [v for r in rows for v in r if not (_is_int(v) or isinstance(v, str))]
-        if bad:
-            raise ValueError(
-                f"{name}: generator s{k} entry {bad[0]!r} is not an int or a 'p/q' string"
-            )
         mats.append(
-            RationalMatrix.from_rows(
-                [[parse_scalar(v) if isinstance(v, str) else v for v in r] for r in rows],
-                dim,
-            )
+            RationalMatrix.from_rows([[_entry(name, k, v) for v in r] for r in rows], dim)
         )
     return ModuleSpec(name, n, dim, labels, mats)
 

@@ -15,20 +15,27 @@ kept sorted so that iteration order is deterministic.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import factorial, prod
 
 
-@dataclass(frozen=True)
 class Permutation:
-    images: tuple
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.images}")
+    def __init__(self, images: tuple):
+        n = len(images)
+        if sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {images}")
+        self.images = images
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.images == other.images
+
+    def __hash__(self):
+        return hash((self.images,))
 
     @property
     def degree(self) -> int:
@@ -114,10 +121,18 @@ def adjacent_transposition(n: int, i: int) -> Permutation:
     return Permutation(tuple(images))
 
 
-@dataclass(frozen=True)
 class PermutationGroup:
-    degree: int
-    generators: tuple
+    def __init__(self, degree: int, generators: tuple):
+        self.degree = degree
+        self.generators = generators
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.degree, self.generators) == (other.degree, other.generators)
+
+    def __hash__(self):
+        return hash((self.degree, self.generators))
 
     @cached_property
     def elements(self) -> tuple:

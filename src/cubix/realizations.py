@@ -20,7 +20,6 @@ side is wrong, so none of the engine's orbit or projector machinery is used
 here beyond the shared coface definition.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -113,14 +112,22 @@ def direct_complex(family: str, n: int, m_max: int) -> CochainComplex:
     return CochainComplex(f"direct-{family}(n={n})", n, m_max, dims, diffs)
 
 
-@dataclass(frozen=True)
 class RealizationReport:
-    family: str
-    n: int
-    direct_dims: tuple
-    engine_dims: tuple
-    direct_betti: tuple
-    engine_betti: tuple
+    def __init__(
+        self,
+        family: str,
+        n: int,
+        direct_dims: tuple,
+        engine_dims: tuple,
+        direct_betti: tuple,
+        engine_betti: tuple,
+    ):
+        self.family = family
+        self.n = n
+        self.direct_dims = direct_dims
+        self.engine_dims = engine_dims
+        self.direct_betti = direct_betti
+        self.engine_betti = engine_betti
 
     @property
     def ok(self) -> bool:

@@ -17,9 +17,8 @@ complexes, and the structural suite checks d.d = 0 on word, orbit and naive
 complexes.
 """
 
-from dataclasses import dataclass
-
 from .cubical import (
+    Record,
     cubical_complex,
     differential,
     full_complex,
@@ -44,12 +43,12 @@ from .perm import Permutation, PermutationGroup, cyclic_group, symmetric_group
 from .realizations import compare_with_engine
 
 
-@dataclass(frozen=True)
-class Check:
-    suite: str
-    name: str
-    passed: bool
-    detail: str
+class Check(Record):
+    def __init__(self, suite: str, name: str, passed: bool, detail: str):
+        self.suite = suite
+        self.name = name
+        self.passed = passed
+        self.detail = detail
 
 
 def _expect(label, table, degree: int, dim: int, want: str = ""):

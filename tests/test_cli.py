@@ -78,6 +78,14 @@ def test_verify_rejects_fewer_than_one_job(jobs, recording_pool, capsys):
     assert recording_pool == []
 
 
+def test_a_check_pickles_and_compares_by_its_fields():
+    check = Check("prop1", "full n=2", True, "betti=(0, 1, 0, 0)")
+    back = pickle.loads(pickle.dumps(check))
+    assert back == check and back is not check
+    assert back != Check("prop1", "full n=2", False, "betti=(0, 1, 0, 0)")
+    assert check != ("prop1", "full n=2", True, "betti=(0, 1, 0, 0)")
+
+
 def test_every_spec_pickles_for_workers():
     # --jobs sends each spec, check function included, to a worker process
     for suite in SUITE_NAMES:
@@ -350,18 +358,32 @@ def test_malformed_custom_module_names_relation(tmp_path, capsys):
     assert "s1" in err and "square" in err
 
 
-def test_zero_denominator_in_custom_module_is_an_input_error(tmp_path, capsys):
+def _bad_entry_error(entry, tmp_path, capsys) -> str:
+    """stderr of a betti run on a one-dimensional module whose s1 is ``entry``."""
     bad = {
         "name": "bad",
         "N": 2,
         "dim": 1,
         "basis_labels": ["e"],
-        "generators": [[["1/0"]]],
+        "generators": [[[entry]]],
     }
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
     assert main(["betti", "--family", "custom", "--custom", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    return capsys.readouterr().err
+
+
+def test_zero_denominator_in_custom_module_is_an_input_error(tmp_path, capsys):
+    err = _bad_entry_error("1/0", tmp_path, capsys)
+    assert err.startswith("error:")
+    assert "s1" in err and "'1/0'" in err
+
+
+@pytest.mark.parametrize("entry", ["1.5", "x", "1/2.5"])
+def test_an_unparsable_custom_entry_names_its_generator(entry, tmp_path, capsys):
+    assert _bad_entry_error(entry, tmp_path, capsys) == (
+        f"error: bad: generator s1 entry {entry!r} is not an int or a 'p/q' string\n"
+    )
 
 
 SIGN2 = {"name": "sign", "N": 2, "dim": 1, "basis_labels": ["e"],
@@ -445,6 +467,18 @@ def _refused_count(args, cap, capsys):
     err = capsys.readouterr().err
     assert err.startswith("resource cap: ") and "raise it with --cap" in err
     return int(re.search(r" is (\d+), above the cap ", err).group(1))
+
+
+@pytest.mark.parametrize("cap", ["-1", "-100"])
+def test_a_negative_cap_is_an_input_error(cap, capsys):
+    assert main(["betti", "--family", "full", "--n", "2", "--cap", cap]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --cap must be at least 0\n"
+
+
+def test_a_zero_cap_is_a_resource_cap(capsys):
+    assert _refused_count(["--family", "full", "--n", "2"], 0, capsys) > 0
 
 
 def test_eight_slots_of_the_word_complex_are_refused_at_once(capsys):

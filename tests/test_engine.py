@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 import cubix.cubical as cubical
 from cubix.cli import main
 from cubix.cubical import (
+    BettiRow,
     CochainComplex,
     CoinvariantBasis,
     DimensionCapExceeded,
@@ -49,6 +50,7 @@ from cubix.cubical import (
     sorted_word,
     surjective_words,
     words,
+    _checked_table,
 )
 from cubix.freelie import witt_dim
 from cubix.harrison import slot_action
@@ -398,6 +400,17 @@ def test_complex_rejects_bad_shapes():
             {1: 1, 2: 2},
             {1: RationalMatrix.zeros(3, 1)},
         )
+
+
+
+def test_an_impossible_betti_row_names_itself():
+    rows = [BettiRow(1, 0, 0, 1)]
+    with pytest.raises(InvariantError) as exc:
+        _checked_table("bad", 1, rows)
+    assert "bad: impossible Betti row BettiRow(m=1, dim=0, rank=0, betti=1)" in str(exc.value)
+    assert _checked_table("ok", 1, [BettiRow(1, 1, 0, 1)]) == _checked_table(
+        "ok", 1, [BettiRow(1, 1, 0, 1)]
+    )
 
 
 # -- coinvariant bases against the averaging projector ----------------------

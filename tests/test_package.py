@@ -1,8 +1,38 @@
-"""The public API: every exported name resolves."""
+"""The public API: every exported name resolves, and importing the CLI
+stays light."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import cubix
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# loaded by dataclasses (directly or through inspect); the package's record
+# classes are plain classes so that no CLI run pays for them
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in cubix.__all__ if not hasattr(cubix, name)]
     assert not missing, f"cubix.__all__ names missing attributes: {missing}"
+
+
+def test_importing_the_cli_loads_no_heavy_module():
+    probe = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import cubix.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout)
+    assert "cubix.cli" in loaded
+    assert [name for name in HEAVY if name in loaded] == []

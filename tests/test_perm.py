@@ -139,3 +139,25 @@ def test_generated_subgroup_keeps_a_greedy_generating_set():
     assert generated_subgroup(4, young_subgroup((2, 2)).elements) == generated_subgroup(
         4, reversed(young_subgroup((2, 2)).elements)
     )
+
+
+def test_permutations_compare_and_hash_by_their_images():
+    p, q = Permutation((2, 1, 3)), Permutation((2, 1, 3))
+    assert p == q and p is not q
+    assert hash(p) == hash(q) == hash(((2, 1, 3),))
+    assert p != Permutation((1, 2, 3))
+    assert p != (2, 1, 3) and (2, 1, 3) != p
+    assert len({p, q, Permutation((1, 2, 3))}) == 2
+    assert repr(p) == "Permutation((2, 1, 3))"
+
+
+def test_groups_compare_and_hash_by_degree_and_generators():
+    gens = (Permutation((2, 1, 3)), Permutation((1, 3, 2)))
+    g, h = PermutationGroup(3, gens), PermutationGroup(3, tuple(gens))
+    assert g == h and hash(g) == hash(h) == hash((3, gens))
+    g.elements  # a cached property does not take part in equality
+    assert g == h
+    assert g != PermutationGroup(3, gens[:1])
+    assert g != PermutationGroup(4, ())
+    assert g != (3, gens)
+    assert {g: 1}[h] == 1
