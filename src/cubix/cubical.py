@@ -45,9 +45,13 @@ its dimensions.  The Harrison complex of ``harrison.py`` then counts the
 
 All modes must agree on dimensions and Betti tables; that equality is part
 of the acceptance suite, so naive mode is not allowed to borrow pieces of
-the orbit builder beyond the shared coface definition.  Orbit mode builds
-the full complex and does not use the quotient, so it is the oracle of
-quotient mode.
+the orbit builder: shared code stops at the coface rule above.  The word
+differential that ``full_complex``, naive mode and the realizations read
+is built from its inverse letter maps (``differential_columns``), and the
+orbit route applies ``coface`` to each representative; both implement the
+rule, and a tier-1 test pins them equal.  Orbit mode builds the full
+complex and does not use the quotient, so it is the oracle of quotient
+mode.
 
 The surjective-word quotient
 ----------------------------
@@ -243,18 +247,34 @@ def coface(i: int, w, m: int) -> list:
 
 @lru_cache(maxsize=None)
 def differential_columns(n: int, m: int):
-    """Per source word of degree m: {target word index: coefficient}."""
-    tgt_index = {w: i for i, w in enumerate(words(n, m + 1))}
-    cols = []
-    for w in words(n, m):
-        acc = {}
-        for i in range(m + 2):
-            s = -1 if i % 2 else 1
-            for t in coface(i, w, m):
-                j = tgt_index[t]
-                acc[j] = acc.get(j, 0) + s
-        cols.append({j: c for j, c in acc.items() if c})
-    return tuple(cols)
+    """Per source word of degree m: {target word index: coefficient}.
+
+    Under d^i a target letter y (0-based) has the one source letter x = y
+    if y < i, else y - 1, and none unless 0 <= x < m.  So d^i sends each
+    target index to at most one source index, built digit by digit as in
+    ``position_indices``; a missing letter adds -m^n, making the index
+    negative.  Cofaces in order, targets ascending: the order ``coface``
+    gives each column's keys.
+    """
+    size = m ** n
+    targets = list(range((m + 1) ** n))
+    cols = [{} for _ in range(size)]
+    for i in range(m + 2):
+        s = -1 if i % 2 else 1
+        letters = [y if y < i else y - 1 for y in range(m + 1)]
+        sources = [0]
+        for p in range(n - 1, -1, -1):
+            digits = [x * m ** p if 0 <= x < m else -size for x in letters]
+            sources = [a + d for a in sources for d in digits]
+        for j, k in zip(targets, sources):
+            if k >= 0:
+                col = cols[k]
+                col[j] = col.get(j, 0) + s
+    # free every accumulator before the cached columns are allocated, so
+    # they pack densely: built amid the accumulators, they raise peak RSS
+    items = [[(j, c) for j, c in col.items() if c] for col in cols]
+    del cols
+    return tuple([dict(x) for x in items])
 
 
 def differential(n: int, m: int) -> RationalMatrix:

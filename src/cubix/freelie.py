@@ -16,7 +16,7 @@ downstream cohomology claims silently depend on them being bases:
 """
 
 from functools import lru_cache, reduce
-from itertools import permutations, product
+from itertools import permutations
 
 from .linalg import InvariantError, RationalMatrix, rank
 
@@ -48,8 +48,22 @@ def is_lyndon(word) -> bool:
 
 
 def lyndon_words(m: int, n: int) -> list:
-    """All Lyndon words of length n over the alphabet 1..m, in lex order."""
-    return [w for w in product(range(1, m + 1), repeat=n) if is_lyndon(w)]
+    """All Lyndon words of length n over the alphabet 1..m, in lex order.
+
+    Duval's generation walks the Lyndon words of length at most n in lex
+    order: the next one repeats w up to length n, drops the trailing
+    letters m and raises the last letter by one.
+    """
+    out, w = [], [1]
+    while w:
+        if len(w) == n:
+            out.append(tuple(w))
+        w = [w[i % len(w)] for i in range(n)]
+        while w and w[-1] == m:
+            w.pop()
+        if w:
+            w[-1] += 1
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -71,7 +85,8 @@ def _mobius(d: int) -> int:
 
 def witt_dim(m: int, n: int) -> int:
     total = sum(_mobius(d) * m ** (n // d) for d in range(1, n + 1) if n % d == 0)
-    assert total % n == 0
+    if total % n:
+        raise InvariantError(f"Witt dimension m={m} n={n}: {total} is not divisible by {n}")
     return total // n
 
 

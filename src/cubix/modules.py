@@ -28,7 +28,7 @@ check them against lives in ``tests/conftest.py``.
 
 import json
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import permutations
 
 from .freelie import lie_basis_multilinear
@@ -435,7 +435,8 @@ def random_basis_change(module: ModuleSpec, seed: int) -> ModuleSpec:
         unshear.rows.setdefault(i, {})[j] = -v
         p = p * shear
         p_inv = unshear * p_inv
-    assert p * p_inv == RationalMatrix.identity(dim)
+    if p * p_inv != RationalMatrix.identity(dim):
+        raise InvariantError(f"basis change of {module.name} seed {seed}: P P^-1 is not 1")
     mats = [p * a * p_inv for a in module.gen_actions]
     return ModuleSpec(
         f"{module.name}~seed{seed}", module.N, dim, module.basis_labels, mats

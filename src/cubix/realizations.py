@@ -13,11 +13,14 @@ with no reference to modules, orbits, or coinvariants:
   the restriction solves exactly and raises if a vector ever escapes;
 * tr: rotation classes of words, with lexicographically least rotations as
   representatives.  Substitutions act on letter values and rotations act on
-  positions, so the differential descends to the quotient.
+  positions, so the differential descends to the quotient.  Lex order is
+  the numeric order of word indices, so a class is read off the least
+  rotated index (``_necklaces``).
 
 The point of this module is to disagree with the generic engine if either
 side is wrong, so none of the engine's orbit or projector machinery is used
-here beyond the shared coface definition.
+here beyond the word differential, which implements the shared coface
+rule.
 """
 
 from functools import lru_cache
@@ -30,8 +33,8 @@ from .cubical import (
     full_complex,
     words,
 )
-from .freelie import lie_projector_basis, witt_dim
-from .linalg import RationalMatrix, RowSpanSolver
+from .freelie import lie_projector_basis, lyndon_words, witt_dim
+from .linalg import InvariantError, RationalMatrix, RowSpanSolver
 from .linalg import SubspaceEscape  # re-exported: the Lie restriction raises it
 
 FAMILY_MODULES = {"ass": "regular", "lie": "lie", "tr": "tr_cyclic"}
@@ -42,35 +45,45 @@ def necklace_count(m: int, n: int) -> int:
         return sum(1 for r in range(1, d + 1) if gcd(r, d) == 1)
 
     total = sum(phi(d) * m ** (n // d) for d in range(1, n + 1) if n % d == 0)
-    assert total % n == 0
+    if total % n:
+        raise InvariantError(f"necklace count m={m} n={n}: {total} is not divisible by {n}")
     return total // n
 
 
-def rotation_class(w):
-    return min(w[i:] + w[:i] for i in range(len(w)))
+def _necklaces(m: int, n: int):
+    """(the index of the least rotation of each word of ``words(n, m)``,
+    the representatives' indices in ascending order).  Rotating word x by
+    k letters gives index (x mod m^(n-k)) m^k + x div m^(n-k)."""
+    places = [(m ** (n - k), m ** k) for k in range(n)]
+    least = [min(x % p * q + x // p for p, q in places) for x in range(m ** n)]
+    reps = [x for x, y in enumerate(least) if x == y]
+    expected = necklace_count(m, n)
+    if len(reps) != expected:
+        raise InvariantError(f"necklaces m={m} n={n}: {len(reps)} classes, expected {expected}")
+    return least, reps
+
+
+def _word(x: int, n: int, m: int) -> tuple:
+    """Word number x of ``words(n, m)``."""
+    return tuple(x // m ** p % m + 1 for p in range(n - 1, -1, -1))
 
 
 def necklace_representatives(m: int, n: int) -> list:
-    reps = sorted({rotation_class(w) for w in words(n, m)})
-    assert len(reps) == necklace_count(m, n)
-    return reps
+    return [_word(x, n, m) for x in _necklaces(m, n)[1]]
 
 
 @lru_cache(maxsize=None)
 def _degree_basis(family: str, n: int, m: int):
     """(descriptors, expansion dicts over word indices) for one degree."""
-    index = {w: i for i, w in enumerate(words(n, m))}
     if family == "lie":
-        from .freelie import lyndon_words
-
-        descr = tuple(lyndon_words(m, n))
+        index = {w: i for i, w in enumerate(words(n, m))}
         vecs = tuple(
             {index[w]: c for w, c in e.items()} for e in lie_projector_basis(m, n)
         )
-        return descr, vecs
+        return tuple(lyndon_words(m, n)), vecs
     if family == "tr":
-        descr = tuple(necklace_representatives(m, n))
-        return descr, tuple({index[w]: 1} for w in descr)
+        reps = _necklaces(m, n)[1]
+        return tuple(_word(x, n, m) for x in reps), tuple({x: 1} for x in reps)
     raise ValueError(f"unknown family: {family}")
 
 
@@ -79,15 +92,15 @@ def substitution_differential(family: str, n: int, m: int) -> RationalMatrix:
     src_descr, src_vecs = _degree_basis(family, n, m)
     tgt_descr, tgt_vecs = _degree_basis(family, n, m + 1)
     if family == "tr":
+        # a target word's row is that of its least rotation; each source
+        # vector is {its representative's word index: 1}
         cols = differential_columns(n, m)
-        tgt_words = words(n, m + 1)
-        rep_of = {i: rotation_class(w) for i, w in enumerate(tgt_words)}
-        rep_index = {w: i for i, w in enumerate(tgt_descr)}
-        src_index = {w: i for i, w in enumerate(words(n, m))}
+        least, reps = _necklaces(m + 1, n)
+        row = {x: r for r, x in enumerate(reps)}
         entries = (
-            (rep_index[rep_of[i]], j, c)
-            for j, w in enumerate(src_descr)
-            for i, c in cols[src_index[w]].items()
+            (row[least[i]], j, c)
+            for j, (x,) in enumerate(src_vecs)
+            for i, c in cols[x].items()
         )
         return RationalMatrix.from_entries(len(tgt_descr), len(src_descr), entries)
     # lie: push the source Lyndon expansions through the word differential,
@@ -106,8 +119,10 @@ def direct_complex(family: str, n: int, m_max: int) -> CochainComplex:
     dims = {}
     for m in range(1, m_max + 2):
         dims[m] = len(_degree_basis(family, n, m)[0])
-        if family == "lie":
-            assert dims[m] == witt_dim(m, n)
+        if family == "lie" and dims[m] != witt_dim(m, n):
+            raise InvariantError(
+                f"direct-lie(n={n}) degree {m}: {dims[m]} Lyndon words, expected {witt_dim(m, n)}"
+            )
     diffs = {m: substitution_differential(family, n, m) for m in range(1, m_max + 1)}
     return CochainComplex(f"direct-{family}(n={n})", n, m_max, dims, diffs)
 

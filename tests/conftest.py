@@ -6,12 +6,14 @@ removed at exit and no ``.hypothesis/`` appears in the checkout."""
 
 import tempfile
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 from hypothesis import configuration, settings
 from hypothesis import strategies as st
 
-from cubix.cubical import differential_columns, position_action, words
+from cubix.cubical import coface, differential_columns, position_action, words
+from cubix.freelie import is_lyndon
 from cubix.harrison import eulerian_terms, slot_action
 from cubix.linalg import RationalMatrix, _clear, _Eliminator, _int_rows, image_basis
 from cubix.modules import (
@@ -133,6 +135,57 @@ def entrywise_differential(n, m):
     cols = differential_columns(n, m)
     entries = ((i, j, c) for j, col in enumerate(cols) for i, c in col.items())
     return RationalMatrix.from_entries((m + 1) ** n, m ** n, entries)
+
+
+def coface_differential_columns(n, m):
+    """``cubix.cubical.differential_columns`` summed from the ``coface``
+    images of every source word, through a word-to-index dict: its
+    oracle, key order included."""
+    tgt_index = {w: i for i, w in enumerate(words(n, m + 1))}
+    cols = []
+    for w in words(n, m):
+        acc = {}
+        for i in range(m + 2):
+            s = -1 if i % 2 else 1
+            for t in coface(i, w, m):
+                j = tgt_index[t]
+                acc[j] = acc.get(j, 0) + s
+        cols.append({j: c for j, c in acc.items() if c})
+    return tuple(cols)
+
+
+def filtered_lyndon_words(m, n):
+    """Every word of length n over 1..m that ``is_lyndon`` accepts, in lex
+    order: the oracle of ``cubix.freelie.lyndon_words``."""
+    return [w for w in product(range(1, m + 1), repeat=n) if is_lyndon(w)]
+
+
+def rotation_class(w):
+    """The lexicographically least rotation of the word w."""
+    return min(w[i:] + w[:i] for i in range(len(w)))
+
+
+def rotation_class_necklaces(m, n):
+    """The least rotations of every word of ``words(n, m)``, sorted: the
+    oracle of ``cubix.realizations.necklace_representatives``."""
+    return sorted({rotation_class(w) for w in words(n, m)})
+
+
+def rotation_class_tr_differential(n, m):
+    """``substitution_differential("tr", n, m)`` with every target word's
+    class read by ``rotation_class`` through word-to-index dicts: its
+    oracle."""
+    src, tgt = rotation_class_necklaces(m, n), rotation_class_necklaces(m + 1, n)
+    row = {w: r for r, w in enumerate(tgt)}
+    src_index = {w: i for i, w in enumerate(words(n, m))}
+    tgt_words = words(n, m + 1)
+    cols = coface_differential_columns(n, m)
+    entries = (
+        (row[rotation_class(tgt_words[i])], j, c)
+        for j, w in enumerate(src)
+        for i, c in cols[src_index[w]].items()
+    )
+    return RationalMatrix.from_entries(len(tgt), len(src), entries)
 
 
 def entrywise_eulerian_matrix(n, m):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import cubix.realizations as realizations
 import cubix.suites as suites
 from cubix.cli import main
 from cubix.cubical import DEFAULT_CAP, OrbitComplexBuilder
@@ -611,6 +612,25 @@ def test_verify_exit_codes(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "FAIL [s] x: boom" in out
     assert json.loads(out.splitlines()[-1])["failed"] == 1
+
+
+@pytest.mark.parametrize(
+    "name, wrong, line",
+    [
+        ("witt_dim", lambda m, n: 7, "FAIL [oracles] direct lie n=1: error: "
+         "direct-lie(n=1) degree 1: 1 Lyndon words, expected 7"),
+        ("necklace_count", lambda m, n: -1, "FAIL [oracles] direct tr n=1: error: "
+         "necklaces m=1 n=1: 1 classes, expected -1"),
+    ],
+)
+def test_a_broken_realization_invariant_names_itself_in_verify(
+    name, wrong, line, capsys, monkeypatch
+):
+    realizations._degree_basis.cache_clear()
+    monkeypatch.setattr(realizations, name, wrong)
+    assert main(["verify", "--suite", "oracles", "--nmax", "1"]) == 1
+    fails = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("FAIL")]
+    assert fails == [line]
 
 
 def test_naive_mode_rejected_for_projection_free_families(capsys):

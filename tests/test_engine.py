@@ -12,6 +12,7 @@ from math import comb
 
 import pytest
 from conftest import (
+    coface_differential_columns,
     coinvariants,
     entrywise_differential,
     halved_basis_change,
@@ -137,6 +138,17 @@ def test_differential_n2_m1_hand_value():
     cols = differential_columns(2, 1)
     tgt = {w: i for i, w in enumerate(words(2, 2))}
     assert cols[0] == {tgt[(1, 2)]: -1, tgt[(2, 1)]: -1}
+
+
+@pytest.mark.parametrize(
+    "n, m", [(n, m) for n in range(1, 5) for m in range(1, 7)] + [(5, m) for m in range(1, 5)]
+)
+def test_differential_columns_match_the_coface_columns(n, m):
+    # the inverse letter maps give the same dicts, key order included
+    cols = differential_columns(n, m)
+    assert [list(c.items()) for c in cols] == [
+        list(c.items()) for c in coface_differential_columns(n, m)
+    ]
 
 
 def test_differential_matches_its_entrywise_oracle():

@@ -1,6 +1,7 @@
-from itertools import permutations, product
+from itertools import permutations
 
 import pytest
+from conftest import filtered_lyndon_words
 
 import cubix.freelie as freelie
 from cubix.freelie import (
@@ -63,6 +64,22 @@ def test_lyndon_count_matches_witt_dim():
     for m in range(1, 5):
         for n in range(1, 7):
             assert len(lyndon_words(m, n)) == witt_dim(m, n)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_lyndon_words_match_the_filtered_words(m):
+    for n in range(1, 7):
+        got = lyndon_words(m, n)
+        assert got == filtered_lyndon_words(m, n)
+        assert len(got) == witt_dim(m, n)
+
+
+def test_an_indivisible_witt_sum_is_an_invariant_error(monkeypatch):
+    # with mu = 1 throughout, the sum for m=2, n=3 is 2^3 + 2 = 10
+    monkeypatch.setattr(freelie, "_mobius", lambda d: 1)
+    message = r"^Witt dimension m=2 n=3: 10 is not divisible by 3$"
+    with pytest.raises(InvariantError, match=message):
+        witt_dim(2, 3)
 
 
 def test_wrong_lyndon_count_is_an_invariant_error(monkeypatch):

@@ -1,6 +1,7 @@
 """The public API: every exported name resolves, and importing the CLI
 stays light."""
 
+import ast
 import json
 import os
 import subprocess
@@ -36,3 +37,15 @@ def test_importing_the_cli_loads_no_heavy_module():
     loaded = json.loads(done.stdout)
     assert "cubix.cli" in loaded
     assert [name for name in HEAVY if name in loaded] == []
+
+
+def test_no_module_guards_an_invariant_with_assert():
+    # ``python -O`` strips asserts, and a bare AssertionError escapes the
+    # exit codes; a broken invariant raises ``InvariantError`` (exit 4)
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "cubix").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -6,9 +6,12 @@ engine comparisons are the two-route check and must agree exactly.
 """
 
 import pytest
+from conftest import rotation_class, rotation_class_necklaces, rotation_class_tr_differential
 
+import cubix.realizations as realizations
 from cubix.cubical import differential, full_complex
 from cubix.freelie import witt_dim
+from cubix.linalg import InvariantError
 from cubix.realizations import (
     RealizationReport,
     SubspaceEscape,
@@ -17,7 +20,6 @@ from cubix.realizations import (
     direct_complex,
     necklace_count,
     necklace_representatives,
-    rotation_class,
     substitution_differential,
 )
 
@@ -37,6 +39,42 @@ def test_necklace_representatives_small():
     ]
     assert necklace_count(3, 3) == 11
     assert necklace_count(2, 4) == 6
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_necklaces_match_the_rotation_classes(m):
+    for n in range(1, 6):
+        assert necklace_representatives(m, n) == rotation_class_necklaces(m, n)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_tr_differential_matches_the_rotation_class_oracle(n):
+    for m in range(1, 6):
+        assert substitution_differential("tr", n, m) == rotation_class_tr_differential(n, m)
+
+
+def test_an_indivisible_necklace_sum_is_an_invariant_error(monkeypatch):
+    # with phi(d) = d, the sum for m=2, n=3 is 2^3 + 3 * 2 = 14
+    monkeypatch.setattr(realizations, "gcd", lambda a, b: 1)
+    message = r"^necklace count m=2 n=3: 14 is not divisible by 3$"
+    with pytest.raises(InvariantError, match=message):
+        necklace_count(2, 3)
+
+
+def test_a_wrong_necklace_count_is_an_invariant_error(monkeypatch):
+    monkeypatch.setattr(realizations, "necklace_count", lambda m, n: 5)
+    message = r"^necklaces m=2 n=3: 4 classes, expected 5$"
+    with pytest.raises(InvariantError, match=message):
+        necklace_representatives(2, 3)
+
+
+def test_a_wrong_witt_dimension_is_an_invariant_error(monkeypatch):
+    monkeypatch.setattr(realizations, "witt_dim", lambda m, n: 7)
+    with pytest.raises(
+        InvariantError,
+        match=r"^direct-lie\(n=2\) degree 1: 0 Lyndon words, expected 7$",
+    ):
+        direct_complex("lie", 2, 3)
 
 
 def test_ass_family_is_the_word_complex():
