@@ -26,7 +26,7 @@ from .perm import (
     symmetric_group,
     young_subgroup,
 )
-from .realizations import compare_with_engine, direct_complex
+from .realizations import direct_complex
 from .suites import run_suite
 
 __version__ = "0.1.0"
@@ -52,7 +52,6 @@ __all__ = [
     "cyclic_group",
     "symmetric_group",
     "young_subgroup",
-    "compare_with_engine",
     "direct_complex",
     "run_suite",
     "__version__",

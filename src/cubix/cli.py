@@ -47,22 +47,12 @@ from .cubical import (
 )
 from .harrison import harrison_complex
 from .linalg import InvariantError
-from .modules import builtin, load_module, serialize_module, sgn_coinvariants_dim
+from .modules import FAMILY_KINDS, builtin, load_module, serialize_module, sgn_coinvariants_dim
 from .perm import cycle_classes, symmetric_group, trivial_group
 from .suites import SUITE_NAMES, run_suite
 
 BETTI_FAMILIES = ("full", "ass", "lie", "tr", "sder", "harrison", "custom")
-MODULE_FAMILIES = ("trivial", "sign", "regular", "ass", "lie", "tr", "sder")
-
-_MODULE_OF = {
-    "ass": "regular",
-    "lie": "lie",
-    "tr": "tr_cyclic",
-    "sder": "lie_cyclic",
-    "trivial": "trivial",
-    "sign": "sign",
-    "regular": "regular",
-}
+MODULE_FAMILIES = tuple(FAMILY_KINDS)
 
 
 def _load_custom(path: str):
@@ -75,7 +65,7 @@ def _resolve_module(family: str, n, custom_path):
     """(module, slot count) for one family token."""
     if custom_path and family not in ("custom", "harrison"):
         raise ValueError(f"--custom conflicts with --family {family}, which reads no module file")
-    if family == "custom":
+    if family == "custom" or custom_path:
         module = _load_custom(custom_path)
         if n is not None and n != module.N:
             raise ValueError(
@@ -89,14 +79,8 @@ def _resolve_module(family: str, n, custom_path):
     if family == "full":
         return builtin("trivial", n), n
     if family == "harrison":
-        module = _load_custom(custom_path) if custom_path else builtin("regular", n)
-        if module.N != n:
-            raise ValueError(
-                f"--n {n} conflicts with the module's slot count {module.N}"
-            )
-        return module, n
-    kind = _MODULE_OF[family]
-    module = builtin(kind, n)
+        return builtin("regular", n), n
+    module = builtin(FAMILY_KINDS[family], n)
     return module, module.N
 
 
@@ -174,7 +158,7 @@ def cmd_module_info(args) -> int:
     else:
         if args.family is None or args.n is None:
             raise ValueError("module-info needs --family with --n, or --custom")
-        module = builtin(_MODULE_OF[args.family], args.n)
+        module = builtin(FAMILY_KINDS[args.family], args.n)
     group = symmetric_group(module.N)
     chars = [
         ("+".join(map(str, rep.cycle_type())), str(module.character(rep)))

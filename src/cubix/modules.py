@@ -264,6 +264,9 @@ def builtin(kind: str, n: int) -> ModuleSpec:
 
 
 BUILTIN_KINDS = ("trivial", "sign", "regular", "lie", "tr_cyclic", "lie_cyclic")
+# the builtin kind behind each module family of the CLI and of the realization checks
+FAMILY_KINDS = {"trivial": "trivial", "sign": "sign", "regular": "regular", "ass": "regular",
+                "lie": "lie", "tr": "tr_cyclic", "sder": "lie_cyclic"}
 
 
 # -- characters ------------------------------------------------------------

@@ -20,7 +20,7 @@ with no reference to modules, orbits, or coinvariants:
 The point of this module is to disagree with the generic engine if either
 side is wrong, so none of the engine's orbit or projector machinery is used
 here beyond the word differential, which implements the shared coface
-rule.
+rule.  ``suites.chk_realization`` builds both sides and compares them.
 """
 
 from functools import lru_cache
@@ -33,11 +33,8 @@ from .cubical import (
     full_complex,
     words,
 )
-from .freelie import lie_projector_basis, lyndon_words, witt_dim
+from .freelie import lie_projector_basis, witt_dim
 from .linalg import InvariantError, RationalMatrix, RowSpanSolver
-from .linalg import SubspaceEscape  # re-exported: the Lie restriction raises it
-
-FAMILY_MODULES = {"ass": "regular", "lie": "lie", "tr": "tr_cyclic"}
 
 
 def necklace_count(m: int, n: int) -> int:
@@ -73,24 +70,22 @@ def necklace_representatives(m: int, n: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def _degree_basis(family: str, n: int, m: int):
-    """(descriptors, expansion dicts over word indices) for one degree."""
+def _degree_basis(family: str, n: int, m: int) -> tuple:
+    """The basis of one degree as expansion dicts over word indices."""
     if family == "lie":
         index = {w: i for i, w in enumerate(words(n, m))}
-        vecs = tuple(
+        return tuple(
             {index[w]: c for w, c in e.items()} for e in lie_projector_basis(m, n)
         )
-        return tuple(lyndon_words(m, n)), vecs
     if family == "tr":
-        reps = _necklaces(m, n)[1]
-        return tuple(_word(x, n, m) for x in reps), tuple({x: 1} for x in reps)
+        return tuple({x: 1} for x in _necklaces(m, n)[1])
     raise ValueError(f"unknown family: {family}")
 
 
 def substitution_differential(family: str, n: int, m: int) -> RationalMatrix:
     """Degree m -> m+1 map of the direct complex, target-by-source."""
-    src_descr, src_vecs = _degree_basis(family, n, m)
-    tgt_descr, tgt_vecs = _degree_basis(family, n, m + 1)
+    src_vecs = _degree_basis(family, n, m)
+    tgt_vecs = _degree_basis(family, n, m + 1)
     if family == "tr":
         # a target word's row is that of its least rotation; each source
         # vector is {its representative's word index: 1}
@@ -102,7 +97,7 @@ def substitution_differential(family: str, n: int, m: int) -> RationalMatrix:
             for j, (x,) in enumerate(src_vecs)
             for i, c in cols[x].items()
         )
-        return RationalMatrix.from_entries(len(tgt_descr), len(src_descr), entries)
+        return RationalMatrix.from_entries(len(tgt_vecs), len(src_vecs), entries)
     # lie: push the source Lyndon expansions through the word differential,
     # then solve for their coordinates in the target Lyndon basis
     src = RationalMatrix.from_row_dicts(src_vecs, len(src_vecs), m ** n)
@@ -112,65 +107,14 @@ def substitution_differential(family: str, n: int, m: int) -> RationalMatrix:
 
 
 def direct_complex(family: str, n: int, m_max: int) -> CochainComplex:
-    if family not in FAMILY_MODULES:
-        raise ValueError(f"unknown family: {family}")
     if family == "ass":
         return full_complex(n, m_max)
     dims = {}
     for m in range(1, m_max + 2):
-        dims[m] = len(_degree_basis(family, n, m)[0])
+        dims[m] = len(_degree_basis(family, n, m))
         if family == "lie" and dims[m] != witt_dim(m, n):
             raise InvariantError(
                 f"direct-lie(n={n}) degree {m}: {dims[m]} Lyndon words, expected {witt_dim(m, n)}"
             )
     diffs = {m: substitution_differential(family, n, m) for m in range(1, m_max + 1)}
     return CochainComplex(f"direct-{family}(n={n})", n, m_max, dims, diffs)
-
-
-class RealizationReport:
-    def __init__(
-        self,
-        family: str,
-        n: int,
-        direct_dims: tuple,
-        engine_dims: tuple,
-        direct_betti: tuple,
-        engine_betti: tuple,
-    ):
-        self.family = family
-        self.n = n
-        self.direct_dims = direct_dims
-        self.engine_dims = engine_dims
-        self.direct_betti = direct_betti
-        self.engine_betti = engine_betti
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.direct_dims == self.engine_dims
-            and self.direct_betti == self.engine_betti
-        )
-
-
-def compare_with_engine(family: str, n: int, m_max: int) -> RealizationReport:
-    """Dimension-by-dimension and Betti-by-Betti face-off with the engine.
-
-    The engine side is the shipped route, the surjective-word quotient; its
-    dimensions are the trace counts of the full complex.
-    """
-    from .cubical import cubical_complex
-    from .modules import builtin
-    from .perm import symmetric_group
-
-    direct = direct_complex(family, n, m_max)
-    module = builtin(FAMILY_MODULES[family], n)
-    engine = cubical_complex(module, symmetric_group(n), m_max, mode="quotient")
-    span = range(1, m_max + 2)
-    return RealizationReport(
-        family,
-        n,
-        tuple(direct.dims[m] for m in span),
-        tuple(engine.dims[m] for m in span),
-        direct.betti_table().bettis(),
-        engine.betti_table().bettis(),
-    )

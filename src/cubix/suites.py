@@ -31,6 +31,7 @@ from .harrison import (
 )
 from .modules import (
     BUILTIN_KINDS,
+    FAMILY_KINDS,
     ModuleSpec,
     _check_coxeter,
     builtin,
@@ -40,7 +41,7 @@ from .modules import (
     trivial_subgroup_module,
 )
 from .perm import Permutation, PermutationGroup, cyclic_group, symmetric_group
-from .realizations import compare_with_engine
+from .realizations import direct_complex
 
 
 class Check(Record):
@@ -101,31 +102,37 @@ def chk_harrison_vanishes(kind: str, n: int):
     return _expect(f"harrison {kind} n={n}", hc.betti_table(), n, 0, "no cohomology")
 
 
-def _dims_and_bettis(cx):
-    return tuple(cx.dims[m] for m in range(1, cx.m_max + 2)), cx.betti_table().bettis()
+def _agree(label: str, named):
+    """Pass when the (name, complex) pairs of ``named`` agree in their dims
+    through m_max + 1 and their Betti numbers.  The detail shows the first
+    two complexes, and all of them on a disagreement."""
+    sides = [
+        (name, tuple(cx.dims[m] for m in range(1, cx.m_max + 2)), cx.betti_table().bettis())
+        for name, cx in named
+    ]
+    ok = all(side[1:] == sides[0][1:] for side in sides)
+    shown = sides[:2] if ok else sides
+    return ok, f"{label}: " + " vs ".join(
+        f"{name} dims={dims} betti={betti}" for name, dims, betti in shown
+    )
 
 
 def chk_modes_agree(kind: str, n: int):
     module = builtin(kind, n)
     # lie_cyclic(n) lives over S_{n+1}, so take the slot count from the module
     group = symmetric_group(module.N)
-    (dims_a, ba), (dims_b, bb), (dims_c, bc) = (
-        _dims_and_bettis(cubical_complex(module, group, 4, mode=mode))
-        for mode in ("orbit", "naive", "quotient")
+    modes = ("orbit", "naive", "quotient")
+    return _agree(
+        f"{kind} n={n}",
+        ((mode, cubical_complex(module, group, 4, mode=mode)) for mode in modes),
     )
-    ok = dims_a == dims_b == dims_c and ba == bb == bc
-    detail = f"{kind} n={n}: orbit dims={dims_a} betti={ba} vs naive dims={dims_b} betti={bb}"
-    if not ok:
-        detail += f" vs quotient dims={dims_c} betti={bc}"
-    return ok, detail
 
 
 def chk_realization(family: str, n: int):
-    rep = compare_with_engine(family, n, 6)
-    return rep.ok, (
-        f"{family} n={n}: direct dims={rep.direct_dims} betti={rep.direct_betti} "
-        f"vs engine dims={rep.engine_dims} betti={rep.engine_betti}"
-    )
+    direct = direct_complex(family, n, 6)
+    module = builtin(FAMILY_KINDS[family], n)
+    engine = cubical_complex(module, symmetric_group(n), 6, mode="quotient")
+    return _agree(f"{family} n={n}", (("direct", direct), ("engine", engine)))
 
 
 def chk_induction(tag: str):

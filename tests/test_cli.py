@@ -288,6 +288,16 @@ def test_stdout_matches_golden(argv, golden, capsys):
 EXPECTED = Path(__file__).parent.parent / "perfbench" / "expected"
 
 
+@pytest.mark.parametrize(
+    "expected, golden",
+    [("verify.txt", "verify-all-4.txt"), ("harrison4.txt", "betti-harrison-4-mmax5.table")],
+)
+def test_benchmark_expected_output_is_the_golden(expected, golden):
+    # the benchmark checks its solves against these files byte for byte, so
+    # a golden changed on purpose must change its copy there too
+    assert (EXPECTED / expected).read_bytes() == (GOLDEN / golden).read_bytes()
+
+
 def test_lie6_matches_the_benchmark_output(capsys):
     assert main(["betti", "--family", "lie", "--n", "6"]) == 0
     assert capsys.readouterr().out == (EXPECTED / "lie6.txt").read_text()
@@ -460,6 +470,16 @@ def test_conflicting_n_is_an_input_error(tmp_path, capsys):
         == 2
     )
     assert "conflicts" in capsys.readouterr().err
+
+
+def test_harrison_custom_reads_the_slot_count_from_the_file(capsys):
+    argv = ["betti", "--family", "harrison", "--custom", str(GOLDEN / "lie_cyclic3-seed1.json")]
+    assert main(argv + ["--n", "4"]) == 0
+    with_n = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == with_n
+    assert main(argv + ["--n", "3"]) == 2
+    assert capsys.readouterr().err == "error: --n 3 conflicts with the module's slot count 4\n"
 
 
 def _refused_count(args, cap, capsys):

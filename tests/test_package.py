@@ -49,3 +49,22 @@ def test_no_module_guards_an_invariant_with_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_realizations_import_nothing_of_the_engine():
+    # the direct complexes are an oracle of the engine, so they may share the
+    # word differential but no orbit, quotient, module or group code; function
+    # level imports count too
+    engine = {"cubical_complex", "OrbitComplexBuilder", "operator_complex"}
+    engine |= {"modules", "perm", "harrison", "suites"}
+    path = SRC / "cubix" / "realizations.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".") + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            parts = [part for alias in node.names for part in alias.name.split(".")]
+        else:
+            continue
+        found += [f"line {node.lineno}: {part}" for part in parts if part in engine]
+    assert found == []

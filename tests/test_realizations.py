@@ -2,21 +2,22 @@
 
 Oracle values: necklace sets and small differentials are expanded by hand;
 dimension formulas (word count, Witt, necklace) pin the degree sizes; the
-engine comparisons are the two-route check and must agree exactly.
+engine comparisons, here and in ``suites.chk_realization``, are the
+two-route check and must agree exactly.
 """
 
 import pytest
 from conftest import rotation_class, rotation_class_necklaces, rotation_class_tr_differential
 
 import cubix.realizations as realizations
-from cubix.cubical import differential, full_complex
+import cubix.suites as suites
+from cubix.cubical import CochainComplex, cubical_complex, differential, full_complex
 from cubix.freelie import witt_dim
-from cubix.linalg import InvariantError
+from cubix.linalg import InvariantError, RationalMatrix, SubspaceEscape
+from cubix.modules import FAMILY_KINDS, builtin
+from cubix.perm import symmetric_group
 from cubix.realizations import (
-    RealizationReport,
-    SubspaceEscape,
     _degree_basis,
-    compare_with_engine,
     direct_complex,
     necklace_count,
     necklace_representatives,
@@ -88,7 +89,8 @@ def test_ass_family_is_the_word_complex():
 def test_lie_dimensions_follow_witt():
     dc = direct_complex("lie", 2, 3)
     assert [dc.dims[m] for m in range(1, 5)] == [0, 1, 3, 6]
-    assert _degree_basis("lie", 2, 2)[0] == ((1, 2),)
+    # the one Lyndon word 12 expands to [1, 2] = 12 - 21, word indices 1 and 2
+    assert _degree_basis("lie", 2, 2) == ({1: 1, 2: -1},)
     for m in range(1, 5):
         assert dc.dims[m] == witt_dim(m, 2)
 
@@ -110,24 +112,60 @@ def test_direct_complex_rejects_unknown_family():
         direct_complex("sder", 2, 3)
 
 
+def test_the_lie_restriction_raises_when_a_vector_escapes(monkeypatch):
+    # send word 12 to word 111, which lies outside the Lie subspace at m=3
+    monkeypatch.setattr(
+        realizations, "differential", lambda n, m: RationalMatrix.from_entries(9, 4, [(0, 1, 1)])
+    )
+    with pytest.raises(SubspaceEscape, match=r"^a vector escapes the Lie subspace at n=2, m=3$"):
+        substitution_differential("lie", 2, 2)
+
+
+def _engine(family, n, m_max):
+    module = builtin(FAMILY_KINDS[family], n)
+    return cubical_complex(module, symmetric_group(n), m_max, mode="quotient")
+
+
+def _dims(cx):
+    return tuple(cx.dims[m] for m in range(1, cx.m_max + 2))
+
+
 def test_engine_agreement_small_windows():
     # the published degrees: lie n=2 -> b2, ass n=3 -> b3, tr n=3 -> b3
-    rep = compare_with_engine("lie", 2, 4)
-    assert rep.ok and rep.direct_betti == (0, 1, 0, 0)
-    rep = compare_with_engine("ass", 3, 4)
-    assert rep.ok and rep.direct_betti == (0, 0, 1, 0)
-    rep = compare_with_engine("tr", 3, 4)
-    assert rep.ok and rep.direct_betti == (0, 0, 1, 0)
+    for family, n, bettis in (
+        ("lie", 2, (0, 1, 0, 0)),
+        ("ass", 3, (0, 0, 1, 0)),
+        ("tr", 3, (0, 0, 1, 0)),
+    ):
+        direct, engine = direct_complex(family, n, 4), _engine(family, n, 4)
+        assert _dims(direct) == _dims(engine)
+        assert direct.betti_table().bettis() == engine.betti_table().bettis() == bettis
 
 
 def test_engine_agreement_covers_dimensions():
-    rep = compare_with_engine("tr", 2, 4)
-    assert rep.direct_dims == (1, 3, 6, 10, 15)
-    assert rep.engine_dims == rep.direct_dims
+    assert _dims(direct_complex("tr", 2, 4)) == _dims(_engine("tr", 2, 4)) == (1, 3, 6, 10, 15)
+    side = "dims=(1, 3, 6, 10, 15, 21, 28) betti=(0, 0, 0, 0, 0, 0)"
+    assert suites.chk_realization("tr", 2) == (True, f"tr n=2: direct {side} vs engine {side}")
 
 
-def test_report_flags_mismatch():
-    rep = RealizationReport("lie", 2, (0, 1), (0, 1), (1,), (0,))
-    assert not rep.ok
-    rep = RealizationReport("lie", 2, (0, 1), (0, 2), (1,), (1,))
-    assert not rep.ok
+def test_realization_check_names_both_sides_on_a_mismatch(monkeypatch):
+    # the word complex in place of the Lie one: the dims differ, the Betti numbers agree
+    monkeypatch.setattr(suites, "direct_complex", lambda family, n, m_max: full_complex(n, m_max))
+    assert suites.chk_realization("lie", 2) == (
+        False,
+        "lie n=2: direct dims=(1, 4, 9, 16, 25, 36, 49) betti=(0, 1, 0, 0, 0, 0) "
+        "vs engine dims=(0, 1, 3, 6, 10, 15, 21) betti=(0, 1, 0, 0, 0, 0)",
+    )
+
+    # the Lie complex with zero differentials: the dims agree, the Betti numbers differ
+    def zero_differentials(family, n, m_max):
+        dims = direct_complex(family, n, m_max).dims
+        zeros = {m: RationalMatrix.zeros(dims[m + 1], dims[m]) for m in range(1, m_max + 1)}
+        return CochainComplex("zero", n, m_max, dims, zeros)
+
+    monkeypatch.setattr(suites, "direct_complex", zero_differentials)
+    assert suites.chk_realization("lie", 2) == (
+        False,
+        "lie n=2: direct dims=(0, 1, 3, 6, 10, 15, 21) betti=(0, 1, 3, 6, 10, 15) "
+        "vs engine dims=(0, 1, 3, 6, 10, 15, 21) betti=(0, 1, 0, 0, 0, 0)",
+    )
