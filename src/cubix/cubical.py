@@ -29,23 +29,28 @@ x (x) g.w = x.g (x) w.  Three constructions are provided:
 * quotient mode runs the same orbit builder on the surjective-word
   quotient Q below, which vanishes above degree n, and reads the full
   complex's dimensions off traces; no matrix larger than Q is built;
-* naive mode builds the full space M (x) (k^m)^{tensor n}, takes the image
-  of the diagonal averaging projector, and restricts the full differential
-  to it.  |G| times the projector is summed over every g of G, filled
-  from act(g) and the permutation of the words by g
-  (``position_indices``).  It exists purely as an oracle.
+* naive mode works in the full space M (x) (k^m)^{tensor n}.  It spans the
+  image of the diagonal averaging projector P by the images P(e_a (x) w)
+  of one word w per position orbit, the word of least index: P(v.g) = P(v),
+  so the other words add nothing.  Each image is summed over every g of G
+  from act(g) and the permutation of the words by g^{-1}
+  (``position_indices``), and one sweep reduces them to a basis.  The full
+  differential is then restricted to that image: each basis vector is
+  pushed through ``differential_columns`` one module block at a time
+  (``apply_differential``).  It exists purely as an oracle.
 
 Every route counts its size before it builds a matrix and refuses a size
 above ``cap`` (``check_cap``): orbit and quotient mode count the trace
 dimensions of the degrees they build plus dim M per distinct stabilizer (one
-``CoinvariantBasis`` each), naive mode |G| times the order
-dim M (m_max + 1)^n of the Kronecker products it sums, and ``full_complex``
-its dimensions.  The Harrison complex of ``harrison.py`` then counts the
-(4^(m_max+1) - 1)/3 products of its D_m D_m = m D_m checks.
+``CoinvariantBasis`` each), naive mode |G| dim M (m_max + 1)^n, |G| times
+the size of its top degree, and ``full_complex`` its dimensions.  The
+Harrison complex of ``harrison.py`` then counts the (4^(m_max+1) - 1)/3
+products of its D_m D_m = m D_m checks.
 
 All modes must agree on dimensions and Betti tables; that equality is part
 of the acceptance suite, so naive mode is not allowed to borrow pieces of
-the orbit builder: shared code stops at the coface rule above.  The word
+the orbit builder (no orbit, transfer or coinvariant code; a tier-1 test
+checks the names): shared code stops at the coface rule above.  The word
 differential that ``full_complex``, naive mode and the realizations read
 is built from its inverse letter maps (``differential_columns``), and the
 orbit route applies ``coface`` to each representative; both implement the
@@ -137,7 +142,6 @@ from .linalg import (
     _Eliminator,
     _int_rows,
     _norm,
-    image_basis,
     rank,
     reduced_echelon,
 )
@@ -284,6 +288,26 @@ def differential(n: int, m: int) -> RationalMatrix:
     return RationalMatrix(m ** n, (m + 1) ** n, cols).transpose()
 
 
+def apply_differential(x: RationalMatrix, cols, tsize: int) -> RationalMatrix:
+    """The rows of x pushed through the word differential, one block of
+    len(cols) word coordinates at a time: coordinate a len(cols) + j of a
+    row goes to a tsize + t with coefficient cols[j][t].  ``cols`` is
+    ``differential_columns(n, m)`` and tsize is (m + 1)^n."""
+    size = len(cols)
+    out = {}
+    for i, row in x.rows.items():
+        acc = {}
+        for k, v in row.items():
+            a, j = divmod(k, size)
+            off = a * tsize
+            for t, c in cols[j].items():
+                acc[off + t] = acc.get(off + t, 0) + v * c
+        acc = {t: _norm(c) for t, c in acc.items() if c}
+        if acc:
+            out[i] = acc
+    return RationalMatrix(x.nrows, x.ncols // size * tsize, out)
+
+
 # -- complexes and Betti tables -------------------------------------------
 
 
@@ -393,9 +417,15 @@ def _checked_table(label: str, n: int, rows) -> BettiTable:
 
 
 def full_complex(n: int, m_max: int, cap: int = DEFAULT_CAP) -> CochainComplex:
-    """The plain word complex: dimension m^n in degree m."""
+    """The plain word complex: dimension m^n in degree m.  It is built once
+    per (n, m_max), after the cap check, and shared with its ranks."""
+    check_cap(sum(m ** n for m in range(1, m_max + 2)), cap, f"the size of full(n={n})")
+    return _full_complex(n, m_max)
+
+
+@lru_cache(maxsize=None)
+def _full_complex(n: int, m_max: int) -> CochainComplex:
     dims = {m: m ** n for m in range(1, m_max + 2)}
-    check_cap(sum(dims.values()), cap, f"the size of full(n={n})")
     diffs = {m: differential(n, m) for m in range(1, m_max + 1)}
     return CochainComplex(f"full(n={n})", n, m_max, dims, diffs)
 
@@ -727,39 +757,45 @@ def complex_label(module, group: PermutationGroup) -> str:
     return f"{getattr(module, 'name', 'M')}/{'S' if group.is_symmetric() else 'G'}{group.degree}"
 
 
-def _naive_projector(module, group, m: int) -> RationalMatrix:
-    """The transpose of |G| times the averaging projector on degree m of
-    M (x) word space, indexed (module basis, word); it has the projector's
-    image.  The projector is the sum over g of act(g) (x) position_matrix(g),
-    so row (b, j) of its transpose gains act(g)[a][b] at column (a, g.w_j)."""
+def _naive_basis(module, group, m: int) -> list:
+    """A row echelon basis of the image of the averaging projector P on
+    degree m of M (x) word space, indexed (module basis, word).
+
+    |G| P sends e_a (x) w to the sum over g of e_a.g (x) g^{-1}.w, and
+    P(e_a (x) g.w) = P(e_a.g (x) w), so the images of e_a (x) w, for w one
+    word per position orbit (its least index), span im P; one sweep
+    reduces them to a basis.
+    """
     n = group.degree
     size = m ** n
-    rows = [{} for _ in range(module.dim * size)]
-    for g in group.elements:
-        idx = position_indices(g, n, m)
-        for a, arow in module.act(g).rows.items():
-            off = a * size
-            for b, v in arow.items():
-                for row, i in zip(rows[b * size : (b + 1) * size], idx):
-                    c = off + i
-                    row[c] = row.get(c, 0) + v
-    return RationalMatrix.from_row_dicts(rows, len(rows), len(rows))
+    moved = [(module.act(g).rows, position_indices(g.inverse(), n, m)) for g in group.elements]
+    least = map(min, zip(*(idx for _, idx in moved)))
+    reps = [j for j, k in enumerate(least) if j == k]
+    span = {}
+    for action, idx in moved:
+        for j in reps:
+            w = idx[j]
+            for a, arow in action.items():
+                vec = span.setdefault((a, j), {})
+                for b, v in arow.items():
+                    c = b * size + w
+                    vec[c] = vec.get(c, 0) + v
+    span = RationalMatrix.from_row_dicts(span.values(), len(span), module.dim * size)
+    return [row for _, row in _Eliminator(_int_rows(span), span.ncols).sweep()]
 
 
 def _naive_complex(module, group, m_max, cap, label) -> CochainComplex:
     n = group.degree
     dim_m = module.dim
     check_cap(group.order * dim_m * (m_max + 1) ** n, cap, f"the size of naive mode for {label}")
-    solvers = {}
-    for m in range(1, m_max + 2):
-        proj_t = _naive_projector(module, group, m)
-        solvers[m] = RowSpanSolver(image_basis(proj_t), proj_t.nrows)
+    solvers = {
+        m: RowSpanSolver(_naive_basis(module, group, m), dim_m * m ** n)
+        for m in range(1, m_max + 2)
+    }
     dims = {m: solver.k for m, solver in solvers.items()}
-    # M (x) word space, indexed (module basis, word); d acts on the words
-    ident = RationalMatrix.identity(dim_m)
     diffs = {}
     for m in range(1, m_max + 1):
-        images = solvers[m].basis * ident.kron(differential(n, m)).transpose()
+        images = apply_differential(solvers[m].basis, differential_columns(n, m), (m + 1) ** n)
         coords = solvers[m + 1].solve(images, f"{label}: the coinvariant space")
         diffs[m] = coords.transpose()
     return CochainComplex(label, n, m_max, dims, diffs)

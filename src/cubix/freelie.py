@@ -6,13 +6,17 @@ Lie elements are always carried as expansions inside the associative word
 space, i.e. dicts mapping word tuples to integer coefficients, so membership
 and equality questions reduce to linear algebra instead of Hall rewriting.
 
-Two bases are provided and both are rank-verified at construction, since
-downstream cohomology claims silently depend on them being bases:
+Two bases are provided and both are verified independent at construction,
+since downstream cohomology claims silently depend on them being bases:
 
 * the left-normed multilinear basis [[...[x_1, x_{s(2)}], ...], x_{s(n)}]
-  indexed by permutations of {2, ..., n}, of size (n-1)!;
+  indexed by permutations of {2, ..., n}, of size (n-1)!, by its rank;
 * expansions of the standard bracketings of Lyndon words of length n over
-  the alphabet [m], of size witt_dim(m, n).
+  the alphabet [m], of size witt_dim(m, n), by their leading words: the
+  expansion of a Lyndon word w is w plus lexicographically larger words
+  (the classical triangularity of the standard bracketing), so the
+  vectors are in echelon form.  Each expansion is checked to lead with its
+  word at coefficient 1.
 """
 
 from functools import lru_cache, reduce
@@ -100,6 +104,13 @@ def lyndon_bracketing(word):
     raise ValueError(f"not a Lyndon word: {word}")
 
 
+@lru_cache(maxsize=None)
+def lyndon_expansion(word) -> dict:
+    """The expansion of the standard bracketing of a Lyndon word.  It does
+    not depend on the alphabet, so every degree shares it."""
+    return expand(lyndon_bracketing(word))
+
+
 def _verify_rank(vectors, expected, what):
     index = {}
     rows = []
@@ -137,11 +148,15 @@ def lie_projector_basis(m: int, n: int):
     """Expansions of standard bracketings of Lyndon words, lex order.
 
     A basis of the degree-n part of the free Lie algebra on m generators
-    inside the word space; verified independent with witt_dim(m, n) members.
+    inside the word space; verified echelon (each word leads its expansion
+    at coefficient 1) with witt_dim(m, n) members.
     """
-    vectors = tuple(expand(lyndon_bracketing(w)) for w in lyndon_words(m, n))
+    ws = lyndon_words(m, n)
+    vectors = tuple(lyndon_expansion(w) for w in ws)
     expected = witt_dim(m, n)
-    _verify_rank(vectors, len(vectors), f"Lyndon basis m={m} n={n}")
+    for w, vec in zip(ws, vectors):
+        if min(vec) != w or vec[w] != 1:
+            raise InvariantError(f"Lyndon basis m={m} n={n}: {w} does not lead its expansion")
     if len(vectors) != expected:
         raise InvariantError(
             f"Lyndon basis m={m} n={n}: {len(vectors)} words, expected {expected}"

@@ -446,10 +446,11 @@ class InvariantError(ArithmeticError):
     """Exact arithmetic contradicts an identity the construction relies on.
 
     Raised for a broken internal invariant, never for bad input: a vector
-    escaping a subspace the differential must preserve, a coinvariant
-    relation with a nonzero class, D^2 != m D, an impossible Betti row, or
-    a basis rank, Lyndon count, Eulerian scale or sign-isotypic dimension
-    that contradicts its closed form.
+    escaping a subspace the differential must preserve, dependent rows
+    handed to ``RowSpanSolver``, a coinvariant relation with a nonzero
+    class, D^2 != m D, an impossible Betti row, or a basis rank, Lyndon
+    count or leading word, Eulerian scale or sign-isotypic dimension that
+    contradicts its closed form.
     """
 
 
@@ -461,15 +462,16 @@ class RowSpanSolver:
     """Coordinates of vectors with respect to a fixed independent row family.
 
     ``rows`` is a list of integer dict vectors of length ``ncols``; ``basis``
-    holds them as a k x ncols matrix.  The constructor inverts the square
-    pivot submatrix S through ``reduced_echelon``: row i carries a tag
-    column ``ncols + i``, so each pivot row records which combination of
-    input rows it is.  Pivot row j then reads d_j at its pivot, zero at
-    every other pivot and tags_j in the tag columns, so
-    T = (L / d_j) * tags_j, with L = lcm |d_j|, is integer and
-    (T/L) @ S = I.  ``solve`` then maps a whole block of vectors with one
-    sparse product and checks every row's membership in the span exactly.
-    k = 0 is valid: only the zero vector is in the span.
+    holds them as a k x ncols matrix.  Every caller hands over rows that
+    must be independent, so dependent rows raise InvariantError.  The
+    constructor inverts the square pivot submatrix S through
+    ``reduced_echelon``: row i carries a tag column ``ncols + i``, so each
+    pivot row records which combination of input rows it is.  Pivot row j
+    then reads d_j at its pivot, zero at every other pivot and tags_j in
+    the tag columns, so T = (L / d_j) * tags_j, with L = lcm |d_j|, is
+    integer and (T/L) @ S = I.  ``solve`` then maps a whole block of
+    vectors with one sparse product and checks every row's membership in
+    the span exactly.  k = 0 is valid: only the zero vector is in the span.
     """
 
     def __init__(self, rows, ncols):
@@ -481,7 +483,7 @@ class RowSpanSolver:
         red = reduced_echelon(tagged, ncols)
         if len(red) != k:
             # a dependent row is swept down to its tags and never pivots
-            raise ValueError("rows are linearly dependent")
+            raise InvariantError(f"{k} rows are linearly dependent: they span {len(red)}")
         self._piv = {c: j for j, (c, _) in enumerate(red)}
         L = lcm(*(abs(row[c]) for c, row in red))
         self.scale = L

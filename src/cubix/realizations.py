@@ -9,8 +9,11 @@ with no reference to modules, orbits, or coinvariants:
   family is ``cubical.full_complex``;
 * lie: the degree-n part of the free Lie algebra on m generators, embedded
   in the word space by expanding the standard bracketings of Lyndon words.
-  Substitutions are Lie algebra maps, so the subspace must be preserved;
-  the restriction solves exactly and raises if a vector ever escapes;
+  Substitutions are Lie algebra maps, so the subspace must be preserved.
+  The images of the expansions come straight from the differential's
+  columns, and each Lyndon word leads its expansion, so the restriction
+  reads coordinates by stripping least words (``_lyndon_coords``), exactly,
+  and raises if a vector ever escapes;
 * tr: rotation classes of words, with lexicographically least rotations as
   representatives.  Substitutions act on letter values and rotations act on
   positions, so the differential descends to the quotient.  Lex order is
@@ -28,13 +31,12 @@ from math import gcd
 
 from .cubical import (
     CochainComplex,
-    differential,
+    apply_differential,
     differential_columns,
     full_complex,
-    words,
 )
-from .freelie import lie_projector_basis, witt_dim
-from .linalg import InvariantError, RationalMatrix, RowSpanSolver
+from .freelie import lie_projector_basis
+from .linalg import InvariantError, RationalMatrix, SubspaceEscape
 
 
 def necklace_count(m: int, n: int) -> int:
@@ -65,6 +67,14 @@ def _word(x: int, n: int, m: int) -> tuple:
     return tuple(x // m ** p % m + 1 for p in range(n - 1, -1, -1))
 
 
+def _index(w: tuple, m: int) -> int:
+    """The number of word w in ``words(len(w), m)``."""
+    x = 0
+    for letter in w:
+        x = x * m + letter - 1
+    return x
+
+
 def necklace_representatives(m: int, n: int) -> list:
     return [_word(x, n, m) for x in _necklaces(m, n)[1]]
 
@@ -73,9 +83,8 @@ def necklace_representatives(m: int, n: int) -> list:
 def _degree_basis(family: str, n: int, m: int) -> tuple:
     """The basis of one degree as expansion dicts over word indices."""
     if family == "lie":
-        index = {w: i for i, w in enumerate(words(n, m))}
         return tuple(
-            {index[w]: c for w, c in e.items()} for e in lie_projector_basis(m, n)
+            {_index(w, m): c for w, c in e.items()} for e in lie_projector_basis(m, n)
         )
     if family == "tr":
         return tuple({x: 1} for x in _necklaces(m, n)[1])
@@ -99,22 +108,46 @@ def substitution_differential(family: str, n: int, m: int) -> RationalMatrix:
         )
         return RationalMatrix.from_entries(len(tgt_vecs), len(src_vecs), entries)
     # lie: push the source Lyndon expansions through the word differential,
-    # then solve for their coordinates in the target Lyndon basis
-    src = RationalMatrix.from_row_dicts(src_vecs, len(src_vecs), m ** n)
-    tgt = RowSpanSolver(list(tgt_vecs), (m + 1) ** n)
-    images = src * differential(n, m).transpose()
-    return tgt.solve(images, f"the Lie subspace at n={n}, m={m + 1}").transpose()
+    # then read their coordinates in the target Lyndon basis
+    src = RationalMatrix(len(src_vecs), m ** n, dict(enumerate(src_vecs)))
+    images = apply_differential(src, differential_columns(n, m), (m + 1) ** n)
+    return _lyndon_coords(images, tgt_vecs, f"the Lie subspace at n={n}, m={m + 1}")
+
+
+def _lyndon_coords(x: RationalMatrix, basis, space: str) -> RationalMatrix:
+    """Matrix c, target-by-source, with x's row j equal to sum_i c[i][j]
+    basis[i].
+
+    Each basis vector leads with its Lyndon word at coefficient 1 and its
+    other words are larger (``lie_projector_basis`` checks it), so the least
+    word of a vector of the span leads a basis vector, whose multiple is
+    stripped, until nothing is left.  A least word that leads no basis
+    vector raises SubspaceEscape, naming ``space``.
+    """
+    lead = {min(vec): i for i, vec in enumerate(basis)}
+    entries = []
+    for j, row in x.rows.items():
+        rest = dict(row)
+        while rest:
+            k = min(rest)
+            i = lead.get(k)
+            if i is None:
+                raise SubspaceEscape(f"a vector escapes {space}")
+            c = rest[k]
+            entries.append((i, j, c))
+            for t, v in basis[i].items():
+                r = rest.get(t, 0) - c * v
+                if r:
+                    rest[t] = r
+                else:
+                    del rest[t]
+    return RationalMatrix.from_entries(len(basis), x.nrows, entries)
 
 
 def direct_complex(family: str, n: int, m_max: int) -> CochainComplex:
     if family == "ass":
         return full_complex(n, m_max)
-    dims = {}
-    for m in range(1, m_max + 2):
-        dims[m] = len(_degree_basis(family, n, m))
-        if family == "lie" and dims[m] != witt_dim(m, n):
-            raise InvariantError(
-                f"direct-lie(n={n}) degree {m}: {dims[m]} Lyndon words, expected {witt_dim(m, n)}"
-            )
+    # the Lie degrees' sizes are checked against witt_dim by lie_projector_basis
+    dims = {m: len(_degree_basis(family, n, m)) for m in range(1, m_max + 2)}
     diffs = {m: substitution_differential(family, n, m) for m in range(1, m_max + 1)}
     return CochainComplex(f"direct-{family}(n={n})", n, m_max, dims, diffs)

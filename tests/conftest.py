@@ -12,10 +12,27 @@ from math import lcm
 from hypothesis import configuration, settings
 from hypothesis import strategies as st
 
-from cubix.cubical import coface, differential_columns, position_action, words
+import cubix.cubical as cubical
+import cubix.freelie as freelie
+import cubix.realizations as realizations
+from cubix.cubical import (
+    coface,
+    differential,
+    differential_columns,
+    position_action,
+    position_indices,
+    words,
+)
 from cubix.freelie import is_lyndon
 from cubix.harrison import eulerian_terms, slot_action
-from cubix.linalg import RationalMatrix, _clear, _Eliminator, _int_rows, image_basis
+from cubix.linalg import (
+    RationalMatrix,
+    RowSpanSolver,
+    _clear,
+    _Eliminator,
+    _int_rows,
+    image_basis,
+)
 from cubix.modules import (
     BUILTIN_KINDS,
     ModuleSpec,
@@ -114,10 +131,31 @@ def per_word_position_matrix(g, n, m):
     return RationalMatrix.from_entries(len(ws), len(ws), entries)
 
 
+def naive_projector(module, group, m):
+    """The transpose of |G| times the averaging projector on degree m of
+    M (x) word space, indexed (module basis, word); it has the projector's
+    image.  The projector is the sum over g of act(g) (x) position_matrix(g),
+    so row (b, j) of its transpose gains act(g)[a][b] at column (a, g.w_j).
+    Naive mode once eliminated all of its rows; it is the oracle of the
+    spanning rows of ``cubix.cubical._naive_basis``."""
+    n = group.degree
+    size = m ** n
+    rows = [{} for _ in range(module.dim * size)]
+    for g in group.elements:
+        idx = position_indices(g, n, m)
+        for a, arow in module.act(g).rows.items():
+            off = a * size
+            for b, v in arow.items():
+                for row, i in zip(rows[b * size : (b + 1) * size], idx):
+                    c = off + i
+                    row[c] = row.get(c, 0) + v
+    return RationalMatrix.from_row_dicts(rows, len(rows), len(rows))
+
+
 def kron_naive_projector(module, group, m):
     """The transpose of |G| times the averaging projector, summed entry by
     entry from act(g) (x) position_matrix(g) over g in G: the oracle of
-    ``cubix.cubical._naive_projector``."""
+    ``naive_projector``."""
     n = group.degree
     size = module.dim * m ** n
     entries = (
@@ -152,6 +190,29 @@ def coface_differential_columns(n, m):
                 acc[j] = acc.get(j, 0) + s
         cols.append({j: c for j, c in acc.items() if c})
     return tuple(cols)
+
+
+def clear_realization_caches():
+    """Empty every cache a direct complex reads through, so that a test
+    which patches a name of ``realizations.py`` or ``freelie.py`` sees the
+    patch."""
+    for cached in (
+        realizations._degree_basis,
+        freelie.lie_projector_basis,
+        freelie.lyndon_expansion,
+        cubical._full_complex,
+    ):
+        cached.cache_clear()
+
+
+def product_lie_differential(n, m):
+    """``substitution_differential("lie", n, m)`` as a product with the
+    whole word differential, solved in the target Lyndon basis by
+    ``RowSpanSolver``: its oracle."""
+    src = realizations._degree_basis("lie", n, m)
+    tgt = RowSpanSolver(list(realizations._degree_basis("lie", n, m + 1)), (m + 1) ** n)
+    images = RationalMatrix.from_row_dicts(src, len(src), m ** n)
+    return tgt.solve(images * differential(n, m).transpose()).transpose()
 
 
 def filtered_lyndon_words(m, n):

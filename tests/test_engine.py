@@ -18,6 +18,7 @@ from conftest import (
     halved_basis_change,
     kron_naive_projector,
     modules_and_groups,
+    naive_projector,
     per_word_position_matrix,
     sign_subgroup_module,
     stacked_coinvariant_basis,
@@ -55,7 +56,14 @@ from cubix.cubical import (
 )
 from cubix.freelie import witt_dim
 from cubix.harrison import slot_action
-from cubix.linalg import InvariantError, RationalMatrix, SubspaceEscape, rank
+from cubix.linalg import (
+    InvariantError,
+    RationalMatrix,
+    RowSpanSolver,
+    SubspaceEscape,
+    image_basis,
+    rank,
+)
 from cubix.modules import (
     BUILTIN_KINDS,
     ModuleSpec,
@@ -179,9 +187,20 @@ def test_naive_projector_matches_its_kronecker_oracle(make):
         rows = (r for g in group.elements for r in module.act(g).rows.values())
         assert any(type(v) is Fraction for r in rows for v in r.values())
     for m in (1, 2, 3, 4):
-        assert cubical._naive_projector(module, group, m) == kron_naive_projector(
-            module, group, m
-        )
+        assert naive_projector(module, group, m) == kron_naive_projector(module, group, m)
+
+
+@pytest.mark.parametrize("make", NAIVE_PROJECTOR_CASES.values(), ids=NAIVE_PROJECTOR_CASES)
+def test_naive_basis_spans_the_projector_image(make):
+    # one word per position orbit spans what every row of the projector spans
+    module = make()
+    group = getattr(module, "group", None) or symmetric_group(module.N)
+    for m in (1, 2, 3, 4):
+        size = module.dim * m ** group.degree
+        basis = cubical._naive_basis(module, group, m)
+        image = image_basis(naive_projector(module, group, m))
+        assert len(basis) == len(image)
+        RowSpanSolver(basis, size).solve(RationalMatrix.from_row_dicts(image, len(image), size))
 
 
 def test_differential_squares_to_zero_on_word_spaces():
@@ -205,6 +224,14 @@ def test_full_complex_concentrated_in_degree_n():
     assert full_complex(1, 3).betti_table().bettis() == (1, 0, 0)
     assert full_complex(2, 4).betti_table().bettis() == (0, 1, 0, 0)
     assert full_complex(3, 5).betti_table().bettis() == (0, 0, 1, 0, 0)
+
+
+def test_full_complex_is_built_once_and_still_refuses_above_the_cap():
+    assert full_complex(3, 3) is full_complex(3, 3, cap=100)
+    # 1 + 8 + 27 + 64 words in degrees 1..4
+    with pytest.raises(DimensionCapExceeded) as info:
+        full_complex(3, 3, cap=99)
+    assert (info.value.required, info.value.cap) == (100, 99)
 
 
 def antisymmetrizer_vector(n: int) -> dict:
@@ -361,7 +388,7 @@ def test_naive_mode_enforces_cap():
         cubical_complex(
             builtin("regular", 3), symmetric_group(3), 4, mode="naive", cap=100
         )
-    # |G| times the order dim M (m_max + 1)^n of the Kronecker products
+    # |G| times the size dim M (m_max + 1)^n of the top degree
     assert info.value.required == 6 * 6 * 5 ** 3
     assert info.value.cap == 100
 

@@ -1,7 +1,7 @@
 from itertools import permutations
 
 import pytest
-from conftest import filtered_lyndon_words
+from conftest import clear_realization_caches, filtered_lyndon_words
 
 import cubix.freelie as freelie
 from cubix.freelie import (
@@ -87,6 +87,15 @@ def test_wrong_lyndon_count_is_an_invariant_error(monkeypatch):
     lie_projector_basis.cache_clear()
     with pytest.raises(InvariantError):
         lie_projector_basis(2, 3)
+
+
+def test_an_expansion_that_does_not_lead_with_its_word_is_an_invariant_error(monkeypatch):
+    # the Lyndon vectors are independent because each leads with its word
+    clear_realization_caches()
+    monkeypatch.setattr(freelie, "lyndon_expansion", lambda w: {w: -1, w[::-1]: 1})
+    message = r"^Lyndon basis m=2 n=2: \(1, 2\) does not lead its expansion$"
+    with pytest.raises(InvariantError, match=message):
+        lie_projector_basis(2, 2)
 
 
 def test_witt_dim_values():

@@ -7,6 +7,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cubix.linalg import (
+    InvariantError,
     RationalMatrix,
     RowSpanSolver,
     SubspaceEscape,
@@ -185,12 +186,9 @@ def test_row_span_solver_fractional_coords():
 
 
 def test_row_span_solver_rejects_dependent_rows():
-    try:
+    # every caller's rows must be independent: a dependency is a broken invariant
+    with pytest.raises(InvariantError, match=r"^2 rows are linearly dependent: they span 1$"):
         RowSpanSolver([{0: 1}, {0: 2}], 2)
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("dependent rows must be rejected")
 
 
 small_ints = st.integers(-4, 4)

@@ -68,3 +68,25 @@ def test_realizations_import_nothing_of_the_engine():
             continue
         found += [f"line {node.lineno}: {part}" for part in parts if part in engine]
     assert found == []
+
+
+def test_naive_mode_names_nothing_of_the_orbit_engine():
+    # naive mode is an oracle of the orbit and quotient routes, so its
+    # functions may share the word differential and linear algebra but no
+    # orbit, transfer or coinvariant code
+    engine = {"OrbitComplexBuilder", "orbit_decomposition", "sort_transfer", "CoinvariantBasis"}
+    path = SRC / "cubix" / "cubical.py"
+    naive = [
+        node
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_naive")
+    ]
+    assert sorted(node.name for node in naive) == ["_naive_basis", "_naive_complex"]
+    found = [
+        f"{func.name} line {node.lineno}: {name}"
+        for func in naive
+        for node in ast.walk(func)
+        for name in (getattr(node, "id", None), getattr(node, "attr", None))
+        if name in engine
+    ]
+    assert found == []

@@ -7,8 +7,15 @@ two-route check and must agree exactly.
 """
 
 import pytest
-from conftest import rotation_class, rotation_class_necklaces, rotation_class_tr_differential
+from conftest import (
+    clear_realization_caches,
+    product_lie_differential,
+    rotation_class,
+    rotation_class_necklaces,
+    rotation_class_tr_differential,
+)
 
+import cubix.freelie as freelie
 import cubix.realizations as realizations
 import cubix.suites as suites
 from cubix.cubical import CochainComplex, cubical_complex, differential, full_complex
@@ -56,6 +63,7 @@ def test_tr_differential_matches_the_rotation_class_oracle(n):
 
 def test_an_indivisible_necklace_sum_is_an_invariant_error(monkeypatch):
     # with phi(d) = d, the sum for m=2, n=3 is 2^3 + 3 * 2 = 14
+    clear_realization_caches()
     monkeypatch.setattr(realizations, "gcd", lambda a, b: 1)
     message = r"^necklace count m=2 n=3: 14 is not divisible by 3$"
     with pytest.raises(InvariantError, match=message):
@@ -63,6 +71,7 @@ def test_an_indivisible_necklace_sum_is_an_invariant_error(monkeypatch):
 
 
 def test_a_wrong_necklace_count_is_an_invariant_error(monkeypatch):
+    clear_realization_caches()
     monkeypatch.setattr(realizations, "necklace_count", lambda m, n: 5)
     message = r"^necklaces m=2 n=3: 4 classes, expected 5$"
     with pytest.raises(InvariantError, match=message):
@@ -70,11 +79,10 @@ def test_a_wrong_necklace_count_is_an_invariant_error(monkeypatch):
 
 
 def test_a_wrong_witt_dimension_is_an_invariant_error(monkeypatch):
-    monkeypatch.setattr(realizations, "witt_dim", lambda m, n: 7)
-    with pytest.raises(
-        InvariantError,
-        match=r"^direct-lie\(n=2\) degree 1: 0 Lyndon words, expected 7$",
-    ):
+    # lie_projector_basis counts each degree of the direct Lie complex
+    clear_realization_caches()
+    monkeypatch.setattr(freelie, "witt_dim", lambda m, n: 7)
+    with pytest.raises(InvariantError, match=r"^Lyndon basis m=1 n=2: 0 words, expected 7$"):
         direct_complex("lie", 2, 3)
 
 
@@ -95,6 +103,12 @@ def test_lie_dimensions_follow_witt():
         assert dc.dims[m] == witt_dim(m, 2)
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+def test_lie_differential_matches_the_product_oracle(n):
+    for m in range(1, 6):
+        assert substitution_differential("lie", n, m) == product_lie_differential(n, m)
+
+
 def test_tr_differential_hand_value():
     # d(11) = (22) - [(11)+(12)+(21)+(22)] + (11) folds to -2 . class(12)
     d = substitution_differential("tr", 2, 1)
@@ -113,10 +127,9 @@ def test_direct_complex_rejects_unknown_family():
 
 
 def test_the_lie_restriction_raises_when_a_vector_escapes(monkeypatch):
-    # send word 12 to word 111, which lies outside the Lie subspace at m=3
-    monkeypatch.setattr(
-        realizations, "differential", lambda n, m: RationalMatrix.from_entries(9, 4, [(0, 1, 1)])
-    )
+    # send word 12 to word 11, which lies outside the Lie subspace at m=3
+    clear_realization_caches()
+    monkeypatch.setattr(realizations, "differential_columns", lambda n, m: ({}, {0: 1}, {}, {}))
     with pytest.raises(SubspaceEscape, match=r"^a vector escapes the Lie subspace at n=2, m=3$"):
         substitution_differential("lie", 2, 2)
 
