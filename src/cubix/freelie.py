@@ -6,11 +6,13 @@ Lie elements are always carried as expansions inside the associative word
 space, i.e. dicts mapping word tuples to integer coefficients, so membership
 and equality questions reduce to linear algebra instead of Hall rewriting.
 
-Two bases are provided and both are verified independent at construction,
-since downstream cohomology claims silently depend on them being bases:
+Two bases are provided and both are verified independent, since
+downstream cohomology claims silently depend on them being bases:
 
 * the left-normed multilinear basis [[...[x_1, x_{s(2)}], ...], x_{s(n)}]
-  indexed by permutations of {2, ..., n}, of size (n-1)!, by its rank;
+  indexed by permutations of {2, ..., n}, of size (n-1)!, by the
+  ``RowSpanSolver`` that every use in ``modules`` passes it through, which
+  raises on dependent rows;
 * expansions of the standard bracketings of Lyndon words of length n over
   the alphabet [m], of size witt_dim(m, n), by their leading words: the
   expansion of a Lyndon word w is w plus lexicographically larger words
@@ -22,7 +24,7 @@ since downstream cohomology claims silently depend on them being bases:
 from functools import lru_cache, reduce
 from itertools import permutations
 
-from .linalg import InvariantError, RationalMatrix, rank
+from .linalg import InvariantError
 
 
 def expand(tree) -> dict:
@@ -111,27 +113,14 @@ def lyndon_expansion(word) -> dict:
     return expand(lyndon_bracketing(word))
 
 
-def _verify_rank(vectors, expected, what):
-    index = {}
-    rows = []
-    for vec in vectors:
-        row = {}
-        for w, c in vec.items():
-            row[index.setdefault(w, len(index))] = c
-        rows.append(row)
-    mat = RationalMatrix.from_row_dicts(rows, len(rows), len(index))
-    got = rank(mat)
-    if got != expected:
-        raise InvariantError(f"{what}: rank {got}, expected {expected}")
-
-
 @lru_cache(maxsize=None)
 def lie_basis_multilinear(n: int):
     """Left-normed brackets [[...[x_1, x_{s(2)}], ...], x_{s(n)}].
 
     Returns a tuple of (letter sequence, expansion dict) pairs, one per
-    permutation s of {2, ..., n}; expansions are verified to have full rank
-    (n-1)! in the multilinear word space.
+    permutation s of {2, ..., n}.  ``modules`` restricts the word action to
+    them through ``RowSpanSolver``, which raises on dependent rows, so their
+    independence is checked where they are used.
     """
     if n == 1:
         return (((1,), {(1,): 1}),)
@@ -139,7 +128,6 @@ def lie_basis_multilinear(n: int):
     for rest in permutations(range(2, n + 1)):
         seq = (1,) + rest
         out.append((seq, expand(left_normed(seq))))
-    _verify_rank([e for _, e in out], len(out), f"multilinear Lie basis n={n}")
     return tuple(out)
 
 

@@ -24,14 +24,19 @@ sparse ``_Eliminator`` drives it in two column orders:
 step, which clears every pivot column from the other pivot rows.  The back
 pass keeps an index from each pivot column to the rows that hold it and
 visits only those, so it costs the row steps it makes rather than a
-membership test per pair of pivot rows.  Both ``RowSpanSolver`` and the
-coinvariant bases of ``cubical.py`` start from it.  ``RowSpanSolver``
-expresses vectors in a fixed independent row family: it runs
-``reduced_echelon`` on rows tagged with their own index, and reads its
-integer inverse of the pivot submatrix from the tags.  Its ``solve`` maps a
-whole block of vectors with one sparse product and checks every row's
-membership in the span exactly; this is how each linear map is restricted
-to an invariant subspace.
+membership test per pair of pivot rows.  It serves only the coinvariant
+bases of ``cubical.py``.
+
+``leading_coords`` is the one place coordinates are read off a basis: it
+strips a vector by the echelon basis vector that leads at its least
+column until nothing is left, and a least column that leads no basis
+vector means the vector escapes the span.  ``RowSpanSolver`` expresses
+vectors in a fixed independent row family: one sweep of the rows, each
+tagged with its own index, gives echelon rows together with the
+combination of input rows that each one is.  Its ``solve`` reads a whole
+block of vectors in the echelon rows, checking every row's membership in
+the span exactly, and maps the coordinates back through the tags; this is
+how each linear map is restricted to an invariant subspace.
 
 Returned basis vectors are integer, have content 1, and their first nonzero
 entry is positive, so test fixtures can compare them literally.
@@ -448,7 +453,7 @@ class InvariantError(ArithmeticError):
     Raised for a broken internal invariant, never for bad input: a vector
     escaping a subspace the differential must preserve, dependent rows
     handed to ``RowSpanSolver``, a coinvariant relation with a nonzero
-    class, D^2 != m D, an impossible Betti row, or a basis rank, Lyndon
+    class, D^2 != m D, an impossible Betti row or rank of d, or a Lyndon
     count or leading word, Eulerian scale or sign-isotypic dimension that
     contradicts its closed form.
     """
@@ -458,20 +463,56 @@ class SubspaceEscape(InvariantError):
     pass
 
 
+def leading_coords(x: RationalMatrix, basis, space: str) -> RationalMatrix:
+    """Matrix c, target-by-source, with x's row j equal to sum_i c[i][j]
+    basis[i].
+
+    ``basis`` is a sequence of dict vectors in echelon form: each leads at
+    its least column, and no two lead at the same column.  The least column
+    of a row of x then leads at most one basis vector, whose multiple
+    (the row's entry over the vector's leading entry) is stripped; what is
+    left starts at a larger column, so the strip ends.  A least column
+    that leads no basis vector raises SubspaceEscape, naming ``space``.
+    This is the one place coordinates are read off a basis.
+    """
+    lead = {}
+    for i, vec in enumerate(basis):
+        k = min(vec)
+        lead[k] = (i, vec[k])
+    entries = []
+    for j, row in x.rows.items():
+        rest = dict(row)
+        while rest:
+            k = min(rest)
+            found = lead.get(k)
+            if found is None:
+                raise SubspaceEscape(f"a vector escapes {space}")
+            i, p = found
+            c = rest[k] if p == 1 else _norm(Fraction(rest[k], p))
+            entries.append((i, j, c))
+            for t, v in basis[i].items():
+                r = rest.get(t, 0) - c * v
+                if r:
+                    rest[t] = r
+                else:
+                    del rest[t]
+    return RationalMatrix.from_entries(len(basis), x.nrows, entries)
+
+
 class RowSpanSolver:
     """Coordinates of vectors with respect to a fixed independent row family.
 
     ``rows`` is a list of integer dict vectors of length ``ncols``; ``basis``
     holds them as a k x ncols matrix.  Every caller hands over rows that
     must be independent, so dependent rows raise InvariantError.  The
-    constructor inverts the square pivot submatrix S through
-    ``reduced_echelon``: row i carries a tag column ``ncols + i``, so each
-    pivot row records which combination of input rows it is.  Pivot row j
-    then reads d_j at its pivot, zero at every other pivot and tags_j in
-    the tag columns, so T = (L / d_j) * tags_j, with L = lcm |d_j|, is
-    integer and (T/L) @ S = I.  ``solve`` then maps a whole block of
-    vectors with one sparse product and checks every row's membership in
-    the span exactly.  k = 0 is valid: only the zero vector is in the span.
+    constructor runs one column-order ``sweep`` on the rows, row i tagged
+    with a column ``ncols + i``: each pivot row is an echelon vector, and
+    its tags record which integer combination of the input rows it is, so
+    echelon = R * basis for the k x k tag matrix R.  ``solve`` reads
+    coordinates in the echelon rows with ``leading_coords``, which checks
+    membership in the span on the way, and maps them through R, so no back
+    pass is needed: ``reduced_echelon`` serves only the coinvariant bases.
+    k = 0 is valid: only the zero vector is in the span.
     """
 
     def __init__(self, rows, ncols):
@@ -480,40 +521,23 @@ class RowSpanSolver:
         self.k = k
         self.basis = RationalMatrix.from_row_dicts(rows, k, ncols)
         tagged = {i: {**r, ncols + i: 1} for i, r in enumerate(rows)}
-        red = reduced_echelon(tagged, ncols)
-        if len(red) != k:
+        pivots = _Eliminator(tagged, ncols).sweep()
+        if len(pivots) != k:
             # a dependent row is swept down to its tags and never pivots
-            raise InvariantError(f"{k} rows are linearly dependent: they span {len(red)}")
-        self._piv = {c: j for j, (c, _) in enumerate(red)}
-        L = lcm(*(abs(row[c]) for c, row in red))
-        self.scale = L
-        t = {}
-        for j, (c, row) in enumerate(red):
-            f = L // row[c]
-            t[j] = {cc - ncols: f * v for cc, v in row.items() if cc >= ncols}
-        self._t = RationalMatrix(k, k, t)
+            raise InvariantError(f"{k} rows are linearly dependent: they span {len(pivots)}")
+        swept = [row for _, row in pivots]
+        self._echelon = [{c: v for c, v in row.items() if c < ncols} for row in swept]
+        tags = [{c - ncols: v for c, v in row.items() if c >= ncols} for row in swept]
+        self._tags = RationalMatrix(k, k, dict(enumerate(tags)))
 
     def solve(self, x: RationalMatrix, space: str = "the row span") -> RationalMatrix:
         """Matrix c with c * basis == x, for x with rows over the columns.
 
-        Restriction to the pivot columns is injective on the span, so
-        u = x[:, piv] * T is L times the answer whenever x lies in it;
-        u * basis == L x checks that for every row at once.  A row outside
-        the span raises SubspaceEscape, naming ``space``.
+        A row outside the span raises SubspaceEscape, naming ``space``.
         """
         if x.ncols != self.ncols:
             raise ValueError(f"solve: {x.ncols} columns, expected {self.ncols}")
-        piv = self._piv
-        xp = {}
-        for i, row in x.rows.items():
-            r = {piv[c]: v for c, v in row.items() if c in piv}
-            if r:
-                xp[i] = r
-        u = RationalMatrix(x.nrows, self.k, xp) * self._t
-        L = self.scale
-        if u * self.basis != x.scale(L):
-            raise SubspaceEscape(f"a vector escapes {space}")
-        return u if L == 1 else u.scale(Fraction(1, L))
+        return leading_coords(x, self._echelon, space).transpose() * self._tags
 
     def coords(self, vec):
         """Coordinate list c with sum_i c[i] * rows[i] == vec, or None when

@@ -12,8 +12,8 @@ with no reference to modules, orbits, or coinvariants:
   Substitutions are Lie algebra maps, so the subspace must be preserved.
   The images of the expansions come straight from the differential's
   columns, and each Lyndon word leads its expansion, so the restriction
-  reads coordinates by stripping least words (``_lyndon_coords``), exactly,
-  and raises if a vector ever escapes;
+  reads coordinates by stripping least words (``linalg.leading_coords``),
+  exactly, and raises if a vector ever escapes;
 * tr: rotation classes of words, with lexicographically least rotations as
   representatives.  Substitutions act on letter values and rotations act on
   positions, so the differential descends to the quotient.  Lex order is
@@ -36,7 +36,7 @@ from .cubical import (
     full_complex,
 )
 from .freelie import lie_projector_basis
-from .linalg import InvariantError, RationalMatrix, SubspaceEscape
+from .linalg import InvariantError, RationalMatrix, leading_coords
 
 
 def necklace_count(m: int, n: int) -> int:
@@ -49,13 +49,14 @@ def necklace_count(m: int, n: int) -> int:
     return total // n
 
 
+@lru_cache(maxsize=None)
 def _necklaces(m: int, n: int):
     """(the index of the least rotation of each word of ``words(n, m)``,
-    the representatives' indices in ascending order).  Rotating word x by
-    k letters gives index (x mod m^(n-k)) m^k + x div m^(n-k)."""
+    the representatives' indices in ascending order), as tuples.  Rotating
+    word x by k letters gives index (x mod m^(n-k)) m^k + x div m^(n-k)."""
     places = [(m ** (n - k), m ** k) for k in range(n)]
-    least = [min(x % p * q + x // p for p, q in places) for x in range(m ** n)]
-    reps = [x for x, y in enumerate(least) if x == y]
+    least = tuple(min(x % p * q + x // p for p, q in places) for x in range(m ** n))
+    reps = tuple(x for x, y in enumerate(least) if x == y)
     expected = necklace_count(m, n)
     if len(reps) != expected:
         raise InvariantError(f"necklaces m={m} n={n}: {len(reps)} classes, expected {expected}")
@@ -111,37 +112,7 @@ def substitution_differential(family: str, n: int, m: int) -> RationalMatrix:
     # then read their coordinates in the target Lyndon basis
     src = RationalMatrix(len(src_vecs), m ** n, dict(enumerate(src_vecs)))
     images = apply_differential(src, differential_columns(n, m), (m + 1) ** n)
-    return _lyndon_coords(images, tgt_vecs, f"the Lie subspace at n={n}, m={m + 1}")
-
-
-def _lyndon_coords(x: RationalMatrix, basis, space: str) -> RationalMatrix:
-    """Matrix c, target-by-source, with x's row j equal to sum_i c[i][j]
-    basis[i].
-
-    Each basis vector leads with its Lyndon word at coefficient 1 and its
-    other words are larger (``lie_projector_basis`` checks it), so the least
-    word of a vector of the span leads a basis vector, whose multiple is
-    stripped, until nothing is left.  A least word that leads no basis
-    vector raises SubspaceEscape, naming ``space``.
-    """
-    lead = {min(vec): i for i, vec in enumerate(basis)}
-    entries = []
-    for j, row in x.rows.items():
-        rest = dict(row)
-        while rest:
-            k = min(rest)
-            i = lead.get(k)
-            if i is None:
-                raise SubspaceEscape(f"a vector escapes {space}")
-            c = rest[k]
-            entries.append((i, j, c))
-            for t, v in basis[i].items():
-                r = rest.get(t, 0) - c * v
-                if r:
-                    rest[t] = r
-                else:
-                    del rest[t]
-    return RationalMatrix.from_entries(len(basis), x.nrows, entries)
+    return leading_coords(images, tgt_vecs, f"the Lie subspace at n={n}, m={m + 1}")
 
 
 def direct_complex(family: str, n: int, m_max: int) -> CochainComplex:

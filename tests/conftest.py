@@ -26,12 +26,14 @@ from cubix.cubical import (
 from cubix.freelie import is_lyndon
 from cubix.harrison import eulerian_terms, slot_action
 from cubix.linalg import (
+    InvariantError,
     RationalMatrix,
-    RowSpanSolver,
+    SubspaceEscape,
     _clear,
     _Eliminator,
     _int_rows,
     image_basis,
+    reduced_echelon,
 )
 from cubix.modules import (
     BUILTIN_KINDS,
@@ -96,6 +98,49 @@ def plain_reduced_echelon(int_rows, ncols):
             if c in red[i]:
                 red[i] = _clear(red[i], red[j], c)
     return [(c, row) for (c, _), row in zip(pivots, red)]
+
+
+class TaggedInverseSolver:
+    """``cubix.linalg.RowSpanSolver`` through an integer inverse of its
+    pivot submatrix, with no ``leading_coords``: its oracle.
+
+    ``reduced_echelon`` of the rows, row i tagged with a column ``ncols +
+    i``, leaves pivot row j with d_j at its pivot, zero at every other
+    pivot and tags_j in the tag columns, so T = (L / d_j) * tags_j, with
+    L = lcm |d_j|, is integer and (T/L) @ S = I for the square pivot
+    submatrix S.  ``solve`` maps x's pivot columns through T and checks
+    every row's membership in the span with one more product.
+    """
+
+    def __init__(self, rows, ncols):
+        k = len(rows)
+        self.k = k
+        self.basis = RationalMatrix.from_row_dicts(rows, k, ncols)
+        tagged = {i: {**r, ncols + i: 1} for i, r in enumerate(rows)}
+        red = reduced_echelon(tagged, ncols)
+        if len(red) != k:
+            raise InvariantError(f"{k} rows are linearly dependent: they span {len(red)}")
+        self._piv = {c: j for j, (c, _) in enumerate(red)}
+        L = lcm(*(abs(row[c]) for c, row in red))
+        self.scale = L
+        t = {}
+        for j, (c, row) in enumerate(red):
+            f = L // row[c]
+            t[j] = {cc - ncols: f * v for cc, v in row.items() if cc >= ncols}
+        self._t = RationalMatrix(k, k, t)
+
+    def solve(self, x, space="the row span"):
+        piv = self._piv
+        xp = {}
+        for i, row in x.rows.items():
+            r = {piv[c]: v for c, v in row.items() if c in piv}
+            if r:
+                xp[i] = r
+        u = RationalMatrix(x.nrows, self.k, xp) * self._t
+        L = self.scale
+        if u * self.basis != x.scale(L):
+            raise SubspaceEscape(f"a vector escapes {space}")
+        return u if L == 1 else u.scale(Fraction(1, L))
 
 
 def stacked_coinvariant_basis(module, stabilizer):
@@ -198,6 +243,7 @@ def clear_realization_caches():
     patch."""
     for cached in (
         realizations._degree_basis,
+        realizations._necklaces,
         freelie.lie_projector_basis,
         freelie.lyndon_expansion,
         cubical._full_complex,
@@ -208,9 +254,9 @@ def clear_realization_caches():
 def product_lie_differential(n, m):
     """``substitution_differential("lie", n, m)`` as a product with the
     whole word differential, solved in the target Lyndon basis by
-    ``RowSpanSolver``: its oracle."""
+    ``TaggedInverseSolver``: its oracle."""
     src = realizations._degree_basis("lie", n, m)
-    tgt = RowSpanSolver(list(realizations._degree_basis("lie", n, m + 1)), (m + 1) ** n)
+    tgt = TaggedInverseSolver(list(realizations._degree_basis("lie", n, m + 1)), (m + 1) ** n)
     images = RationalMatrix.from_row_dicts(src, len(src), m ** n)
     return tgt.solve(images * differential(n, m).transpose()).transpose()
 

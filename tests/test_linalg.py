@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import plain_reduced_echelon
+from conftest import TaggedInverseSolver, plain_reduced_echelon
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -12,6 +12,7 @@ from cubix.linalg import (
     RowSpanSolver,
     SubspaceEscape,
     image_basis,
+    leading_coords,
     normalize_int_vector,
     parse_scalar,
     rank,
@@ -191,6 +192,35 @@ def test_row_span_solver_rejects_dependent_rows():
         RowSpanSolver([{0: 1}, {0: 2}], 2)
 
 
+def test_leading_coords_divides_by_leading_entries():
+    # rows: 1/2 (2, 0, 1); the zero vector; (2, 0, 1) - (0, -3, 3)
+    basis = [{0: 2, 2: 1}, {1: -3, 2: 3}]
+    x = RationalMatrix.from_rows([[1, 0, Fraction(1, 2)], [0, 0, 0], [2, 3, -2]])
+    assert leading_coords(x, basis, "S").to_rows() == [[Fraction(1, 2), 0, 1], [0, 0, -1]]
+    assert leading_coords(RationalMatrix.zeros(0, 3), basis, "S") == RationalMatrix.zeros(2, 0)
+    assert leading_coords(RationalMatrix.zeros(2, 3), [], "S") == RationalMatrix.zeros(0, 2)
+
+
+@pytest.mark.parametrize(
+    "basis, row",
+    [([{0: 1, 1: 1}], [0, 1, 0]), ([{0: 1, 1: 1}], [1, 0, 0]), ([], [0, 0, 1])],
+    ids=["least-column-leads-nothing", "remainder-leads-nothing", "empty-basis"],
+)
+def test_leading_coords_raises_when_a_least_column_leads_nothing(basis, row):
+    x = RationalMatrix.from_rows([[0, 0, 0], row])
+    with pytest.raises(SubspaceEscape, match=r"^a vector escapes the test span$"):
+        leading_coords(x, basis, "the test span")
+
+
+def test_solve_equals_the_tagged_inverse_oracle_on_non_unit_pivots():
+    rows = [{0: 2, 1: 4, 2: -3}, {0: 3, 1: 5}, {1: 6, 2: 9}]
+    x = RationalMatrix.from_rows([[1, 2, 0], [Fraction(1, 3), 0, 5], [0, 0, 0]])
+    x = x * RationalMatrix.from_row_dicts(rows, 3, 3)
+    got = RowSpanSolver(rows, 3).solve(x)
+    assert got == TaggedInverseSolver(rows, 3).solve(x)
+    assert got.to_rows() == [[1, 2, 0], [Fraction(1, 3), 0, 5], [0, 0, 0]]
+
+
 small_ints = st.integers(-4, 4)
 rationals = st.one_of(st.just(0), st.fractions(-4, 4, max_denominator=5))
 
@@ -199,8 +229,8 @@ rationals = st.one_of(st.just(0), st.fractions(-4, 4, max_denominator=5))
 def independent_rows(draw, extra_cols=0):
     """k independent integer rows over at least k + extra_cols columns.
 
-    Up to 8 rows, so the solver's back pass runs over several pivots, with
-    entries (and so pivots) that are negative and non-unit.
+    Up to 8 rows, so the solver strips over several pivots, with entries
+    (and so pivots) that are negative and non-unit.
     """
     k = draw(st.integers(0, 8))
     ncols = k + extra_cols + draw(st.integers(0, 3))
@@ -233,10 +263,30 @@ def test_solve_rejects_a_row_outside_the_span(b, data):
         solver_of(b).solve(RationalMatrix.from_rows([inside, v], b.ncols))
 
 
+@given(independent_rows(), st.data())
+def test_solve_equals_the_tagged_inverse_oracle(b, data):
+    # rational coordinates on non-unit pivots, k = 0 included, and a row
+    # that escapes the span when one is drawn
+    rows = [b.row_dict(i) for i in range(b.nrows)]
+    solver, oracle = RowSpanSolver(rows, b.ncols), TaggedInverseSolver(rows, b.ncols)
+    nrows = data.draw(st.integers(0, 4))
+    row = st.lists(rationals, min_size=b.nrows, max_size=b.nrows)
+    c = RationalMatrix.from_rows(
+        data.draw(st.lists(row, min_size=nrows, max_size=nrows)), b.nrows
+    )
+    assert solver.solve(c * b) == oracle.solve(c * b) == c
+    v = data.draw(st.lists(small_ints, min_size=b.ncols, max_size=b.ncols))
+    if rank(RationalMatrix.from_rows(b.to_rows() + [v], b.ncols)) > b.nrows:
+        x = RationalMatrix.from_rows([v], b.ncols)
+        for s in (solver, oracle):
+            with pytest.raises(SubspaceEscape, match=r"^a vector escapes the test span$"):
+                s.solve(x, "the test span")
+
+
 @given(st.data())
 def test_indexed_back_pass_equals_the_plain_loop(data):
     # up to 10 rows over ncols columns plus tag columns past them, some
-    # tagged with their own index as RowSpanSolver tags them
+    # tagged with their own index as TaggedInverseSolver tags them
     ncols = data.draw(st.integers(1, 8))
     width = ncols + data.draw(st.integers(0, 4))
     entry = st.integers(-5, 5).filter(bool)

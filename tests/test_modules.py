@@ -7,6 +7,8 @@ import pytest
 
 from conftest import coinvariants, sign_subgroup_module
 
+import cubix.modules as modules
+from cubix.cli import main
 from cubix.linalg import InvariantError, RationalMatrix
 from cubix.modules import (
     BUILTIN_KINDS,
@@ -103,6 +105,19 @@ def test_regular_characters():
     assert m.character(identity_permutation(4)) == 24
     assert m.character(Permutation((2, 1, 3, 4))) == 0
     assert m.character(Permutation((2, 3, 4, 1))) == 0
+
+
+def test_dependent_lie_brackets_are_an_invariant_error(monkeypatch, capsys):
+    # the solver that restricts the word action to the brackets checks that
+    # they are independent: repeat the first bracket of lie(3)
+    real = modules.lie_basis_multilinear
+    monkeypatch.setattr(modules, "lie_basis_multilinear", lambda n: real(n)[:1] * len(real(n)))
+    builtin.cache_clear()
+    message = "2 rows are linearly dependent: they span 1"
+    with pytest.raises(InvariantError, match=f"^{message}$"):
+        builtin("lie", 3)
+    assert main(["betti", "--family", "lie", "--n", "3"]) == 4
+    assert capsys.readouterr().err == f"internal error: {message}\n"
 
 
 def test_lie_module_frozen_matrices():
