@@ -129,7 +129,6 @@ differential follow from Q's Betti numbers: rank_d(m) = dim_m - betti_m -
 rank_d(m-1), with betti_m = 0 for m > n.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import lcm, prod
@@ -142,6 +141,7 @@ from .linalg import (
     _Eliminator,
     _int_rows,
     _norm,
+    divide_row,
     rank,
     reduced_echelon,
 )
@@ -549,10 +549,12 @@ class CoinvariantBasis:
     a reduced echelon basis of the union of the generators' blocks, with
     pivot values d_p.  The unit vectors at the other columns F (``free``)
     then give a basis of M_H, and the class of a row vector x has
-    coordinates (x @ W) / scale, where scale = lcm |d_p| and W is scale at
-    (f, f) and -(scale / d_p) r_p[f] at (p, f).  R @ W = 0 is checked
-    exactly on the rows of every act(s) - 1, rebuilt from act(s) rather than
-    kept in ``blocks``, which would cost memory: every relation must have
+    coordinates (x @ W) / scale, where scale = lcm |d_p| and W is the
+    integer matrix with scale at (f, f) and -(scale / d_p) r_p[f] at (p, f).
+    ``class_block`` returns x @ W, integer when x is, so that a caller
+    summing classes divides each sum by scale once.  R @ W = 0, that is
+    act(s) @ W = W for every generator s, is checked exactly with act(s)
+    rather than with the rows kept in ``blocks``: every relation must have
     class zero.
 
     The result does not depend on which rows span R.  Under a fixed column
@@ -581,21 +583,17 @@ class CoinvariantBasis:
             q = self.scale // row[c]
             w[c] = {col[f]: -q * v for f, v in row.items() if f != c}
         self.w_matrix = RationalMatrix(dim, self.k, {i: r for i, r in w.items() if r})
-        ident = RationalMatrix.identity(dim)
         for s in stabilizer.generators:
-            if not ((module.act(s) - ident) * self.w_matrix).is_zero():
+            if module.act(s) * self.w_matrix != self.w_matrix:
                 raise SubspaceEscape("a relation has a nonzero coinvariant class")
 
     def class_block(self, x: RationalMatrix) -> dict:
-        """Coordinate rows of the classes of x's rows (x is rows x dim)."""
-        u = x * self.w_matrix
-        s = self.scale
-        out = {}
-        for i, row in u.rows.items():
-            out[i] = {
-                j: _norm(Fraction(v, s)) if v % s else v // s for j, v in row.items()
-            }
-        return out
+        """The rows of x @ W, x rows by dim: row i over ``scale`` holds the
+        coordinates of the class of x's row i.  When there are no relations
+        W is the identity, and x's rows come back as they are."""
+        if self.k == x.ncols:
+            return x.rows
+        return (x * self.w_matrix).rows
 
 
 class _OrbitDegree:
@@ -681,35 +679,45 @@ class OrbitComplexBuilder:
         src = self.degree(src_m)
         tgt = self.degree(tgt_m)
         dim = self.module.dim
-
-        def emit():
-            for oi, orbit in enumerate(src.orbits):
-                free = src.coinv[oi].free
-                if not free:
+        # output row -> sum of c times class_block entries, which are the
+        # coordinates times the target block's scale: one division per
+        # entry at the end replaces a Fraction sum per term
+        acc = {}
+        for oi, orbit in enumerate(src.orbits):
+            free = src.coinv[oi].free
+            if not free:
+                continue
+            col_off = src.offsets[oi]
+            terms = {}
+            for w2, c in images(orbit.rep):
+                terms[w2] = terms.get(w2, 0) + c
+            for w2, c in terms.items():
+                if not c:
                     continue
-                col_off = src.offsets[oi]
-                terms = {}
-                for w2, c in images(orbit.rep):
-                    terms[w2] = terms.get(w2, 0) + c
-                for w2, c in terms.items():
-                    if not c:
-                        continue
-                    ti, g = self.locate(tgt, w2)
-                    # the source basis is the unit vectors at ``free``, so
-                    # basis . act(g) selects those rows of act(g)
-                    action = self.module.act(g).rows
-                    x = RationalMatrix(
-                        len(free),
-                        dim,
-                        {a: action[f] for a, f in enumerate(free) if f in action},
-                    )
-                    row_off = tgt.offsets[ti]
-                    for a, row in tgt.coinv[ti].class_block(x).items():
-                        col = col_off + a
-                        for b, v in row.items():
-                            yield (row_off + b, col, c * v)
-
-        return RationalMatrix.from_entries(tgt.dim, src.dim, emit())
+                ti, g = self.locate(tgt, w2)
+                # the source basis is the unit vectors at ``free``, so
+                # basis . act(g) selects those rows of act(g)
+                action = self.module.act(g).rows
+                x = RationalMatrix(
+                    len(free),
+                    dim,
+                    {a: action[f] for a, f in enumerate(free) if f in action},
+                )
+                row_off = tgt.offsets[ti]
+                for a, row in tgt.coinv[ti].class_block(x).items():
+                    col = col_off + a
+                    for b, v in row.items():
+                        out = acc.get(row_off + b)
+                        if out is None:
+                            out = acc[row_off + b] = {}
+                        out[col] = out.get(col, 0) + c * v
+        scales = [basis.scale for basis in tgt.coinv for _ in range(basis.k)]
+        data = {}
+        for r, row in acc.items():
+            row = divide_row(row, scales[r])
+            if row:
+                data[r] = row
+        return RationalMatrix(tgt.dim, src.dim, data)
 
     def differential_matrix(self, m: int) -> RationalMatrix:
         # on Q only the inner cofaces survive, and of their terms only those

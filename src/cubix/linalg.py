@@ -5,6 +5,13 @@ values that are Python ints or ``fractions.Fraction``; exact zeros are never
 stored, and fractions with denominator 1 are normalized to ints on insert so
 that the common all-integer case runs on machine integer arithmetic.
 
+Products run on integer arithmetic too when an operand holds Fractions.
+The right operand's rows are scaled to integers by their common
+denominator, and a left row by its own when it holds a Fraction; the inner
+loop then multiplies integer numerators, and each output entry is divided
+once by the product of the two denominators.  A Fraction is built only
+for an output entry that is not an integer (``divide_row``).
+
 Elimination never divides.  Each row is scaled to an integer vector with
 content 1, and a pivot step replaces ``row`` by ``row * pivot_value -
 pivot_row * row_value`` followed by a gcd strip.  Row scaling by nonzero
@@ -145,11 +152,22 @@ class RationalMatrix:
     # -- arithmetic -----------------------------------------------------
 
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
+        """The product, fraction-free (module docstring)."""
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
         data = {}
         orows = other.rows
+        oden = _den(orows.values())
+        if oden != 1:
+            orows = {k: _scaled(brow, oden) for k, brow in orows.items()}
+        fractional = _den(self.rows.values()) != 1
         for i, arow in self.rows.items():
+            den = oden
+            if fractional:
+                aden = _den((arow,))
+                if aden != 1:
+                    arow = _scaled(arow, aden)
+                    den *= aden
             acc = {}
             for k, a in arow.items():
                 brow = orows.get(k)
@@ -161,7 +179,10 @@ class RationalMatrix:
                 else:
                     for j, b in brow.items():
                         acc[j] = acc.get(j, 0) + a * b
-            acc = {j: _norm(v) for j, v in acc.items() if v}
+            if den != 1:
+                acc = divide_row(acc, den)
+            elif 0 in acc.values():
+                acc = {j: v for j, v in acc.items() if v}
             if acc:
                 data[i] = acc
         return RationalMatrix(self.nrows, other.ncols, data)
@@ -231,14 +252,39 @@ class RationalMatrix:
         return RationalMatrix(self.nrows * p, self.ncols * q, data)
 
 
+def _den(rows) -> int:
+    """The lcm of the denominators of the entries of ``rows``, dict rows: 1
+    when every entry is an int.  A plain loop: on the short rows of most
+    products it is cheaper than a scan through ``map`` and ``chain``."""
+    den = 1
+    for row in rows:
+        for v in row.values():
+            if type(v) is Fraction:
+                den = lcm(den, v.denominator)
+    return den
+
+
+def _scaled(row: dict, den: int) -> dict:
+    """The row times den, a multiple of every denominator in it: integers,
+    each from an integer product rather than a Fraction one."""
+    return {
+        c: v.numerator * (den // v.denominator) if type(v) is Fraction else v * den
+        for c, v in row.items()
+    }
+
+
+def divide_row(row: dict, den: int) -> dict:
+    """The row's nonzero entries divided by the positive int den: an int
+    where the quotient is one, else one reduced Fraction per entry.  Entries
+    may be ints or Fractions."""
+    return {c: Fraction(v, den) if v % den else v // den for c, v in row.items() if v}
+
+
 def _int_row(row: dict) -> dict:
     """The row scaled by the lcm of its denominators, then divided by the
     gcd of its entries: integers with content 1."""
-    den = 1
-    for v in row.values():
-        if type(v) is Fraction:
-            den = lcm(den, v.denominator)
-    ints = dict(row) if den == 1 else {c: int(v * den) for c, v in row.items()}
+    den = _den((row,))
+    ints = dict(row) if den == 1 else _scaled(row, den)
     g = 0
     for v in ints.values():
         g = gcd(g, v)

@@ -32,6 +32,7 @@ from cubix.linalg import (
     _clear,
     _Eliminator,
     _int_rows,
+    _norm,
     image_basis,
     reduced_echelon,
 )
@@ -58,17 +59,73 @@ def sign_subgroup_module(group):
     return SubgroupModule("sgn", group, 1, mats, ["sgn"])
 
 
-def halved_basis_change(module):
-    """The module in the basis whose first vector is halved.  The change is
-    not unimodular, unlike ``random_basis_change``, so act(g) has Fraction
-    entries."""
+def diagonal_basis_change(module, diag, name):
+    """The module in the basis whose vector i is scaled by the nonzero
+    rational diag[i]: act(g) becomes P act(g) P^-1 for P = diag(diag).  The
+    change is not unimodular, unlike ``random_basis_change``, whose shears
+    keep integer generators, so act(g) has Fraction entries."""
     dim = module.dim
-    p = RationalMatrix.identity(dim)
-    p.rows[0] = {0: 2}
-    p_inv = RationalMatrix.identity(dim)
-    p_inv.rows[0] = {0: Fraction(1, 2)}
+    p = RationalMatrix(dim, dim, {i: {i: d} for i, d in enumerate(diag)})
+    p_inv = RationalMatrix(dim, dim, {i: {i: _norm(1 / Fraction(d))} for i, d in enumerate(diag)})
     mats = [p * a * p_inv for a in module.gen_actions]
-    return ModuleSpec(f"{module.name}~half", module.N, dim, module.basis_labels, mats)
+    return ModuleSpec(name, module.N, dim, module.basis_labels, mats)
+
+
+def halved_basis_change(module):
+    """The module in the basis whose first vector is halved."""
+    diag = [2] + [1] * (module.dim - 1)
+    return diagonal_basis_change(module, diag, f"{module.name}~half")
+
+
+def fraction_product(a, b):
+    """``RationalMatrix.__mul__`` with a Fraction product and sum per term,
+    each entry normalized afterwards: its oracle."""
+    data = {}
+    for i, arow in a.rows.items():
+        acc = {}
+        for k, x in arow.items():
+            for j, y in b.rows.get(k, {}).items():
+                acc[j] = acc.get(j, 0) + x * y
+        acc = {j: _norm(v) for j, v in acc.items() if v}
+        if acc:
+            data[i] = acc
+    return RationalMatrix(a.nrows, b.ncols, data)
+
+
+def fraction_class_coords(basis, x):
+    """Coordinate rows of the classes of x's rows in a ``CoinvariantBasis``:
+    each entry of x @ W over the basis's scale, a Fraction per entry.  The
+    oracle of ``class_block`` divided by the scale."""
+    u = fraction_product(x, basis.w_matrix)
+    s = basis.scale
+    return {i: {j: _norm(Fraction(v, s)) for j, v in row.items()} for i, row in u.rows.items()}
+
+
+def entrywise_operator_matrix(builder, src_m, tgt_m, images):
+    """``OrbitComplexBuilder.operator_matrix`` with every term's class
+    coordinates emitted as Fraction entries and summed by ``from_entries``:
+    its oracle."""
+    src, tgt = builder.degree(src_m), builder.degree(tgt_m)
+    dim = builder.module.dim
+    entries = []
+    for oi, orbit in enumerate(src.orbits):
+        free = src.coinv[oi].free
+        if not free:
+            continue
+        terms = {}
+        for w2, c in images(orbit.rep):
+            terms[w2] = terms.get(w2, 0) + c
+        for w2, c in terms.items():
+            if not c:
+                continue
+            ti, g = builder.locate(tgt, w2)
+            action = builder.module.act(g)
+            x = RationalMatrix(len(free), dim, {a: action.row_dict(f) for a, f in enumerate(free)})
+            for a, row in fraction_class_coords(tgt.coinv[ti], x).items():
+                entries.extend(
+                    (tgt.offsets[ti] + b, src.offsets[oi] + a, c * v) for b, v in row.items()
+                )
+    return RationalMatrix.from_entries(tgt.dim, src.dim, entries)
 
 
 def coinvariants(module, group):

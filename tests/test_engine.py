@@ -14,7 +14,10 @@ import pytest
 from conftest import (
     coface_differential_columns,
     coinvariants,
+    diagonal_basis_change,
     entrywise_differential,
+    entrywise_operator_matrix,
+    fraction_class_coords,
     halved_basis_change,
     kron_naive_projector,
     modules_and_groups,
@@ -55,12 +58,13 @@ from cubix.cubical import (
     _checked_table,
 )
 from cubix.freelie import witt_dim
-from cubix.harrison import slot_action
+from cubix.harrison import dynkin_terms, orbit_slot_operator, slot_action
 from cubix.linalg import (
     InvariantError,
     RationalMatrix,
     RowSpanSolver,
     SubspaceEscape,
+    divide_row,
     image_basis,
     rank,
 )
@@ -617,6 +621,62 @@ def test_generator_blocks_give_the_stacked_rows_basis(case):
         assert (basis.free, basis.scale, basis.w_matrix) == (free, scale, w)
     if "seed" in case:
         assert max(basis.scale for _, basis in bases) > 1
+
+
+def fractional_module():
+    """lie(4) after a seeded shear and a rational diagonal change of basis:
+    act(g) has Fraction entries and classes fractional coordinates."""
+    module = random_basis_change(builtin("lie", 4), 3)
+    diag = [Fraction(1, 2), 3, Fraction(-2, 3), 1, Fraction(5, 4), -1]
+    return diagonal_basis_change(module, diag, "lie4~diag")
+
+
+def has_fractions(mats):
+    return any(type(v) is Fraction for a in mats for r in a.rows.values() for v in r.values())
+
+
+def test_class_block_rows_over_the_scale_are_the_class_coordinates():
+    module = fractional_module()
+    group = symmetric_group(4)
+    assert has_fractions(module.gen_actions)
+    bases = builder_bases(module, group)
+    assert max(basis.scale for _, basis in bases) > 1
+    assert any(basis.k == module.dim for _, basis in bases)
+    for _, basis in bases:
+        for g in group.elements:
+            x = module.act(g)
+            got = basis.class_block(x)
+            if basis.k == module.dim:
+                # no relations: W is the identity and x's rows come back
+                assert got is x.rows
+            coords = {i: divide_row(row, basis.scale) for i, row in got.items()}
+            assert coords == fraction_class_coords(basis, x)
+
+
+@pytest.mark.parametrize("surjective", [False, True], ids=["orbit", "quotient"])
+@pytest.mark.parametrize("young", [(4,), (2, 2)], ids=["S4", "S2xS2"])
+def test_operator_matrix_equals_the_entrywise_assembly(surjective, young):
+    # the differential and the Dynkin operator on a module whose generators
+    # have Fraction entries
+    group = young_subgroup(young)
+    module = fractional_module()
+    if not group.is_symmetric():
+        module = restrict(module, group)
+    builder = OrbitComplexBuilder(module, group, surjective)
+    built = []
+
+    def checked(src_m, tgt_m, images):
+        got = OrbitComplexBuilder.operator_matrix(builder, src_m, tgt_m, images)
+        assert got == entrywise_operator_matrix(builder, src_m, tgt_m, images)
+        built.append(got)
+        return got
+
+    builder.operator_matrix = checked
+    for m in range(1, 5):
+        builder.differential_matrix(m)
+        orbit_slot_operator(builder, m, dynkin_terms(m))
+    assert len(built) == 8
+    assert has_fractions(built)
 
 
 def test_a_builder_eliminates_each_generator_once(monkeypatch):

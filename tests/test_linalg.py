@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import TaggedInverseSolver, plain_reduced_echelon
+from conftest import TaggedInverseSolver, fraction_product, plain_reduced_echelon
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -62,6 +62,54 @@ def test_matrix_product_and_identity():
     b = RationalMatrix.from_rows([[0, 1], [1, 0]])
     ab = a * b
     assert ab.to_rows() == [[2, 1], [4, 3], [1, 0]]
+
+
+def assert_normalized(mat):
+    """Every stored entry is a nonzero int or a Fraction with denominator > 1."""
+    for row in mat.rows.values():
+        assert row
+        for v in row.values():
+            assert v and (type(v) is int or (type(v) is Fraction and v.denominator > 1))
+
+
+def test_fractional_products_reduce_to_ints_and_cancel():
+    a = RationalMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 2), 0]])
+    b = RationalMatrix.from_rows([[2, -1], [3, Fraction(3, 2)]])
+    ab = a * b
+    assert ab.to_rows() == [[2, 0], [1, Fraction(-1, 2)]]
+    assert ab == fraction_product(a, b)
+    assert_normalized(ab)
+    negative = RationalMatrix.from_rows([[Fraction(-1, 6), Fraction(1, 4)]]) * b.transpose()
+    assert negative.to_rows() == [[Fraction(-7, 12), Fraction(-1, 8)]]
+    c = RationalMatrix.from_rows([[Fraction(1, 2), Fraction(-1, 2)]])
+    assert (c * RationalMatrix.from_rows([[1], [1]])).is_zero()
+
+
+fraction_entries = st.one_of(
+    st.just(0), st.integers(-6, 6), st.fractions(-4, 4, max_denominator=6)
+)
+
+
+@st.composite
+def product_operands(draw):
+    """(a, b) with a p x q and b q x r, each dimension 0 to 5, entries
+    sparse ints and Fractions of either sign; some rows are zero."""
+    p, q, r = (draw(st.integers(0, 5)) for _ in range(3))
+
+    def matrix(nrows, ncols):
+        row = st.lists(fraction_entries, min_size=ncols, max_size=ncols)
+        return RationalMatrix.from_rows(draw(st.lists(row, min_size=nrows, max_size=nrows)), ncols)
+
+    return matrix(p, q), matrix(q, r)
+
+
+@given(product_operands())
+def test_product_equals_the_fraction_oracle(operands):
+    a, b = operands
+    ab = a * b
+    assert ab == fraction_product(a, b)
+    assert ab.shape == (a.nrows, b.ncols)
+    assert_normalized(ab)
 
 
 def test_entries_normalized_to_int():

@@ -28,6 +28,7 @@ basis.
 
 import json
 import sys
+from fractions import Fraction
 from math import lcm
 from pathlib import Path
 
@@ -110,7 +111,8 @@ def assert_same_complex(old, new, change):
 
 def averaging_change(builder, m):
     """Block-diagonal over orbits: row i holds the class, in the builder's
-    coinvariant basis, of the i-th row of the averaging projector's basis."""
+    coinvariant basis, of the i-th row of the averaging projector's basis:
+    its ``class_block`` row over the basis's scale."""
     deg = builder.degree(m)
     dim = builder.module.dim
     entries = []
@@ -119,7 +121,9 @@ def averaging_change(builder, m):
         assert len(rows) == basis.k
         x = RationalMatrix.from_row_dicts(rows, basis.k, dim)
         for a, row in basis.class_block(x).items():
-            entries.extend((off + a, off + b, v) for b, v in row.items())
+            entries.extend(
+                (off + a, off + b, Fraction(v, basis.scale)) for b, v in row.items()
+            )
     return RationalMatrix.from_entries(deg.dim, deg.dim, entries)
 
 
