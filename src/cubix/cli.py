@@ -28,8 +28,8 @@ cap below 0 is bad input.
 
 Exit codes: 0 success, 1 verification failure, 2 bad input, 3 resource cap,
 4 internal error (a broken invariant such as a subspace escape, a
-coinvariant relation with a nonzero class, D^2 != m D on a built degree or
-in Q[S_m], d^2 != 0 on the quotient or its Harrison space, a trace count
+coinvariant relation with a nonzero class, D^2 != m D on a built degree,
+on its image or in Q[S_m], d^2 != 0 on the quotient or its Harrison space, a trace count
 that is not a dimension or disagrees with the quotient, a
 derived rank out of bounds, an impossible Betti row or a failed rank or
 count check, or a KeyError, which no bad input raises).
@@ -47,7 +47,14 @@ from .cubical import (
 )
 from .harrison import harrison_complex
 from .linalg import InvariantError
-from .modules import FAMILY_KINDS, builtin, load_module, serialize_module, sgn_coinvariants_dim
+from .modules import (
+    FAMILY_KINDS,
+    builtin,
+    class_function,
+    load_module,
+    serialize_module,
+    sgn_coinvariants_dim,
+)
 from .perm import cycle_classes, symmetric_group, trivial_group
 from .suites import SUITE_NAMES, run_suite
 
@@ -160,10 +167,18 @@ def cmd_module_info(args) -> int:
             raise ValueError("module-info needs --family with --n, or --custom")
         module = builtin(FAMILY_KINDS[args.family], args.n)
     group = symmetric_group(module.N)
-    chars = [
-        ("+".join(map(str, rep.cycle_type())), str(module.character(rep)))
-        for rep, _ in cycle_classes(group)
-    ]
+    # the traced characters, each checked against the value the counts read
+    # (a builtin kind's closed form)
+    chi = class_function(module, group)
+    chars = []
+    for rep, _ in cycle_classes(group):
+        label, traced = "+".join(map(str, rep.cycle_type())), module.character(rep)
+        if traced != chi[rep]:
+            raise InvariantError(
+                f"{module.name}: the character traces to {traced} on cycle class {label}, "
+                f"its closed form is {chi[rep]}"
+            )
+        chars.append((label, str(traced)))
     sgn_dim = sgn_coinvariants_dim(module, group)
     generators = serialize_module(module)["generators"]
     if args.format == "json":

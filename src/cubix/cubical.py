@@ -44,8 +44,8 @@ above ``cap`` (``check_cap``): orbit and quotient mode count the trace
 dimensions of the degrees they build plus dim M per distinct stabilizer (one
 ``CoinvariantBasis`` each), naive mode |G| dim M (m_max + 1)^n, |G| times
 the size of its top degree, and ``full_complex`` its dimensions.  The
-Harrison complex of ``harrison.py`` then counts the (4^(m_max+1) - 1)/3
-products of its D_m D_m = m D_m checks.
+Harrison complex of ``harrison.py`` then counts the (4^top - 1)/3 products
+of its D_m D_m = m D_m checks on the degrees 1..top it builds.
 
 All modes must agree on dimensions and Betti tables; that equality is part
 of the acceptance suite, so naive mode is not allowed to borrow pieces of
@@ -123,6 +123,10 @@ Over Q the word must also be onto [m]: its image is then a union of cycles
 of t, and inclusion-exclusion over them counts the onto words
 (``fixed_onto_words``).  For P = 1, with c(g) cycles in g, that leaves
 m^{c(g)} words of degree m, of which m! S(c(g), m) are onto [m].
+The other two factors are read in closed form where one is known: chi_M of
+a builtin module from ``modules.closed_character`` (any other module traces
+act(g) at the class representatives), and the c_t summed by the cycle type
+of t from ``trace(m)``, for D_m ``harrison.dynkin_trace``.
 ``operator_complex`` builds both routes from one (images, trace) pair.
 Since betti_m = dim_m - rank_d(m) - rank_d(m-1), the ranks of the full
 differential follow from Q's Betti numbers: rank_d(m) = dim_m - betti_m -
@@ -895,8 +899,11 @@ def operator_complex(
 
     ``images(builder, top)`` returns (dims, diffs) of im P on the builder's
     degrees 1..top, with diffs[m] from degree m to m + 1.  ``trace(m)``
-    returns ({cycle type of t: c_t}, q) with P_m = sum_t c_t slot(t) and
-    P_m P_m = q P_m, checked by ``trace`` where it is not evident.
+    returns ({cycle type of t: c_t}, q), the coefficients of
+    P_m = sum_t c_t slot(t) summed by cycle type, with P_m P_m = q P_m; it
+    is read for every degree through m_max + 1, so it should not enumerate
+    P_m's terms, and ``images`` checks P_m P_m = q P_m on the degrees it
+    builds where that is not evident.
 
     "orbit" builds im P in degrees 1..m_max+1 of the full orbit complex and
     returns a ``CochainComplex``.  "quotient" builds it on the

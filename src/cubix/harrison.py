@@ -54,15 +54,23 @@ Betti numbers.
 
 The full dimensions need no matrix: D D = m D makes D/m an idempotent, so
 dim im D_m = tr(D_m)/m, counted as in ``cubical.py`` ("Dimensions come from
-traces") from D_m's 2^(m-1) terms summed by the cycle type of t.
+traces") from D_m's class sums, its coefficients summed by the cycle type
+of t.  They are in closed form.  For an idempotent e of Q[S_m], the class
+sum of e over a class C is |C| chi(C) / m!, where chi is the character of
+Q[S_m] e.  For e = D_m / m that module is Lie_m twisted by the sign, whose
+character is Klyachko's mu(d) (k-1)! d^(k-1) on the type d^k, dk = m, and 0
+elsewhere (``modules.lie_value``).  With |C| = m! / (d^k k!) the class sums
+of D_m are mu(d) (-1)^(m - m/d) on d^(m/d), for d | m, and 0 on every other
+type (``dynkin_trace``).  Tier-1 pins them equal to the 2^(m-1) enumerated
+terms for m <= 12, and D_m D_m = m D_m in Q[S_m] for m <= 9.
 
 ``harrison_complex`` is ``cubical.operator_complex`` with im D as its image
 (``_dynkin_images``) and D_m as its trace (``dynkin_trace``).  In the
 quotient mode it builds im D only on Q, with the same D b = m b and
 membership checks in every built degree, and the route adds four exact
 checks, each an ``InvariantError``: D_m D_m = m D_m in Q[S_m] for every
-degree up to m_max + 1, so that tr/m is a dimension where no matrix is
-built (4^(m-1) products each, counted against the cap before any of them);
+degree it builds, m <= min(n, m_max + 1) (m <= m_max + 1 in the orbit mode;
+4^(m-1) products each, counted against the cap before any of them);
 every trace count is a non-negative integer; Q's built dimension equals
 its own trace count over onto words; and d^2 = 0 on im D over Q.
 The full complex's ranks then follow from Q's Betti numbers as in
@@ -83,6 +91,7 @@ from .cubical import (
     position_indices,
 )
 from .linalg import InvariantError, RationalMatrix, RowSpanSolver, image_basis
+from .modules import mobius
 from .perm import Permutation, PermutationGroup, identity_permutation
 
 
@@ -180,7 +189,7 @@ def _compose_sum(a: dict, b: dict) -> dict:
 
 def check_dynkin_square(m: int) -> None:
     """Raise unless D_m D_m = m D_m in Q[S_m], so that D_m / m is an
-    idempotent in every degree, built or not."""
+    idempotent on the built degree m."""
     dyn = {t.images: c for t, c in dynkin_terms(m)}
     if _compose_sum(dyn, dyn) != {t: m * c for t, c in dyn.items()}:
         raise HarrisonRestrictionError(f"D_{m} D_{m} != {m} D_{m} in Q[S_{m}]")
@@ -188,13 +197,10 @@ def check_dynkin_square(m: int) -> None:
 
 def dynkin_trace(m: int):
     """D_m summed by the cycle type of t, and its square factor m; see
-    ``cubical.operator_complex``.  ``harrison_complex`` checks
-    D_m D_m = m D_m before it builds anything."""
-    by_type = {}
-    for t, c in dynkin_terms(m):
-        key = t.cycle_type()
-        by_type[key] = by_type.get(key, 0) + c
-    return by_type, m
+    ``cubical.operator_complex``.  In closed form (module docstring): the
+    class sums are mu(d) (-1)^(m - m/d) on d^(m/d), for d | m."""
+    return {(d,) * (m // d): mobius(d) * (-1) ** (m - m // d)
+            for d in range(1, m + 1) if not m % d and mobius(d)}, m
 
 
 def _dynkin_images(builder: OrbitComplexBuilder, top: int):
@@ -232,15 +238,16 @@ def harrison_complex(
     surjective-word quotient only and returns a ``QuotientComplex`` with
     the full complex's dimensions from the trace of D (module docstring).
     Both give the same Betti table.  Both refuse, above ``cap``, the size
-    counts of ``cubical.operator_complex`` and then the (4^(m_max+1) - 1)/3
-    products of the D_m D_m = m D_m checks, before any of those checks.
+    counts of ``cubical.operator_complex`` and then the (4^top - 1)/3
+    products of the D_m D_m = m D_m checks on the built degrees 1..top,
+    before any of those checks.
     """
     label = f"harrison({complex_label(module, group)})"
 
     def images(builder, top):
         # after the size counts: D_m D_m = m D_m takes 4^(m-1) products
-        check_cap((4 ** (m_max + 1) - 1) // 3, cap, f"the Dynkin square checks for {label}")
-        for m in range(1, m_max + 2):
+        check_cap((4 ** top - 1) // 3, cap, f"the Dynkin square checks for {label}")
+        for m in range(1, top + 1):
             check_dynkin_square(m)
         return _dynkin_images(builder, top)
 

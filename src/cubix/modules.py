@@ -21,6 +21,10 @@ Built-in modules:
 * ``lie_cyclic``: the Lie elements as a module over S_{n+1} via the cyclic
   word action on associative words, restricted to the Lie subspace.
 
+Every count reads a module's character through ``class_function``: a
+builtin module in closed form by cycle type (``closed_character``), any
+other by tracing act(g) at the class representatives.
+
 Coinvariant spaces are built by the orbit engine from a stabilizer's
 generators (``cubical.CoinvariantBasis``); the averaging projector the tests
 check them against lives in ``tests/conftest.py``.
@@ -30,6 +34,7 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from math import factorial, gcd
 
 from .freelie import lie_basis_multilinear
 from .linalg import (
@@ -41,6 +46,7 @@ from .linalg import (
 from .perm import (
     Permutation,
     PermutationGroup,
+    _partitions,
     adjacent_transposition,
     cycle_classes,
     cyclic_group,
@@ -71,7 +77,13 @@ def _check_coxeter(name, n, dim, mats):
 
 
 class ModuleSpec:
-    """Right S_N-module presented by adjacent-transposition matrices."""
+    """Right S_N-module presented by adjacent-transposition matrices.
+
+    ``kind`` is the builtin kind that ``builtin`` made it as, whose
+    character ``class_function`` reads in closed form; None otherwise.
+    """
+
+    kind = None
 
     def __init__(self, name, N, dim, basis_labels, gen_actions):
         if len(basis_labels) != dim:
@@ -86,15 +98,19 @@ class ModuleSpec:
         self.basis_labels = list(basis_labels)
         self.gen_actions = list(gen_actions)
         _check_coxeter(name, N, dim, gen_actions)
+        # act(s_i) is the generator matrix itself: no caller mutates what act returns
         self._memo = {identity_permutation(N).images: RationalMatrix.identity(dim)}
+        for i, mat in enumerate(self.gen_actions, start=1):
+            self._memo[adjacent_transposition(N, i).images] = mat
 
     def act(self, p: Permutation) -> RationalMatrix:
         if p.degree != self.N:
             raise ValueError(f"{self.name}: permutation degree {p.degree} != {self.N}")
         mat = self._memo.get(p.images)
         if mat is None:
-            mat = RationalMatrix.identity(self.dim)
-            for i in p.adjacent_factorization():
+            first, *rest = p.adjacent_factorization()
+            mat = self.gen_actions[first - 1]
+            for i in rest:
                 mat = mat * self.gen_actions[i - 1]
             self._memo[p.images] = mat
         return mat
@@ -113,6 +129,8 @@ class SubgroupModule:
     act(s * h) = act(s) * act(h) is checked, so the input matrices must
     define an actual representation of the group.
     """
+
+    kind = None
 
     def __init__(self, name, group: PermutationGroup, dim, gen_actions, basis_labels=None):
         if len(gen_actions) != len(group.generators):
@@ -227,6 +245,12 @@ def cyclic_action(n: int) -> ModuleSpec:
 
 @lru_cache(maxsize=None)
 def builtin(kind: str, n: int) -> ModuleSpec:
+    module = _build(kind, n)
+    module.kind = kind
+    return module
+
+
+def _build(kind: str, n: int) -> ModuleSpec:
     if n < 1:
         raise ValueError("n must be at least 1")
     if kind == "trivial":
@@ -272,16 +296,82 @@ FAMILY_KINDS = {"trivial": "trivial", "sign": "sign", "regular": "regular", "ass
 # -- characters ------------------------------------------------------------
 
 
+def mobius(d: int) -> int:
+    """The Moebius function: (-1)^r if d is a product of r distinct primes, else 0."""
+    out, p = 1, 2
+    while p * p <= d:
+        if not d % p:
+            d //= p
+            if not d % p:
+                return 0
+            out = -out
+        p += 1
+    return -out if d > 1 else out
+
+
+def lie_value(cycle_type) -> int:
+    """Klyachko's character of Lie_n on a cycle type: mu(d) (k-1)! d^(k-1) on
+    d^k, that is on k cycles of one length d, and 0 on every other type."""
+    d, k = cycle_type[0], len(cycle_type)
+    return mobius(d) * factorial(k - 1) * d ** (k - 1) if cycle_type[-1] == d else 0
+
+
+def _closed_value(kind: str, t, N: int) -> int:
+    d, k = t[0], len(t)
+    if kind == "trivial":
+        return 1
+    if kind == "sign":
+        return (-1) ** (N - k)
+    if kind == "regular":
+        return factorial(N) if d == 1 else 0
+    if kind == "lie":
+        return lie_value(t)
+    if kind == "tr_cyclic":
+        # induced from C_N: the elements of C_N of order d, phi(d) of them,
+        # times the centralizer d^k k! of d^k, over |C_N|
+        phi = sum(1 for j in range(1, d + 1) if gcd(j, d) == 1)
+        return phi * d ** k * factorial(k) // N if t[-1] == d else 0
+    # lie_cyclic, over S_(n+1) with N = n + 1: Ind Lie_n = Lie_(n+1) + lie_cyclic
+    # (Whitehouse), and the induced character sums Lie_n over fixed points
+    fixed = t.count(1)
+    return (fixed * lie_value(t[:-1]) if fixed else 0) - lie_value(t)
+
+
+@lru_cache(maxsize=None)
+def closed_character(kind: str, N: int) -> dict:
+    """{cycle type: character} of a builtin kind over S_N, in closed form.
+
+    Tier-1 pins it equal to the traced character of ``builtin`` on every
+    class, and ``module-info`` compares the two on the module it prints.
+    """
+    return {t: _closed_value(kind, t, N) for t in _partitions(N)}
+
+
+def class_function(module, group: PermutationGroup) -> dict:
+    """{rep: chi_M(rep)} over the representatives of ``perm.cycle_classes``.
+
+    A builtin module reads ``closed_character`` by cycle type, and any
+    other (custom, induced, basis-changed or subgroup module) traces act(rep).
+    """
+    reps = [rep for rep, _ in cycle_classes(group)]
+    if module.kind is None:
+        return {rep: module.character(rep) for rep in reps}
+    closed = closed_character(module.kind, module.N)
+    return {rep: closed[rep.cycle_type()] for rep in reps}
+
+
 def character_count(module, group: PermutationGroup, f, divisor: int, what: str) -> int:
     """(1/(|G| divisor)) sum over g in G of character(g) * f(g), for a class
     function f; raise ``InvariantError`` naming ``what`` unless it is a
     non-negative integer.
 
     Both factors are class functions, so the sum runs over
-    ``perm.cycle_classes``: p(n) traces over the full symmetric group.
+    ``perm.cycle_classes``: p(n) values of ``class_function`` over the full
+    symmetric group.
     """
+    chi = class_function(module, group)
     total = Fraction(
-        sum(count * module.character(rep) * f(rep) for rep, count in cycle_classes(group)),
+        sum(count * chi[rep] * f(rep) for rep, count in cycle_classes(group)),
         group.order * divisor,
     )
     if total.denominator != 1 or total < 0:

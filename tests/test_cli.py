@@ -11,6 +11,7 @@ import pytest
 from conftest import clear_realization_caches
 
 import cubix.freelie as freelie
+import cubix.modules as modules
 import cubix.realizations as realizations
 import cubix.suites as suites
 from cubix.cli import main
@@ -341,6 +342,26 @@ def test_module_info_json(capsys):
     assert data["characters"]["1+1+1"] == "1"
     assert data["characters"]["2+1"] == "-1"
     assert data["sgn_coinvariants"] == 1
+
+
+def test_module_info_exits_4_when_a_closed_form_character_disagrees(monkeypatch, capsys):
+    real = modules.closed_character
+
+    def patched(kind, N):
+        closed = dict(real(kind, N))
+        if (kind, N) == ("lie", 3):
+            closed[(2, 1)] += 1
+        return closed
+
+    monkeypatch.setattr(modules, "closed_character", patched)
+    assert main(["module-info", "--family", "lie", "--n", "3"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: lie(3): the character traces to 0 on cycle class 2+1, "
+        "its closed form is 1\n"
+    )
+    assert main(["module-info", "--family", "lie", "--n", "4"]) == 0
 
 
 def test_custom_module_roundtrip(tmp_path, capsys):

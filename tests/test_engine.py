@@ -30,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cubix.cubical as cubical
+import cubix.modules as modules
 from cubix.cli import main
 from cubix.cubical import (
     BettiRow,
@@ -70,7 +71,6 @@ from cubix.linalg import (
 )
 from cubix.modules import (
     BUILTIN_KINDS,
-    ModuleSpec,
     builtin,
     induce,
     random_basis_change,
@@ -821,9 +821,11 @@ def _flip_one_quotient_sign(monkeypatch):
 
 def _shift_characters(shift):
     def patch(monkeypatch):
-        real = ModuleSpec.character
+        real = modules.class_function
         monkeypatch.setattr(
-            ModuleSpec, "character", lambda self, g: real(self, g) + shift(g)
+            modules,
+            "class_function",
+            lambda module, group: {g: v + shift(g) for g, v in real(module, group).items()},
         )
 
     return patch

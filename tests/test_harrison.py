@@ -29,6 +29,7 @@ from cubix.harrison import (
     _dynkin_images,
     check_idempotent,
     dynkin_terms,
+    dynkin_trace,
     eulerian_scale,
     eulerian_terms,
     harrison_complex,
@@ -412,6 +413,27 @@ def test_the_dynkin_square_checks_are_counted_against_the_cap(mode, monkeypatch,
     real = harrison.check_dynkin_square
     monkeypatch.setattr(harrison, "check_dynkin_square", lambda m: (checked.append(m), real(m)))
     module, group = builtin("regular", 2), symmetric_group(2)
+    if mode == "quotient":
+        # only the built degrees 1..min(n, m_max + 1) are checked: on 2 slots
+        # 4^0 + 4^1 = 5 products at any m_max, so --mmax 10 answers
+        table = harrison_complex(module, group, 10, mode).betti_table()
+        assert checked == [1, 2] and table.bettis() == (0,) * 10
+        assert main(["betti", "--family", "harrison", "--n", "2", "--mmax", "10"]) == 0
+        # on 3 slots 4^0 + 4^1 + 4^2 = 21 products: a cap at the count admits
+        # them, and one below refuses them before the first is taken
+        module, group = builtin("trivial", 3), symmetric_group(3)
+        checked.clear()
+        harrison_complex(module, group, 10, mode, cap=21)
+        assert checked == [1, 2, 3]
+        checked.clear()
+        with pytest.raises(DimensionCapExceeded) as refused:
+            harrison_complex(module, group, 10, mode, cap=20)
+        assert refused.value.required == (4 ** 3 - 1) // 3 == 21
+        assert str(refused.value).startswith(
+            "the Dynkin square checks for harrison(trivial(3)/S3) is 21, above the cap 20"
+        )
+        assert checked == []
+        return
     # 4^0 + ... + 4^10 = 1 398 101 products, refused before the first is taken
     with pytest.raises(DimensionCapExceeded) as refused:
         harrison_complex(module, group, 10, mode)
@@ -431,8 +453,8 @@ def test_the_dynkin_square_checks_are_counted_against_the_cap(mode, monkeypatch,
 
 
 def test_the_default_cap_admits_the_square_checks_through_m_max_9(monkeypatch):
-    # harrison --n 7 at its default m_max 9 counts 349 525 products; the
-    # checks are stubbed, so nothing of that size runs
+    # orbit mode at m_max 9 (the default for --n 7) counts 349 525 products;
+    # the checks are stubbed, so nothing of that size runs
     def admitted(m):
         raise _Admitted(m)
 
@@ -440,4 +462,42 @@ def test_the_default_cap_admits_the_square_checks_through_m_max_9(monkeypatch):
     with pytest.raises(_Admitted):
         harrison_complex(builtin("regular", 2), symmetric_group(2), 9)
     assert (4 ** 10 - 1) // 3 == 349525 <= DEFAULT_CAP
-    assert (4 ** 6 - 1) // 3 == 1365  # the benchmark's harrison4 at m_max 5
+    assert (4 ** 6 - 1) // 3 == 1365  # orbit mode at m_max 5
+    assert (4 ** 4 - 1) // 3 == 85  # the benchmark's harrison4: quotient mode on 4 slots
+
+
+# -- the closed forms the counts read where no matrix is built -----------------
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_the_closed_form_dynkin_trace_sums_the_enumerated_terms(m):
+    by_type = {}
+    for t, c in dynkin_terms(m):
+        by_type[t.cycle_type()] = by_type.get(t.cycle_type(), 0) + c
+    assert dynkin_trace(m) == ({key: c for key, c in by_type.items() if c}, m)
+
+
+@pytest.mark.parametrize("m", [7, 8, 9])
+def test_dynkin_squares_to_m_times_itself_in_the_group_algebra(m):
+    # the identity that makes tr(D_m)/m a dimension in the degrees that
+    # quotient mode never builds, and so never checks at run time; m <= 6
+    # is in test_dynkin_is_a_lie_idempotent_up_to_m
+    dyn = dict(dynkin_terms(m))
+    assert _times(dyn, dyn) == {p: m * c for p, c in dyn.items()}
+
+
+@pytest.mark.parametrize("n, m_top", [(2, 9), (3, 6)])
+def test_deep_harrison_quotient_tables_equal_orbit_tables(n, m_top):
+    # the orbit table through m_top holds every shorter one as a prefix
+    module, group = builtin("regular", n), symmetric_group(n)
+    orbit = harrison_complex(module, group, m_top).betti_table()
+    for m_max in range(2, m_top + 1):
+        quotient = harrison_complex(module, group, m_max, mode="quotient").betti_table()
+        assert quotient.rows == orbit.rows[:m_max]
+
+
+def test_a_deep_harrison_run_answers_under_the_default_cap(capsys):
+    assert main(["betti", "--family", "harrison", "--n", "2", "--mmax", "30"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 32 and lines[-1] == "cohomology: 0"
+    assert lines[30].split() == ["30", "30", "15", "0"]

@@ -16,9 +16,12 @@ from cubix.modules import (
     SubgroupModule,
     builtin,
     character_count,
+    class_function,
+    closed_character,
     cyclic_action,
     induce,
     load_module,
+    mobius,
     random_basis_change,
     restrict,
     serialize_module,
@@ -28,6 +31,8 @@ from cubix.modules import (
 from cubix.perm import (
     Permutation,
     PermutationGroup,
+    adjacent_transposition,
+    cycle_classes,
     cyclic_group,
     identity_permutation,
     symmetric_group,
@@ -226,8 +231,12 @@ def test_sgn_coinvariants_dimensions():
     ids=["fraction", "negative"],
 )
 def test_a_broken_character_makes_the_sign_count_raise(shift, module, value, monkeypatch):
-    real = ModuleSpec.character
-    monkeypatch.setattr(ModuleSpec, "character", lambda self, g: real(self, g) + shift(g))
+    real = modules.class_function
+    monkeypatch.setattr(
+        modules,
+        "class_function",
+        lambda module, group: {g: v + shift(g) for g, v in real(module, group).items()},
+    )
     message = f"the sign-isotypic dimension of {module.name} is {value}, not a dimension"
     with pytest.raises(InvariantError, match=re.escape(message)):
         sgn_coinvariants_dim(module, symmetric_group(3))
@@ -242,6 +251,57 @@ def test_character_count_is_the_checked_class_function_sum():
     assert character_count(builtin("regular", 3), s3, lambda g: 2, 2, "dim") == 1
     with pytest.raises(InvariantError, match="^half is 1/2, not a dimension$"):
         character_count(builtin("regular", 3), s3, lambda g: 1, 2, "half")
+
+
+def test_mobius_values():
+    assert [mobius(d) for d in range(1, 13)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
+
+
+@pytest.mark.parametrize("kind", BUILTIN_KINDS)
+def test_closed_form_characters_equal_the_traced_ones(kind):
+    # the counts read the closed form of a builtin module and never trace it
+    for n in range(1, 6 if kind == "lie_cyclic" else 7):
+        module = builtin(kind, n)
+        group = symmetric_group(module.N)
+        traced = {rep: module.character(rep) for rep, _ in cycle_classes(group)}
+        closed = closed_character(kind, module.N)
+        assert sorted(closed) == sorted(rep.cycle_type() for rep in traced)
+        assert {rep: closed[rep.cycle_type()] for rep in traced} == traced, (kind, n)
+        assert class_function(module, group) == traced
+
+
+def test_other_modules_trace_their_class_function(monkeypatch):
+    lie = builtin("lie", 4)
+    moved = random_basis_change(lie, seed=3)
+    assert lie.kind == "lie" and moved.kind is None
+    assert induce(trivial_subgroup_module(cyclic_group(4))).kind is None
+    c4 = cyclic_group(4)
+    sub = restrict(lie, c4)
+    assert sub.kind is None
+    assert class_function(sub, c4) == {g: sub.character(g) for g in c4.elements}
+    # a traced module never reads a closed form
+    monkeypatch.setattr(modules, "closed_character", None)
+    group = symmetric_group(4)
+    assert class_function(moved, group) == {
+        rep: lie.character(rep) for rep, _ in cycle_classes(group)
+    }
+
+
+def test_act_starts_each_chain_at_its_first_generator(monkeypatch):
+    lie = builtin("lie", 4)
+    fresh = ModuleSpec("lie4", 4, lie.dim, lie.basis_labels, lie.gen_actions)
+    for i, mat in enumerate(fresh.gen_actions, start=1):
+        assert fresh.act(adjacent_transposition(4, i)) is mat
+    p = Permutation((4, 3, 2, 1))
+    want = lie.act(p)
+    products = []
+    real = RationalMatrix.__mul__
+    monkeypatch.setattr(
+        RationalMatrix, "__mul__", lambda a, b: (products.append(1), real(a, b))[1]
+    )
+    assert fresh.act(p) == want
+    # a reduced word of 6 letters takes 5 products, and no identity factor
+    assert len(products) == len(p.adjacent_factorization()) - 1 == 5
 
 
 def _sgn_dim_by_elements(module, group):
