@@ -34,7 +34,8 @@ x (x) g.w = x.g (x) w.  Three constructions are provided:
   of one word w per position orbit, the word of least index: P(v.g) = P(v),
   so the other words add nothing.  Each image is summed over every g of G
   from act(g) and the permutation of the words by g^{-1}
-  (``position_indices``), and one sweep reduces them to a basis.  The full
+  (``position_indices``), and one sweep reduces them to an echelon basis
+  (``echelon_basis``), the form ``RowSpanSolver`` reads.  The full
   differential is then restricted to that image: each basis vector is
   pushed through ``differential_columns`` one module block at a time
   (``apply_differential``).  It exists purely as an oracle.
@@ -142,10 +143,9 @@ from .linalg import (
     RationalMatrix,
     RowSpanSolver,
     SubspaceEscape,
-    _Eliminator,
-    _int_rows,
     _norm,
     divide_row,
+    echelon_basis,
     rank,
     reduced_echelon,
 )
@@ -537,7 +537,7 @@ def _subgroup_orbits(n: int, m: int, group: PermutationGroup, surjective: bool):
 def relation_block(module, s: Permutation) -> list:
     """A row echelon basis of the row space of act(s) - 1, from one sweep."""
     relations = module.act(s) - RationalMatrix.identity(module.dim)
-    return [row for _, row in _Eliminator(_int_rows(relations), module.dim).sweep()]
+    return echelon_basis(relations.rows.values(), module.dim)
 
 
 class CoinvariantBasis:
@@ -793,7 +793,7 @@ def _naive_basis(module, group, m: int) -> list:
                     c = b * size + w
                     vec[c] = vec.get(c, 0) + v
     span = RationalMatrix.from_row_dicts(span.values(), len(span), module.dim * size)
-    return [row for _, row in _Eliminator(_int_rows(span), span.ncols).sweep()]
+    return echelon_basis(span.rows.values(), span.ncols)
 
 
 def _naive_complex(module, group, m_max, cap, label) -> CochainComplex:

@@ -10,9 +10,11 @@ Two bases are provided and both are verified independent, since
 downstream cohomology claims silently depend on them being bases:
 
 * the left-normed multilinear basis [[...[x_1, x_{s(2)}], ...], x_{s(n)}]
-  indexed by permutations of {2, ..., n}, of size (n-1)!, by the
-  ``RowSpanSolver`` that every use in ``modules`` passes it through, which
-  raises on dependent rows;
+  indexed by permutations of {2, ..., n}, of size (n-1)!, by their leading
+  words too: in sorted word order the bracket of x_1 s(2) ... s(n) leads at
+  that word with coefficient 1 (Reutenauer, Free Lie Algebras), so the
+  vectors are in echelon form, and the ``RowSpanSolver`` that every use in
+  ``modules`` passes them through checks that echelon form;
 * expansions of the standard bracketings of Lyndon words of length n over
   the alphabet [m], of size witt_dim(m, n), by their leading words: the
   expansion of a Lyndon word w is w plus lexicographically larger words
@@ -118,9 +120,11 @@ def lie_basis_multilinear(n: int):
     """Left-normed brackets [[...[x_1, x_{s(2)}], ...], x_{s(n)}].
 
     Returns a tuple of (letter sequence, expansion dict) pairs, one per
-    permutation s of {2, ..., n}.  ``modules`` restricts the word action to
-    them through ``RowSpanSolver``, which raises on dependent rows, so their
-    independence is checked where they are used.
+    permutation s of {2, ..., n}.  Each leads, in sorted word order, at its
+    own letter sequence with coefficient 1.  ``modules`` restricts the word
+    action to them through ``RowSpanSolver``, which raises unless the rows
+    are in echelon form, so their independence is checked where they are
+    used.
     """
     if n == 1:
         return (((1,), {(1,): 1}),)

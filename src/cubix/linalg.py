@@ -23,9 +23,10 @@ sparse ``_Eliminator`` drives it in two column orders:
 
 * ``rank`` chooses pivot columns greedily by current column support (a lazy
   min-heap).
-* ``image_basis`` and ``RowSpanSolver`` sweep the columns in index order,
+* ``image_basis`` and ``echelon_basis`` sweep the columns in index order,
   so that the echelon structure, and in particular the set of pivot
-  columns, is deterministic.
+  columns, is deterministic.  ``image_basis`` returns the original pivot
+  columns; ``echelon_basis`` returns the pivot rows themselves.
 
 ``reduced_echelon`` follows that sweep with a back pass of the same row
 step, which clears every pivot column from the other pivot rows.  The back
@@ -38,15 +39,16 @@ bases of ``cubical.py``.
 strips a vector by the echelon basis vector that leads at its least
 column until nothing is left, and a least column that leads no basis
 vector means the vector escapes the span.  ``RowSpanSolver`` expresses
-vectors in a fixed independent row family: one sweep of the rows, each
-tagged with its own index, gives echelon rows together with the
-combination of input rows that each one is.  Its ``solve`` reads a whole
-block of vectors in the echelon rows, checking every row's membership in
-the span exactly, and maps the coordinates back through the tags; this is
-how each linear map is restricted to an invariant subspace.
+vectors in a fixed echelon row family, which every caller holds already
+(the pivot rows of a sweep, or the Lie brackets, which lead at their own
+words): it checks the echelon form once, and its ``solve`` is
+``leading_coords`` on a whole block of vectors, checking every row's
+membership in the span exactly.  This is how each linear map is
+restricted to an invariant subspace.
 
-Returned basis vectors are integer, have content 1, and their first nonzero
-entry is positive, so test fixtures can compare them literally.
+Returned basis vectors are integer and have content 1; those of
+``image_basis`` also have a positive first nonzero entry, so test fixtures
+can compare them literally.
 """
 
 import heapq
@@ -316,7 +318,7 @@ def _clear(row, prow, c):
     This is the one row step of every elimination in this module: column c
     drops out, the result is integer when both rows are, and the new row
     is an integer combination of the two, so rank, pivot columns and any
-    tag columns carried along keep their meaning.
+    columns carried along past ``ncols`` keep their meaning.
     """
     pval = prow[c]
     rval = row[c]
@@ -459,6 +461,13 @@ def image_basis(matrix: RationalMatrix):
     return [normalize_int_vector(cols[c]) for c, _ in pivots]
 
 
+def echelon_basis(rows, ncols: int) -> list:
+    """A row echelon basis of the span of the dict rows, over columns
+    0..ncols-1: the pivot rows of one column-order ``sweep``, integer with
+    content 1, each leading at its own pivot column."""
+    return [row for _, row in _Eliminator(dict(enumerate(map(_int_row, rows))), ncols).sweep()]
+
+
 def reduced_echelon(int_rows, ncols):
     """[(pivot_col, row)] of a reduced row echelon basis of the rows' span.
 
@@ -497,11 +506,11 @@ class InvariantError(ArithmeticError):
     """Exact arithmetic contradicts an identity the construction relies on.
 
     Raised for a broken internal invariant, never for bad input: a vector
-    escaping a subspace the differential must preserve, dependent rows
-    handed to ``RowSpanSolver``, a coinvariant relation with a nonzero
-    class, D^2 != m D, an impossible Betti row or rank of d, or a Lyndon
-    count or leading word, Eulerian scale or sign-isotypic dimension that
-    contradicts its closed form.
+    escaping a subspace the differential must preserve, rows handed to
+    ``RowSpanSolver`` that are not in echelon form, a coinvariant relation
+    with a nonzero class, D^2 != m D, an impossible Betti row or rank of d,
+    or a Lyndon count or leading word, Eulerian scale or sign-isotypic
+    dimension that contradicts its closed form.
     """
 
 
@@ -509,22 +518,34 @@ class SubspaceEscape(InvariantError):
     pass
 
 
+def _leads(basis) -> dict:
+    """{leading column: (index, leading entry)} of an echelon family of dict
+    vectors; a zero vector, or two leading at one column, is an
+    InvariantError."""
+    lead = {}
+    for i, vec in enumerate(basis):
+        k = min(vec, default=None)
+        if k is None or k in lead:
+            why = f"rows {lead[k][0]} and {i} lead at column {k}" if vec else f"row {i} is zero"
+            raise InvariantError(f"{len(basis)} rows are not in echelon form: {why}")
+        lead[k] = (i, vec[k])
+    return lead
+
+
 def leading_coords(x: RationalMatrix, basis, space: str) -> RationalMatrix:
     """Matrix c, target-by-source, with x's row j equal to sum_i c[i][j]
     basis[i].
 
     ``basis`` is a sequence of dict vectors in echelon form: each leads at
-    its least column, and no two lead at the same column.  The least column
-    of a row of x then leads at most one basis vector, whose multiple
-    (the row's entry over the vector's leading entry) is stripped; what is
-    left starts at a larger column, so the strip ends.  A least column
-    that leads no basis vector raises SubspaceEscape, naming ``space``.
-    This is the one place coordinates are read off a basis.
+    its least column, and no two lead at the same column (``_leads`` checks
+    this).  The least column of a row of x then leads at most one basis
+    vector, whose multiple (the row's entry over the vector's leading
+    entry) is stripped; what is left starts at a larger column, so the
+    strip ends.  A least column that leads no basis vector raises
+    SubspaceEscape, naming ``space``.  This is the one place coordinates
+    are read off a basis.
     """
-    lead = {}
-    for i, vec in enumerate(basis):
-        k = min(vec)
-        lead[k] = (i, vec[k])
+    lead = _leads(basis)
     entries = []
     for j, row in x.rows.items():
         rest = dict(row)
@@ -546,49 +567,37 @@ def leading_coords(x: RationalMatrix, basis, space: str) -> RationalMatrix:
 
 
 class RowSpanSolver:
-    """Coordinates of vectors with respect to a fixed independent row family.
+    """Coordinates of vectors with respect to a fixed echelon row family.
 
-    ``rows`` is a list of integer dict vectors of length ``ncols``; ``basis``
-    holds them as a k x ncols matrix.  Every caller hands over rows that
-    must be independent, so dependent rows raise InvariantError.  The
-    constructor runs one column-order ``sweep`` on the rows, row i tagged
-    with a column ``ncols + i``: each pivot row is an echelon vector, and
-    its tags record which integer combination of the input rows it is, so
-    echelon = R * basis for the k x k tag matrix R.  ``solve`` reads
-    coordinates in the echelon rows with ``leading_coords``, which checks
-    membership in the span on the way, and maps them through R, so no back
-    pass is needed: ``reduced_echelon`` serves only the coinvariant bases.
-    k = 0 is valid: only the zero vector is in the span.
+    ``rows`` is a list of dict vectors over ``ncols`` columns in echelon
+    form: every row is nonzero, and no two lead (have their least column)
+    at the same column, so the rows are independent.  ``basis`` holds them
+    as a k x ncols matrix.  Every caller holds such a family already, from
+    ``echelon_basis`` or, for the Lie brackets, in sorted word order; a
+    family that is not one raises InvariantError here.  ``solve`` is
+    ``leading_coords`` on the rows, which checks membership in the span on
+    the way.  k = 0 is valid: only the zero vector is in the span.
     """
 
     def __init__(self, rows, ncols):
-        self.ncols = ncols
-        k = len(rows)
-        self.k = k
-        self.basis = RationalMatrix.from_row_dicts(rows, k, ncols)
-        tagged = {i: {**r, ncols + i: 1} for i, r in enumerate(rows)}
-        pivots = _Eliminator(tagged, ncols).sweep()
-        if len(pivots) != k:
-            # a dependent row is swept down to its tags and never pivots
-            raise InvariantError(f"{k} rows are linearly dependent: they span {len(pivots)}")
-        swept = [row for _, row in pivots]
-        self._echelon = [{c: v for c, v in row.items() if c < ncols} for row in swept]
-        tags = [{c - ncols: v for c, v in row.items() if c >= ncols} for row in swept]
-        self._tags = RationalMatrix(k, k, dict(enumerate(tags)))
+        self.k = len(rows)
+        self.basis = RationalMatrix.from_row_dicts(rows, self.k, ncols)
+        self._rows = [self.basis.row_dict(i) for i in range(self.k)]
+        _leads(self._rows)
 
     def solve(self, x: RationalMatrix, space: str = "the row span") -> RationalMatrix:
         """Matrix c with c * basis == x, for x with rows over the columns.
 
         A row outside the span raises SubspaceEscape, naming ``space``.
         """
-        if x.ncols != self.ncols:
-            raise ValueError(f"solve: {x.ncols} columns, expected {self.ncols}")
-        return leading_coords(x, self._echelon, space).transpose() * self._tags
+        if x.ncols != self.basis.ncols:
+            raise ValueError(f"solve: {x.ncols} columns, expected {self.basis.ncols}")
+        return leading_coords(x, self._rows, space).transpose()
 
     def coords(self, vec):
         """Coordinate list c with sum_i c[i] * rows[i] == vec, or None when
         the dict vector ``vec`` is outside the span; a one-row ``solve``."""
-        x = RationalMatrix.from_row_dicts([vec], 1, self.ncols)
+        x = RationalMatrix.from_row_dicts([vec], 1, self.basis.ncols)
         try:
             row = self.solve(x).row_dict(0)
         except SubspaceEscape:

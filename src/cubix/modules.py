@@ -208,8 +208,10 @@ def _bracket_label(seq):
 def _restrict_to_lie(words, basis, word_gens):
     """Word-space generator matrices restricted to the bracket basis.
 
-    The generators must preserve the Lie subspace; ``solve`` checks that
-    exactly for every basis vector.
+    ``words`` is sorted, so each bracket leads at its own word and the rows
+    are in the echelon form ``RowSpanSolver`` takes.  The generators must
+    preserve the Lie subspace; ``solve`` checks that exactly for every
+    basis vector.
     """
     index = _word_index(words)
     rows = [{index[w]: c for w, c in vec.items()} for _, vec in basis]

@@ -159,7 +159,8 @@ def plain_reduced_echelon(int_rows, ncols):
 
 class TaggedInverseSolver:
     """``cubix.linalg.RowSpanSolver`` through an integer inverse of its
-    pivot submatrix, with no ``leading_coords``: its oracle.
+    pivot submatrix, with no ``leading_coords``: its oracle.  It takes any
+    independent family, not only an echelon one.
 
     ``reduced_echelon`` of the rows, row i tagged with a column ``ncols +
     i``, leaves pivot row j with d_j at its pivot, zero at every other

@@ -125,6 +125,16 @@ def test_multilinear_basis_sizes_and_leading_terms():
             assert all(len(w) == n for w in vec)
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_each_left_normed_bracket_leads_at_its_own_word(n):
+    # Reutenauer, Free Lie Algebras: in sorted word order the bracket of
+    # x_1 s(2) ... s(n) leads at that word with coefficient 1, so the
+    # brackets are in echelon form, which modules._restrict_to_lie relies on
+    for seq, vec in lie_basis_multilinear(n):
+        assert min(vec) == seq
+        assert vec[seq] == 1
+
+
 def test_multilinear_basis_n3_members():
     basis = dict(lie_basis_multilinear(3))
     assert basis[(1, 2, 3)] == {
@@ -149,17 +159,16 @@ def test_relabeling_preserves_lie_subspace():
     for m in range(2, 4):
         for n in range(2, 5):
             basis = lie_projector_basis(m, n)
-            idx = {}
-            rows = []
-            for vec in basis:
-                rows.append(
-                    {idx.setdefault(w, len(idx)): c for w, c in vec.items()}
-                )
-            # extend index over all relabeled words before solving
-            for sigma in permutations(range(1, m + 1)):
-                for vec in basis:
-                    for w in vec:
-                        idx.setdefault(tuple(sigma[x - 1] for x in w), len(idx))
+            # index every word and relabeled word in lex order, so that each
+            # expansion leads at its Lyndon word and the rows are echelon
+            words = {
+                tuple(sigma[x - 1] for x in w)
+                for sigma in permutations(range(1, m + 1))
+                for vec in basis
+                for w in vec
+            }
+            idx = {w: i for i, w in enumerate(sorted(words))}
+            rows = [{idx[w]: c for w, c in vec.items()} for vec in basis]
             solver = RowSpanSolver(rows, len(idx))
             for sigma in permutations(range(1, m + 1)):
                 for vec in basis[: min(len(basis), 4)]:

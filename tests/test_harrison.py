@@ -43,6 +43,7 @@ from cubix.linalg import (
     RationalMatrix,
     RowSpanSolver,
     SubspaceEscape,
+    echelon_basis,
     image_basis,
 )
 from cubix.modules import (
@@ -246,7 +247,9 @@ def test_orbit_dynkin_and_eulerian_have_one_image(module, group):
         eul = image_basis(orbit_eulerian_matrix(builder, m)[0])
         assert len(dyn) == len(eul)
         # raises SubspaceEscape unless every Eulerian image row lies in im D
-        RowSpanSolver(dyn, dim).solve(RationalMatrix.from_row_dicts(eul, len(eul), dim))
+        RowSpanSolver(echelon_basis(dyn, dim), dim).solve(
+            RationalMatrix.from_row_dicts(eul, len(eul), dim)
+        )
 
 
 @pytest.mark.parametrize(

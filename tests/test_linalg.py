@@ -11,6 +11,7 @@ from cubix.linalg import (
     RationalMatrix,
     RowSpanSolver,
     SubspaceEscape,
+    echelon_basis,
     image_basis,
     leading_coords,
     normalize_int_vector,
@@ -200,17 +201,25 @@ def test_image_basis_is_deterministic_pivot_columns():
     assert ib == [{0: 2, 1: 1}, {0: 1}]
 
 
+def random_echelon_rows(rng, k, ncols, density=0.7):
+    """k integer rows leading at k distinct columns, in increasing order,
+    with leads that may be negative and non-unit."""
+    rows = []
+    for c in sorted(rng.sample(range(ncols), k)):
+        row = {c: rng.choice([-3, -2, -1, 1, 2, 3])}
+        for j in range(c + 1, ncols):
+            if rng.random() < density:
+                row[j] = rng.randint(-6, 6)
+        rows.append({j: v for j, v in row.items() if v})
+    return rows
+
+
 def test_row_span_solver_roundtrip():
     rng = random.Random(123)
     for _ in range(20):
         k = rng.randint(1, 5)
         ncols = k + rng.randint(0, 4)
-        while True:
-            rows_dense = random_matrix(rng, k, ncols, density=0.7)
-            a = RationalMatrix.from_rows(rows_dense, ncols)
-            if rank(a) == k:
-                break
-        rows = [dict(a.row_dict(i)) for i in range(k)]
+        rows = random_echelon_rows(rng, k, ncols)
         solver = RowSpanSolver(rows, ncols)
         coeffs = [rng.randint(-5, 5) for _ in range(k)]
         vec = {}
@@ -235,9 +244,31 @@ def test_row_span_solver_fractional_coords():
 
 
 def test_row_span_solver_rejects_dependent_rows():
-    # every caller's rows must be independent: a dependency is a broken invariant
-    with pytest.raises(InvariantError, match=r"^2 rows are linearly dependent: they span 1$"):
+    # every caller's rows must be in echelon form, so independent: a
+    # dependency is a broken invariant
+    with pytest.raises(
+        InvariantError, match=r"^2 rows are not in echelon form: rows 0 and 1 lead at column 0$"
+    ):
         RowSpanSolver([{0: 1}, {0: 2}], 2)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([{0: 1, 1: 1}, {}, {2: 2}], "3 rows are not in echelon form: row 1 is zero"),
+        ([{1: 0}], "1 rows are not in echelon form: row 0 is zero"),
+        (
+            [{1: 1, 2: 1}, {0: 3}, {1: -2}],
+            "3 rows are not in echelon form: rows 0 and 2 lead at column 1",
+        ),
+    ],
+    ids=["zero-row", "zero-entries-only", "independent-one-lead"],
+)
+def test_row_span_solver_rejects_a_family_that_is_not_echelon(rows, message):
+    # independent rows that share a lead are refused too: the solver reads
+    # coordinates off the leads, so it takes echelon families only
+    with pytest.raises(InvariantError, match=f"^{message}$"):
+        RowSpanSolver(rows, 3)
 
 
 def test_leading_coords_divides_by_leading_entries():
@@ -261,11 +292,11 @@ def test_leading_coords_raises_when_a_least_column_leads_nothing(basis, row):
 
 
 def test_solve_equals_the_tagged_inverse_oracle_on_non_unit_pivots():
-    rows = [{0: 2, 1: 4, 2: -3}, {0: 3, 1: 5}, {1: 6, 2: 9}]
+    rows = [{0: 2, 1: 4, 3: -3}, {1: -3, 2: 5}, {3: 6, 4: 9}]
     x = RationalMatrix.from_rows([[1, 2, 0], [Fraction(1, 3), 0, 5], [0, 0, 0]])
-    x = x * RationalMatrix.from_row_dicts(rows, 3, 3)
-    got = RowSpanSolver(rows, 3).solve(x)
-    assert got == TaggedInverseSolver(rows, 3).solve(x)
+    x = x * RationalMatrix.from_row_dicts(rows, 3, 5)
+    got = RowSpanSolver(rows, 5).solve(x)
+    assert got == TaggedInverseSolver(rows, 5).solve(x)
     assert got.to_rows() == [[1, 2, 0], [Fraction(1, 3), 0, 5], [0, 0, 0]]
 
 
@@ -274,25 +305,28 @@ rationals = st.one_of(st.just(0), st.fractions(-4, 4, max_denominator=5))
 
 
 @st.composite
-def independent_rows(draw, extra_cols=0):
-    """k independent integer rows over at least k + extra_cols columns.
+def echelon_rows(draw, extra_cols=0):
+    """k integer rows in echelon form over at least k + extra_cols columns.
 
-    Up to 8 rows, so the solver strips over several pivots, with entries
-    (and so pivots) that are negative and non-unit.
+    Up to 8 rows, so the solver strips over several leads, each at a column
+    of its own, with entries (and so leads) that are negative and non-unit.
     """
     k = draw(st.integers(0, 8))
     ncols = k + extra_cols + draw(st.integers(0, 3))
-    row = st.lists(small_ints, min_size=ncols, max_size=ncols)
-    b = RationalMatrix.from_rows(draw(st.lists(row, min_size=k, max_size=k)), ncols)
-    assume(rank(b) == k)
-    return b
+    leads = sorted(draw(st.permutations(range(ncols)))[:k])
+    rows = []
+    for c in leads:
+        lead = draw(small_ints.filter(bool))
+        rest = draw(st.lists(small_ints, min_size=ncols - c - 1, max_size=ncols - c - 1))
+        rows.append([0] * c + [lead] + rest)
+    return RationalMatrix.from_rows(rows, ncols)
 
 
 def solver_of(b):
     return RowSpanSolver([b.row_dict(i) for i in range(b.nrows)], b.ncols)
 
 
-@given(independent_rows(), st.data())
+@given(echelon_rows(), st.data())
 def test_solve_recovers_rational_coefficients(b, data):
     nrows = data.draw(st.integers(0, 4))
     row = st.lists(rationals, min_size=b.nrows, max_size=b.nrows)
@@ -302,7 +336,7 @@ def test_solve_recovers_rational_coefficients(b, data):
     assert solver_of(b).solve(c * b) == c
 
 
-@given(independent_rows(extra_cols=1), st.data())
+@given(echelon_rows(extra_cols=1), st.data())
 def test_solve_rejects_a_row_outside_the_span(b, data):
     v = data.draw(st.lists(small_ints, min_size=b.ncols, max_size=b.ncols))
     assume(rank(RationalMatrix.from_rows(b.to_rows() + [v], b.ncols)) == b.nrows + 1)
@@ -311,7 +345,7 @@ def test_solve_rejects_a_row_outside_the_span(b, data):
         solver_of(b).solve(RationalMatrix.from_rows([inside, v], b.ncols))
 
 
-@given(independent_rows(), st.data())
+@given(echelon_rows(), st.data())
 def test_solve_equals_the_tagged_inverse_oracle(b, data):
     # rational coordinates on non-unit pivots, k = 0 included, and a row
     # that escapes the span when one is drawn
@@ -329,6 +363,19 @@ def test_solve_equals_the_tagged_inverse_oracle(b, data):
         for s in (solver, oracle):
             with pytest.raises(SubspaceEscape, match=r"^a vector escapes the test span$"):
                 s.solve(x, "the test span")
+
+
+@given(st.data())
+def test_echelon_basis_is_an_echelon_basis_of_the_row_span(data):
+    # any rational rows, zero and dependent ones included: the solver takes
+    # the result, which has the rank's size and spans every input row
+    ncols = data.draw(st.integers(1, 6))
+    row = st.lists(rationals, min_size=ncols, max_size=ncols)
+    a = RationalMatrix.from_rows(data.draw(st.lists(row, max_size=8)), ncols)
+    basis = echelon_basis([a.row_dict(i) for i in range(a.nrows)], ncols)
+    assert len(basis) == rank(a)
+    solver = RowSpanSolver(basis, ncols)
+    assert solver.solve(a) * solver.basis == a
 
 
 @given(st.data())

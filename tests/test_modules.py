@@ -114,11 +114,11 @@ def test_regular_characters():
 
 def test_dependent_lie_brackets_are_an_invariant_error(monkeypatch, capsys):
     # the solver that restricts the word action to the brackets checks that
-    # they are independent: repeat the first bracket of lie(3)
+    # they are in echelon form: repeat the first bracket of lie(3)
     real = modules.lie_basis_multilinear
     monkeypatch.setattr(modules, "lie_basis_multilinear", lambda n: real(n)[:1] * len(real(n)))
     builtin.cache_clear()
-    message = "2 rows are linearly dependent: they span 1"
+    message = "2 rows are not in echelon form: rows 0 and 1 lead at column 0"
     with pytest.raises(InvariantError, match=f"^{message}$"):
         builtin("lie", 3)
     assert main(["betti", "--family", "lie", "--n", "3"]) == 4

@@ -12,15 +12,19 @@ Regenerate cases of ``golden/restrictions.json`` (only on purpose) with
     PYTHONPATH=src python tests/test_restrictions.py [CASE ...]
 
 which rewrites the named cases, or all of ``CASES``, and keeps every other
-key.  Two regenerations changed a basis but not the complex, and the old
-matrices stay beside the new ones:
+key.  Three regenerations changed a basis but not the complex, and the
+old matrices stay beside the new ones:
 
 * ``harrison-regular3-m3`` when the Harrison space came to be built as the
   image of the Dynkin element instead of the Eulerian idempotent (the old
   set is ``harrison-regular3-m3-eulerian-basis``);
 * ``harrison-regular3-m3`` and ``orbit-lie4~2-m3`` when coinvariant spaces
   came to be built from the stabilizer's generators instead of from the
-  averaging projector (the old sets end in ``-averaging-basis``).
+  averaging projector (the old sets end in ``-averaging-basis``);
+* ``harrison-regular3-m3`` when the basis of im D came to be the echelon
+  form of D's pivot columns, ``echelon_basis(image_basis(D))``, instead of
+  those columns themselves (the old set is
+  ``harrison-regular3-m3-pivot-column-basis``).
 
 Tests check that each old set is the new one in exactly that change of
 basis.
@@ -33,7 +37,7 @@ from math import lcm
 from pathlib import Path
 
 import pytest
-from conftest import coinvariants
+from conftest import TaggedInverseSolver, coinvariants
 
 from cubix.cubical import OrbitComplexBuilder, cubical_complex
 from cubix.harrison import (
@@ -42,7 +46,14 @@ from cubix.harrison import (
     orbit_eulerian_matrix,
     orbit_slot_operator,
 )
-from cubix.linalg import RationalMatrix, RowSpanSolver, image_basis, parse_scalar, rank
+from cubix.linalg import (
+    RationalMatrix,
+    RowSpanSolver,
+    echelon_basis,
+    image_basis,
+    parse_scalar,
+    rank,
+)
 from cubix.modules import builtin, random_basis_change
 from cubix.perm import symmetric_group
 from cubix.realizations import direct_complex
@@ -130,24 +141,29 @@ def averaging_change(builder, m):
 def inverse(q):
     den = lcm(*(v.denominator for row in q.rows.values() for v in row.values()))
     ints = q.scale(den)
-    solver = RowSpanSolver([ints.row_dict(i) for i in range(q.nrows)], q.ncols)
+    solver = TaggedInverseSolver([ints.row_dict(i) for i in range(q.nrows)], q.ncols)
     inv = solver.solve(RationalMatrix.identity(q.nrows)).scale(den)
     assert q * inv == RationalMatrix.identity(q.nrows)
     return inv
 
 
+def dynkin_basis(builder, m):
+    """The basis of im D that ``harrison_complex`` restricts to."""
+    dim = builder.degree(m).dim
+    return echelon_basis(image_basis(orbit_slot_operator(builder, m, dynkin_terms(m))), dim)
+
+
 def harrison_change(builder, m, old_operator):
     """Old Harrison basis rows, image_basis(old_operator) in the averaging
-    coinvariant basis, as coordinates in the new one, image_basis(D) in
-    the builder's coinvariant basis."""
+    coinvariant basis, as coordinates in the new one, the echelon form of
+    image_basis(D) in the builder's coinvariant basis."""
     q = averaging_change(builder, m)
     # an operator A in new coordinates reads Q^-T A Q^T in the old ones
     op = old_operator(builder, m)
     old_op = (q * op.transpose() * inverse(q)).transpose()
     old_rows = image_basis(old_op)
     old_basis = RationalMatrix.from_row_dicts(old_rows, len(old_rows), q.ncols)
-    dynkin = image_basis(orbit_slot_operator(builder, m, dynkin_terms(m)))
-    return RowSpanSolver(dynkin, q.ncols).solve(old_basis * q)
+    return RowSpanSolver(dynkin_basis(builder, m), q.ncols).solve(old_basis * q)
 
 
 def test_orbit_golden_is_the_averaging_golden_in_another_basis():
@@ -169,6 +185,22 @@ def test_harrison_golden_is_the_averaging_golden_in_another_basis():
         return orbit_slot_operator(builder, m, dynkin_terms(m))
 
     change = {m: harrison_change(builder, m, dynkin) for m in range(1, 5)}
+    assert_same_complex(old, new, change)
+
+
+def test_harrison_golden_is_the_pivot_column_golden_in_another_basis():
+    # the same coinvariant basis: only the basis of im D changed, from D's
+    # pivot columns to their echelon form
+    golden = json.loads(GOLDEN.read_text())
+    old = decode(golden["harrison-regular3-m3-pivot-column-basis"])
+    new = decode(golden["harrison-regular3-m3"])
+    builder = OrbitComplexBuilder(builtin("regular", 3), symmetric_group(3))
+    change = {}
+    for m in range(1, 5):
+        dim = builder.degree(m).dim
+        columns = image_basis(orbit_slot_operator(builder, m, dynkin_terms(m)))
+        old_basis = RationalMatrix.from_row_dicts(columns, len(columns), dim)
+        change[m] = RowSpanSolver(dynkin_basis(builder, m), dim).solve(old_basis)
     assert_same_complex(old, new, change)
 
 
