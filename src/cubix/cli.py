@@ -28,9 +28,9 @@ cap below 0 is bad input.
 
 Exit codes: 0 success, 1 verification failure, 2 bad input, 3 resource cap,
 4 internal error (a broken invariant such as a subspace escape, a
-coinvariant relation with a nonzero class, D^2 != m D on a built degree,
-on its image or in Q[S_m], d^2 != 0 on the quotient or its Harrison space, a trace count
-that is not a dimension or disagrees with the quotient, a
+coinvariant relation with a nonzero class, D b != m b on the basis of
+im D in a built degree, d^2 != 0 on the quotient or its Harrison space, a
+trace count that is not a dimension or disagrees with the quotient, a
 derived rank out of bounds, an impossible Betti row or a failed rank or
 count check, or a KeyError, which no bad input raises).
 """

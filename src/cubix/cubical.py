@@ -45,8 +45,9 @@ above ``cap`` (``check_cap``): orbit and quotient mode count the trace
 dimensions of the degrees they build plus dim M per distinct stabilizer (one
 ``CoinvariantBasis`` each), naive mode |G| dim M (m_max + 1)^n, |G| times
 the size of its top degree, and ``full_complex`` its dimensions.  The
-Harrison complex of ``harrison.py`` then counts the (4^top - 1)/3 products
-of its D_m D_m = m D_m checks on the degrees 1..top it builds.
+Harrison complex of ``harrison.py`` counts as the word complex does, and
+then the 2^(m-1) terms of its Dynkin element D_m applied to every orbit
+of each degree m it builds.
 
 All modes must agree on dimensions and Betti tables; that equality is part
 of the acceptance suite, so naive mode is not allowed to borrow pieces of

@@ -21,10 +21,17 @@ downstream cohomology claims silently depend on them being bases:
   (the classical triangularity of the standard bracketing), so the
   vectors are in echelon form.  Each expansion is checked to lead with its
   word at coefficient 1.
+
+The Moebius function and Euler's totient live here too, next to
+``witt_dim``: the closed-form characters (``modules``), the Dynkin trace
+(``harrison``) and the necklace count (``realizations``) read them.  Since
+the realizations are an oracle of the engine, this module imports nothing
+but ``linalg``, and a tier-1 test keeps it so.
 """
 
 from functools import lru_cache, reduce
 from itertools import permutations
+from math import gcd
 
 from .linalg import InvariantError
 
@@ -74,25 +81,26 @@ def lyndon_words(m: int, n: int) -> list:
     return out
 
 
-@lru_cache(maxsize=None)
-def _mobius(d: int) -> int:
-    out = 1
-    p = 2
+def mobius(d: int) -> int:
+    """The Moebius function: (-1)^r if d is a product of r distinct primes, else 0."""
+    out, p = 1, 2
     while p * p <= d:
-        if d % p == 0:
+        if not d % p:
             d //= p
-            if d % p == 0:
+            if not d % p:
                 return 0
             out = -out
-        else:
-            p += 1
-    if d > 1:
-        out = -out
-    return out
+        p += 1
+    return -out if d > 1 else out
+
+
+def totient(d: int) -> int:
+    """Euler's phi: the residues 1..d prime to d."""
+    return sum(1 for r in range(1, d + 1) if gcd(r, d) == 1)
 
 
 def witt_dim(m: int, n: int) -> int:
-    total = sum(_mobius(d) * m ** (n // d) for d in range(1, n + 1) if n % d == 0)
+    total = sum(mobius(d) * m ** (n // d) for d in range(1, n + 1) if n % d == 0)
     if total % n:
         raise InvariantError(f"Witt dimension m={m} n={n}: {total} is not divisible by {n}")
     return total // n

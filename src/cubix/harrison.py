@@ -70,20 +70,21 @@ type (``dynkin_trace``).  Tier-1 pins them equal to the 2^(m-1) enumerated
 terms for m <= 12, and D_m D_m = m D_m in Q[S_m] for m <= 9.
 
 ``harrison_complex`` is ``cubical.operator_complex`` with im D as its image
-(``_dynkin_images``) and D_m as its trace (``dynkin_trace``).  In the
+(``_dynkin_images``) and D_m as its trace (``dynkin_trace``).  After the
+size counts, the image refuses above the cap the 2^(m-1) terms of D_m
+times the orbits of degree m, summed over the degrees it builds.  In the
 quotient mode it builds im D only on Q, with the same D b = m b and
-membership checks in every built degree, and the route adds four exact
-checks, each an ``InvariantError``: D_m D_m = m D_m in Q[S_m] for every
-degree it builds, m <= min(n, m_max + 1) (m <= m_max + 1 in the orbit mode;
-4^(m-1) products each, counted against the cap before any of them);
-every trace count is a non-negative integer; Q's built dimension equals
-its own trace count over onto words; and d^2 = 0 on im D over Q.
+membership checks in every built degree, and the route adds three exact
+checks, each an ``InvariantError``: every trace count is a non-negative
+integer, Q's built dimension equals its own trace count over onto words,
+and d^2 = 0 on im D over Q.  The trace counts of the degrees it never
+builds are dimensions because D_m D_m = m D_m in Q[S_m]; that identity
+depends on m alone, so the tests pin it (above) and no run checks it again.
 The full complex's ranks then follow from Q's Betti numbers as in
 ``cubical.QuotientComplex``.  The orbit mode stays the oracle.
 """
 
-from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, permutations
 from math import comb, lcm
 
@@ -96,7 +97,7 @@ from .cubical import (
     position_indices,
 )
 from .linalg import InvariantError, RationalMatrix, RowSpanSolver, echelon_basis, image_basis
-from .modules import mobius
+from .freelie import mobius
 from .perm import Permutation, PermutationGroup, identity_permutation
 
 
@@ -117,10 +118,7 @@ def eulerian_terms(m: int):
     for images in permutations(range(1, m + 1)):
         s = Permutation(images)
         des = s.descents()
-        coeff = Fraction(s.sign() * (-1) ** des * scale, m * comb(m - 1, des))
-        if coeff.denominator != 1:
-            raise InvariantError(f"scale {scale} does not clear degree {m}")
-        out.append((s, int(coeff)))
+        out.append((s, s.sign() * (-1) ** des * (scale // (m * comb(m - 1, des)))))
     return tuple(out)
 
 
@@ -182,24 +180,6 @@ class HarrisonRestrictionError(InvariantError):
     pass
 
 
-def _compose_sum(a: dict, b: dict) -> dict:
-    """Product in Q[S_m] of {images tuple: coefficient} dicts, (p*q)(i) = p(q(i))."""
-    out = {}
-    for p, x in a.items():
-        for q, y in b.items():
-            pq = tuple(p[j - 1] for j in q)
-            out[pq] = out.get(pq, 0) + x * y
-    return {p: v for p, v in out.items() if v}
-
-
-def check_dynkin_square(m: int) -> None:
-    """Raise unless D_m D_m = m D_m in Q[S_m], so that D_m / m is an
-    idempotent on the built degree m."""
-    dyn = {t.images: c for t, c in dynkin_terms(m)}
-    if _compose_sum(dyn, dyn) != {t: m * c for t, c in dyn.items()}:
-        raise HarrisonRestrictionError(f"D_{m} D_{m} != {m} D_{m} in Q[S_{m}]")
-
-
 def dynkin_trace(m: int):
     """D_m summed by the cycle type of t, and its square factor m; see
     ``cubical.operator_complex``.  In closed form (module docstring): the
@@ -208,14 +188,20 @@ def dynkin_trace(m: int):
             for d in range(1, m + 1) if not m % d and mobius(d)}, m
 
 
-def _dynkin_images(builder: OrbitComplexBuilder, top: int):
+def _dynkin_images(
+    builder: OrbitComplexBuilder, top: int, cap: int = DEFAULT_CAP, label: str = "harrison"
+):
     """(dims, diffs) of im D on the builder's degrees 1..top.
 
-    Checks D^2 = m D in every degree and, on every restriction, that d maps
-    im D into im D; a failure means the operator or the differential is
-    wrong, so it raises rather than returning a complex whose cohomology
-    would be meaningless.
+    D_m's 2^(m-1) terms are each applied to every orbit of degree m; their
+    sum over m <= top is refused above ``cap`` before the first term is
+    built.  Checks D^2 = m D in every degree and, on every restriction,
+    that d maps im D into im D; a failure means the operator or the
+    differential is wrong, so it raises rather than returning a complex
+    whose cohomology would be meaningless.
     """
+    applied = sum(2 ** (m - 1) * len(builder.orbits(m)) for m in range(1, top + 1))
+    check_cap(applied, cap, f"the Dynkin terms applied for {label}")
     solvers = {}
     for m in range(1, top + 1):
         dyn = orbit_slot_operator(builder, m, dynkin_terms(m))
@@ -243,18 +229,10 @@ def harrison_complex(
     and returns a ``CochainComplex``; "quotient" builds it on the
     surjective-word quotient only and returns a ``QuotientComplex`` with
     the full complex's dimensions from the trace of D (module docstring).
-    Both give the same Betti table.  Both refuse, above ``cap``, the size
-    counts of ``cubical.operator_complex`` and then the (4^top - 1)/3
-    products of the D_m D_m = m D_m checks on the built degrees 1..top,
-    before any of those checks.
+    Both give the same Betti table, and both refuse, above ``cap``, the
+    size counts of ``cubical.operator_complex`` and then the Dynkin terms
+    ``_dynkin_images`` would apply.
     """
     label = f"harrison({complex_label(module, group)})"
-
-    def images(builder, top):
-        # after the size counts: D_m D_m = m D_m takes 4^(m-1) products
-        check_cap((4 ** top - 1) // 3, cap, f"the Dynkin square checks for {label}")
-        for m in range(1, top + 1):
-            check_dynkin_square(m)
-        return _dynkin_images(builder, top)
-
+    images = partial(_dynkin_images, cap=cap, label=label)
     return operator_complex(module, group, m_max, mode, label, images, dynkin_trace, cap)

@@ -508,9 +508,9 @@ class InvariantError(ArithmeticError):
     Raised for a broken internal invariant, never for bad input: a vector
     escaping a subspace the differential must preserve, rows handed to
     ``RowSpanSolver`` that are not in echelon form, a coinvariant relation
-    with a nonzero class, D^2 != m D, an impossible Betti row or rank of d,
-    or a Lyndon count or leading word, Eulerian scale or sign-isotypic
-    dimension that contradicts its closed form.
+    with a nonzero class, D b != m b on the basis of im D, an impossible
+    Betti row or rank of d, or a Lyndon count or leading word or
+    sign-isotypic dimension that contradicts its closed form.
     """
 
 

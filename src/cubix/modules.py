@@ -34,9 +34,9 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import factorial, gcd
+from math import factorial
 
-from .freelie import lie_basis_multilinear
+from .freelie import lie_basis_multilinear, mobius, totient
 from .linalg import (
     InvariantError,
     RationalMatrix,
@@ -298,19 +298,6 @@ FAMILY_KINDS = {"trivial": "trivial", "sign": "sign", "regular": "regular", "ass
 # -- characters ------------------------------------------------------------
 
 
-def mobius(d: int) -> int:
-    """The Moebius function: (-1)^r if d is a product of r distinct primes, else 0."""
-    out, p = 1, 2
-    while p * p <= d:
-        if not d % p:
-            d //= p
-            if not d % p:
-                return 0
-            out = -out
-        p += 1
-    return -out if d > 1 else out
-
-
 def lie_value(cycle_type) -> int:
     """Klyachko's character of Lie_n on a cycle type: mu(d) (k-1)! d^(k-1) on
     d^k, that is on k cycles of one length d, and 0 on every other type."""
@@ -331,8 +318,7 @@ def _closed_value(kind: str, t, N: int) -> int:
     if kind == "tr_cyclic":
         # induced from C_N: the elements of C_N of order d, phi(d) of them,
         # times the centralizer d^k k! of d^k, over |C_N|
-        phi = sum(1 for j in range(1, d + 1) if gcd(j, d) == 1)
-        return phi * d ** k * factorial(k) // N if t[-1] == d else 0
+        return totient(d) * d ** k * factorial(k) // N if t[-1] == d else 0
     # lie_cyclic, over S_(n+1) with N = n + 1: Ind Lie_n = Lie_(n+1) + lie_cyclic
     # (Whitehouse), and the induced character sums Lie_n over fixed points
     fixed = t.count(1)

@@ -27,7 +27,6 @@ rule.  ``suites.chk_realization`` builds both sides and compares them.
 """
 
 from functools import lru_cache
-from math import gcd
 
 from .cubical import (
     CochainComplex,
@@ -35,15 +34,12 @@ from .cubical import (
     differential_columns,
     full_complex,
 )
-from .freelie import lie_projector_basis
+from .freelie import lie_projector_basis, totient
 from .linalg import InvariantError, RationalMatrix, leading_coords
 
 
 def necklace_count(m: int, n: int) -> int:
-    def phi(d):
-        return sum(1 for r in range(1, d + 1) if gcd(r, d) == 1)
-
-    total = sum(phi(d) * m ** (n // d) for d in range(1, n + 1) if n % d == 0)
+    total = sum(totient(d) * m ** (n // d) for d in range(1, n + 1) if n % d == 0)
     if total % n:
         raise InvariantError(f"necklace count m={m} n={n}: {total} is not divisible by {n}")
     return total // n

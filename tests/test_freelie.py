@@ -12,6 +12,7 @@ from cubix.freelie import (
     lie_projector_basis,
     lyndon_bracketing,
     lyndon_words,
+    totient,
     witt_dim,
 )
 from cubix.linalg import InvariantError, RowSpanSolver
@@ -74,9 +75,13 @@ def test_lyndon_words_match_the_filtered_words(m):
         assert len(got) == witt_dim(m, n)
 
 
+def test_totient_values():
+    assert [totient(d) for d in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+
+
 def test_an_indivisible_witt_sum_is_an_invariant_error(monkeypatch):
     # with mu = 1 throughout, the sum for m=2, n=3 is 2^3 + 2 = 10
-    monkeypatch.setattr(freelie, "_mobius", lambda d: 1)
+    monkeypatch.setattr(freelie, "mobius", lambda d: 1)
     message = r"^Witt dimension m=2 n=3: 10 is not divisible by 3$"
     with pytest.raises(InvariantError, match=message):
         witt_dim(2, 3)

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import cubix.cubical as cubical
 from cubix.cubical import (
-    DEFAULT_CAP,
     DimensionCapExceeded,
     OrbitComplexBuilder,
     QuotientComplex,
@@ -271,12 +270,15 @@ def test_a_flipped_dynkin_sign_is_an_invariant_error(
         return tuple(terms)
 
     monkeypatch.setattr(harrison, "dynkin_terms", flipped)
-    # the built degrees' checks, which in harrison_complex may come after
-    # the trace count has already caught the flipped sign
     with pytest.raises(error):
         _dynkin_images(OrbitComplexBuilder(builtin("regular", 3), symmetric_group(3)), 4)
-    assert main(["betti", "--family", "harrison", "--n", "3"]) == 4
-    assert capsys.readouterr().err.startswith("internal error:")
+    # the trace is in closed form and reads no term, so in either mode the
+    # built degrees' checks are the ones that catch the flip
+    for mode in ("quotient", "orbit"):
+        with pytest.raises(error):
+            harrison_complex(builtin("regular", 3), symmetric_group(3), 5, mode=mode)
+        assert main(["betti", "--family", "harrison", "--n", "3", "--mode", mode]) == 4
+        assert capsys.readouterr().err.startswith("internal error:")
 
 
 # -- the surjective-word quotient ----------------------------------------------
@@ -374,27 +376,14 @@ def _double_the_onto_count(monkeypatch):
     monkeypatch.setattr(cubical, "fixed_onto_words", lambda t, g: 2 * real(t, g))
 
 
-def _corrupt_the_group_algebra_product(monkeypatch):
-    real = harrison._compose_sum
-
-    def corrupted(a, b):
-        out = real(a, b)
-        first = min(out)
-        out[first] += 1
-        return out
-
-    monkeypatch.setattr(harrison, "_compose_sum", corrupted)
-
-
 @pytest.mark.parametrize(
     "mutate, message",
     [
         (_flip_one_sign_on_q, "D\\^2 != 3 D at degree 3"),
         (_shift_the_identity_term, "the trace count of degree 2 is .*not a dimension"),
         (_double_the_onto_count, "the quotient has dimension"),
-        (_corrupt_the_group_algebra_product, "D_1 D_1 != 1 D_1 in Q\\[S_1\\]"),
     ],
-    ids=["flipped-sign-on-q", "trace-term", "onto-count", "group-algebra"],
+    ids=["flipped-sign-on-q", "trace-term", "onto-count"],
 )
 def test_broken_harrison_quotient_checks_raise_and_exit_4(
     mutate, message, monkeypatch, capsys
@@ -404,69 +393,6 @@ def test_broken_harrison_quotient_checks_raise_and_exit_4(
         harrison_complex(builtin("regular", 3), symmetric_group(3), 5, mode="quotient")
     assert main(["betti", "--family", "harrison", "--n", "3"]) == 4
     assert capsys.readouterr().err.startswith("internal error:")
-
-
-class _Admitted(Exception):
-    pass
-
-
-@pytest.mark.parametrize("mode", ["quotient", "orbit"])
-def test_the_dynkin_square_checks_are_counted_against_the_cap(mode, monkeypatch, capsys):
-    checked = []
-    real = harrison.check_dynkin_square
-    monkeypatch.setattr(harrison, "check_dynkin_square", lambda m: (checked.append(m), real(m)))
-    module, group = builtin("regular", 2), symmetric_group(2)
-    if mode == "quotient":
-        # only the built degrees 1..min(n, m_max + 1) are checked: on 2 slots
-        # 4^0 + 4^1 = 5 products at any m_max, so --mmax 10 answers
-        table = harrison_complex(module, group, 10, mode).betti_table()
-        assert checked == [1, 2] and table.bettis() == (0,) * 10
-        assert main(["betti", "--family", "harrison", "--n", "2", "--mmax", "10"]) == 0
-        # on 3 slots 4^0 + 4^1 + 4^2 = 21 products: a cap at the count admits
-        # them, and one below refuses them before the first is taken
-        module, group = builtin("trivial", 3), symmetric_group(3)
-        checked.clear()
-        harrison_complex(module, group, 10, mode, cap=21)
-        assert checked == [1, 2, 3]
-        checked.clear()
-        with pytest.raises(DimensionCapExceeded) as refused:
-            harrison_complex(module, group, 10, mode, cap=20)
-        assert refused.value.required == (4 ** 3 - 1) // 3 == 21
-        assert str(refused.value).startswith(
-            "the Dynkin square checks for harrison(trivial(3)/S3) is 21, above the cap 20"
-        )
-        assert checked == []
-        return
-    # 4^0 + ... + 4^10 = 1 398 101 products, refused before the first is taken
-    with pytest.raises(DimensionCapExceeded) as refused:
-        harrison_complex(module, group, 10, mode)
-    assert refused.value.required == (4 ** 11 - 1) // 3 == 1398101
-    assert str(refused.value).startswith(
-        "the Dynkin square checks for harrison(regular(2)/S2) is 1398101, above the cap "
-        f"{DEFAULT_CAP}"
-    )
-    assert checked == []
-    assert main(["betti", "--family", "harrison", "--n", "2", "--mmax", "10", "--mode", mode]) == 3
-    assert capsys.readouterr().err.startswith("resource cap: the Dynkin square checks")
-    # a cap at the count admits it, and every degree through m_max + 1 is checked
-    table = harrison_complex(module, group, 3, mode, cap=85).betti_table()
-    assert checked == [1, 2, 3, 4] and table.bettis() == (0, 0, 0)
-    with pytest.raises(DimensionCapExceeded, match=" is 85, above the cap 84"):
-        harrison_complex(module, group, 3, mode, cap=84)
-
-
-def test_the_default_cap_admits_the_square_checks_through_m_max_9(monkeypatch):
-    # orbit mode at m_max 9 (the default for --n 7) counts 349 525 products;
-    # the checks are stubbed, so nothing of that size runs
-    def admitted(m):
-        raise _Admitted(m)
-
-    monkeypatch.setattr(harrison, "check_dynkin_square", admitted)
-    with pytest.raises(_Admitted):
-        harrison_complex(builtin("regular", 2), symmetric_group(2), 9)
-    assert (4 ** 10 - 1) // 3 == 349525 <= DEFAULT_CAP
-    assert (4 ** 6 - 1) // 3 == 1365  # orbit mode at m_max 5
-    assert (4 ** 4 - 1) // 3 == 85  # the benchmark's harrison4: quotient mode on 4 slots
 
 
 # -- the closed forms the counts read where no matrix is built -----------------
@@ -497,6 +423,41 @@ def test_deep_harrison_quotient_tables_equal_orbit_tables(n, m_top):
     for m_max in range(2, m_top + 1):
         quotient = harrison_complex(module, group, m_max, mode="quotient").betti_table()
         assert quotient.rows == orbit.rows[:m_max]
+
+
+def test_orbit_mode_at_mmax_10_prints_the_quotient_table(capsys):
+    # orbit mode builds every degree through m_max + 1 = 11; the size count
+    # of two slots is small and the Dynkin terms applied count 114 687, so
+    # the default cap admits both
+    argv = ["betti", "--family", "harrison", "--n", "2", "--mmax", "10"]
+    assert main(argv) == 0
+    quotient = capsys.readouterr().out
+    assert main(argv + ["--mode", "orbit"]) == 0
+    assert capsys.readouterr().out == quotient
+
+
+def test_the_dynkin_terms_are_counted_against_the_cap(monkeypatch, capsys):
+    built = []
+    real = harrison.dynkin_terms
+    monkeypatch.setattr(harrison, "dynkin_terms", lambda m: (built.append(m), real(m))[1])
+    # orbit mode on 2 slots at m_max 30 counts about 500 dimensions, but D_31
+    # alone has 2^30 terms: refused before the first term is built
+    argv = ["betti", "--family", "harrison", "--n", "2", "--mmax", "30", "--mode", "orbit"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith(
+        "resource cap: the Dynkin terms applied for harrison(regular(2)/S2) is "
+    )
+    assert built == []
+    # S2 has (m^2 + m)/2 orbits on the words of degree m, each taking D_m's
+    # 2^(m-1) terms: a cap at their sum admits m_max 3, one below refuses it
+    module, group = builtin("regular", 2), symmetric_group(2)
+    applied = sum(2 ** (m - 1) * (m * m + m) // 2 for m in range(1, 5))
+    assert applied == 111
+    with pytest.raises(DimensionCapExceeded, match=" is 111, above the cap 110"):
+        harrison_complex(module, group, 3, "orbit", cap=110)
+    assert built == []
+    assert harrison_complex(module, group, 3, "orbit", cap=111).betti_table().bettis() == (0,) * 3
+    assert built == [1, 2, 3, 4]
 
 
 def test_a_deep_harrison_run_answers_under_the_default_cap(capsys):

@@ -9,6 +9,7 @@ from conftest import coinvariants, sign_subgroup_module
 
 import cubix.modules as modules
 from cubix.cli import main
+from cubix.freelie import mobius
 from cubix.linalg import InvariantError, RationalMatrix
 from cubix.modules import (
     BUILTIN_KINDS,
@@ -21,7 +22,6 @@ from cubix.modules import (
     cyclic_action,
     induce,
     load_module,
-    mobius,
     random_basis_change,
     restrict,
     serialize_module,

@@ -51,14 +51,9 @@ def test_no_module_guards_an_invariant_with_assert():
     assert found == []
 
 
-def test_realizations_import_nothing_of_the_engine():
-    # the direct complexes are an oracle of the engine, so they may share the
-    # word differential but no orbit, quotient, module or group code; function
-    # level imports count too
-    engine = {"cubical_complex", "OrbitComplexBuilder", "operator_complex"}
-    engine |= {"modules", "perm", "harrison", "suites"}
-    path = SRC / "cubix" / "realizations.py"
-    found = []
+def _imported_names(path):
+    """(line, part) for every dotted part of a module an import in ``path``
+    names, and every name it imports; function level imports count too."""
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.ImportFrom):
             parts = (node.module or "").split(".") + [alias.name for alias in node.names]
@@ -66,7 +61,25 @@ def test_realizations_import_nothing_of_the_engine():
             parts = [part for alias in node.names for part in alias.name.split(".")]
         else:
             continue
-        found += [f"line {node.lineno}: {part}" for part in parts if part in engine]
+        yield from ((node.lineno, part) for part in parts)
+
+
+def test_realizations_import_nothing_of_the_engine():
+    # the direct complexes are an oracle of the engine, so they may share the
+    # word differential but no orbit, quotient, module or group code
+    engine = {"cubical_complex", "OrbitComplexBuilder", "operator_complex"}
+    engine |= {"modules", "perm", "harrison", "suites"}
+    path = SRC / "cubix" / "realizations.py"
+    found = [f"line {line}: {part}" for line, part in _imported_names(path) if part in engine]
+    assert found == []
+
+
+def test_freelie_imports_nothing_of_the_package_but_linalg():
+    # modules, harrison and the realizations all read freelie's helpers, so
+    # an engine import there would reach the oracle through it
+    package = {path.stem for path in (SRC / "cubix").glob("*.py")} - {"linalg"}
+    path = SRC / "cubix" / "freelie.py"
+    found = [f"line {line}: {part}" for line, part in _imported_names(path) if part in package]
     assert found == []
 
 

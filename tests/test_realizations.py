@@ -64,7 +64,7 @@ def test_tr_differential_matches_the_rotation_class_oracle(n):
 def test_an_indivisible_necklace_sum_is_an_invariant_error(monkeypatch):
     # with phi(d) = d, the sum for m=2, n=3 is 2^3 + 3 * 2 = 14
     clear_realization_caches()
-    monkeypatch.setattr(realizations, "gcd", lambda a, b: 1)
+    monkeypatch.setattr(realizations, "totient", lambda d: d)
     message = r"^necklace count m=2 n=3: 14 is not divisible by 3$"
     with pytest.raises(InvariantError, match=message):
         necklace_count(2, 3)
