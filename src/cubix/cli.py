@@ -165,7 +165,7 @@ def cmd_module_info(args) -> int:
     else:
         if args.family is None or args.n is None:
             raise ValueError("module-info needs --family with --n, or --custom")
-        module = builtin(FAMILY_KINDS[args.family], args.n)
+        module, _ = _resolve_module(args.family, args.n, None)
     group = symmetric_group(module.N)
     # the traced characters, each checked against the value the counts read
     # (a builtin kind's closed form)

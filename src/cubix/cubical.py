@@ -421,18 +421,21 @@ def _checked_table(label: str, n: int, rows) -> BettiTable:
     return BettiTable(label, n, tuple(rows))
 
 
+# n -> {m: rank of the word differential out of degree m}, for every full(n)
+_full_ranks = {}
+
+
 def full_complex(n: int, m_max: int, cap: int = DEFAULT_CAP) -> CochainComplex:
-    """The plain word complex: dimension m^n in degree m.  It is built once
-    per (n, m_max), after the cap check, and shared with its ranks."""
+    """The plain word complex: dimension m^n in degree m.  Each call builds
+    its differentials, after the cap check, from the cached columns; a rank
+    depends on (n, m) alone, so the ranks are shared by every full(n) and
+    none is computed twice."""
     check_cap(sum(m ** n for m in range(1, m_max + 2)), cap, f"the size of full(n={n})")
-    return _full_complex(n, m_max)
-
-
-@lru_cache(maxsize=None)
-def _full_complex(n: int, m_max: int) -> CochainComplex:
     dims = {m: m ** n for m in range(1, m_max + 2)}
     diffs = {m: differential(n, m) for m in range(1, m_max + 1)}
-    return CochainComplex(f"full(n={n})", n, m_max, dims, diffs)
+    cx = CochainComplex(f"full(n={n})", n, m_max, dims, diffs)
+    cx._ranks = _full_ranks.setdefault(n, {})
+    return cx
 
 
 # -- orbit decomposition ---------------------------------------------------

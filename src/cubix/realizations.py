@@ -24,6 +24,10 @@ The point of this module is to disagree with the generic engine if either
 side is wrong, so none of the engine's orbit or projector machinery is used
 here beyond the word differential, which implements the shared coface
 rule.  ``suites.chk_realization`` builds both sides and compares them.
+
+``direct_complex`` computes each degree's basis once per call and keeps
+none of them: the process-wide caches here hold only the necklace indices
+and, in ``freelie.py``, the Lyndon expansions.
 """
 
 from functools import lru_cache
@@ -76,9 +80,10 @@ def necklace_representatives(m: int, n: int) -> list:
     return [_word(x, n, m) for x in _necklaces(m, n)[1]]
 
 
-@lru_cache(maxsize=None)
 def _degree_basis(family: str, n: int, m: int) -> tuple:
-    """The basis of one degree as expansion dicts over word indices."""
+    """The basis of one degree as expansion dicts over word indices.  Nothing
+    keeps it: ``direct_complex`` computes each degree's basis once per call
+    and hands it to ``substitution_differential``."""
     if family == "lie":
         return tuple(
             {_index(w, m): c for w, c in e.items()} for e in lie_projector_basis(m, n)
@@ -88,10 +93,11 @@ def _degree_basis(family: str, n: int, m: int) -> tuple:
     raise ValueError(f"unknown family: {family}")
 
 
-def substitution_differential(family: str, n: int, m: int) -> RationalMatrix:
-    """Degree m -> m+1 map of the direct complex, target-by-source."""
-    src_vecs = _degree_basis(family, n, m)
-    tgt_vecs = _degree_basis(family, n, m + 1)
+def substitution_differential(family: str, n: int, m: int, bases=None) -> RationalMatrix:
+    """Degree m -> m+1 map of the direct complex, target-by-source.  ``bases``
+    is the pair of bases of degrees m and m+1 (``_degree_basis``), computed
+    here when not given."""
+    src_vecs, tgt_vecs = bases or (_degree_basis(family, n, m), _degree_basis(family, n, m + 1))
     if family == "tr":
         # a target word's row is that of its least rotation; each source
         # vector is {its representative's word index: 1}
@@ -115,6 +121,8 @@ def direct_complex(family: str, n: int, m_max: int) -> CochainComplex:
     if family == "ass":
         return full_complex(n, m_max)
     # the Lie degrees' sizes are checked against witt_dim by lie_projector_basis
-    dims = {m: len(_degree_basis(family, n, m)) for m in range(1, m_max + 2)}
-    diffs = {m: substitution_differential(family, n, m) for m in range(1, m_max + 1)}
+    bases = {m: _degree_basis(family, n, m) for m in range(1, m_max + 2)}
+    dims = {m: len(b) for m, b in bases.items()}
+    pairs = {m: (bases[m], bases[m + 1]) for m in range(1, m_max + 1)}
+    diffs = {m: substitution_differential(family, n, m, p) for m, p in pairs.items()}
     return CochainComplex(f"direct-{family}(n={n})", n, m_max, dims, diffs)

@@ -300,13 +300,12 @@ def clear_realization_caches():
     which patches a name of ``realizations.py`` or ``freelie.py`` sees the
     patch."""
     for cached in (
-        realizations._degree_basis,
         realizations._necklaces,
         freelie.lie_projector_basis,
         freelie.lyndon_expansion,
-        cubical._full_complex,
     ):
         cached.cache_clear()
+    cubical._full_ranks.clear()
 
 
 def product_lie_differential(n, m):

@@ -608,6 +608,15 @@ def test_verify_rejects_a_run_without_checks(suite, nmax, message, capsys):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["betti", "module-info"])
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_a_slot_count_below_1_names_the_flag(command, n, capsys):
+    assert main([command, "--family", "lie", "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --n must be at least 1\n"
+
+
 def test_custom_is_refused_where_no_module_file_is_read(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(serialize_module(builtin("regular", 3))))

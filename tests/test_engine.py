@@ -6,12 +6,15 @@ must reproduce (word counts, Lyndon counts, necklace counts), and Betti
 tables against independent mode/route recomputations.
 """
 
+import gc
+import weakref
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 
 import pytest
 from conftest import (
+    clear_realization_caches,
     coface_differential_columns,
     coinvariants,
     diagonal_basis_change,
@@ -230,12 +233,44 @@ def test_full_complex_concentrated_in_degree_n():
     assert full_complex(3, 5).betti_table().bettis() == (0, 0, 1, 0, 0)
 
 
-def test_full_complex_is_built_once_and_still_refuses_above_the_cap():
-    assert full_complex(3, 3) is full_complex(3, 3, cap=100)
+def _counted_ranks(monkeypatch):
+    """The matrices ``cubical.rank`` is called on from now on."""
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return rank(a)
+
+    monkeypatch.setattr(cubical, "rank", counted)
+    return calls
+
+
+def test_full_complex_computes_each_rank_once_and_still_refuses_above_the_cap(monkeypatch):
+    clear_realization_caches()
+    calls = _counted_ranks(monkeypatch)
+    full_complex(3, 3).betti_table()
+    assert len(calls) == 3
+    assert full_complex(3, 3, cap=100).betti_table() == full_complex(3, 3).betti_table()
+    assert len(calls) == 3
     # 1 + 8 + 27 + 64 words in degrees 1..4
     with pytest.raises(DimensionCapExceeded) as info:
         full_complex(3, 3, cap=99)
     assert (info.value.required, info.value.cap) == (100, 99)
+
+
+def test_a_dropped_full_complex_is_freed_and_its_ranks_stay_shared(monkeypatch):
+    clear_realization_caches()
+    cx = full_complex(3, 5)
+    table = cx.betti_table()
+    ref = weakref.ref(cx)
+    del cx
+    gc.collect()
+    assert ref() is None
+    calls = _counted_ranks(monkeypatch)
+    assert full_complex(3, 5).betti_table() == table
+    # a shorter complex on the same n reads the same ranks
+    assert full_complex(3, 2).betti_table().rows == table.rows[:2]
+    assert calls == []
 
 
 def antisymmetrizer_vector(n: int) -> dict:
