@@ -135,6 +135,7 @@ differential follow from Q's Betti numbers: rank_d(m) = dim_m - betti_m -
 rank_d(m-1), with betti_m = 0 for m > n.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import lcm, prod
@@ -145,7 +146,6 @@ from .linalg import (
     RowSpanSolver,
     SubspaceEscape,
     _norm,
-    divide_row,
     echelon_basis,
     rank,
     reduced_echelon,
@@ -230,9 +230,9 @@ def position_indices(g: Permutation, n: int, m: int, t: Permutation = None) -> l
 
 
 def position_matrix(g: Permutation, n: int, m: int) -> RationalMatrix:
-    """Column-convention matrix of w -> g.w on the degree-m word space."""
+    """Matrix of w -> g.w on the degree-m word space."""
     idx = position_indices(g, n, m)
-    return RationalMatrix(len(idx), len(idx), {i: {j: 1} for j, i in enumerate(idx)})
+    return RationalMatrix(len(idx), len(idx), {j: {i: 1} for j, i in enumerate(idx)})
 
 
 def coface(i: int, w, m: int) -> list:
@@ -256,18 +256,19 @@ def coface(i: int, w, m: int) -> list:
 
 @lru_cache(maxsize=None)
 def differential_columns(n: int, m: int):
-    """Per source word of degree m: {target word index: coefficient}.
+    """Per source word of degree m: {target word index: coefficient}, the
+    rows of ``differential(n, m)``.
 
     Under d^i a target letter y (0-based) has the one source letter x = y
     if y < i, else y - 1, and none unless 0 <= x < m.  So d^i sends each
     target index to at most one source index, built digit by digit as in
     ``position_indices``; a missing letter adds -m^n, making the index
     negative.  Cofaces in order, targets ascending: the order ``coface``
-    gives each column's keys.
+    gives each row's keys.
     """
     size = m ** n
     targets = list(range((m + 1) ** n))
-    cols = [{} for _ in range(size)]
+    rows = [{} for _ in range(size)]
     for i in range(m + 2):
         s = -1 if i % 2 else 1
         letters = [y if y < i else y - 1 for y in range(m + 1)]
@@ -277,35 +278,36 @@ def differential_columns(n: int, m: int):
             sources = [a + d for a in sources for d in digits]
         for j, k in zip(targets, sources):
             if k >= 0:
-                col = cols[k]
-                col[j] = col.get(j, 0) + s
-    # free every accumulator before the cached columns are allocated, so
-    # they pack densely: built amid the accumulators, they raise peak RSS
-    items = [[(j, c) for j, c in col.items() if c] for col in cols]
-    del cols
+                row = rows[k]
+                row[j] = row.get(j, 0) + s
+    # free every accumulator before the cached rows are allocated, so they
+    # pack densely: built amid the accumulators, they raise peak RSS
+    items = [[(j, c) for j, c in row.items() if c] for row in rows]
+    del rows
     return tuple([dict(x) for x in items])
 
 
 def differential(n: int, m: int) -> RationalMatrix:
-    """The map C^m -> C^{m+1} on word spaces, target-by-source."""
-    # each (i, j) occurs once in the columns, and is nonzero
-    cols = dict(enumerate(differential_columns(n, m)))
-    return RationalMatrix(m ** n, (m + 1) ** n, cols).transpose()
+    """The map C^m -> C^{m+1} on word spaces.  Its rows are the cached
+    ``differential_columns`` themselves, not copies, so no caller may
+    change them; a zero row is left out, as in every matrix."""
+    rows = differential_columns(n, m)
+    return RationalMatrix(m ** n, (m + 1) ** n, {j: row for j, row in enumerate(rows) if row})
 
 
-def apply_differential(x: RationalMatrix, cols, tsize: int) -> RationalMatrix:
+def apply_differential(x: RationalMatrix, rows, tsize: int) -> RationalMatrix:
     """The rows of x pushed through the word differential, one block of
-    len(cols) word coordinates at a time: coordinate a len(cols) + j of a
-    row goes to a tsize + t with coefficient cols[j][t].  ``cols`` is
+    len(rows) word coordinates at a time: coordinate a len(rows) + j of a
+    row goes to a tsize + t with coefficient rows[j][t].  ``rows`` is
     ``differential_columns(n, m)`` and tsize is (m + 1)^n."""
-    size = len(cols)
+    size = len(rows)
     out = {}
     for i, row in x.rows.items():
         acc = {}
         for k, v in row.items():
             a, j = divmod(k, size)
             off = a * tsize
-            for t, c in cols[j].items():
+            for t, c in rows[j].items():
                 acc[off + t] = acc.get(off + t, 0) + v * c
         acc = {t: _norm(c) for t, c in acc.items() if c}
         if acc:
@@ -319,17 +321,17 @@ def apply_differential(x: RationalMatrix, cols, tsize: int) -> RationalMatrix:
 class CochainComplex:
     """Spaces for degrees 1..m_max+1 and differentials for 1..m_max.
 
-    diffs[m] maps degree m to degree m+1 in the column convention, shape
-    dims[m+1] x dims[m].
+    diffs[m] maps degree m to degree m+1, shape dims[m] x dims[m+1]: one
+    row per basis vector of degree m, its image.
     """
 
     def __init__(self, label: str, n_slots: int, m_max: int, dims: dict, diffs: dict):
         for m in range(1, m_max + 1):
             d = diffs[m]
-            if d.shape != (dims[m + 1], dims[m]):
+            if d.shape != (dims[m], dims[m + 1]):
                 raise ValueError(
                     f"{label}: differential {m} has shape {d.shape}, "
-                    f"expected {(dims[m + 1], dims[m])}"
+                    f"expected {(dims[m], dims[m + 1])}"
                 )
         self.label = label
         self.n_slots = n_slots
@@ -349,7 +351,7 @@ class CochainComplex:
 
     def check_d_squared(self) -> bool:
         for m in range(1, self.m_max):
-            if not (self.diffs[m + 1] * self.diffs[m]).is_zero():
+            if not (self.diffs[m] * self.diffs[m + 1]).is_zero():
                 return False
         return True
 
@@ -426,10 +428,10 @@ _full_ranks = {}
 
 
 def full_complex(n: int, m_max: int, cap: int = DEFAULT_CAP) -> CochainComplex:
-    """The plain word complex: dimension m^n in degree m.  Each call builds
-    its differentials, after the cap check, from the cached columns; a rank
-    depends on (n, m) alone, so the ranks are shared by every full(n) and
-    none is computed twice."""
+    """The plain word complex: dimension m^n in degree m.  Each call's
+    differentials, built after the cap check, hold the cached rows of
+    ``differential_columns`` and copy none; a rank depends on (n, m) alone,
+    so the ranks are shared by every full(n) and none is computed twice."""
     check_cap(sum(m ** n for m in range(1, m_max + 2)), cap, f"the size of full(n={n})")
     dims = {m: m ** n for m in range(1, m_max + 2)}
     diffs = {m: differential(n, m) for m in range(1, m_max + 1)}
@@ -687,7 +689,7 @@ class OrbitComplexBuilder:
         src = self.degree(src_m)
         tgt = self.degree(tgt_m)
         dim = self.module.dim
-        # output row -> sum of c times class_block entries, which are the
+        # source row -> sum of c times class_block entries, which are the
         # coordinates times the target block's scale: one division per
         # entry at the end replaces a Fraction sum per term
         acc = {}
@@ -695,7 +697,7 @@ class OrbitComplexBuilder:
             free = src.coinv[oi].free
             if not free:
                 continue
-            col_off = src.offsets[oi]
+            src_off = src.offsets[oi]
             terms = {}
             for w2, c in images(orbit.rep):
                 terms[w2] = terms.get(w2, 0) + c
@@ -711,21 +713,21 @@ class OrbitComplexBuilder:
                     dim,
                     {a: action[f] for a, f in enumerate(free) if f in action},
                 )
-                row_off = tgt.offsets[ti]
+                tgt_off = tgt.offsets[ti]
                 for a, row in tgt.coinv[ti].class_block(x).items():
-                    col = col_off + a
+                    out = acc.get(src_off + a)
+                    if out is None:
+                        out = acc[src_off + a] = {}
                     for b, v in row.items():
-                        out = acc.get(row_off + b)
-                        if out is None:
-                            out = acc[row_off + b] = {}
-                        out[col] = out.get(col, 0) + c * v
+                        out[tgt_off + b] = out.get(tgt_off + b, 0) + c * v
         scales = [basis.scale for basis in tgt.coinv for _ in range(basis.k)]
         data = {}
         for r, row in acc.items():
-            row = divide_row(row, scales[r])
+            row = {t: Fraction(v, scales[t]) if v % scales[t] else v // scales[t]
+                   for t, v in row.items() if v}
             if row:
                 data[r] = row
-        return RationalMatrix(tgt.dim, src.dim, data)
+        return RationalMatrix(src.dim, tgt.dim, data)
 
     def differential_matrix(self, m: int) -> RationalMatrix:
         # on Q only the inner cofaces survive, and of their terms only those
@@ -812,8 +814,7 @@ def _naive_complex(module, group, m_max, cap, label) -> CochainComplex:
     diffs = {}
     for m in range(1, m_max + 1):
         images = apply_differential(solvers[m].basis, differential_columns(n, m), (m + 1) ** n)
-        coords = solvers[m + 1].solve(images, f"{label}: the coinvariant space")
-        diffs[m] = coords.transpose()
+        diffs[m] = solvers[m + 1].solve(images, f"{label}: the coinvariant space")
     return CochainComplex(label, n, m_max, dims, diffs)
 
 

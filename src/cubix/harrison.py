@@ -29,17 +29,17 @@ On a coinvariant complex both operators are assembled, like the
 differential, by ``OrbitComplexBuilder.operator_matrix``, which the slot
 action may use because it commutes with the position action.
 ``harrison_complex`` builds only D.  Its basis of im D in each degree is
-an echelon form: ``image_basis`` picks D's pivot columns in one sweep, and
-``echelon_basis`` sweeps those k columns once more, into rows that lead
-at distinct coordinates, which ``RowSpanSolver`` reads.  (Sweeping D's
-columns straight to echelon rows, in one pass, measured slower than the
-two sweeps on ``harrison --n 4 --mode orbit``.)  Two exact checks guard
-it, and a failure of either raises an ``InvariantError``.  D^2 = m D is
-checked in every degree as D b = m b on the basis of im D: the same
-statement, on dim im D rows instead of dim.  The membership check that
-``RowSpanSolver.solve`` runs on every restriction is exactly "d preserves
-im D".  E, its idempotency and d E = E d stay as oracles for the tests and
-the ``verify`` suites.
+an echelon form: ``image_basis`` picks k of D's rows, images that span
+im D, in one sweep, and ``echelon_basis`` sweeps those k rows once more,
+into rows that lead at distinct coordinates, which ``RowSpanSolver``
+reads.  (Sweeping D's images straight to echelon rows, in one pass,
+measured slower than the two sweeps on ``harrison --n 4 --mode orbit``.)
+Two exact checks guard it, and a failure of either raises an
+``InvariantError``.  D^2 = m D is checked in every degree as D b = m b on
+the basis of im D: the same statement, on dim im D rows instead of dim.
+The membership check that ``RowSpanSolver.solve`` runs on every
+restriction is exactly "d preserves im D".  E, its idempotency and
+d E = E d stay as oracles for the tests and the ``verify`` suites.
 
 Harrison through the surjective-word quotient
 ---------------------------------------------
@@ -135,13 +135,12 @@ def word_eulerian_matrix(n: int, m: int):
     index ``position_indices`` gives with g the identity and t = s^{-1}.
     """
     ident = identity_permutation(n)
-    rows = {}
+    rows = [{} for _ in range(m ** n)]
     for s, coeff in eulerian_terms(m):
-        for j, i in enumerate(position_indices(ident, n, m, s.inverse())):
-            row = rows.setdefault(i, {})
-            row[j] = row.get(j, 0) + coeff
-    nonzero = ({j: c for j, c in row.items() if c} for row in rows.values())
-    data = {i: row for i, row in zip(rows, nonzero) if row}
+        for row, i in zip(rows, position_indices(ident, n, m, s.inverse())):
+            row[i] = row.get(i, 0) + coeff
+    nonzero = ({i: c for i, c in row.items() if c} for row in rows)
+    data = {j: row for j, row in enumerate(nonzero) if row}
     return RationalMatrix(m ** n, m ** n, data), eulerian_scale(m)
 
 
@@ -205,18 +204,16 @@ def _dynkin_images(
     solvers = {}
     for m in range(1, top + 1):
         dyn = orbit_slot_operator(builder, m, dynkin_terms(m))
-        # dyn is square: its columns have dyn.nrows entries
-        solver = RowSpanSolver(echelon_basis(image_basis(dyn), dyn.nrows), dyn.nrows)
+        solver = RowSpanSolver(echelon_basis(image_basis(dyn), dyn.ncols), dyn.ncols)
         # D^2 = m D exactly when D is m times the identity on a basis of im D
-        if solver.basis * dyn.transpose() != solver.basis.scale(m):
+        if solver.basis * dyn != solver.basis.scale(m):
             raise HarrisonRestrictionError(f"D^2 != {m} D at degree {m}")
         solvers[m] = solver
     dims = {m: solver.k for m, solver in solvers.items()}
     diffs = {}
     for m in range(1, top):
-        images = solvers[m].basis * builder.differential_matrix(m).transpose()
-        coords = solvers[m + 1].solve(images, f"the Harrison space at degree {m + 1}")
-        diffs[m] = coords.transpose()
+        images = solvers[m].basis * builder.differential_matrix(m)
+        diffs[m] = solvers[m + 1].solve(images, f"the Harrison space at degree {m + 1}")
     return dims, diffs
 
 

@@ -5,6 +5,12 @@ values that are Python ints or ``fractions.Fraction``; exact zeros are never
 stored, and fractions with denominator 1 are normalized to ints on insert so
 that the common all-integer case runs on machine integer arithmetic.
 
+Vectors are rows, and every map of the package has one orientation: its
+matrix holds one row per source basis vector, namely that vector's image,
+so a map from a space of dimension a to one of dimension b is a x b, and
+``x * A * B`` applies A, then B.  Module actions, differentials, word
+operators and coordinates all follow it, so no caller converts.
+
 Products run on integer arithmetic too when an operand holds Fractions.
 The right operand's rows are scaled to integers by their common
 denominator, and a left row by its own when it holds a Fraction; the inner
@@ -25,8 +31,9 @@ sparse ``_Eliminator`` drives it in two column orders:
   min-heap).
 * ``image_basis`` and ``echelon_basis`` sweep the columns in index order,
   so that the echelon structure, and in particular the set of pivot
-  columns, is deterministic.  ``image_basis`` returns the original pivot
-  columns; ``echelon_basis`` returns the pivot rows themselves.
+  columns, is deterministic.  ``image_basis`` sweeps the transpose of a
+  map and returns the map's rows at the pivots, images that span its
+  image; ``echelon_basis`` returns the pivot rows themselves.
 
 ``reduced_echelon`` follows that sweep with a back pass of the same row
 step, which clears every pivot column from the other pivot rows.  The back
@@ -446,19 +453,15 @@ def rank(matrix: RationalMatrix) -> int:
 
 
 def image_basis(matrix: RationalMatrix):
-    """Basis of the column space: the original pivot columns, normalized.
+    """Basis of the row space, the image of the map: the original rows at
+    the pivot columns of the transpose, normalized.
 
-    Pivot columns are found by a fixed left-to-right sweep, so which columns
-    are returned is deterministic and depends only on the matrix.
+    The pivots are found by a fixed left-to-right sweep of the transpose,
+    so which rows are returned is deterministic and depends only on the
+    matrix.
     """
-    elim = _Eliminator(_int_rows(matrix), matrix.ncols)
-    pivots = elim.sweep()
-    cols = {c: {} for c, _ in pivots}
-    for i, row in matrix.rows.items():
-        for j, v in row.items():
-            if j in cols:
-                cols[j][i] = v
-    return [normalize_int_vector(cols[c]) for c, _ in pivots]
+    pivots = _Eliminator(_int_rows(matrix.transpose()), matrix.nrows).sweep()
+    return [normalize_int_vector(matrix.rows[i]) for i, _ in pivots]
 
 
 def echelon_basis(rows, ncols: int) -> list:
@@ -532,22 +535,24 @@ def _leads(basis) -> dict:
     return lead
 
 
-def leading_coords(x: RationalMatrix, basis, space: str) -> RationalMatrix:
-    """Matrix c, target-by-source, with x's row j equal to sum_i c[i][j]
-    basis[i].
+def leading_coords(x: RationalMatrix, basis, space: str, lead=None) -> RationalMatrix:
+    """Matrix c, x.nrows by len(basis), with c * basis == x: x's row j is
+    sum_i c[j][i] basis[i].
 
     ``basis`` is a sequence of dict vectors in echelon form: each leads at
     its least column, and no two lead at the same column (``_leads`` checks
-    this).  The least column of a row of x then leads at most one basis
-    vector, whose multiple (the row's entry over the vector's leading
-    entry) is stripped; what is left starts at a larger column, so the
-    strip ends.  A least column that leads no basis vector raises
-    SubspaceEscape, naming ``space``.  This is the one place coordinates
-    are read off a basis.
+    this, unless its result is passed as ``lead``).  The least column of a
+    row of x then leads at most one basis vector, whose multiple (the row's
+    entry over the vector's leading entry) is stripped; what is left starts
+    at a larger column, so the strip ends.  A least column that leads no
+    basis vector raises SubspaceEscape, naming ``space``.  This is the one
+    place coordinates are read off a basis.
     """
-    lead = _leads(basis)
-    entries = []
+    if lead is None:
+        lead = _leads(basis)
+    data = {}
     for j, row in x.rows.items():
+        coords = {}
         rest = dict(row)
         while rest:
             k = min(rest)
@@ -555,15 +560,16 @@ def leading_coords(x: RationalMatrix, basis, space: str) -> RationalMatrix:
             if found is None:
                 raise SubspaceEscape(f"a vector escapes {space}")
             i, p = found
-            c = rest[k] if p == 1 else _norm(Fraction(rest[k], p))
-            entries.append((i, j, c))
+            c = coords[i] = _norm(rest[k] if p == 1 else Fraction(rest[k], p))
             for t, v in basis[i].items():
                 r = rest.get(t, 0) - c * v
                 if r:
                     rest[t] = r
                 else:
                     del rest[t]
-    return RationalMatrix.from_entries(len(basis), x.nrows, entries)
+        if coords:
+            data[j] = coords
+    return RationalMatrix(x.nrows, len(basis), data)
 
 
 class RowSpanSolver:
@@ -574,16 +580,17 @@ class RowSpanSolver:
     at the same column, so the rows are independent.  ``basis`` holds them
     as a k x ncols matrix.  Every caller holds such a family already, from
     ``echelon_basis`` or, for the Lie brackets, in sorted word order; a
-    family that is not one raises InvariantError here.  ``solve`` is
-    ``leading_coords`` on the rows, which checks membership in the span on
-    the way.  k = 0 is valid: only the zero vector is in the span.
+    family that is not one raises InvariantError here, once.  ``solve`` is
+    ``leading_coords`` on the rows with the lead map checked here, and
+    checks membership in the span on the way.  k = 0 is valid: only the
+    zero vector is in the span.
     """
 
     def __init__(self, rows, ncols):
         self.k = len(rows)
         self.basis = RationalMatrix.from_row_dicts(rows, self.k, ncols)
         self._rows = [self.basis.row_dict(i) for i in range(self.k)]
-        _leads(self._rows)
+        self._lead = _leads(self._rows)
 
     def solve(self, x: RationalMatrix, space: str = "the row span") -> RationalMatrix:
         """Matrix c with c * basis == x, for x with rows over the columns.
@@ -592,7 +599,7 @@ class RowSpanSolver:
         """
         if x.ncols != self.basis.ncols:
             raise ValueError(f"solve: {x.ncols} columns, expected {self.basis.ncols}")
-        return leading_coords(x, self._rows, space).transpose()
+        return leading_coords(x, self._rows, space, self._lead)
 
     def coords(self, vec):
         """Coordinate list c with sum_i c[i] * rows[i] == vec, or None when

@@ -11,7 +11,7 @@ with no reference to modules, orbits, or coinvariants:
   in the word space by expanding the standard bracketings of Lyndon words.
   Substitutions are Lie algebra maps, so the subspace must be preserved.
   The images of the expansions come straight from the differential's
-  columns, and each Lyndon word leads its expansion, so the restriction
+  rows, and each Lyndon word leads its expansion, so the restriction
   reads coordinates by stripping least words (``linalg.leading_coords``),
   exactly, and raises if a vector ever escapes;
 * tr: rotation classes of words, with lexicographically least rotations as
@@ -94,22 +94,22 @@ def _degree_basis(family: str, n: int, m: int) -> tuple:
 
 
 def substitution_differential(family: str, n: int, m: int, bases=None) -> RationalMatrix:
-    """Degree m -> m+1 map of the direct complex, target-by-source.  ``bases``
-    is the pair of bases of degrees m and m+1 (``_degree_basis``), computed
-    here when not given."""
+    """Degree m -> m+1 map of the direct complex.  ``bases`` is the pair of
+    bases of degrees m and m+1 (``_degree_basis``), computed here when not
+    given."""
     src_vecs, tgt_vecs = bases or (_degree_basis(family, n, m), _degree_basis(family, n, m + 1))
     if family == "tr":
-        # a target word's row is that of its least rotation; each source
+        # a target word's column is that of its least rotation; each source
         # vector is {its representative's word index: 1}
-        cols = differential_columns(n, m)
+        rows = differential_columns(n, m)
         least, reps = _necklaces(m + 1, n)
-        row = {x: r for r, x in enumerate(reps)}
+        col = {x: r for r, x in enumerate(reps)}
         entries = (
-            (row[least[i]], j, c)
+            (j, col[least[i]], c)
             for j, (x,) in enumerate(src_vecs)
-            for i, c in cols[x].items()
+            for i, c in rows[x].items()
         )
-        return RationalMatrix.from_entries(len(tgt_vecs), len(src_vecs), entries)
+        return RationalMatrix.from_entries(len(src_vecs), len(tgt_vecs), entries)
     # lie: push the source Lyndon expansions through the word differential,
     # then read their coordinates in the target Lyndon basis
     src = RationalMatrix(len(src_vecs), m ** n, dict(enumerate(src_vecs)))

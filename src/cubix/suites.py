@@ -178,7 +178,7 @@ def chk_equivariance():
     for m in (1, 2, 3):
         d = differential(n, m)
         for g in symmetric_group(n).elements:
-            if d * position_matrix(g, n, m) != position_matrix(g, n, m + 1) * d:
+            if position_matrix(g, n, m) * d != d * position_matrix(g, n, m + 1):
                 ok = False
     return ok, "differential commutes with the position action (n=3, m<=3)"
 
@@ -217,7 +217,7 @@ def chk_eulerian():
                 ok = False
             e2, s2 = word_eulerian_matrix(n, m + 1)
             d = differential(n, m)
-            if (d * e).scale(s2) != (e2 * d).scale(s):
+            if (e * d).scale(s2) != (d * e2).scale(s):
                 ok = False
     return ok, "Eulerian idempotency and d-commutation (n<=3, m<=4)"
 

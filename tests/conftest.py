@@ -123,9 +123,9 @@ def entrywise_operator_matrix(builder, src_m, tgt_m, images):
             x = RationalMatrix(len(free), dim, {a: action.row_dict(f) for a, f in enumerate(free)})
             for a, row in fraction_class_coords(tgt.coinv[ti], x).items():
                 entries.extend(
-                    (tgt.offsets[ti] + b, src.offsets[oi] + a, c * v) for b, v in row.items()
+                    (src.offsets[oi] + a, tgt.offsets[ti] + b, c * v) for b, v in row.items()
                 )
-    return RationalMatrix.from_entries(tgt.dim, src.dim, entries)
+    return RationalMatrix.from_entries(src.dim, tgt.dim, entries)
 
 
 def coinvariants(module, group):
@@ -140,7 +140,7 @@ def coinvariants(module, group):
     for g in group.elements:
         acc = acc + module.act(g)
     proj = acc.scale(Fraction(1, group.order))
-    basis = image_basis(proj.transpose())
+    basis = image_basis(proj)
     return proj, basis
 
 
@@ -230,52 +230,50 @@ def per_word_position_matrix(g, n, m):
     word-to-index dict: the oracle of ``position_indices``."""
     ws = words(n, m)
     index = {w: i for i, w in enumerate(ws)}
-    entries = ((index[position_action(g, w)], j, 1) for j, w in enumerate(ws))
+    entries = ((j, index[position_action(g, w)], 1) for j, w in enumerate(ws))
     return RationalMatrix.from_entries(len(ws), len(ws), entries)
 
 
 def naive_projector(module, group, m):
-    """The transpose of |G| times the averaging projector on degree m of
-    M (x) word space, indexed (module basis, word); it has the projector's
-    image.  The projector is the sum over g of act(g) (x) position_matrix(g),
-    so row (b, j) of its transpose gains act(g)[a][b] at column (a, g.w_j).
-    Naive mode once eliminated all of its rows; it is the oracle of the
-    spanning rows of ``cubix.cubical._naive_basis``."""
+    """|G| times the averaging projector on degree m of M (x) word space,
+    indexed (module basis, word).  The projector is the sum over g of
+    act(g) (x) position_matrix(g^-1), so row (a, j) gains act(g)[a][b] at
+    column (b, g^-1.w_j).  Naive mode once eliminated all of its rows; it
+    is the oracle of the spanning rows of ``cubix.cubical._naive_basis``."""
     n = group.degree
     size = m ** n
     rows = [{} for _ in range(module.dim * size)]
     for g in group.elements:
-        idx = position_indices(g, n, m)
+        idx = position_indices(g.inverse(), n, m)
         for a, arow in module.act(g).rows.items():
-            off = a * size
-            for b, v in arow.items():
-                for row, i in zip(rows[b * size : (b + 1) * size], idx):
-                    c = off + i
+            for row, i in zip(rows[a * size : (a + 1) * size], idx):
+                for b, v in arow.items():
+                    c = b * size + i
                     row[c] = row.get(c, 0) + v
     return RationalMatrix.from_row_dicts(rows, len(rows), len(rows))
 
 
 def kron_naive_projector(module, group, m):
-    """The transpose of |G| times the averaging projector, summed entry by
-    entry from act(g) (x) position_matrix(g) over g in G: the oracle of
+    """|G| times the averaging projector, summed entry by entry from
+    act(g) (x) position_matrix(g^-1) over g in G: the oracle of
     ``naive_projector``."""
     n = group.degree
     size = module.dim * m ** n
     entries = (
         (i, j, v)
         for g in group.elements
-        for i, row in module.act(g).kron(per_word_position_matrix(g, n, m)).rows.items()
+        for i, row in module.act(g).kron(per_word_position_matrix(g.inverse(), n, m)).rows.items()
         for j, v in row.items()
     )
-    return RationalMatrix.from_entries(size, size, entries).transpose()
+    return RationalMatrix.from_entries(size, size, entries)
 
 
 def entrywise_differential(n, m):
     """``cubix.cubical.differential`` summed entry by entry from its
     columns: its oracle."""
-    cols = differential_columns(n, m)
-    entries = ((i, j, c) for j, col in enumerate(cols) for i, c in col.items())
-    return RationalMatrix.from_entries((m + 1) ** n, m ** n, entries)
+    rows = differential_columns(n, m)
+    entries = ((j, i, c) for j, row in enumerate(rows) for i, c in row.items())
+    return RationalMatrix.from_entries(m ** n, (m + 1) ** n, entries)
 
 
 def coface_differential_columns(n, m):
@@ -315,7 +313,7 @@ def product_lie_differential(n, m):
     src = realizations._degree_basis("lie", n, m)
     tgt = TaggedInverseSolver(list(realizations._degree_basis("lie", n, m + 1)), (m + 1) ** n)
     images = RationalMatrix.from_row_dicts(src, len(src), m ** n)
-    return tgt.solve(images * differential(n, m).transpose()).transpose()
+    return tgt.solve(images * differential(n, m))
 
 
 def filtered_lyndon_words(m, n):
@@ -340,16 +338,16 @@ def rotation_class_tr_differential(n, m):
     class read by ``rotation_class`` through word-to-index dicts: its
     oracle."""
     src, tgt = rotation_class_necklaces(m, n), rotation_class_necklaces(m + 1, n)
-    row = {w: r for r, w in enumerate(tgt)}
+    col = {w: r for r, w in enumerate(tgt)}
     src_index = {w: i for i, w in enumerate(words(n, m))}
     tgt_words = words(n, m + 1)
-    cols = coface_differential_columns(n, m)
+    rows = coface_differential_columns(n, m)
     entries = (
-        (row[rotation_class(tgt_words[i])], j, c)
+        (j, col[rotation_class(tgt_words[i])], c)
         for j, w in enumerate(src)
-        for i, c in cols[src_index[w]].items()
+        for i, c in rows[src_index[w]].items()
     )
-    return RationalMatrix.from_entries(len(tgt), len(src), entries)
+    return RationalMatrix.from_entries(len(src), len(tgt), entries)
 
 
 def entrywise_eulerian_matrix(n, m):
@@ -358,7 +356,7 @@ def entrywise_eulerian_matrix(n, m):
     ws = words(n, m)
     index = {w: i for i, w in enumerate(ws)}
     entries = (
-        (index[slot_action(s.inverse(), w)], j, coeff)
+        (j, index[slot_action(s.inverse(), w)], coeff)
         for s, coeff in eulerian_terms(m)
         for j, w in enumerate(ws)
     )

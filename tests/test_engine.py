@@ -62,7 +62,7 @@ from cubix.cubical import (
     _checked_table,
 )
 from cubix.freelie import witt_dim
-from cubix.harrison import dynkin_terms, orbit_slot_operator, slot_action
+from cubix.harrison import dynkin_terms, harrison_complex, orbit_slot_operator, slot_action
 from cubix.linalg import (
     InvariantError,
     RationalMatrix,
@@ -89,6 +89,7 @@ from cubix.perm import (
     trivial_group,
     young_subgroup,
 )
+from cubix.realizations import direct_complex
 from cubix.suites import chk_concentrated
 
 
@@ -145,8 +146,8 @@ def test_coface_splits_and_shifts():
 
 def test_differential_n1_hand_values():
     # one position: d on C^1 vanishes, d(e1) = -e1 and d(e2) = +e3 at m=2
-    assert differential(1, 1).to_rows() == [[0], [0]]
-    assert differential(1, 2).to_rows() == [[-1, 0], [0, 0], [0, 1]]
+    assert differential(1, 1).to_rows() == [[0, 0]]
+    assert differential(1, 2).to_rows() == [[-1, 0, 0], [0, 0, 1]]
 
 
 def test_differential_n2_m1_hand_value():
@@ -222,8 +223,8 @@ def test_differential_is_equivariant():
     for m in (1, 2, 3):
         d = differential(n, m)
         for g in symmetric_group(n).elements:
-            left = d * position_matrix(g, n, m)
-            right = position_matrix(g, n, m + 1) * d
+            left = position_matrix(g, n, m) * d
+            right = d * position_matrix(g, n, m + 1)
             assert left == right
 
 
@@ -285,10 +286,10 @@ def test_antisymmetrizer_is_a_nontrivial_cocycle():
     for n in (2, 3):
         vec = antisymmetrizer_vector(n)
         assert len(vec) == [1, 2, 6, 24][n - 1]
-        vmat = RationalMatrix.from_row_dicts([vec], 1, n ** n).transpose()
-        assert (differential(n, n) * vmat).is_zero()
-        # not a coboundary: adjoining it to the image columns raises the rank
-        image = differential(n, n - 1).transpose()
+        vmat = RationalMatrix.from_row_dicts([vec], 1, n ** n)
+        assert (vmat * differential(n, n)).is_zero()
+        # not a coboundary: adjoining it to the image rows raises the rank
+        image = differential(n, n - 1)
         rows = [image.row_dict(i) for i in range(image.nrows)]
         base = rank(RationalMatrix.from_row_dicts(rows, len(rows), n ** n))
         grown = rank(RationalMatrix.from_row_dicts(rows + [vec], len(rows) + 1, n ** n))
@@ -470,14 +471,41 @@ def test_restricted_module_complex_over_subgroup():
 
 
 def test_complex_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        CochainComplex(
-            "bad",
-            1,
-            1,
-            {1: 1, 2: 2},
-            {1: RationalMatrix.zeros(3, 1)},
-        )
+    # diffs[1] maps degree 1 to degree 2, so it is dims[1] x dims[2] = 1 x 2;
+    # 2 x 1, the transpose, is refused like any other wrong shape
+    for shape in ((3, 1), (2, 1)):
+        with pytest.raises(ValueError, match=r"expected \(1, 2\)$"):
+            CochainComplex("bad", 1, 1, {1: 1, 2: 2}, {1: RationalMatrix.zeros(*shape)})
+    CochainComplex("good", 1, 1, {1: 1, 2: 2}, {1: RationalMatrix.zeros(1, 2)})
+
+
+ORIENTATION_CASES = {
+    "full": lambda: full_complex(3, 3),
+    "orbit": lambda: cubical_complex(builtin("regular", 3), symmetric_group(3), 3),
+    "naive": lambda: cubical_complex(builtin("regular", 3), symmetric_group(3), 3, mode="naive"),
+    "quotient": lambda: cubical_complex(
+        builtin("lie", 4), symmetric_group(4), 4, mode="quotient"
+    ).quotient,
+    "harrison": lambda: harrison_complex(builtin("regular", 3), symmetric_group(3), 3),
+    "direct-lie": lambda: direct_complex("lie", 3, 4),
+    "direct-tr": lambda: direct_complex("tr", 3, 4),
+}
+
+
+@pytest.mark.parametrize("make", ORIENTATION_CASES.values(), ids=ORIENTATION_CASES)
+def test_every_differential_has_one_row_per_source_vector(make):
+    cx = make()
+    for m in range(1, cx.m_max + 1):
+        assert cx.diffs[m].shape == (cx.dims[m], cx.dims[m + 1])
+    # a transposed differential could pass only if every one were square
+    assert any(d.nrows != d.ncols for d in cx.diffs.values())
+
+
+def test_the_word_differential_holds_the_cached_rows_themselves():
+    rows = differential_columns(3, 2)
+    d = differential(3, 2)
+    assert sorted(d.rows) == list(range(len(rows)))
+    assert all(d.rows[j] is row for j, row in enumerate(rows))
 
 
 
@@ -773,12 +801,12 @@ def test_subset_complex_has_cohomology_k_in_degree_r(r):
     for m in range(1, 10):
         index = {w: i for i, w in enumerate(basis[m + 1])}
         entries = (
-            (index[t], j, -1 if i % 2 else 1)
+            (j, index[t], -1 if i % 2 else 1)
             for j, w in enumerate(basis[m])
             for i in range(m + 2)
             for t in coface(i, w, m)
         )
-        diffs[m] = RationalMatrix.from_entries(len(basis[m + 1]), len(basis[m]), entries)
+        diffs[m] = RationalMatrix.from_entries(len(basis[m]), len(basis[m + 1]), entries)
     cx = CochainComplex(f"I_{r}", r, 9, {m: len(b) for m, b in basis.items()}, diffs)
     assert cx.check_d_squared()
     assert cx.betti_table().bettis() == tuple(int(m == r) for m in range(1, 10))

@@ -98,7 +98,7 @@ def test_word_eulerian_single_position_values():
     e2, s2 = word_eulerian_matrix(1, 2)
     assert s2 == 2
     assert e2.to_rows() == [[1, 1], [1, 1]]
-    # columns by hand: E(e1) = (e1 - e3)/2, E(e2) = 0, E(e3) = (e3 - e1)/2
+    # rows by hand: E(e1) = (e1 - e3)/2, E(e2) = 0, E(e3) = (e3 - e1)/2
     e3, s3 = word_eulerian_matrix(1, 3)
     assert s3 == 6
     assert e3.to_rows() == [[3, 0, -3], [0, 0, 0], [-3, 0, 3]]
@@ -120,7 +120,7 @@ def test_word_eulerian_is_idempotent_and_commutes():
             assert check_idempotent(e, s)
             e2, s2 = word_eulerian_matrix(n, m + 1)
             d = differential(n, m)
-            assert (d * e).scale(s2) == (e2 * d).scale(s)
+            assert (e * d).scale(s2) == (d * e2).scale(s)
 
 
 def test_orbit_eulerian_is_idempotent_on_coinvariants():

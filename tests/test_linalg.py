@@ -6,6 +6,7 @@ from conftest import TaggedInverseSolver, fraction_product, plain_reduced_echelo
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import cubix.linalg as linalg
 from cubix.linalg import (
     InvariantError,
     RationalMatrix,
@@ -174,13 +175,14 @@ def test_rank_large_sparse_smoke():
 
 
 def test_image_basis_spans_columns():
+    # the columns of a are the images of the map a.transpose()
     rng = random.Random(47)
     for _ in range(25):
         nrows = rng.randint(1, 8)
         ncols = rng.randint(1, 8)
         rows = random_matrix(rng, nrows, ncols)
         a = RationalMatrix.from_rows(rows, ncols)
-        ib = image_basis(a)
+        ib = image_basis(a.transpose())
         r = rank(a)
         assert len(ib) == r
         if not r:
@@ -195,9 +197,9 @@ def test_image_basis_spans_columns():
 
 
 def test_image_basis_is_deterministic_pivot_columns():
-    a = RationalMatrix.from_rows([[2, 4, 1], [1, 2, 0]])
+    a = RationalMatrix.from_rows([[2, 1], [4, 2], [1, 0]])
     ib = image_basis(a)
-    # columns 0 and 2 are the pivots; column 0 normalizes to (2,1)
+    # rows 0 and 2, the pivot columns of the transpose; row 0 normalizes to (2,1)
     assert ib == [{0: 2, 1: 1}, {0: 1}]
 
 
@@ -275,9 +277,9 @@ def test_leading_coords_divides_by_leading_entries():
     # rows: 1/2 (2, 0, 1); the zero vector; (2, 0, 1) - (0, -3, 3)
     basis = [{0: 2, 2: 1}, {1: -3, 2: 3}]
     x = RationalMatrix.from_rows([[1, 0, Fraction(1, 2)], [0, 0, 0], [2, 3, -2]])
-    assert leading_coords(x, basis, "S").to_rows() == [[Fraction(1, 2), 0, 1], [0, 0, -1]]
-    assert leading_coords(RationalMatrix.zeros(0, 3), basis, "S") == RationalMatrix.zeros(2, 0)
-    assert leading_coords(RationalMatrix.zeros(2, 3), [], "S") == RationalMatrix.zeros(0, 2)
+    assert leading_coords(x, basis, "S").to_rows() == [[Fraction(1, 2), 0], [0, 0], [1, -1]]
+    assert leading_coords(RationalMatrix.zeros(0, 3), basis, "S") == RationalMatrix.zeros(0, 2)
+    assert leading_coords(RationalMatrix.zeros(2, 3), [], "S") == RationalMatrix.zeros(2, 0)
 
 
 @pytest.mark.parametrize(
@@ -393,6 +395,23 @@ def test_indexed_back_pass_equals_the_plain_loop(data):
     got = reduced_echelon({i: dict(r) for i, r in enumerate(rows)}, ncols)
     want = plain_reduced_echelon({i: dict(r) for i, r in enumerate(rows)}, ncols)
     assert got == want
+
+
+def test_the_solver_checks_its_family_once(monkeypatch):
+    # solve and coords reuse the lead map __init__ built; leading_coords
+    # called on its own still checks the family it is handed
+    calls = []
+    real = linalg._leads
+    monkeypatch.setattr(linalg, "_leads", lambda basis: calls.append(1) or real(basis))
+    solver = RowSpanSolver([{0: 1, 1: 1}, {1: 2, 2: 1}], 3)
+    assert len(calls) == 1
+    x = RationalMatrix.from_rows([[1, 3, 1], [0, 0, 0]])
+    assert solver.solve(x).to_rows() == [[1, 1], [0, 0]]
+    assert solver.coords({1: 2, 2: 1}) == [0, 1]
+    assert len(calls) == 1
+    with pytest.raises(InvariantError, match="lead at column 1$"):
+        leading_coords(x, [{1: 1}, {1: 2, 2: 1}], "S")
+    assert len(calls) == 2
 
 
 def test_solve_over_zero_rows():

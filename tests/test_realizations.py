@@ -112,7 +112,7 @@ def test_lie_differential_matches_the_product_oracle(n):
 def test_tr_differential_hand_value():
     # d(11) = (22) - [(11)+(12)+(21)+(22)] + (11) folds to -2 . class(12)
     d = substitution_differential("tr", 2, 1)
-    assert d.to_rows() == [[0], [-2], [0]]
+    assert d.to_rows() == [[0, -2, 0]]
 
 
 def test_direct_complexes_square_to_zero():
@@ -173,7 +173,7 @@ def test_realization_check_names_both_sides_on_a_mismatch(monkeypatch):
     # the Lie complex with zero differentials: the dims agree, the Betti numbers differ
     def zero_differentials(family, n, m_max):
         dims = direct_complex(family, n, m_max).dims
-        zeros = {m: RationalMatrix.zeros(dims[m + 1], dims[m]) for m in range(1, m_max + 1)}
+        zeros = {m: RationalMatrix.zeros(dims[m], dims[m + 1]) for m in range(1, m_max + 1)}
         return CochainComplex("zero", n, m_max, dims, zeros)
 
     monkeypatch.setattr(suites, "direct_complex", zero_differentials)

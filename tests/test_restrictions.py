@@ -28,6 +28,10 @@ old matrices stay beside the new ones:
 
 Tests check that each old set is the new one in exactly that change of
 basis.
+
+The file stores each differential target-by-source, the transpose of
+``CochainComplex.diffs[m]``, as the package once kept it (``stored``), so
+it has not changed since; ``decode`` reads a set back source-by-target.
 """
 
 import json
@@ -60,20 +64,26 @@ from cubix.realizations import direct_complex
 
 GOLDEN = Path(__file__).parent / "golden" / "restrictions.json"
 
+
+def stored(diffs: dict) -> dict:
+    """The differentials as the file stores them: target-by-source."""
+    return {m: d.transpose() for m, d in diffs.items()}
+
+
 CASES = {
-    "harrison-regular3-m3": lambda: harrison_complex(
+    "harrison-regular3-m3": lambda: stored(harrison_complex(
         builtin("regular", 3), symmetric_group(3), 3
-    ).diffs,
-    "naive-regular2-m3": lambda: cubical_complex(
+    ).diffs),
+    "naive-regular2-m3": lambda: stored(cubical_complex(
         builtin("regular", 2), symmetric_group(2), 3, mode="naive"
-    ).diffs,
-    "direct-lie3-m4": lambda: direct_complex("lie", 3, 4).diffs,
+    ).diffs),
+    "direct-lie3-m4": lambda: stored(direct_complex("lie", 3, 4).diffs),
     "lie_cyclic3-generators": lambda: dict(
         enumerate(builtin("lie_cyclic", 3).gen_actions, start=1)
     ),
-    "orbit-lie4~2-m3": lambda: cubical_complex(
+    "orbit-lie4~2-m3": lambda: stored(cubical_complex(
         random_basis_change(builtin("lie", 4), 2), symmetric_group(4), 3
-    ).diffs,
+    ).diffs),
 }
 
 
@@ -96,28 +106,29 @@ def test_restricted_matrices_match_golden(case):
 
 
 def decode(mats: dict) -> dict:
-    """Inverse of ``encode``, with integer keys."""
+    """Inverse of ``encode`` and ``stored`` on a differential set: integer
+    keys, and each matrix source-by-target, as ``CochainComplex.diffs``."""
     return {
         int(key): RationalMatrix.from_entries(
-            nrows, ncols, ((i, j, parse_scalar(v)) for i, j, v in triples)
+            ncols, nrows, ((j, i, parse_scalar(v)) for i, j, v in triples)
         )
         for key, (nrows, ncols, triples) in mats.items()
     }
 
 
 def assert_same_complex(old, new, change):
-    """C_old^T P[m+1] = P[m] C_new^T for C = diffs[m], with every P[m]
-    square and invertible.
+    """C_old P[m+1] = P[m] C_new for C = diffs[m], with every P[m] square
+    and invertible.
 
     P[m] holds the old basis rows in new coordinates: with
-    d(b_j) = sum_i C[i, j] b'_i, both sides are the images of the old
+    d(b_i) = sum_j C[i, j] b'_j, both sides are the images of the old
     basis in new coordinates.
     """
     assert sorted(old) == sorted(new) == [1, 2, 3]
     for p in change.values():
         assert p.nrows == p.ncols == rank(p)
     for m in (1, 2, 3):
-        assert old[m].transpose() * change[m + 1] == change[m] * new[m].transpose()
+        assert old[m] * change[m + 1] == change[m] * new[m]
 
 
 def averaging_change(builder, m):
@@ -158,10 +169,8 @@ def harrison_change(builder, m, old_operator):
     coinvariant basis, as coordinates in the new one, the echelon form of
     image_basis(D) in the builder's coinvariant basis."""
     q = averaging_change(builder, m)
-    # an operator A in new coordinates reads Q^-T A Q^T in the old ones
-    op = old_operator(builder, m)
-    old_op = (q * op.transpose() * inverse(q)).transpose()
-    old_rows = image_basis(old_op)
+    # an operator A in new coordinates reads Q A Q^-1 in the old ones
+    old_rows = image_basis(q * old_operator(builder, m) * inverse(q))
     old_basis = RationalMatrix.from_row_dicts(old_rows, len(old_rows), q.ncols)
     return RowSpanSolver(dynkin_basis(builder, m), q.ncols).solve(old_basis * q)
 
@@ -189,8 +198,9 @@ def test_harrison_golden_is_the_averaging_golden_in_another_basis():
 
 
 def test_harrison_golden_is_the_pivot_column_golden_in_another_basis():
-    # the same coinvariant basis: only the basis of im D changed, from D's
-    # pivot columns to their echelon form
+    # the same coinvariant basis: only the basis of im D changed, from the
+    # images of D that image_basis picks (D's pivot columns when differentials
+    # were stored target-by-source) to their echelon form
     golden = json.loads(GOLDEN.read_text())
     old = decode(golden["harrison-regular3-m3-pivot-column-basis"])
     new = decode(golden["harrison-regular3-m3"])
@@ -198,8 +208,8 @@ def test_harrison_golden_is_the_pivot_column_golden_in_another_basis():
     change = {}
     for m in range(1, 5):
         dim = builder.degree(m).dim
-        columns = image_basis(orbit_slot_operator(builder, m, dynkin_terms(m)))
-        old_basis = RationalMatrix.from_row_dicts(columns, len(columns), dim)
+        images = image_basis(orbit_slot_operator(builder, m, dynkin_terms(m)))
+        old_basis = RationalMatrix.from_row_dicts(images, len(images), dim)
         change[m] = RowSpanSolver(dynkin_basis(builder, m), dim).solve(old_basis)
     assert_same_complex(old, new, change)
 
