@@ -44,10 +44,15 @@ Every route counts its size before it builds a matrix and refuses a size
 above ``cap`` (``check_cap``): orbit and quotient mode count the trace
 dimensions of the degrees they build plus dim M per distinct stabilizer (one
 ``CoinvariantBasis`` each), naive mode |G| dim M (m_max + 1)^n, |G| times
-the size of its top degree, and ``full_complex`` its dimensions.  The
-Harrison complex of ``harrison.py`` counts as the word complex does, and
-then the 2^(m-1) terms of its Dynkin element D_m applied to every orbit
-of each degree m it builds.
+the size of its top degree, and ``full_complex`` its dimensions.  Quotient
+mode builds no degree above n, but it counts the full dimensions through
+m_max + 1, and each count reads the cycle type of every term of P_m
+("Dimensions come from traces" below), so it then refuses the total length
+of those cycle types, degree by degree before each is read: m for the
+identity, the sum of m/d over squarefree d | m for D_m.  The Harrison
+complex of ``harrison.py`` counts as the word complex does, and then the
+2^(m-1) terms of its Dynkin element D_m applied to every orbit of each
+degree m it builds.
 
 All modes must agree on dimensions and Betti tables; that equality is part
 of the acceptance suite, so naive mode is not allowed to borrow pieces of
@@ -138,7 +143,7 @@ rank_d(m-1), with betti_m = 0 for m > n.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .linalg import (
     InvariantError,
@@ -146,9 +151,9 @@ from .linalg import (
     RowSpanSolver,
     SubspaceEscape,
     _norm,
+    _scaled,
     echelon_basis,
     rank,
-    reduced_echelon,
 )
 from .modules import character_count
 from .perm import (
@@ -555,44 +560,61 @@ class CoinvariantBasis:
     read.  The same generators (s_1 ... s_{N-1} over S_N) recur in many
     stabilizers, so ``blocks`` maps each generator s to its
     ``relation_block``, an echelon basis of the rows of act(s) - 1, which a
-    builder thus eliminates once.  Let r_p, for p in the pivot columns P, be
-    a reduced echelon basis of the union of the generators' blocks, with
-    pivot values d_p.  The unit vectors at the other columns F (``free``)
-    then give a basis of M_H, and the class of a row vector x has
-    coordinates (x @ W) / scale, where scale = lcm |d_p| and W is the
-    integer matrix with scale at (f, f) and -(scale / d_p) r_p[f] at (p, f).
-    ``class_block`` returns x @ W, integer when x is, so that a caller
-    summing classes divides each sum by scale once.  R @ W = 0, that is
-    act(s) @ W = W for every generator s, is checked exactly with act(s)
+    builder thus eliminates once.  One more sweep (``echelon_basis``) of the
+    union of the generators' blocks gives an echelon basis r_p of R, one row
+    leading at each pivot column p in P.  The unit vectors at the other
+    columns F (``free``) then give a basis of M_H: class(e_f) is the unit
+    vector of f in F, and since r_p is a relation, back-substitution from
+    the last pivot gives class(e_p) = -(sum over t > p of r_p[t]
+    class(e_t)) / r_p[p], on rows of length k = |F|.  The class of a row
+    vector x has coordinates (x @ W) / scale, where W's row i is scale
+    times class(e_i) and scale is the lcm of the denominators of the
+    classes.  ``class_block`` returns x @ W, integer when x is, so that a
+    caller summing classes divides each sum by scale once.  R @ W = 0, that
+    is act(s) @ W = W for every generator s, is checked exactly with act(s)
     rather than with the rows kept in ``blocks``: every relation must have
     class zero.
 
     The result does not depend on which rows span R.  Under a fixed column
-    order a subspace has one reduced echelon basis of content-1 integer
-    rows, up to the sign of each row; so P, F and scale depend on R alone,
-    and W does not change when r_p and d_p change sign together.
+    order every echelon basis of R leads at the same columns P, and e_p
+    minus a combination of the e_f is in R for exactly one combination, so
+    the classes, and with them F, W and scale, depend on R alone.  scale is
+    lcm |d_p| over the pivot values d_p of R's reduced echelon basis of
+    content-1 integer rows, whose row p is d_p (e_p - class(e_p)).
     """
 
     def __init__(self, module, stabilizer: PermutationGroup, blocks=None):
         blocks = {} if blocks is None else blocks
         dim = module.dim
-        echelon = []
         for s in stabilizer.generators:
-            block = blocks.get(s)
-            if block is None:
-                block = blocks[s] = relation_block(module, s)
-            echelon.extend(block)
-        red = reduced_echelon(dict(enumerate(echelon)), dim)
-        piv = {c for c, _ in red}
-        self.free = [j for j in range(dim) if j not in piv]
+            if s not in blocks:
+                blocks[s] = relation_block(module, s)
+        rows = [row for s in stabilizer.generators for row in blocks[s]]
+        # the echelon rows by leading column, in ascending order
+        lead = {min(row): row for row in echelon_basis(rows, dim)}
+        self.free = [j for j in range(dim) if j not in lead]
         self.k = len(self.free)
-        col = {f: a for a, f in enumerate(self.free)}
-        self.scale = lcm(*(abs(row[c]) for c, row in red))
-        w = {f: {a: self.scale} for f, a in col.items()}
-        for c, row in red:
-            q = self.scale // row[c]
-            w[c] = {col[f]: -q * v for f, v in row.items() if f != c}
-        self.w_matrix = RationalMatrix(dim, self.k, {i: r for i, r in w.items() if r})
+        # back-substitution, last pivot first: the class of e_f, for f the
+        # a-th free column, is the a-th unit vector, and the row r leading at
+        # p is a relation, so class(e_p) = -(sum over t > p of r[t] class(e_t))
+        # / r[p].  Each class is kept fraction-free, as num[i] / den[i]
+        num = {f: {a: 1} for a, f in enumerate(self.free)}
+        den = dict.fromkeys(self.free, 1)
+        for p, row in reversed(lead.items()):
+            later = [(t, v) for t, v in row.items() if t != p]
+            d = lcm(*(den[t] for t, _ in later))
+            acc = {}
+            for t, v in later:
+                v *= d // den[t]
+                for a, x in num[t].items():
+                    acc[a] = acc.get(a, 0) + v * x
+            d *= -row[p]
+            g = gcd(d, *acc.values()) * (1 if d > 0 else -1)
+            num[p] = {a: x // g for a, x in acc.items() if x}
+            den[p] = d // g
+        self.scale = lcm(*den.values())
+        w = {i: _scaled(r, self.scale // den[i]) for i, r in num.items() if r}
+        self.w_matrix = RationalMatrix(dim, self.k, w)
         for s in stabilizer.generators:
             if module.act(s) * self.w_matrix != self.w_matrix:
                 raise SubspaceEscape("a relation has a nonzero coinvariant class")
@@ -916,7 +938,9 @@ def operator_complex(
     full dimensions are the trace counts of the module docstring.  Both
     count the dimensions they will build before building anything (over
     onto words on Q) and refuse, above ``cap``, their sum, and then that sum
-    plus dim M per distinct stabilizer.  Every count must be a non-negative
+    plus dim M per distinct stabilizer; "quotient" then refuses the length
+    of the cycle types its full dimensions read, degree by degree, before
+    it reads them (module docstring).  Every count must be a non-negative
     integer, each built dimension must equal its count, and d^2 must vanish
     on Q.
     """
@@ -925,7 +949,7 @@ def operator_complex(
     n = group.degree
     surjective = mode == "quotient"
     top = min(n, m_max + 1) if surjective else m_max + 1
-    traces = {m: trace(m) for m in range(1, m_max + 2)}
+    traces = {m: trace(m) for m in range(1, top + 1)}
     # character_count reads the class function at the class representatives
     # only, once per count, so their cycle types are computed here once
     cycles = {g: g.cycle_type() for g, _ in cycle_classes(group)}
@@ -941,15 +965,25 @@ def operator_complex(
     dims = {m: count(m, fixed_words, "the trace count") for m in traces}
     want = dims
     if surjective:
-        want = {
-            m: count(m, fixed_onto_words, "the quotient's trace count") for m in range(1, top + 1)
-        }
+        want = {m: count(m, fixed_onto_words, "the quotient's trace count") for m in traces}
     # the dimension sum first: it refuses without enumerating a single orbit
     size, what = sum(want.values()), f"the size of {mode} mode for {label}"
     check_cap(size, cap, what)
     builder = OrbitComplexBuilder(module, group, surjective)
     stabilizers = {o.stabilizer for m in want for o in builder.orbits(m)}
     check_cap(size + module.dim * len(stabilizers), cap, what)
+    if surjective:
+        # the full dimensions reach degrees Q does not, and each count reads
+        # the cycle type of every term of P_m: their total length is refused
+        # degree by degree, before a degree's trace is built
+        work = 0
+        for m in range(1, m_max + 2):
+            if m > top:
+                traces[m] = trace(m)
+            work += sum(map(len, traces[m][0]))
+            check_cap(work, cap, f"the cycle-type length of the trace counts of {label} "
+                      f"through degree {m}")
+        dims.update({m: count(m, fixed_words, "the trace count") for m in traces if m > top})
     built, diffs = images(builder, top)
     for m, dim in built.items():
         if dim != want[m]:

@@ -24,8 +24,9 @@ pivot_row * row_value`` followed by a gcd strip.  Row scaling by nonzero
 rationals preserves rank, the right kernel, and the set of pivot columns
 under a fixed column order, which is all the routines below rely on.
 
-One row step, ``_clear``, is the only place two rows are combined.  The
-sparse ``_Eliminator`` drives it in two column orders:
+One row step, ``_clear``, is the only place two rows are combined, and
+every elimination is one pass of it with no back pass.  The sparse
+``_Eliminator`` drives it in two column orders:
 
 * ``rank`` chooses pivot columns greedily by current column support (a lazy
   min-heap).
@@ -33,14 +34,8 @@ sparse ``_Eliminator`` drives it in two column orders:
   so that the echelon structure, and in particular the set of pivot
   columns, is deterministic.  ``image_basis`` sweeps the transpose of a
   map and returns the map's rows at the pivots, images that span its
-  image; ``echelon_basis`` returns the pivot rows themselves.
-
-``reduced_echelon`` follows that sweep with a back pass of the same row
-step, which clears every pivot column from the other pivot rows.  The back
-pass keeps an index from each pivot column to the rows that hold it and
-visits only those, so it costs the row steps it makes rather than a
-membership test per pair of pivot rows.  It serves only the coinvariant
-bases of ``cubical.py``.
+  image; ``echelon_basis`` returns the pivot rows themselves, which is
+  all that the coinvariant bases of ``cubical.py`` read too.
 
 ``leading_coords`` is the one place coordinates are read off a basis: it
 strips a vector by the echelon basis vector that leads at its least
@@ -469,40 +464,6 @@ def echelon_basis(rows, ncols: int) -> list:
     0..ncols-1: the pivot rows of one column-order ``sweep``, integer with
     content 1, each leading at its own pivot column."""
     return [row for _, row in _Eliminator(dict(enumerate(map(_int_row, rows))), ncols).sweep()]
-
-
-def reduced_echelon(int_rows, ncols):
-    """[(pivot_col, row)] of a reduced row echelon basis of the rows' span.
-
-    ``int_rows`` is {id: integer dict row}.  The column-order ``sweep``
-    gives an echelon basis; a back pass with the same row step then clears
-    each pivot column from the earlier pivot rows, last pivot first, so
-    every row is zero at every other pivot column.  Rows stay integer and
-    are combinations of the input rows, so columns at or past ``ncols``
-    carry along which combination each row is.
-    """
-    pivots = _Eliminator(int_rows, ncols).sweep()
-    red = [row for _, row in pivots]
-    # pivot j's row holds no earlier pivot column, so clearing from the last
-    # pivot back leaves one pivot entry per row.  When pivot j is cleared its
-    # row holds no other pivot column, so the step drops c from row i and
-    # only scales row i's other pivot entries: the rows holding c then are
-    # those that held it after the sweep, which ``holders`` lists in
-    # ascending order, ending with row j (later rows start past c)
-    holders = {c: [] for c, _ in pivots}
-    for i, row in enumerate(red):
-        for c in row:
-            rows = holders.get(c)
-            if rows is not None:
-                rows.append(i)
-    for j in range(len(red) - 1, 0, -1):
-        c = pivots[j][0]
-        prow = red[j]
-        for i in holders[c]:
-            if i >= j:
-                break
-            red[i] = _clear(red[i], prow, c)
-    return [(c, row) for (c, _), row in zip(pivots, red)]
 
 
 class InvariantError(ArithmeticError):

@@ -34,7 +34,6 @@ from cubix.linalg import (
     _int_rows,
     _norm,
     image_basis,
-    reduced_echelon,
 )
 from cubix.modules import (
     BUILTIN_KINDS,
@@ -145,8 +144,10 @@ def coinvariants(module, group):
 
 
 def plain_reduced_echelon(int_rows, ncols):
-    """``linalg.reduced_echelon`` with an unindexed back pass: every earlier
-    pivot row is tested for the pivot column.  Its oracle."""
+    """[(pivot_col, row)] of a reduced row echelon basis of the span of
+    ``int_rows``, {id: integer dict row}: one column-order sweep, then a
+    back pass that clears each pivot column from every earlier pivot row
+    that holds it.  Columns at or past ``ncols`` are carried along."""
     pivots = _Eliminator(int_rows, ncols).sweep()
     red = [row for _, row in pivots]
     for j in range(len(red) - 1, 0, -1):
@@ -162,9 +163,9 @@ class TaggedInverseSolver:
     pivot submatrix, with no ``leading_coords``: its oracle.  It takes any
     independent family, not only an echelon one.
 
-    ``reduced_echelon`` of the rows, row i tagged with a column ``ncols +
-    i``, leaves pivot row j with d_j at its pivot, zero at every other
-    pivot and tags_j in the tag columns, so T = (L / d_j) * tags_j, with
+    ``plain_reduced_echelon`` of the rows, row i tagged with a column
+    ``ncols + i``, leaves pivot row j with d_j at its pivot, zero at every
+    other pivot and tags_j in the tag columns, so T = (L / d_j) * tags_j, with
     L = lcm |d_j|, is integer and (T/L) @ S = I for the square pivot
     submatrix S.  ``solve`` maps x's pivot columns through T and checks
     every row's membership in the span with one more product.
@@ -175,7 +176,7 @@ class TaggedInverseSolver:
         self.k = k
         self.basis = RationalMatrix.from_row_dicts(rows, k, ncols)
         tagged = {i: {**r, ncols + i: 1} for i, r in enumerate(rows)}
-        red = reduced_echelon(tagged, ncols)
+        red = plain_reduced_echelon(tagged, ncols)
         if len(red) != k:
             raise InvariantError(f"{k} rows are linearly dependent: they span {len(red)}")
         self._piv = {c: j for j, (c, _) in enumerate(red)}

@@ -566,6 +566,31 @@ def test_cap_lifts_naive_mode_past_four_slots(capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "cohomology: 0"
 
 
+def _cycle_type_length(family, m):
+    """The length of the cycle types of P_m's class sums: m for the
+    identity, the sum of m/d over squarefree d | m for D_m."""
+    if family == "lie":
+        return m
+    divisors = (d for d in range(1, m + 1) if not m % d)
+    return sum(m // d for d in divisors if all(d % (p * p) for p in range(2, d)))
+
+
+@pytest.mark.parametrize("family", ["lie", "harrison"])
+def test_the_trace_counts_are_refused_by_the_cycle_types_they_read(family, capsys):
+    # Q stops at degree n, but the full dimensions are counted through
+    # m_max + 1, each reading cycle types of length up to m
+    args = ["--family", family, "--n", "3", "--mmax", "2000"]
+    work, m = 0, 0
+    while work <= 100000:
+        m += 1
+        work += _cycle_type_length(family, m)
+    assert _refused_count(args, 100000, capsys) == work
+    start = time.perf_counter()
+    assert main(["betti", "--family", family, "--n", "3", "--mmax", "100000"]) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err.startswith("resource cap: the cycle-type length")
+
+
 # (arguments, the counts refused at cap 0 and then at each count before it,
 # under the default cap).  Orbit and quotient mode check the dimension sum
 # first and then add dim M per distinct stabilizer; naive mode and the full

@@ -7,6 +7,7 @@ tables against independent mode/route recomputations.
 """
 
 import gc
+import sys
 import weakref
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -589,19 +590,20 @@ def test_coinvariant_basis_matches_averaging_on_subgroup_stabilizers(group, kind
 
 
 def test_a_flipped_class_sign_is_a_subspace_escape(monkeypatch, capsys):
-    real = cubical.reduced_echelon
+    real = cubical.echelon_basis
 
     def flipped(rows, ncols):
-        # negating r_p[f] negates W at (p, f)
-        red = real(rows, ncols)
-        for c, row in red:
-            f = next((f for f in row if f != c), None)
-            if f is not None:
-                row[f] = -row[f]
-                break
-        return red
+        echelon = real(rows, ncols)
+        # only the union sweep that CoinvariantBasis reads: the relation
+        # blocks stay true.  Negating a non-leading entry r[t] of the row r
+        # leading at p makes the back-substitution give e_p a wrong class
+        if sys._getframe(1).f_code.co_name == "__init__":
+            row = next(row for row in echelon if len(row) > 1)
+            t = max(row)
+            row[t] = -row[t]
+        return echelon
 
-    monkeypatch.setattr(cubical, "reduced_echelon", flipped)
+    monkeypatch.setattr(cubical, "echelon_basis", flipped)
     with pytest.raises(SubspaceEscape):
         CoinvariantBasis(builtin("regular", 3), symmetric_group(3))
     assert main(["betti", "--family", "ass", "--n", "3"]) == 4

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import TaggedInverseSolver, fraction_product, plain_reduced_echelon
+from conftest import TaggedInverseSolver, fraction_product
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -18,7 +18,6 @@ from cubix.linalg import (
     normalize_int_vector,
     parse_scalar,
     rank,
-    reduced_echelon,
 )
 
 
@@ -378,23 +377,6 @@ def test_echelon_basis_is_an_echelon_basis_of_the_row_span(data):
     assert len(basis) == rank(a)
     solver = RowSpanSolver(basis, ncols)
     assert solver.solve(a) * solver.basis == a
-
-
-@given(st.data())
-def test_indexed_back_pass_equals_the_plain_loop(data):
-    # up to 10 rows over ncols columns plus tag columns past them, some
-    # tagged with their own index as TaggedInverseSolver tags them
-    ncols = data.draw(st.integers(1, 8))
-    width = ncols + data.draw(st.integers(0, 4))
-    entry = st.integers(-5, 5).filter(bool)
-    rows = data.draw(
-        st.lists(st.dictionaries(st.integers(0, width - 1), entry, max_size=width), max_size=10)
-    )
-    if data.draw(st.booleans()):
-        rows = [{**r, width + i: 1} for i, r in enumerate(rows)]
-    got = reduced_echelon({i: dict(r) for i, r in enumerate(rows)}, ncols)
-    want = plain_reduced_echelon({i: dict(r) for i, r in enumerate(rows)}, ncols)
-    assert got == want
 
 
 def test_the_solver_checks_its_family_once(monkeypatch):

@@ -4,6 +4,7 @@ stays light."""
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -103,3 +104,26 @@ def test_naive_mode_names_nothing_of_the_orbit_engine():
         if name in engine
     ]
     assert found == []
+
+
+def test_every_module_level_definition_is_used():
+    # a function or class that nothing else in the package references by
+    # name, attribute or import, and that perfbench does not name, is dead;
+    # necklace_representatives is read by the tests alone, and deleting it
+    # would only move it into them
+    used, defined = set(), []
+    for path in sorted((SRC / "cubix").glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            own = getattr(top, "name", None)
+            if own is not None:
+                defined.append((path.stem, own))
+            for node in ast.walk(top):
+                if isinstance(node, ast.alias):
+                    names = node.name.split(".")
+                else:
+                    names = [getattr(node, "id", None) or getattr(node, "attr", None)]
+                used.update(name for name in names if name not in (None, own))
+    bench = SRC.parent / "perfbench"
+    named = {word for path in bench.glob("*.py") for word in re.findall(r"\w+", path.read_text())}
+    dead = [f"{stem}.{name}" for stem, name in defined if name not in used | named]
+    assert dead == ["realizations.necklace_representatives"]
