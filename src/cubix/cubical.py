@@ -140,18 +140,16 @@ differential follow from Q's Betti numbers: rank_d(m) = dim_m - betti_m -
 rank_d(m-1), with betti_m = 0 for m > n.
 """
 
-from fractions import Fraction
+from collections import Counter
 from functools import lru_cache
-from itertools import combinations, product
-from math import gcd, lcm, prod
+from itertools import product
+from math import comb, gcd, lcm, prod
 
 from .linalg import (
     InvariantError,
     RationalMatrix,
     RowSpanSolver,
     SubspaceEscape,
-    _norm,
-    _scaled,
     echelon_basis,
     rank,
 )
@@ -303,8 +301,8 @@ def differential(n: int, m: int) -> RationalMatrix:
 def apply_differential(x: RationalMatrix, rows, tsize: int) -> RationalMatrix:
     """The rows of x pushed through the word differential, one block of
     len(rows) word coordinates at a time: coordinate a len(rows) + j of a
-    row goes to a tsize + t with coefficient rows[j][t].  ``rows`` is
-    ``differential_columns(n, m)`` and tsize is (m + 1)^n."""
+    row goes to a tsize + t with coefficient rows[j][t], over x's den.
+    ``rows`` is ``differential_columns(n, m)`` and tsize is (m + 1)^n."""
     size = len(rows)
     out = {}
     for i, row in x.rows.items():
@@ -314,10 +312,10 @@ def apply_differential(x: RationalMatrix, rows, tsize: int) -> RationalMatrix:
             off = a * tsize
             for t, c in rows[j].items():
                 acc[off + t] = acc.get(off + t, 0) + v * c
-        acc = {t: _norm(c) for t, c in acc.items() if c}
+        acc = {t: c for t, c in acc.items() if c}
         if acc:
             out[i] = acc
-    return RationalMatrix(x.nrows, x.ncols // size * tsize, out)
+    return RationalMatrix(x.nrows, x.ncols // size * tsize, out, x.den)
 
 
 # -- complexes and Betti tables -------------------------------------------
@@ -567,18 +565,17 @@ class CoinvariantBasis:
     vector of f in F, and since r_p is a relation, back-substitution from
     the last pivot gives class(e_p) = -(sum over t > p of r_p[t]
     class(e_t)) / r_p[p], on rows of length k = |F|.  The class of a row
-    vector x has coordinates (x @ W) / scale, where W's row i is scale
-    times class(e_i) and scale is the lcm of the denominators of the
-    classes.  ``class_block`` returns x @ W, integer when x is, so that a
-    caller summing classes divides each sum by scale once.  R @ W = 0, that
-    is act(s) @ W = W for every generator s, is checked exactly with act(s)
-    rather than with the rows kept in ``blocks``: every relation must have
-    class zero.
+    vector x has coordinates x @ W, where W (``w_matrix``) is the rational
+    dim x k matrix whose row i is class(e_i); its den is the lcm of the
+    denominators of the classes.  ``class_block`` returns x @ W.  R @ W = 0,
+    that is act(s) @ W = W for every generator s, is checked exactly with
+    act(s) rather than with the rows kept in ``blocks``: every relation must
+    have class zero.
 
     The result does not depend on which rows span R.  Under a fixed column
     order every echelon basis of R leads at the same columns P, and e_p
     minus a combination of the e_f is in R for exactly one combination, so
-    the classes, and with them F, W and scale, depend on R alone.  scale is
+    the classes, and with them F and W, depend on R alone.  W's den is
     lcm |d_p| over the pivot values d_p of R's reduced echelon basis of
     content-1 integer rows, whose row p is d_p (e_p - class(e_p)).
     """
@@ -612,20 +609,20 @@ class CoinvariantBasis:
             g = gcd(d, *acc.values()) * (1 if d > 0 else -1)
             num[p] = {a: x // g for a, x in acc.items() if x}
             den[p] = d // g
-        self.scale = lcm(*den.values())
-        w = {i: _scaled(r, self.scale // den[i]) for i, r in num.items() if r}
-        self.w_matrix = RationalMatrix(dim, self.k, w)
+        w_den = lcm(*den.values())
+        w = {i: {a: x * (w_den // den[i]) for a, x in r.items()} for i, r in num.items() if r}
+        self.w_matrix = RationalMatrix(dim, self.k, w, w_den)
         for s in stabilizer.generators:
             if module.act(s) * self.w_matrix != self.w_matrix:
                 raise SubspaceEscape("a relation has a nonzero coinvariant class")
 
-    def class_block(self, x: RationalMatrix) -> dict:
-        """The rows of x @ W, x rows by dim: row i over ``scale`` holds the
-        coordinates of the class of x's row i.  When there are no relations
-        W is the identity, and x's rows come back as they are."""
+    def class_block(self, x: RationalMatrix) -> RationalMatrix:
+        """x @ W, x rows by dim: row i holds the coordinates of the class of
+        x's row i.  When there are no relations W is the identity, and x
+        comes back as it is."""
         if self.k == x.ncols:
-            return x.rows
-        return (x * self.w_matrix).rows
+            return x
+        return x * self.w_matrix
 
 
 class _OrbitDegree:
@@ -706,15 +703,14 @@ class OrbitComplexBuilder:
         ``images(rep)`` yields (word, coefficient) terms of the operator's
         image of a degree-src_m orbit representative.  Equal words are summed
         first, so each surviving term g.rep' is rewritten through the
-        transfer identity and projected into its target orbit once.
+        transfer identity and projected into its target orbit once.  The
+        terms' class blocks are collected, and their numerators summed once
+        over the lcm of their dens.
         """
         src = self.degree(src_m)
         tgt = self.degree(tgt_m)
         dim = self.module.dim
-        # source row -> sum of c times class_block entries, which are the
-        # coordinates times the target block's scale: one division per
-        # entry at the end replaces a Fraction sum per term
-        acc = {}
+        blocks = []
         for oi, orbit in enumerate(src.orbits):
             free = src.coinv[oi].free
             if not free:
@@ -729,27 +725,31 @@ class OrbitComplexBuilder:
                 ti, g = self.locate(tgt, w2)
                 # the source basis is the unit vectors at ``free``, so
                 # basis . act(g) selects those rows of act(g)
-                action = self.module.act(g).rows
+                action = self.module.act(g)
+                rows = action.rows
                 x = RationalMatrix(
                     len(free),
                     dim,
-                    {a: action[f] for a, f in enumerate(free) if f in action},
+                    {a: rows[f] for a, f in enumerate(free) if f in rows},
+                    action.den,
                 )
-                tgt_off = tgt.offsets[ti]
-                for a, row in tgt.coinv[ti].class_block(x).items():
-                    out = acc.get(src_off + a)
-                    if out is None:
-                        out = acc[src_off + a] = {}
-                    for b, v in row.items():
-                        out[tgt_off + b] = out.get(tgt_off + b, 0) + c * v
-        scales = [basis.scale for basis in tgt.coinv for _ in range(basis.k)]
+                blocks.append((src_off, tgt.offsets[ti], c, tgt.coinv[ti].class_block(x)))
+        den = lcm(*(block.den for *_, block in blocks))
+        acc = {}
+        for src_off, tgt_off, c, block in blocks:
+            c *= den // block.den
+            for a, row in block.rows.items():
+                out = acc.get(src_off + a)
+                if out is None:
+                    out = acc[src_off + a] = {}
+                for b, v in row.items():
+                    out[tgt_off + b] = out.get(tgt_off + b, 0) + c * v
         data = {}
         for r, row in acc.items():
-            row = {t: Fraction(v, scales[t]) if v % scales[t] else v // scales[t]
-                   for t, v in row.items() if v}
+            row = {t: v for t, v in row.items() if v}
             if row:
                 data[r] = row
-        return RationalMatrix(src.dim, tgt.dim, data)
+        return RationalMatrix(src.dim, tgt.dim, data, den)
 
     def differential_matrix(self, m: int) -> RationalMatrix:
         # on Q only the inner cofaces survive, and of their terms only those
@@ -808,20 +808,24 @@ def _naive_basis(module, group, m: int) -> list:
     """
     n = group.degree
     size = m ** n
-    moved = [(module.act(g).rows, position_indices(g.inverse(), n, m)) for g in group.elements]
+    moved = [(module.act(g), position_indices(g.inverse(), n, m)) for g in group.elements]
     least = map(min, zip(*(idx for _, idx in moved)))
     reps = [j for j, k in enumerate(least) if j == k]
+    # the images times the lcm of the actions' dens: integer rows, which
+    # span the same space
+    den = lcm(*(action.den for action, _ in moved))
     span = {}
     for action, idx in moved:
+        f = den // action.den
         for j in reps:
             w = idx[j]
-            for a, arow in action.items():
+            for a, arow in action.rows.items():
                 vec = span.setdefault((a, j), {})
                 for b, v in arow.items():
                     c = b * size + w
-                    vec[c] = vec.get(c, 0) + v
-    span = RationalMatrix.from_row_dicts(span.values(), len(span), module.dim * size)
-    return echelon_basis(span.rows.values(), span.ncols)
+                    vec[c] = vec.get(c, 0) + f * v
+    rows = ({c: v for c, v in vec.items() if v} for vec in span.values())
+    return echelon_basis(rows, module.dim * size)
 
 
 def _naive_complex(module, group, m_max, cap, label) -> CochainComplex:
@@ -890,14 +894,18 @@ def fixed_onto_words(t_cycles, g_cycles) -> int:
 
     Such a word takes on each cycle of g the values of one cycle of t, so
     its image is a union of cycles of t; inclusion-exclusion over the
-    subsets of t's cycles counts the words whose image is all of them.
+    subsets of t's cycles counts the words whose image is all of them.  A
+    subset's term depends only on how many of the c_l cycles of each length
+    l it holds, j_l, and binom(c_l, j_l) subsets hold as many, so the sum
+    runs over those counts: prod (c_l + 1) terms, not 2^len(t_cycles).
     """
-    r = len(t_cycles)
-    return sum(
-        (-1) ** (r - k) * fixed_words(sub, g_cycles)
-        for k in range(r + 1)
-        for sub in combinations(t_cycles, k)
-    )
+    mult = Counter(t_cycles)
+    total = 0
+    for js in product(*(range(c + 1) for c in mult.values())):
+        sub = tuple(k for k, j in zip(mult, js) for _ in range(j))
+        weight = prod(map(comb, mult.values(), js))
+        total += (-1) ** (len(t_cycles) - len(sub)) * weight * fixed_words(sub, g_cycles)
+    return total
 
 
 def word_images(builder: OrbitComplexBuilder, top: int):

@@ -39,7 +39,10 @@ Two exact checks guard it, and a failure of either raises an
 the basis of im D: the same statement, on dim im D rows instead of dim.
 The membership check that ``RowSpanSolver.solve`` runs on every
 restriction is exactly "d preserves im D".  E, its idempotency and
-d E = E d stay as oracles for the tests and the ``verify`` suites.
+d E = E d stay as oracles for the tests and the ``verify`` suites.  E
+carries its own den like every matrix: its integer coefficients over
+``eulerian_scale(m)``, reduced, so E E = E and d E = E d are plain matrix
+comparisons and no function hands out a scale beside a matrix.
 
 Harrison through the surjective-word quotient
 ---------------------------------------------
@@ -128,8 +131,9 @@ def slot_action(t: Permutation, w):
     return tuple(imgs[x - 1] for x in w)
 
 
-def word_eulerian_matrix(n: int, m: int):
-    """(scaled matrix, scale) of E_m on the degree-m word space.
+def word_eulerian_matrix(n: int, m: int) -> RationalMatrix:
+    """E_m on the degree-m word space: the integer coefficients of
+    ``eulerian_terms`` over the den ``eulerian_scale(m)``.
 
     The term of s sends word j of ``words(n, m)`` to s^{-1} * w_j, whose
     index ``position_indices`` gives with g the identity and t = s^{-1}.
@@ -141,7 +145,7 @@ def word_eulerian_matrix(n: int, m: int):
             row[i] = row.get(i, 0) + coeff
     nonzero = ({i: c for i, c in row.items() if c} for row in rows)
     data = {j: row for j, row in enumerate(nonzero) if row}
-    return RationalMatrix(m ** n, m ** n, data), eulerian_scale(m)
+    return RationalMatrix(m ** n, m ** n, data, eulerian_scale(m))
 
 
 def orbit_slot_operator(builder: OrbitComplexBuilder, m: int, terms) -> RationalMatrix:
@@ -151,10 +155,11 @@ def orbit_slot_operator(builder: OrbitComplexBuilder, m: int, terms) -> Rational
     )
 
 
-def orbit_eulerian_matrix(builder: OrbitComplexBuilder, m: int):
-    """(scaled matrix, scale) of E_m on a coinvariant complex degree."""
+def orbit_eulerian_matrix(builder: OrbitComplexBuilder, m: int) -> RationalMatrix:
+    """E_m on a coinvariant complex degree."""
     terms = [(s.inverse(), coeff) for s, coeff in eulerian_terms(m)]
-    return orbit_slot_operator(builder, m, terms), eulerian_scale(m)
+    scaled = orbit_slot_operator(builder, m, terms)
+    return RationalMatrix(scaled.nrows, scaled.ncols, scaled.rows, scaled.den * eulerian_scale(m))
 
 
 @lru_cache(maxsize=None)
@@ -170,9 +175,9 @@ def dynkin_terms(m: int):
     return tuple(out)
 
 
-def check_idempotent(scaled: RationalMatrix, scale: int) -> bool:
-    """E^2 = E, phrased for the scaled integer matrix as (sE)^2 = s(sE)."""
-    return scaled * scaled == scaled.scale(scale)
+def check_idempotent(e: RationalMatrix) -> bool:
+    """E^2 = E."""
+    return e * e == e
 
 
 class HarrisonRestrictionError(InvariantError):

@@ -1,9 +1,17 @@
 """Exact sparse linear algebra over the rationals.
 
-Matrices are stored row-major as nested dicts ``{row: {col: value}}`` with
-values that are Python ints or ``fractions.Fraction``; exact zeros are never
-stored, and fractions with denominator 1 are normalized to ints on insert so
-that the common all-integer case runs on machine integer arithmetic.
+A matrix holds integer numerators over one positive denominator: ``rows``
+is row-major nested dicts ``{row: {col: numerator}}`` in which no zero is
+stored, and ``den`` is the denominator.  The pair is kept reduced, the gcd
+of ``den`` and every numerator being 1, so equal matrices have equal
+fields, and a matrix of integers has den 1.  Arithmetic runs on the
+numerators alone: a product multiplies integer rows over the product of
+the two dens, a sum brings both operands over the lcm of theirs, and the
+result is reduced only when its den is above 1, so the all-integer case
+does no extra work.  ``from_rows``, ``from_row_dicts`` and
+``from_entries`` take int and Fraction entries and bring them over the lcm
+of their denominators; ``entry``, ``row_dict``, ``to_rows`` and ``trace``
+give rationals back, an int where the value is one.
 
 Vectors are rows, and every map of the package has one orientation: its
 matrix holds one row per source basis vector, namely that vector's image,
@@ -11,18 +19,12 @@ so a map from a space of dimension a to one of dimension b is a x b, and
 ``x * A * B`` applies A, then B.  Module actions, differentials, word
 operators and coordinates all follow it, so no caller converts.
 
-Products run on integer arithmetic too when an operand holds Fractions.
-The right operand's rows are scaled to integers by their common
-denominator, and a left row by its own when it holds a Fraction; the inner
-loop then multiplies integer numerators, and each output entry is divided
-once by the product of the two denominators.  A Fraction is built only
-for an output entry that is not an integer (``divide_row``).
-
-Elimination never divides.  Each row is scaled to an integer vector with
-content 1, and a pivot step replaces ``row`` by ``row * pivot_value -
-pivot_row * row_value`` followed by a gcd strip.  Row scaling by nonzero
-rationals preserves rank, the right kernel, and the set of pivot columns
-under a fixed column order, which is all the routines below rely on.
+Elimination never divides.  Each row of numerators is stripped to content
+1, and a pivot step replaces ``row`` by ``row * pivot_value - pivot_row *
+row_value`` followed by a gcd strip.  Row scaling by nonzero rationals
+preserves rank, the right kernel, and the set of pivot columns under a
+fixed column order, which is all the routines below rely on; so they read
+``rows`` and never ``den``.
 
 One row step, ``_clear``, is the only place two rows are combined, and
 every elimination is one pass of it with no back pass.  The sparse
@@ -58,68 +60,62 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def _norm(x):
-    """Collapse Fraction with denominator 1 to int; keep ints as ints."""
-    # an exact type test: isinstance goes through the numbers ABCs
-    if type(x) is Fraction and x.denominator == 1:
-        return x.numerator
-    return x
+def _ratio(v: int, den: int):
+    """v / den for an int v and a positive int den: an int when den divides
+    v, else a reduced Fraction."""
+    return Fraction(v, den) if v % den else v // den
 
 
 def parse_scalar(s: str):
     s = s.strip()
     if "/" in s:
-        return _norm(Fraction(s))
+        v = Fraction(s)
+        return _ratio(v.numerator, v.denominator)
     return int(s)
 
 
 class RationalMatrix:
-    """Sparse matrix with exact int/Fraction entries."""
+    """Sparse matrix of integer numerators ``rows`` over one positive
+    denominator ``den``, kept reduced (module docstring)."""
 
-    __slots__ = ("nrows", "ncols", "rows")
+    __slots__ = ("nrows", "ncols", "rows", "den")
 
-    def __init__(self, nrows: int, ncols: int, rows=None):
+    def __init__(self, nrows: int, ncols: int, rows=None, den: int = 1):
         self.nrows = nrows
         self.ncols = ncols
         self.rows = rows if rows is not None else {}
+        if den != 1:
+            g = gcd(den, *(v for row in self.rows.values() for v in row.values()))
+            if g > 1:
+                self.rows = {i: {j: v // g for j, v in r.items()} for i, r in self.rows.items()}
+                den //= g
+        self.den = den
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def from_rows(cls, rows, ncols=None):
-        nrows = len(rows)
         if ncols is None:
             ncols = len(rows[0]) if rows else 0
-        data = {}
-        for i, row in enumerate(rows):
-            d = {j: _norm(v) for j, v in enumerate(row) if v}
-            if d:
-                data[i] = d
-        return cls(nrows, ncols, data)
+        return cls.from_row_dicts([dict(enumerate(row)) for row in rows], len(rows), ncols)
 
     @classmethod
     def from_row_dicts(cls, dicts, nrows, ncols):
-        data = {}
-        for i, d in enumerate(dicts):
-            dd = {j: _norm(v) for j, v in d.items() if v}
-            if dd:
-                data[i] = dd
-        return cls(nrows, ncols, data)
+        entries = ((i, j, v) for i, d in enumerate(dicts) for j, v in d.items())
+        return cls.from_entries(nrows, ncols, entries)
 
     @classmethod
     def from_entries(cls, nrows, ncols, triples):
+        """The sum of the int and Fraction values given at each (i, j), over
+        the lcm of the denominators of the sums."""
         data = {}
         for i, j, v in triples:
-            if not v:
-                continue
             row = data.setdefault(i, {})
-            cur = row.get(j, 0) + v
-            cur = _norm(cur)
-            if cur:
-                row[j] = cur
-            elif j in row:
-                del row[j]
-        return cls(nrows, ncols, {i: r for i, r in data.items() if r})
+            row[j] = row.get(j, 0) + v
+        den = lcm(*(v.denominator for row in data.values() for v in row.values()))
+        data = {i: {j: v.numerator * (den // v.denominator) for j, v in row.items() if v}
+                for i, row in data.items()}
+        return cls(nrows, ncols, {i: row for i, row in data.items() if row}, den)
 
     @classmethod
     def identity(cls, n):
@@ -136,7 +132,7 @@ class RationalMatrix:
         return (self.nrows, self.ncols)
 
     def entry(self, i, j):
-        return self.rows.get(i, {}).get(j, 0)
+        return _ratio(self.rows.get(i, {}).get(j, 0), self.den)
 
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows.values())
@@ -145,33 +141,25 @@ class RationalMatrix:
         return not self.rows
 
     def to_rows(self):
-        return [
-            [self.rows.get(i, {}).get(j, 0) for j in range(self.ncols)]
-            for i in range(self.nrows)
-        ]
+        return [[self.entry(i, j) for j in range(self.ncols)] for i in range(self.nrows)]
 
     def row_dict(self, i):
-        return self.rows.get(i, {})
+        """Row i as {col: rational entry}."""
+        row = self.rows.get(i, {})
+        if self.den == 1:
+            return row
+        return {j: _ratio(v, self.den) for j, v in row.items()}
 
     # -- arithmetic -----------------------------------------------------
 
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        """The product, fraction-free (module docstring)."""
+        """The product: integer rows times integer rows, over the product of
+        the dens (module docstring)."""
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
         data = {}
         orows = other.rows
-        oden = _den(orows.values())
-        if oden != 1:
-            orows = {k: _scaled(brow, oden) for k, brow in orows.items()}
-        fractional = _den(self.rows.values()) != 1
         for i, arow in self.rows.items():
-            den = oden
-            if fractional:
-                aden = _den((arow,))
-                if aden != 1:
-                    arow = _scaled(arow, aden)
-                    den *= aden
             acc = {}
             for k, a in arow.items():
                 brow = orows.get(k)
@@ -183,13 +171,11 @@ class RationalMatrix:
                 else:
                     for j, b in brow.items():
                         acc[j] = acc.get(j, 0) + a * b
-            if den != 1:
-                acc = divide_row(acc, den)
-            elif 0 in acc.values():
+            if 0 in acc.values():
                 acc = {j: v for j, v in acc.items() if v}
             if acc:
                 data[i] = acc
-        return RationalMatrix(self.nrows, other.ncols, data)
+        return RationalMatrix(self.nrows, other.ncols, data, self.den * other.den)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -200,47 +186,48 @@ class RationalMatrix:
     def _combine(self, other, s):
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        data = {i: dict(r) for i, r in self.rows.items()}
+        den = lcm(self.den, other.den)
+        f, s = den // self.den, s * (den // other.den)
+        data = {i: {j: f * v for j, v in r.items()} for i, r in self.rows.items()}
         for i, orow in other.rows.items():
             row = data.setdefault(i, {})
             for j, v in orow.items():
-                cur = _norm(row.get(j, 0) + s * v)
+                cur = row.get(j, 0) + s * v
                 if cur:
                     row[j] = cur
                 elif j in row:
                     del row[j]
             if not row:
                 del data[i]
-        return RationalMatrix(self.nrows, self.ncols, data)
+        return RationalMatrix(self.nrows, self.ncols, data, den)
 
     def __neg__(self):
         return self.scale(-1)
 
     def scale(self, c):
-        if not c:
-            return RationalMatrix.zeros(self.nrows, self.ncols)
-        data = {
-            i: {j: _norm(c * v) for j, v in r.items()} for i, r in self.rows.items()
-        }
-        return RationalMatrix(self.nrows, self.ncols, data)
+        """The matrix times the int or Fraction c."""
+        c = Fraction(c)
+        num = c.numerator
+        data = {i: {j: num * v for j, v in r.items()} for i, r in self.rows.items()} if num else {}
+        return RationalMatrix(self.nrows, self.ncols, data, self.den * c.denominator)
 
     def transpose(self) -> "RationalMatrix":
         data = {}
         for i, row in self.rows.items():
             for j, v in row.items():
                 data.setdefault(j, {})[i] = v
-        return RationalMatrix(self.ncols, self.nrows, data)
+        return RationalMatrix(self.ncols, self.nrows, data, self.den)
 
     def trace(self):
-        return _norm(sum(r.get(i, 0) for i, r in self.rows.items()))
+        return _ratio(sum(r.get(i, 0) for i, r in self.rows.items()), self.den)
 
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return self.shape == other.shape and self.rows == other.rows
+        return self.shape == other.shape and self.den == other.den and self.rows == other.rows
 
     def __repr__(self):
-        return f"RationalMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
+        return f"RationalMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()}, den={self.den})"
 
     def kron(self, other: "RationalMatrix") -> "RationalMatrix":
         """Kronecker product; this matrix indexes the coarse blocks."""
@@ -251,56 +238,21 @@ class RationalMatrix:
                 out = {}
                 for j, a in arow.items():
                     for l, b in brow.items():
-                        out[j * q + l] = _norm(a * b)
+                        out[j * q + l] = a * b
                 data[i * p + k] = out
-        return RationalMatrix(self.nrows * p, self.ncols * q, data)
-
-
-def _den(rows) -> int:
-    """The lcm of the denominators of the entries of ``rows``, dict rows: 1
-    when every entry is an int.  A plain loop: on the short rows of most
-    products it is cheaper than a scan through ``map`` and ``chain``."""
-    den = 1
-    for row in rows:
-        for v in row.values():
-            if type(v) is Fraction:
-                den = lcm(den, v.denominator)
-    return den
-
-
-def _scaled(row: dict, den: int) -> dict:
-    """The row times den, a multiple of every denominator in it: integers,
-    each from an integer product rather than a Fraction one."""
-    return {
-        c: v.numerator * (den // v.denominator) if type(v) is Fraction else v * den
-        for c, v in row.items()
-    }
-
-
-def divide_row(row: dict, den: int) -> dict:
-    """The row's nonzero entries divided by the positive int den: an int
-    where the quotient is one, else one reduced Fraction per entry.  Entries
-    may be ints or Fractions."""
-    return {c: Fraction(v, den) if v % den else v // den for c, v in row.items() if v}
+        return RationalMatrix(self.nrows * p, self.ncols * q, data, self.den * other.den)
 
 
 def _int_row(row: dict) -> dict:
-    """The row scaled by the lcm of its denominators, then divided by the
-    gcd of its entries: integers with content 1."""
-    den = _den((row,))
-    ints = dict(row) if den == 1 else _scaled(row, den)
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
-        if g == 1:
-            break
-    return {c: v // g for c, v in ints.items()} if g > 1 else ints
+    """The integer row divided by the gcd of its entries: content 1."""
+    g = gcd(*row.values())
+    return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
 def normalize_int_vector(vec):
-    """Scale to integer entries with content 1 and positive first nonzero.
+    """Scale to content 1 and a positive first nonzero entry.
 
-    ``vec`` is a dict {index: scalar}; returns a new dict.  The zero vector
+    ``vec`` is a dict {index: int}; returns a new dict.  The zero vector
     comes back empty.
     """
     ints = _int_row({j: v for j, v in vec.items() if v})
@@ -310,7 +262,7 @@ def normalize_int_vector(vec):
 
 
 def _int_rows(matrix: RationalMatrix):
-    """Integer-scaled, gcd-stripped copies of the nonzero rows."""
+    """The nonzero rows of numerators, each stripped to content 1."""
     return {i: _int_row(row) for i, row in matrix.rows.items()}
 
 
@@ -500,45 +452,65 @@ def leading_coords(x: RationalMatrix, basis, space: str, lead=None) -> RationalM
     """Matrix c, x.nrows by len(basis), with c * basis == x: x's row j is
     sum_i c[j][i] basis[i].
 
-    ``basis`` is a sequence of dict vectors in echelon form: each leads at
-    its least column, and no two lead at the same column (``_leads`` checks
-    this, unless its result is passed as ``lead``).  The least column of a
-    row of x then leads at most one basis vector, whose multiple (the row's
-    entry over the vector's leading entry) is stripped; what is left starts
-    at a larger column, so the strip ends.  A least column that leads no
-    basis vector raises SubspaceEscape, naming ``space``.  This is the one
-    place coordinates are read off a basis.
+    ``basis`` is a sequence of integer dict vectors in echelon form: each
+    leads at its least column, and no two lead at the same column
+    (``_leads`` checks this, unless its result is passed as ``lead``).  The
+    least column of a row of x then leads at most one basis vector, whose
+    multiple is stripped; what is left starts at a larger column, so the
+    strip ends.  A least column that leads no basis vector raises
+    SubspaceEscape, naming ``space``.  This is the one place coordinates
+    are read off a basis.
+
+    The strip runs on x's numerators and never divides: where the leading
+    entry p does not divide the entry v to strip, what is left of the row
+    and the coordinates found so far are first multiplied by |p| / gcd(v, p),
+    which the row's denominator takes on.  The rows are brought over the
+    lcm of their denominators, times x.den, once at the end.
     """
     if lead is None:
         lead = _leads(basis)
-    data = {}
+    data, dens = {}, {}
     for j, row in x.rows.items():
         coords = {}
         rest = dict(row)
+        den = 1
         while rest:
             k = min(rest)
             found = lead.get(k)
             if found is None:
                 raise SubspaceEscape(f"a vector escapes {space}")
             i, p = found
-            c = coords[i] = _norm(rest[k] if p == 1 else Fraction(rest[k], p))
-            for t, v in basis[i].items():
-                r = rest.get(t, 0) - c * v
+            v = rest[k]
+            if v % p:
+                g = gcd(v, p)
+                f = abs(p) // g
+                rest = {t: f * r for t, r in rest.items()}
+                coords = {t: f * c for t, c in coords.items()}
+                den *= f
+                v *= f
+            c = coords[i] = v // p
+            for t, b in basis[i].items():
+                r = rest.get(t, 0) - c * b
                 if r:
                     rest[t] = r
                 else:
                     del rest[t]
-        if coords:
-            data[j] = coords
-    return RationalMatrix(x.nrows, len(basis), data)
+        data[j] = coords
+        dens[j] = den
+    den = lcm(*dens.values())
+    if den != 1:
+        for j, d in dens.items():
+            if d != den:
+                data[j] = {i: c * (den // d) for i, c in data[j].items()}
+    return RationalMatrix(x.nrows, len(basis), data, den * x.den)
 
 
 class RowSpanSolver:
     """Coordinates of vectors with respect to a fixed echelon row family.
 
-    ``rows`` is a list of dict vectors over ``ncols`` columns in echelon
-    form: every row is nonzero, and no two lead (have their least column)
-    at the same column, so the rows are independent.  ``basis`` holds them
+    ``rows`` is a list of integer dict vectors over ``ncols`` columns in
+    echelon form: every row is nonzero, and no two lead (have their least
+    column) at the same column, so the rows are independent.  ``basis`` holds them
     as a k x ncols matrix.  Every caller holds such a family already, from
     ``echelon_basis`` or, for the Lie brackets, in sorted word order; a
     family that is not one raises InvariantError here, once.  ``solve`` is
@@ -550,7 +522,7 @@ class RowSpanSolver:
     def __init__(self, rows, ncols):
         self.k = len(rows)
         self.basis = RationalMatrix.from_row_dicts(rows, self.k, ncols)
-        self._rows = [self.basis.row_dict(i) for i in range(self.k)]
+        self._rows = [self.basis.rows.get(i, {}) for i in range(self.k)]
         self._lead = _leads(self._rows)
 
     def solve(self, x: RationalMatrix, space: str = "the row span") -> RationalMatrix:

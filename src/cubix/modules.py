@@ -405,8 +405,8 @@ def induce(module: SubgroupModule) -> ModuleSpec:
             t2 = coset_rep(u)
             g = u * t2.inverse()
             block = module.act(g)
-            for b, row in block.rows.items():
-                for b2, v in row.items():
+            for b in block.rows:
+                for b2, v in block.row_dict(b).items():
                     entries.append(
                         (ti * module.dim + b, rep_index[t2.images] * module.dim + b2, v)
                     )

@@ -6,7 +6,7 @@ removed at exit and no ``.hypothesis/`` appears in the checkout."""
 
 import tempfile
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import lcm
 
 from hypothesis import configuration, settings
@@ -19,12 +19,13 @@ from cubix.cubical import (
     coface,
     differential,
     differential_columns,
+    fixed_words,
     position_action,
     position_indices,
     words,
 )
 from cubix.freelie import is_lyndon
-from cubix.harrison import eulerian_terms, slot_action
+from cubix.harrison import eulerian_scale, eulerian_terms, slot_action
 from cubix.linalg import (
     InvariantError,
     RationalMatrix,
@@ -32,7 +33,6 @@ from cubix.linalg import (
     _clear,
     _Eliminator,
     _int_rows,
-    _norm,
     image_basis,
 )
 from cubix.modules import (
@@ -64,8 +64,9 @@ def diagonal_basis_change(module, diag, name):
     change is not unimodular, unlike ``random_basis_change``, whose shears
     keep integer generators, so act(g) has Fraction entries."""
     dim = module.dim
-    p = RationalMatrix(dim, dim, {i: {i: d} for i, d in enumerate(diag)})
-    p_inv = RationalMatrix(dim, dim, {i: {i: _norm(1 / Fraction(d))} for i, d in enumerate(diag)})
+    p = RationalMatrix.from_row_dicts([{i: d} for i, d in enumerate(diag)], dim, dim)
+    inv = [{i: 1 / Fraction(d)} for i, d in enumerate(diag)]
+    p_inv = RationalMatrix.from_row_dicts(inv, dim, dim)
     mats = [p * a * p_inv for a in module.gen_actions]
     return ModuleSpec(name, module.N, dim, module.basis_labels, mats)
 
@@ -77,27 +78,24 @@ def halved_basis_change(module):
 
 
 def fraction_product(a, b):
-    """``RationalMatrix.__mul__`` with a Fraction product and sum per term,
-    each entry normalized afterwards: its oracle."""
-    data = {}
-    for i, arow in a.rows.items():
+    """``RationalMatrix.__mul__`` on the rational entries, with a Fraction
+    product and sum per term: its oracle."""
+    rows = []
+    for i in range(a.nrows):
         acc = {}
-        for k, x in arow.items():
-            for j, y in b.rows.get(k, {}).items():
+        for k, x in a.row_dict(i).items():
+            for j, y in b.row_dict(k).items():
                 acc[j] = acc.get(j, 0) + x * y
-        acc = {j: _norm(v) for j, v in acc.items() if v}
-        if acc:
-            data[i] = acc
-    return RationalMatrix(a.nrows, b.ncols, data)
+        rows.append(acc)
+    return RationalMatrix.from_row_dicts(rows, a.nrows, b.ncols)
 
 
 def fraction_class_coords(basis, x):
     """Coordinate rows of the classes of x's rows in a ``CoinvariantBasis``:
-    each entry of x @ W over the basis's scale, a Fraction per entry.  The
-    oracle of ``class_block`` divided by the scale."""
+    the rows of x @ W from ``fraction_product``, a Fraction per entry.  The
+    oracle of ``class_block``."""
     u = fraction_product(x, basis.w_matrix)
-    s = basis.scale
-    return {i: {j: _norm(Fraction(v, s)) for j, v in row.items()} for i, row in u.rows.items()}
+    return {i: u.row_dict(i) for i in u.rows}
 
 
 def entrywise_operator_matrix(builder, src_m, tgt_m, images):
@@ -119,7 +117,7 @@ def entrywise_operator_matrix(builder, src_m, tgt_m, images):
                 continue
             ti, g = builder.locate(tgt, w2)
             action = builder.module.act(g)
-            x = RationalMatrix(len(free), dim, {a: action.row_dict(f) for a, f in enumerate(free)})
+            x = RationalMatrix.from_row_dicts([action.row_dict(f) for f in free], len(free), dim)
             for a, row in fraction_class_coords(tgt.coinv[ti], x).items():
                 entries.extend(
                     (src.offsets[oi] + a, tgt.offsets[ti] + b, c * v) for b, v in row.items()
@@ -195,7 +193,7 @@ class TaggedInverseSolver:
             r = {piv[c]: v for c, v in row.items() if c in piv}
             if r:
                 xp[i] = r
-        u = RationalMatrix(x.nrows, self.k, xp) * self._t
+        u = RationalMatrix(x.nrows, self.k, xp, x.den) * self._t
         L = self.scale
         if u * self.basis != x.scale(L):
             raise SubspaceEscape(f"a vector escapes {space}")
@@ -203,9 +201,10 @@ class TaggedInverseSolver:
 
 
 def stacked_coinvariant_basis(module, stabilizer):
-    """(free, scale, W) of M_H from one plain reduced echelon form of the
-    stacked rows of every act(s) - 1: the oracle of the per-generator
-    blocks of ``cubix.cubical.CoinvariantBasis``."""
+    """(free, W) of M_H from one plain reduced echelon form of the stacked
+    rows of every act(s) - 1: the oracle of the per-generator blocks of
+    ``cubix.cubical.CoinvariantBasis``.  Each row is kept as its integer
+    numerators, which span the same line."""
     dim = module.dim
     ident = RationalMatrix.identity(dim)
     rows = [
@@ -223,7 +222,18 @@ def stacked_coinvariant_basis(module, stabilizer):
     for c, row in red:
         q = scale // row[c]
         w[c] = {col[f]: -q * v for f, v in row.items() if f != c}
-    return free, scale, RationalMatrix(dim, len(free), {i: r for i, r in w.items() if r})
+    return free, RationalMatrix(dim, len(free), {i: r for i, r in w.items() if r}, scale)
+
+
+def subset_fixed_onto_words(t_cycles, g_cycles):
+    """``cubix.cubical.fixed_onto_words`` by inclusion-exclusion over every
+    subset of t's cycles, 2^len(t_cycles) terms: its oracle."""
+    r = len(t_cycles)
+    return sum(
+        (-1) ** (r - k) * fixed_words(sub, g_cycles)
+        for k in range(r + 1)
+        for sub in combinations(t_cycles, k)
+    )
 
 
 def per_word_position_matrix(g, n, m):
@@ -246,7 +256,9 @@ def naive_projector(module, group, m):
     rows = [{} for _ in range(module.dim * size)]
     for g in group.elements:
         idx = position_indices(g.inverse(), n, m)
-        for a, arow in module.act(g).rows.items():
+        action = module.act(g)
+        for a in action.rows:
+            arow = action.row_dict(a)
             for row, i in zip(rows[a * size : (a + 1) * size], idx):
                 for b, v in arow.items():
                     c = b * size + i
@@ -260,12 +272,8 @@ def kron_naive_projector(module, group, m):
     ``naive_projector``."""
     n = group.degree
     size = module.dim * m ** n
-    entries = (
-        (i, j, v)
-        for g in group.elements
-        for i, row in module.act(g).kron(per_word_position_matrix(g.inverse(), n, m)).rows.items()
-        for j, v in row.items()
-    )
+    kron = (module.act(g).kron(per_word_position_matrix(g.inverse(), n, m)) for g in group.elements)
+    entries = ((i, j, v) for k in kron for i in k.rows for j, v in k.row_dict(i).items())
     return RationalMatrix.from_entries(size, size, entries)
 
 
@@ -352,12 +360,13 @@ def rotation_class_tr_differential(n, m):
 
 
 def entrywise_eulerian_matrix(n, m):
-    """The scaled matrix of ``cubix.harrison.word_eulerian_matrix`` summed
-    entry by entry from ``slot_action`` on every word: its oracle."""
+    """``cubix.harrison.word_eulerian_matrix`` summed entry by entry from
+    ``slot_action`` on every word, a Fraction per term: its oracle."""
     ws = words(n, m)
     index = {w: i for i, w in enumerate(ws)}
+    scale = eulerian_scale(m)
     entries = (
-        (j, index[slot_action(s.inverse(), w)], coeff)
+        (j, index[slot_action(s.inverse(), w)], Fraction(coeff, scale))
         for s, coeff in eulerian_terms(m)
         for j, w in enumerate(ws)
     )

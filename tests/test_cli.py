@@ -5,10 +5,11 @@ import json
 import pickle
 import re
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import clear_realization_caches
+from conftest import clear_realization_caches, diagonal_basis_change
 
 import cubix.freelie as freelie
 import cubix.modules as modules
@@ -375,6 +376,44 @@ def test_custom_module_roundtrip(tmp_path, capsys):
     )
     data = json.loads(capsys.readouterr().out)
     assert {r["m"]: r["betti"] for r in data["rows"]}[3] == 1
+
+
+def write_sder3_files(tmp_path):
+    """lie_cyclic(3) written as a custom module file twice: as it is, with
+    integer entries, and conjugated by diag(1/2, -2/3), which is not
+    unimodular, so the file holds "p/q" entries.  Returns the two paths."""
+    sder = builtin("lie_cyclic", 3)
+    pq = diagonal_basis_change(sder, [Fraction(1, 2), Fraction(-2, 3)], "sder3~diag")
+    paths = []
+    for name, module in (("ints", sder), ("pq", pq)):
+        data = serialize_module(module)
+        assert any("/" in v for gen in data["generators"] for row in gen for v in row) == (
+            name == "pq"
+        )
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        paths.append(str(path))
+    return paths
+
+
+@pytest.mark.parametrize("mode", ["quotient", "orbit", "naive"])
+def test_a_custom_module_with_p_q_entries_prints_the_builtin_table(mode, tmp_path, capsys):
+    _, pq = write_sder3_files(tmp_path)
+    assert main(["betti", "--family", "sder", "--n", "3", "--mode", mode]) == 0
+    builtin_table = capsys.readouterr().out
+    assert main(["betti", "--family", "custom", "--custom", pq, "--mode", mode]) == 0
+    assert capsys.readouterr().out == builtin_table
+
+
+@pytest.mark.parametrize("mode", ["quotient", "orbit"])
+def test_harrison_on_a_p_q_module_matches_the_integer_module(mode, tmp_path, capsys):
+    ints, pq = write_sder3_files(tmp_path)
+    outs = []
+    for path in (ints, pq):
+        assert main(["betti", "--family", "harrison", "--custom", path, "--mode", mode]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert "cohomology" in outs[0]
 
 
 def test_malformed_custom_module_names_relation(tmp_path, capsys):

@@ -8,6 +8,7 @@ tables against independent mode/route recomputations.
 
 import gc
 import sys
+import time
 import weakref
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -29,6 +30,7 @@ from conftest import (
     per_word_position_matrix,
     sign_subgroup_module,
     stacked_coinvariant_basis,
+    subset_fixed_onto_words,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,6 +44,7 @@ from cubix.cubical import (
     CoinvariantBasis,
     DimensionCapExceeded,
     OrbitComplexBuilder,
+    apply_differential,
     coface,
     compositions,
     cubical_complex,
@@ -63,13 +66,18 @@ from cubix.cubical import (
     _checked_table,
 )
 from cubix.freelie import witt_dim
-from cubix.harrison import dynkin_terms, harrison_complex, orbit_slot_operator, slot_action
+from cubix.harrison import (
+    dynkin_terms,
+    dynkin_trace,
+    harrison_complex,
+    orbit_slot_operator,
+    slot_action,
+)
 from cubix.linalg import (
     InvariantError,
     RationalMatrix,
     RowSpanSolver,
     SubspaceEscape,
-    divide_row,
     image_basis,
     rank,
 )
@@ -193,8 +201,7 @@ def test_naive_projector_matches_its_kronecker_oracle(make):
     module = make()
     group = getattr(module, "group", None) or symmetric_group(module.N)
     if module.name.endswith("~half"):
-        rows = (r for g in group.elements for r in module.act(g).rows.values())
-        assert any(type(v) is Fraction for r in rows for v in r.values())
+        assert any(module.act(g).den > 1 for g in group.elements)
     for m in (1, 2, 3, 4):
         assert naive_projector(module, group, m) == kron_naive_projector(module, group, m)
 
@@ -216,6 +223,18 @@ def test_differential_squares_to_zero_on_word_spaces():
     for n, m_max in ((1, 4), (2, 4), (3, 4)):
         fc = full_complex(n, m_max)
         assert fc.check_d_squared()
+
+
+def test_apply_differential_is_the_product_with_one_block_per_module_vector():
+    # rational rows over two module coordinates: the result keeps x's den
+    n, m = 2, 2
+    x = RationalMatrix.from_rows(
+        [[Fraction(1, 2), 0, 3, 0, 0, Fraction(-1, 3), 0, 1], [0] * 7 + [Fraction(2, 5)]]
+    )
+    blocks = RationalMatrix.identity(2).kron(differential(n, m))
+    got = apply_differential(x, differential_columns(n, m), (m + 1) ** n)
+    assert got == x * blocks
+    assert got.den > 1
 
 
 def test_differential_is_equivariant():
@@ -544,8 +563,8 @@ def assert_matches_averaging(module, group):
     dim = module.dim
     assert basis.k == rank(proj)
     ident = RationalMatrix.identity(dim)
-    assert basis.class_block(ident - proj) == {}
-    classes = RationalMatrix(dim, basis.k, basis.class_block(ident))
+    assert basis.class_block(ident - proj).is_zero()
+    classes = basis.class_block(ident)
     assert rank(classes) == basis.k
     return basis
 
@@ -562,11 +581,11 @@ def test_coinvariant_basis_matches_averaging_over_young_subgroups(kind, n):
 def test_coinvariant_basis_matches_averaging_after_a_basis_change(kind):
     # seed 3 gives classes with fractional coordinates
     module = random_basis_change(builtin(kind, 3), 3)
-    scales = [
-        assert_matches_averaging(module, young_subgroup(content)).scale
+    dens = [
+        assert_matches_averaging(module, young_subgroup(content)).w_matrix.den
         for content in positive_compositions(module.N)
     ]
-    assert max(scales) > 1
+    assert max(dens) > 1
 
 
 @pytest.mark.parametrize(
@@ -682,10 +701,9 @@ def test_generator_blocks_give_the_stacked_rows_basis(case):
     bases = builder_bases(module, group)
     assert bases
     for stab, basis in bases:
-        free, scale, w = stacked_coinvariant_basis(module, stab)
-        assert (basis.free, basis.scale, basis.w_matrix) == (free, scale, w)
+        assert (basis.free, basis.w_matrix) == stacked_coinvariant_basis(module, stab)
     if "seed" in case:
-        assert max(basis.scale for _, basis in bases) > 1
+        assert max(basis.w_matrix.den for _, basis in bases) > 1
 
 
 def fractional_module():
@@ -697,7 +715,7 @@ def fractional_module():
 
 
 def has_fractions(mats):
-    return any(type(v) is Fraction for a in mats for r in a.rows.values() for v in r.values())
+    return any(a.den > 1 for a in mats)
 
 
 def test_class_block_rows_over_the_scale_are_the_class_coordinates():
@@ -705,16 +723,16 @@ def test_class_block_rows_over_the_scale_are_the_class_coordinates():
     group = symmetric_group(4)
     assert has_fractions(module.gen_actions)
     bases = builder_bases(module, group)
-    assert max(basis.scale for _, basis in bases) > 1
+    assert max(basis.w_matrix.den for _, basis in bases) > 1
     assert any(basis.k == module.dim for _, basis in bases)
     for _, basis in bases:
         for g in group.elements:
             x = module.act(g)
             got = basis.class_block(x)
             if basis.k == module.dim:
-                # no relations: W is the identity and x's rows come back
-                assert got is x.rows
-            coords = {i: divide_row(row, basis.scale) for i, row in got.items()}
+                # no relations: W is the identity and x comes back
+                assert got is x
+            coords = {i: got.row_dict(i) for i in got.rows}
             assert coords == fraction_class_coords(basis, x)
 
 
@@ -789,6 +807,33 @@ def test_identity_trace_counts_words_and_onto_words():
                 (t,) = terms
                 assert fixed_words(t, g_cycles) == m ** c
                 assert fixed_onto_words(t, g_cycles) == surjections(c, m)
+
+
+def test_onto_counts_equal_the_subset_sum():
+    # every pair of cycle types of at most 7 points each, and the types of
+    # D_m's class sums through m = 12 against those of up to 5 points
+    types = [t for total in range(1, 8) for t in _partitions(total)]
+    pairs = [(t, g) for t in types for g in types]
+    dynkin = [t for m in range(1, 13) for t in dynkin_trace(m)[0]]
+    pairs += [(t, g) for t in dynkin for g in types if sum(g) <= 5]
+    for t, g in pairs:
+        assert fixed_onto_words(t, g) == subset_fixed_onto_words(t, g)
+
+
+def test_the_onto_counts_cost_the_cycle_multiplicities(monkeypatch, capsys):
+    # full(n) is the trivial module over the trivial group, so each degree
+    # m <= n is counted once over words and once over onto words, on the
+    # identity's type 1^m: 1 + (m + 1) calls, where the subset sum made
+    # 1 + 2^m (8202 through n = 12)
+    calls = []
+    real = cubical.fixed_words
+    monkeypatch.setattr(cubical, "fixed_words", lambda t, g: calls.append(t) or real(t, g))
+    assert main(["betti", "--family", "full", "--n", "12"]) == 3
+    assert len(calls) == sum(1 + (m + 1) for m in range(1, 13)) == 102
+    assert "resource cap" in capsys.readouterr().err
+    start = time.perf_counter()
+    assert main(["betti", "--family", "full", "--n", "30"]) == 3
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])

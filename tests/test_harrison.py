@@ -95,39 +95,39 @@ def test_slot_action_commutes_with_position_action():
 
 
 def test_word_eulerian_single_position_values():
-    e2, s2 = word_eulerian_matrix(1, 2)
-    assert s2 == 2
-    assert e2.to_rows() == [[1, 1], [1, 1]]
+    # numerators over the den: E_2 = (1/2)(1 + slot(s_1)), and 6 E_3 has
+    # the rows 3 (e1 - e3), 0, 3 (e3 - e1), which reduce to den 2
+    half = Fraction(1, 2)
+    e2 = word_eulerian_matrix(1, 2)
+    assert (eulerian_scale(2), e2.den) == (2, 2)
+    assert e2.to_rows() == [[half, half], [half, half]]
     # rows by hand: E(e1) = (e1 - e3)/2, E(e2) = 0, E(e3) = (e3 - e1)/2
-    e3, s3 = word_eulerian_matrix(1, 3)
-    assert s3 == 6
-    assert e3.to_rows() == [[3, 0, -3], [0, 0, 0], [-3, 0, 3]]
+    e3 = word_eulerian_matrix(1, 3)
+    assert (eulerian_scale(3), e3.den) == (6, 2)
+    assert e3.rows == {0: {0: 1, 2: -1}, 2: {0: -1, 2: 1}}
+    assert e3.to_rows() == [[half, 0, -half], [0, 0, 0], [-half, 0, half]]
 
 
 def test_word_eulerian_matches_its_entrywise_oracle():
     for n in (1, 2, 3):
         for m in (1, 2, 3, 4, 5):
-            assert word_eulerian_matrix(n, m) == (
-                entrywise_eulerian_matrix(n, m),
-                eulerian_scale(m),
-            )
+            assert word_eulerian_matrix(n, m) == entrywise_eulerian_matrix(n, m)
 
 
 def test_word_eulerian_is_idempotent_and_commutes():
     for n in (1, 2, 3):
         for m in (1, 2, 3, 4):
-            e, s = word_eulerian_matrix(n, m)
-            assert check_idempotent(e, s)
-            e2, s2 = word_eulerian_matrix(n, m + 1)
+            e = word_eulerian_matrix(n, m)
+            assert check_idempotent(e)
+            e2 = word_eulerian_matrix(n, m + 1)
             d = differential(n, m)
-            assert (e * d).scale(s2) == (d * e2).scale(s)
+            assert e * d == d * e2
 
 
 def test_orbit_eulerian_is_idempotent_on_coinvariants():
     builder = OrbitComplexBuilder(builtin("regular", 3), symmetric_group(3))
     for m in (1, 2, 3, 4):
-        e, s = orbit_eulerian_matrix(builder, m)
-        assert check_idempotent(e, s)
+        assert check_idempotent(orbit_eulerian_matrix(builder, m))
 
 
 def test_orbit_operators_over_trivial_group_are_word_operators():
@@ -243,7 +243,7 @@ def test_orbit_dynkin_and_eulerian_have_one_image(module, group):
     for m in (1, 2, 3, 4):
         dim = builder.degree(m).dim
         dyn = image_basis(orbit_slot_operator(builder, m, dynkin_terms(m)))
-        eul = image_basis(orbit_eulerian_matrix(builder, m)[0])
+        eul = image_basis(orbit_eulerian_matrix(builder, m))
         assert len(dyn) == len(eul)
         # raises SubspaceEscape unless every Eulerian image row lies in im D
         RowSpanSolver(echelon_basis(dyn, dim), dim).solve(

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from conftest import TaggedInverseSolver, fraction_product
@@ -66,11 +67,40 @@ def test_matrix_product_and_identity():
 
 
 def assert_normalized(mat):
-    """Every stored entry is a nonzero int or a Fraction with denominator > 1."""
+    """The one format: nonempty rows of nonzero int numerators over a
+    positive int den, reduced, so the gcd of den and every numerator is 1
+    (and a zero matrix has den 1)."""
+    assert type(mat.den) is int and mat.den >= 1
+    g = mat.den
     for row in mat.rows.values():
         assert row
         for v in row.values():
-            assert v and (type(v) is int or (type(v) is Fraction and v.denominator > 1))
+            assert type(v) is int and v
+            g = gcd(g, v)
+    assert g == 1
+
+
+def test_a_matrix_is_integer_numerators_over_one_reduced_den():
+    a = RationalMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [0, 2]])
+    assert (a.rows, a.den) == ({0: {0: 3, 1: 2}, 1: {1: 12}}, 6)
+    assert a.entry(0, 1) == Fraction(1, 3)
+    assert type(a.entry(1, 1)) is int and a.entry(1, 1) == 2
+    assert a.row_dict(0) == {0: Fraction(1, 2), 1: Fraction(1, 3)}
+    assert a.trace() == Fraction(5, 2)
+    # the constructor reduces, so equal matrices have equal fields
+    b = RationalMatrix(2, 2, {0: {0: 3}, 1: {0: 9, 1: 6}}, 6)
+    assert (b.rows, b.den) == ({0: {0: 1}, 1: {0: 3, 1: 2}}, 2)
+    assert b == RationalMatrix.from_rows([[Fraction(1, 2), 0], [Fraction(3, 2), 1]])
+    assert RationalMatrix(3, 3, {}, 5) == RationalMatrix.zeros(3, 3)
+    assert RationalMatrix(1, 1, {0: {0: 1}}, 2) != RationalMatrix.identity(1)
+    assert RationalMatrix.zeros(3, 3).den == 1
+    # integers stay over den 1, and a product or sum over one comes back
+    # over the least den
+    ints = RationalMatrix.from_rows([[1, 2], [3, 4]])
+    assert ints.den == (ints * ints).den == (ints + ints).den == 1
+    assert (a.scale(6).rows, a.scale(6).den) == ({0: {0: 3, 1: 2}, 1: {1: 12}}, 1)
+    assert (a * ints.scale(2)).den == 3
+    assert (a - a).is_zero() and (a - a).den == 1
 
 
 def test_fractional_products_reduce_to_ints_and_cancel():
@@ -111,6 +141,22 @@ def test_product_equals_the_fraction_oracle(operands):
     assert ab == fraction_product(a, b)
     assert ab.shape == (a.nrows, b.ncols)
     assert_normalized(ab)
+
+
+@given(product_operands(), fraction_entries)
+def test_sums_scales_and_transposes_keep_the_format(operands, c):
+    a, b = operands
+    for mat in (a + a, a - a, a.scale(c), -a, a.transpose(), a.kron(b)):
+        assert_normalized(mat)
+    assert (a + a.scale(c)).to_rows() == [[x + c * x for x in row] for row in a.to_rows()]
+    t, k = a.transpose(), a.kron(b)
+    for i in range(a.nrows):
+        for j in range(a.ncols):
+            assert t.entry(j, i) == a.entry(i, j)
+            for p in range(b.nrows):
+                for q in range(b.ncols):
+                    kij = k.entry(i * b.nrows + p, j * b.ncols + q)
+                    assert kij == a.entry(i, j) * b.entry(p, q)
 
 
 def test_entries_normalized_to_int():
@@ -373,7 +419,8 @@ def test_echelon_basis_is_an_echelon_basis_of_the_row_span(data):
     ncols = data.draw(st.integers(1, 6))
     row = st.lists(rationals, min_size=ncols, max_size=ncols)
     a = RationalMatrix.from_rows(data.draw(st.lists(row, max_size=8)), ncols)
-    basis = echelon_basis([a.row_dict(i) for i in range(a.nrows)], ncols)
+    # the integer numerator rows span the row space of a's rational rows
+    basis = echelon_basis(list(a.rows.values()), ncols)
     assert len(basis) == rank(a)
     solver = RowSpanSolver(basis, ncols)
     assert solver.solve(a) * solver.basis == a
@@ -404,7 +451,7 @@ def test_solve_over_zero_rows():
 
 
 def test_normalize_int_vector():
-    assert normalize_int_vector({0: Fraction(2, 3), 2: Fraction(4, 3)}) == {0: 1, 2: 2}
+    assert normalize_int_vector({0: 2, 2: 4}) == {0: 1, 2: 2}
     assert normalize_int_vector({1: -2, 3: 4}) == {1: 1, 3: -2}
     assert normalize_int_vector({}) == {}
     assert normalize_int_vector({5: 0}) == {}

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cubix
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -127,3 +129,38 @@ def test_every_module_level_definition_is_used():
     named = {word for path in bench.glob("*.py") for word in re.findall(r"\w+", path.read_text())}
     dead = [f"{stem}.{name}" for stem, name in defined if name not in used | named]
     assert dead == ["realizations.necklace_representatives"]
+
+
+def _imports_from(path):
+    """(line, module, name) for every name a ``from module import name`` in
+    ``path`` imports, and (line, module, None) for every ``import module``;
+    function level imports count too, and a relative module keeps its last
+    part only."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")[-1]
+            yield from ((node.lineno, module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name.split(".")[-1], None) for alias in node.names)
+
+
+def test_no_module_but_linalg_imports_a_private_name_of_linalg():
+    # a matrix is integer numerators over one den, and only linalg knows
+    # how that form is kept; its private helpers stay its own
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted((SRC / "cubix").glob("*.py"))
+        if path.stem != "linalg"
+        for line, module, name in _imports_from(path)
+        if module == "linalg" and name and name.startswith("_")
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize("stem", ["cubical", "harrison"])
+def test_the_engine_imports_nothing_from_fractions(stem):
+    # every matrix carries its own den, so the orbit engine and the
+    # Harrison operators build no Fraction
+    path = SRC / "cubix" / f"{stem}.py"
+    found = [f"line {line}" for line, module, _ in _imports_from(path) if module == "fractions"]
+    assert found == []
