@@ -4,15 +4,20 @@ Three commands: ``betti`` prints one Betti table, ``verify`` runs a named
 check suite, ``module-info`` dumps a module's matrices and characters.
 Output is deterministic: fixed orderings, no timestamps, no floats.
 
-``betti --mode`` picks the construction (see ``cubical.py``); all three
-print the same table.  ``quotient``, the default, builds only the
-surjective-word quotient and reads the full complex's dimensions off a
-trace (``cubical.operator_complex``): of the identity, where ``--family
-full`` takes the trivial module over the trivial group, and of the Dynkin
-element for ``--family harrison`` (see ``harrison.py``).  ``orbit`` builds
-every degree of the full orbit complex (``full_complex`` for ``--family
-full``), and ``naive`` the averaged product space; both are oracles of the
-default.  Naive mode is not defined for ``full`` and ``harrison``.
+``betti --mode`` picks the construction (see ``cubical.py``); all four
+print the same table.  ``isotypic``, the default of every word-complex
+family, splits the module into the irreducibles of S_N and sums their
+tables, each read off the quotient (``cubical.isotypic_table``); a builtin
+family's module is never built.  ``quotient``, the default of ``--family
+harrison``, builds only the surjective-word quotient and reads the full
+complex's dimensions off a trace (``cubical.operator_complex``): of the
+identity, where ``--family full`` takes the trivial module over the trivial
+group, and of the Dynkin element for ``--family harrison`` (see
+``harrison.py``).  ``orbit`` builds every degree of the full orbit complex
+(``full_complex`` for ``--family full``), and ``naive`` the averaged
+product space; the quotient is the oracle of the isotypic route, and both
+of these are oracles of the quotient.  Naive mode is not defined for
+``full`` and ``harrison``, nor the isotypic route for ``harrison``.
 
 ``verify`` checks the paper's statements (cor2-cor5, ass, harrison,
 induction) and the engine side of every direct realization on the
@@ -31,8 +36,11 @@ Exit codes: 0 success, 1 verification failure, 2 bad input, 3 resource cap,
 coinvariant relation with a nonzero class, D b != m b on the basis of
 im D in a built degree, d^2 != 0 on the quotient or its Harrison space, a
 trace count that is not a dimension or disagrees with the quotient, a
-derived rank out of bounds, an impossible Betti row or a failed rank or
-count check, or a KeyError, which no bad input raises).
+multiplicity that is not a non-negative integer, irreducibles whose
+dimensions do not sum to the module's or to its trace counts, a V_lambda
+that fails the Coxeter check, a derived rank out of bounds, an impossible
+Betti row or a failed rank or count check, or a KeyError, which no bad
+input raises).
 """
 
 import argparse
@@ -44,12 +52,14 @@ from .cubical import (
     DimensionCapExceeded,
     cubical_complex,
     full_complex,
+    isotypic_table,
 )
 from .harrison import harrison_complex
 from .linalg import InvariantError
 from .modules import (
     FAMILY_KINDS,
     builtin,
+    builtin_character,
     class_function,
     load_module,
     serialize_module,
@@ -68,8 +78,9 @@ def _load_custom(path: str):
     return load_module(path)
 
 
-def _resolve_module(family: str, n, custom_path):
-    """(module, slot count) for one family token."""
+def _resolve_module(family: str, n, custom_path, build=True):
+    """(module, slot count) for one family token; a builtin family without
+    ``build`` gives its ``modules.ModuleCharacter``, and no module is built."""
     if custom_path and family not in ("custom", "harrison"):
         raise ValueError(f"--custom conflicts with --family {family}, which reads no module file")
     if family == "custom" or custom_path:
@@ -83,11 +94,8 @@ def _resolve_module(family: str, n, custom_path):
         raise ValueError(f"--n is required for family {family}")
     if n < 1:
         raise ValueError("--n must be at least 1")
-    if family == "full":
-        return builtin("trivial", n), n
-    if family == "harrison":
-        return builtin("regular", n), n
-    module = builtin(FAMILY_KINDS[family], n)
+    kind = {"full": "trivial", "harrison": "regular"}.get(family) or FAMILY_KINDS[family]
+    module = (builtin if build else builtin_character)(kind, n)
     return module, module.N
 
 
@@ -114,20 +122,23 @@ def _render_table(table, family: str, slots: int, fmt: str) -> str:
 def cmd_betti(args) -> int:
     if args.cap < 0:
         raise ValueError("--cap must be at least 0")
-    module, slots = _resolve_module(args.family, args.n, args.custom)
+    family = args.family
+    mode = args.mode or ("quotient" if family == "harrison" else "isotypic")
+    if (family, mode) in (("full", "naive"), ("harrison", "naive"), ("harrison", "isotypic")):
+        raise ValueError(f"mode {mode} is not defined for family {family}")
+    module, slots = _resolve_module(family, args.n, args.custom, build=mode != "isotypic")
     m_max = args.mmax if args.mmax is not None else slots + 2
     if m_max < 2:
         raise ValueError("--mmax must be at least 2")
-    if args.family in ("full", "harrison") and args.mode == "naive":
-        raise ValueError(f"mode naive is not defined for family {args.family}")
-    if args.family == "full" and args.mode == "orbit":
-        cx = full_complex(slots, m_max, args.cap)
+    # the word complex is the trivial module over the trivial group
+    group = trivial_group(slots) if family == "full" else symmetric_group(slots)
+    if mode == "isotypic":
+        table = isotypic_table(module, group, m_max, args.cap)
+    elif family == "full" and mode == "orbit":
+        table = full_complex(slots, m_max, args.cap).betti_table()
     else:
-        # the word complex is the trivial module over the trivial group
-        group = trivial_group(slots) if args.family == "full" else symmetric_group(slots)
-        build = harrison_complex if args.family == "harrison" else cubical_complex
-        cx = build(module, group, m_max, args.mode, args.cap)
-    table = cx.betti_table()
+        build = harrison_complex if family == "harrison" else cubical_complex
+        table = build(module, group, m_max, mode, args.cap).betti_table()
     n_out = args.n if args.n is not None else slots
     print(_render_table(table, args.family, n_out, args.format))
     return 0
@@ -216,9 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_betti.add_argument("--custom", help="custom module JSON path")
     p_betti.add_argument("--n", type=int)
     p_betti.add_argument("--mmax", type=int)
-    p_betti.add_argument(
-        "--mode", choices=("quotient", "orbit", "naive"), default="quotient"
-    )
+    p_betti.add_argument("--mode", choices=("isotypic", "quotient", "orbit", "naive"))
     p_betti.add_argument("--format", choices=("json", "csv", "table"), default="table")
     p_betti.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p_betti.set_defaults(func=cmd_betti)

@@ -29,6 +29,9 @@ x (x) g.w = x.g (x) w.  Three constructions are provided:
 * quotient mode runs the same orbit builder on the surjective-word
   quotient Q below, which vanishes above degree n, and reads the full
   complex's dimensions off traces; no matrix larger than Q is built;
+* the isotypic route (``isotypic_table``) splits M into the irreducible
+  S_N-modules and runs quotient mode on each; see "The isotypic route"
+  below;
 * naive mode works in the full space M (x) (k^m)^{tensor n}.  It spans the
   image of the diagonal averaging projector P by the images P(e_a (x) w)
   of one word w per position orbit, the word of least index: P(v.g) = P(v),
@@ -42,9 +45,12 @@ x (x) g.w = x.g (x) w.  Three constructions are provided:
 
 Every route counts its size before it builds a matrix and refuses a size
 above ``cap`` (``check_cap``): orbit and quotient mode count the trace
-dimensions of the degrees they build plus dim M per distinct stabilizer (one
-``CoinvariantBasis`` each), naive mode |G| dim M (m_max + 1)^n, |G| times
-the size of its top degree, and ``full_complex`` its dimensions.  Quotient
+dimensions of the degrees they build plus dim M per ``CoinvariantBasis``
+they build, one for each distinct stabilizer and for each prefix of its
+generators (``basis_groups``; at the default m_max the prefixes are
+stabilizers too), naive mode |G| dim M (m_max + 1)^n, |G| times the size of
+its top degree, and ``full_complex`` its dimensions.  The isotypic route
+counts the quotient sizes of its irreducibles (``isotypic_table``).  Quotient
 mode builds no degree above n, but it counts the full dimensions through
 m_max + 1, and each count reads the cycle type of every term of P_m
 ("Dimensions come from traces" below), so it then refuses the total length
@@ -138,6 +144,32 @@ of t from ``trace(m)``, for D_m ``harrison.dynkin_trace``.
 Since betti_m = dim_m - rank_d(m) - rank_d(m-1), the ranks of the full
 differential follow from Q's Betti numbers: rank_d(m) = dim_m - betti_m -
 rank_d(m-1), with betti_m = 0 for m > n.
+
+The isotypic route
+------------------
+M (x)_G C is additive in M: a direct sum of modules gives the direct sum
+of complexes, degree by degree and differential by differential, so every
+row (dim, rank_d, betti) of the Betti table is additive too.  By Frobenius
+reciprocity M (x)_G C = (Ind_G^{S_N} M) (x)_{S_N} C, since
+M (x)_G k{X} = (M (x)_G kS_N) (x)_{S_N} k{X} for any S_N-set X.  Over Q
+the induced module is a direct sum of irreducibles,
+Ind M = sum over lambda of V_lambda^(a_lambda), with
+a_lambda = <Ind chi_M, chi_lambda>_{S_N} = <chi_M, Res chi_lambda>_G.  So
+M's table is the sum of a_lambda times V_lambda's.
+
+``isotypic_table`` reads chi_M on the class representatives of G (closed
+for a builtin kind, so its module is never built, and traced for any
+other), computes each a_lambda against the Murnaghan-Nakayama chi_lambda
+(``modules.multiplicities``), builds V_lambda in Young's seminormal form
+for each a_lambda > 0 (``modules.specht``), runs the quotient route on
+V_lambda over S_N, and sums the rows weighted by a_lambda.  Every a_lambda
+must be a non-negative integer, sum a_lambda chi_lambda(1) must be
+dim Ind M, the summed dimensions must equal M's own trace counts, and each
+V_lambda's table passes the quotient route's checks; every failure is an
+``InvariantError``.  A V_lambda has dimension at most sqrt(N!), so
+``full`` (f_lambda copies of each V_lambda) builds matrices of a few
+hundred rows where its quotient has the Fubini number of orbits.  The
+quotient route on M stays the oracle of this one.
 """
 
 from collections import Counter
@@ -153,12 +185,20 @@ from .linalg import (
     echelon_basis,
     rank,
 )
-from .modules import character_count
+from .modules import (
+    character_count,
+    irreducible_value,
+    multiplicities,
+    specht,
+    specht_character,
+)
 from .perm import (
     Permutation,
     PermutationGroup,
-    cycle_classes,
+    class_cycle_types,
     generated_subgroup,
+    partition_count,
+    symmetric_group,
     young_subgroup,
 )
 
@@ -494,11 +534,7 @@ def orbit_decomposition(
     distinct stabilizer.
     """
     if group.is_symmetric():
-        return [
-            Orbit(sorted_word(c), young_subgroup(c))
-            for c in compositions(n, m)
-            if all(c) or not surjective
-        ]
+        return list(_young_orbits(n, m, surjective))
     orbits = []
     stabilizers = {}
     for rep, members in _subgroup_orbits(n, m, group, surjective):
@@ -508,6 +544,17 @@ def orbit_decomposition(
             stab = stabilizers[fixing] = generated_subgroup(n, fixing)
         orbits.append(Orbit(rep, stab, members))
     return orbits
+
+
+@lru_cache(maxsize=None)
+def _young_orbits(n: int, m: int, surjective: bool) -> tuple:
+    """The orbits under S_n, shared by every builder: the isotypic route
+    meets them once per irreducible."""
+    return tuple(
+        Orbit(sorted_word(c), young_subgroup(c))
+        for c in compositions(n, m)
+        if all(c) or not surjective
+    )
 
 
 def _subgroup_orbits(n: int, m: int, group: PermutationGroup, surjective: bool):
@@ -543,10 +590,35 @@ def _subgroup_orbits(n: int, m: int, group: PermutationGroup, surjective: bool):
 # -- coinvariant bases ------------------------------------------------------
 
 
-def relation_block(module, s: Permutation) -> list:
-    """A row echelon basis of the row space of act(s) - 1, from one sweep."""
-    relations = module.act(s) - RationalMatrix.identity(module.dim)
-    return echelon_basis(relations.rows.values(), module.dim)
+def _classes(lead: dict, ncols: int):
+    """(free, W) from an echelon basis r_p of a relation space R over
+    columns 0..ncols-1, given as {leading column p: r_p} in ascending order.
+
+    The columns F that lead no row are ``free``: class(e_f) is the unit
+    vector of f in F, and since r_p is a relation, back-substitution from
+    the last pivot gives class(e_p) = -(sum over t > p of r_p[t] class(e_t))
+    / r_p[p].  W is the ncols x |F| matrix whose row i is class(e_i), over
+    the lcm of the classes' denominators; each class is kept fraction-free,
+    as num[i] / den[i], until then.
+    """
+    free = [j for j in range(ncols) if j not in lead]
+    num = {f: {a: 1} for a, f in enumerate(free)}
+    den = dict.fromkeys(free, 1)
+    for p, row in reversed(lead.items()):
+        later = [(t, v) for t, v in row.items() if t != p]
+        d = lcm(*(den[t] for t, _ in later))
+        acc = {}
+        for t, v in later:
+            v *= d // den[t]
+            for a, x in num[t].items():
+                acc[a] = acc.get(a, 0) + v * x
+        d *= -row[p]
+        g = gcd(d, *acc.values()) * (1 if d > 0 else -1)
+        num[p] = {a: x // g for a, x in acc.items() if x}
+        den[p] = d // g
+    w_den = lcm(*den.values())
+    w = {i: {a: x * (w_den // den[i]) for a, x in r.items()} for i, r in num.items() if r}
+    return free, RationalMatrix(ncols, len(free), w, w_den)
 
 
 class CoinvariantBasis:
@@ -555,66 +627,62 @@ class CoinvariantBasis:
     M_H is M modulo the span of v.h - v over h in H.  That span equals
     R = sum over the generators s of H of im(act(s) - 1), because
     v.(g s) - v = (v.g)(s - 1) + (v.g - v); so only the generators are
-    read.  The same generators (s_1 ... s_{N-1} over S_N) recur in many
-    stabilizers, so ``blocks`` maps each generator s to its
-    ``relation_block``, an echelon basis of the rows of act(s) - 1, which a
-    builder thus eliminates once.  One more sweep (``echelon_basis``) of the
-    union of the generators' blocks gives an echelon basis r_p of R, one row
-    leading at each pivot column p in P.  The unit vectors at the other
-    columns F (``free``) then give a basis of M_H: class(e_f) is the unit
-    vector of f in F, and since r_p is a relation, back-substitution from
-    the last pivot gives class(e_p) = -(sum over t > p of r_p[t]
-    class(e_t)) / r_p[p], on rows of length k = |F|.  The class of a row
-    vector x has coordinates x @ W, where W (``w_matrix``) is the rational
-    dim x k matrix whose row i is class(e_i); its den is the lcm of the
-    denominators of the classes.  ``class_block`` returns x @ W.  R @ W = 0,
-    that is act(s) @ W = W for every generator s, is checked exactly with
-    act(s) rather than with the rows kept in ``blocks``: every relation must
-    have class zero.
+    read.  An echelon basis r_p of R, one row leading at each pivot column
+    p, leaves the other columns F (``free``), and the unit vectors at F give
+    a basis of M_H (``_classes``).  The class of a row vector x has
+    coordinates x @ W, where W (``w_matrix``) is the rational dim x k matrix
+    whose row i is class(e_i), k = |F|; ``class_block`` returns x @ W.
 
-    The result does not depend on which rows span R.  Under a fixed column
-    order every echelon basis of R leads at the same columns P, and e_p
-    minus a combination of the e_f is in R for exactly one combination, so
-    the classes, and with them F and W, depend on R alone.  W's den is
-    lcm |d_p| over the pivot values d_p of R's reduced echelon basis of
-    content-1 integer rows, whose row p is d_p (e_p - class(e_p)).
+    The bases nest along the generators s_1 ... s_l of H.  With no
+    generator W is the identity.  Otherwise ``parent`` is the basis of the
+    prefix S = <s_1 ... s_(l-1)> (built here when not given), and M_H is
+    M_S modulo the classes of the new relations, the rows of
+    act(s_l) W_S - W_S over the parent's k_S coordinates.  One sweep of
+    those rows (``echelon_basis``) and ``_classes`` give F' and W' over the
+    k_S columns, and then F = F_S[F'] and W = W_S W'.  Only
+    act(s_l) W = W is checked exactly: every relation of s_l must have class
+    zero, and act(s_i) W = W_S W' = W for i < l follows from the parent's
+    check.  Over S_N the generators of a Young subgroup are the s_i inside
+    its blocks, in increasing order, so each prefix is a Young subgroup
+    again, and the prefixes of one stabilizer are other stabilizers.
+
+    The result does not depend on the nesting, or on which rows span R.
+    Under a fixed column order every echelon basis of R leads at the same
+    columns P, and e_p minus a combination of the e_f is in R for exactly
+    one combination, so the classes, and with them F and W, depend on R
+    alone.  A column free for R is free for R_S, since R_S lies in R; and a
+    class of M_S involves only later free columns, so a free column f of S
+    is free for R exactly when its coordinate is free for the new
+    relations, in the parent's coordinate order.  W's den is lcm |d_p|
+    over the pivot values d_p of R's reduced echelon basis of content-1
+    integer rows, whose row p is d_p (e_p - class(e_p)).
     """
 
-    def __init__(self, module, stabilizer: PermutationGroup, blocks=None):
-        blocks = {} if blocks is None else blocks
+    def __init__(self, module, stabilizer: PermutationGroup, parent=None):
         dim = module.dim
-        for s in stabilizer.generators:
-            if s not in blocks:
-                blocks[s] = relation_block(module, s)
-        rows = [row for s in stabilizer.generators for row in blocks[s]]
-        # the echelon rows by leading column, in ascending order
-        lead = {min(row): row for row in echelon_basis(rows, dim)}
-        self.free = [j for j in range(dim) if j not in lead]
-        self.k = len(self.free)
-        # back-substitution, last pivot first: the class of e_f, for f the
-        # a-th free column, is the a-th unit vector, and the row r leading at
-        # p is a relation, so class(e_p) = -(sum over t > p of r[t] class(e_t))
-        # / r[p].  Each class is kept fraction-free, as num[i] / den[i]
-        num = {f: {a: 1} for a, f in enumerate(self.free)}
-        den = dict.fromkeys(self.free, 1)
-        for p, row in reversed(lead.items()):
-            later = [(t, v) for t, v in row.items() if t != p]
-            d = lcm(*(den[t] for t, _ in later))
-            acc = {}
-            for t, v in later:
-                v *= d // den[t]
-                for a, x in num[t].items():
-                    acc[a] = acc.get(a, 0) + v * x
-            d *= -row[p]
-            g = gcd(d, *acc.values()) * (1 if d > 0 else -1)
-            num[p] = {a: x // g for a, x in acc.items() if x}
-            den[p] = d // g
-        w_den = lcm(*den.values())
-        w = {i: {a: x * (w_den // den[i]) for a, x in r.items()} for i, r in num.items() if r}
-        self.w_matrix = RationalMatrix(dim, self.k, w, w_den)
-        for s in stabilizer.generators:
-            if module.act(s) * self.w_matrix != self.w_matrix:
-                raise SubspaceEscape("a relation has a nonzero coinvariant class")
+        gens = stabilizer.generators
+        if not gens:
+            self.free, self.k = list(range(dim)), dim
+            self.w_matrix = RationalMatrix.identity(dim)
+            return
+        if parent is None:
+            parent = CoinvariantBasis(module, PermutationGroup(stabilizer.degree, gens[:-1]))
+        w = parent.w_matrix
+        # the classes of e_i.s and e_i in the parent's coordinates
+        moved = module.act(gens[-1]) * w
+        relations = (moved - w).rows.values()
+        if not relations:
+            self.free, self.k, self.w_matrix = parent.free, parent.k, w
+            return
+        lead = {min(row): row for row in echelon_basis(relations, parent.k)}
+        free, w_new = _classes(lead, parent.k)
+        self.free = [parent.free[a] for a in free]
+        self.k = len(free)
+        # a parent without relations has W_S = 1
+        self.w_matrix = w_new if parent.k == dim else w * w_new
+        # act(s) W = (act(s) W_S) W'
+        if moved * w_new != self.w_matrix:
+            raise SubspaceEscape("a relation has a nonzero coinvariant class")
 
     def class_block(self, x: RationalMatrix) -> RationalMatrix:
         """x @ W, x rows by dim: row i holds the coordinates of the class of
@@ -623,6 +691,16 @@ class CoinvariantBasis:
         if self.k == x.ncols:
             return x
         return x * self.w_matrix
+
+
+def basis_groups(stabilizers) -> set:
+    """Every group an orbit builder builds a ``CoinvariantBasis`` for: each
+    stabilizer and each prefix of its generators, down to the trivial one."""
+    return {
+        PermutationGroup(s.degree, s.generators[:i])
+        for s in stabilizers
+        for i in range(len(s.generators) + 1)
+    }
 
 
 class _OrbitDegree:
@@ -659,19 +737,21 @@ class OrbitComplexBuilder:
         self.n = group.degree
         self.surjective = surjective
         self.symmetric = group.is_symmetric()
+        # group -> CoinvariantBasis, for the stabilizers and their prefixes
         self._coinv_cache = {}
-        # generator -> relation_block, shared by the stabilizers' bases
-        self._blocks = {}
         self._orbits = {}
         self._degrees = {}
 
     def _coinv(self, stabilizer: PermutationGroup):
         # groups compare by their generators, so Young subgroups with equal
         # nonzero block sizes share one basis, as do subgroup stabilizers
-        # with equal element sets (their greedy generators are equal)
+        # with equal element sets (their greedy generators are equal).  A
+        # basis refines its generator prefix's, which is built once too
         basis = self._coinv_cache.get(stabilizer)
         if basis is None:
-            basis = CoinvariantBasis(self.module, stabilizer, self._blocks)
+            gens = stabilizer.generators
+            parent = self._coinv(PermutationGroup(self.n, gens[:-1])) if gens else None
+            basis = CoinvariantBasis(self.module, stabilizer, parent)
             self._coinv_cache[stabilizer] = basis
         return basis
 
@@ -703,14 +783,15 @@ class OrbitComplexBuilder:
         ``images(rep)`` yields (word, coefficient) terms of the operator's
         image of a degree-src_m orbit representative.  Equal words are summed
         first, so each surviving term g.rep' is rewritten through the
-        transfer identity and projected into its target orbit once.  The
-        terms' class blocks are collected, and their numerators summed once
-        over the lcm of their dens.
+        transfer identity and projected into its target orbit once.  Each
+        term's class block is added into one running sum of numerators, which
+        is rescaled only when a block's den does not divide its den.
         """
         src = self.degree(src_m)
         tgt = self.degree(tgt_m)
         dim = self.module.dim
-        blocks = []
+        den = 1
+        acc = {}
         for oi, orbit in enumerate(src.orbits):
             free = src.coinv[oi].free
             if not free:
@@ -733,17 +814,19 @@ class OrbitComplexBuilder:
                     {a: rows[f] for a, f in enumerate(free) if f in rows},
                     action.den,
                 )
-                blocks.append((src_off, tgt.offsets[ti], c, tgt.coinv[ti].class_block(x)))
-        den = lcm(*(block.den for *_, block in blocks))
-        acc = {}
-        for src_off, tgt_off, c, block in blocks:
-            c *= den // block.den
-            for a, row in block.rows.items():
-                out = acc.get(src_off + a)
-                if out is None:
-                    out = acc[src_off + a] = {}
-                for b, v in row.items():
-                    out[tgt_off + b] = out.get(tgt_off + b, 0) + c * v
+                block = tgt.coinv[ti].class_block(x)
+                if den % block.den:
+                    f = block.den // gcd(den, block.den)
+                    den *= f
+                    acc = {r: {t: f * v for t, v in row.items()} for r, row in acc.items()}
+                c *= den // block.den
+                tgt_off = tgt.offsets[ti]
+                for a, row in block.rows.items():
+                    out = acc.get(src_off + a)
+                    if out is None:
+                        out = acc[src_off + a] = {}
+                    for b, v in row.items():
+                        out[tgt_off + b] = out.get(tgt_off + b, 0) + c * v
         data = {}
         for r, row in acc.items():
             row = {t: v for t, v in row.items() if v}
@@ -889,6 +972,7 @@ def fixed_words(t_cycles, g_cycles) -> int:
     return prod(sum(k for k in t_cycles if not ell % k) for ell in g_cycles)
 
 
+@lru_cache(maxsize=None)
 def fixed_onto_words(t_cycles, g_cycles) -> int:
     """The words of ``fixed_words`` that use every slot.
 
@@ -898,6 +982,8 @@ def fixed_onto_words(t_cycles, g_cycles) -> int:
     subset's term depends only on how many of the c_l cycles of each length
     l it holds, j_l, and binom(c_l, j_l) subsets hold as many, so the sum
     runs over those counts: prod (c_l + 1) terms, not 2^len(t_cycles).
+    Each pair of types is counted once per process: the isotypic route
+    reads the same pairs for every irreducible.
     """
     mult = Counter(t_cycles)
     total = 0
@@ -906,6 +992,36 @@ def fixed_onto_words(t_cycles, g_cycles) -> int:
         weight = prod(map(comb, mult.values(), js))
         total += (-1) ** (len(t_cycles) - len(sub)) * weight * fixed_words(sub, g_cycles)
     return total
+
+
+def trace_count(module, group: PermutationGroup, trace_m, fixed, what: str) -> int:
+    """dim im P_m on M (x)_G k{X} for trace_m = trace(m) (module docstring):
+    ``fixed`` is ``fixed_words`` for all words and ``fixed_onto_words`` for
+    the onto ones.  It must be a non-negative integer (``character_count``
+    raises naming ``what``)."""
+    terms, q = trace_m
+    cycles = class_cycle_types(group)
+
+    def per_g(g):
+        return sum(c * fixed(t, cycles[g]) for t, c in terms.items())
+
+    return character_count(module, group, per_g, q, what)
+
+
+def check_trace_work(traces: dict, trace, m_max: int, cap: int, label: str) -> None:
+    """Refuse the total cycle-type length of the trace counts through degree
+    m_max + 1 above ``cap``, degree by degree before a degree's trace is
+    built, and add the traces of the degrees ``traces`` lacks.
+
+    The full dimensions reach degrees the quotient does not, and each count
+    reads the cycle type of every term of P_m (module docstring)."""
+    work = 0
+    for m in range(1, m_max + 2):
+        if m not in traces:
+            traces[m] = trace(m)
+        work += sum(map(len, traces[m][0]))
+        check_cap(work, cap, f"the cycle-type length of the trace counts of {label} "
+                  f"through degree {m}")
 
 
 def word_images(builder: OrbitComplexBuilder, top: int):
@@ -958,17 +1074,9 @@ def operator_complex(
     surjective = mode == "quotient"
     top = min(n, m_max + 1) if surjective else m_max + 1
     traces = {m: trace(m) for m in range(1, top + 1)}
-    # character_count reads the class function at the class representatives
-    # only, once per count, so their cycle types are computed here once
-    cycles = {g: g.cycle_type() for g, _ in cycle_classes(group)}
 
     def count(m, fixed, what):
-        terms, q = traces[m]
-
-        def per_g(g):
-            return sum(c * fixed(t, cycles[g]) for t, c in terms.items())
-
-        return character_count(module, group, per_g, q, f"{label}: {what} of degree {m}")
+        return trace_count(module, group, traces[m], fixed, f"{label}: {what} of degree {m}")
 
     dims = {m: count(m, fixed_words, "the trace count") for m in traces}
     want = dims
@@ -978,19 +1086,10 @@ def operator_complex(
     size, what = sum(want.values()), f"the size of {mode} mode for {label}"
     check_cap(size, cap, what)
     builder = OrbitComplexBuilder(module, group, surjective)
-    stabilizers = {o.stabilizer for m in want for o in builder.orbits(m)}
-    check_cap(size + module.dim * len(stabilizers), cap, what)
+    groups = basis_groups({o.stabilizer for m in want for o in builder.orbits(m)})
+    check_cap(size + module.dim * len(groups), cap, what)
     if surjective:
-        # the full dimensions reach degrees Q does not, and each count reads
-        # the cycle type of every term of P_m: their total length is refused
-        # degree by degree, before a degree's trace is built
-        work = 0
-        for m in range(1, m_max + 2):
-            if m > top:
-                traces[m] = trace(m)
-            work += sum(map(len, traces[m][0]))
-            check_cap(work, cap, f"the cycle-type length of the trace counts of {label} "
-                      f"through degree {m}")
+        check_trace_work(traces, trace, m_max, cap, label)
         dims.update({m: count(m, fixed_words, "the trace count") for m in traces if m > top})
     built, diffs = images(builder, top)
     for m, dim in built.items():
@@ -1005,3 +1104,71 @@ def operator_complex(
     if not cx.check_d_squared():
         raise InvariantError(f"{label}: d^2 != 0 on the surjective-word quotient")
     return QuotientComplex(cx, m_max, dims)
+
+
+# -- the isotypic route ---------------------------------------------------------
+
+
+def _word_dims(module, group: PermutationGroup, m_max: int, cap: int, label: str) -> dict:
+    """The trace counts of M (x)_G (word complex) in degrees 1..m_max+1,
+    after ``check_trace_work``; the traces are dropped on return."""
+    traces = {}
+    check_trace_work(traces, identity_trace, m_max, cap, label)
+    return {m: trace_count(module, group, t, fixed_words, f"{label}: the trace count of degree {m}")
+            for m, t in traces.items()}
+
+
+def isotypic_table(module, group: PermutationGroup, m_max: int, cap: int = DEFAULT_CAP):
+    """The Betti table of M (x)_G (word complex) as the sum of a_lambda times
+    that of V_lambda (x)_(S_N) (word complex), over the irreducibles V_lambda
+    with a_lambda > 0 (module docstring, "The isotypic route").
+
+    ``module`` needs a class function (``modules.class_function``) and no
+    matrices.  Before any V_lambda is built, the route refuses above
+    ``cap``, in turn: p(N)^2, the character table it may read; its
+    stabilizer term over the stabilizers of Q, the sum of dim V_lambda
+    times their number; its size, the sum of the V_lambda's quotient size
+    counts (``operator_complex``); and the cycle-type length of M's trace
+    counts.  Each V_lambda then runs the quotient route, and the summed
+    dimensions must equal M's trace counts through degree m_max + 1.
+    """
+    label = complex_label(module, group)
+    n = group.degree
+    top = min(n, m_max + 1)
+    check_cap(partition_count(n) ** 2, cap,
+              f"the size of the character table of S{n} that isotypic mode reads for {label}")
+    mult = multiplicities(module, group)
+    what = f"the size of isotypic mode for {label}"
+    # Q's stabilizers are the Young subgroups of the compositions of n into
+    # at most top parts, and every V_lambda builds a basis for each
+    stabilizers = sum(comb(n - 1, k - 1) for k in range(1, top + 1))
+    check_cap(sum(irreducible_value(shape, (1,) * n) for shape in mult) * stabilizers, cap, what)
+    sym = symmetric_group(n)
+    groups = len(basis_groups(
+        {o.stabilizer for m in range(1, top + 1) for o in orbit_decomposition(n, m, sym, True)}
+    ))
+    size = 0
+    for chi in map(specht_character, mult):
+        size += chi.dim * groups + sum(
+            trace_count(chi, sym, identity_trace(m), fixed_onto_words,
+                        f"{chi.name}/S{n}: the quotient's trace count of degree {m}")
+            for m in range(1, top + 1)
+        )
+    check_cap(size, cap, what)
+    dims = _word_dims(module, group, m_max, cap, label)
+    summed = dict.fromkeys(dims, 0)
+    rows = {m: [0, 0] for m in range(1, m_max + 1)}
+    for shape, a in mult.items():
+        part = cubical_complex(specht(shape), sym, m_max, "quotient", cap)
+        for m, dim in part.dims.items():
+            summed[m] += a * dim
+        for row in part.betti_table().rows:
+            rows[row.m][0] += a * row.rank
+            rows[row.m][1] += a * row.betti
+    if summed != dims:
+        m = min(m for m in dims if summed[m] != dims[m])
+        raise InvariantError(
+            f"{label}: its irreducibles sum to dimension {summed[m]} in degree {m}, "
+            f"its trace count is {dims[m]}"
+        )
+    return _checked_table(label, n, [BettiRow(m, dims[m], r, b) for m, (r, b) in rows.items()])

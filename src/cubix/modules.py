@@ -21,9 +21,25 @@ Built-in modules:
 * ``lie_cyclic``: the Lie elements as a module over S_{n+1} via the cyclic
   word action on associative words, restricted to the Lie subspace.
 
-Every count reads a module's character through ``class_function``: a
-builtin module in closed form by cycle type (``closed_character``), any
-other by tracing act(g) at the class representatives.
+The irreducible S_N-modules V_lambda, one per partition lambda of N, are
+built by ``specht`` in Young's seminormal form.  Its basis is the standard
+tableaux T of shape lambda.  With the content c = col - row of a box and
+r = c_T(i+1) - c_T(i), s_i sends e_T to e_T / r plus, when s_i T is
+standard, a multiple of e_(s_i T): 1 when i lies in a higher row of T than
+i + 1, and 1 - 1/r^2 otherwise.  When i and i + 1 share a row (r = 1) or a
+column (r = -1), s_i T is not standard and e_T is an eigenvector.  Its
+character chi_lambda is read by the Murnaghan-Nakayama rule
+(``irreducible_character``): chi_lambda(mu) sums, over the rim hooks of
+length mu_1 that can be removed from lambda, the height sign times
+chi_(lambda less the hook)(mu less mu_1).
+
+Every count reads a module's character through ``class_function``.  A
+module with a closed class function, ``closed`` (a builtin kind's
+``closed_character`` or a V_lambda's chi_lambda), is read by cycle type;
+any other is traced, act(g) at the class representatives.  A
+``ModuleCharacter`` carries a closed class function and no matrices: the
+isotypic route of ``cubical.py`` reads a builtin kind that way, so it
+never builds the module.
 
 Coinvariant spaces are built by the orbit engine from a stabilizer's
 generators (``cubical.CoinvariantBasis``); the averaging projector the tests
@@ -48,6 +64,7 @@ from .perm import (
     PermutationGroup,
     _partitions,
     adjacent_transposition,
+    class_cycle_types,
     cycle_classes,
     cyclic_group,
     identity_permutation,
@@ -56,7 +73,8 @@ from .perm import (
 
 
 def _check_coxeter(name, n, dim, mats):
-    """Raise ValueError naming the first violated relation, if any."""
+    """Raise ValueError naming the first violated relation, if any.  A
+    braid relation aba = bab is read as (ab) a = b (ab): three products."""
     ident = RationalMatrix.identity(dim)
     for i, a in enumerate(mats, start=1):
         if a.shape != (dim, dim):
@@ -65,7 +83,8 @@ def _check_coxeter(name, n, dim, mats):
             raise ValueError(f"{name}: generator s{i} does not square to the identity")
     for i in range(1, n - 1):
         a, b = mats[i - 1], mats[i]
-        if a * b * a != b * a * b:
+        ab = a * b
+        if ab * a != b * ab:
             raise ValueError(
                 f"{name}: braid relation s{i} s{i + 1} s{i} = s{i + 1} s{i} s{i + 1} fails"
             )
@@ -79,11 +98,12 @@ def _check_coxeter(name, n, dim, mats):
 class ModuleSpec:
     """Right S_N-module presented by adjacent-transposition matrices.
 
-    ``kind`` is the builtin kind that ``builtin`` made it as, whose
-    character ``class_function`` reads in closed form; None otherwise.
+    ``closed`` is the character in closed form, {cycle type: value}, which
+    ``class_function`` reads: a builtin kind's or a V_lambda's; None
+    otherwise.
     """
 
-    kind = None
+    closed = None
 
     def __init__(self, name, N, dim, basis_labels, gen_actions):
         if len(basis_labels) != dim:
@@ -130,7 +150,7 @@ class SubgroupModule:
     define an actual representation of the group.
     """
 
-    kind = None
+    closed = None
 
     def __init__(self, name, group: PermutationGroup, dim, gen_actions, basis_labels=None):
         if len(gen_actions) != len(group.generators):
@@ -169,6 +189,17 @@ class SubgroupModule:
 
     def __repr__(self):
         return f"SubgroupModule({self.name}, |G|={self.group.order}, dim={self.dim})"
+
+
+class ModuleCharacter:
+    """An S_N-module known by its closed class function alone: name, N,
+    ``closed`` and the dimension closed[1^N], and no matrices."""
+
+    def __init__(self, name, N, closed):
+        self.name = name
+        self.N = N
+        self.closed = closed
+        self.dim = closed[(1,) * N]
 
 
 def restrict(module: ModuleSpec, group: PermutationGroup) -> SubgroupModule:
@@ -245,13 +276,24 @@ def cyclic_action(n: int) -> ModuleSpec:
     return ModuleSpec(f"ass_cyclic({n})", n + 1, len(words), labels, mats)
 
 
-@lru_cache(maxsize=None)
 def builtin(kind: str, n: int) -> ModuleSpec:
+    """The builtin module, built once per (kind, n), with its closed form."""
     module = _build(kind, n)
-    module.kind = kind
+    module.closed = closed_character(kind, module.N)
     return module
 
 
+def builtin_character(kind: str, n: int) -> ModuleCharacter:
+    """``builtin(kind, n)`` as its closed class function, with no module built."""
+    if kind not in BUILTIN_KINDS:
+        raise ValueError(f"unknown module kind: {kind}")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    N = n + 1 if kind == "lie_cyclic" else n
+    return ModuleCharacter(f"{kind}({n})", N, closed_character(kind, N))
+
+
+@lru_cache(maxsize=None)
 def _build(kind: str, n: int) -> ModuleSpec:
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -338,14 +380,14 @@ def closed_character(kind: str, N: int) -> dict:
 def class_function(module, group: PermutationGroup) -> dict:
     """{rep: chi_M(rep)} over the representatives of ``perm.cycle_classes``.
 
-    A builtin module reads ``closed_character`` by cycle type, and any
-    other (custom, induced, basis-changed or subgroup module) traces act(rep).
+    A module with a closed class function (a builtin kind, a V_lambda or a
+    ``ModuleCharacter``) reads it by cycle type, and any other (custom,
+    induced, basis-changed or subgroup module) traces act(rep).
     """
-    reps = [rep for rep, _ in cycle_classes(group)]
-    if module.kind is None:
-        return {rep: module.character(rep) for rep in reps}
-    closed = closed_character(module.kind, module.N)
-    return {rep: closed[rep.cycle_type()] for rep in reps}
+    types = class_cycle_types(group)
+    if module.closed is None:
+        return {rep: module.character(rep) for rep in types}
+    return {rep: module.closed[t] for rep, t in types.items()}
 
 
 def character_count(module, group: PermutationGroup, f, divisor: int, what: str) -> int:
@@ -367,11 +409,129 @@ def character_count(module, group: PermutationGroup, f, divisor: int, what: str)
     return int(total)
 
 
+def multiplicities(module, group: PermutationGroup) -> dict:
+    """{shape: a_lambda} over the partitions of N with a_lambda > 0, where
+    the module induced from G to S_N is the sum of a_lambda copies of
+    V_lambda: a_lambda = <chi_M, Res chi_lambda>_G, by Frobenius reciprocity.
+
+    Each a_lambda must be a non-negative integer, and the sum of a_lambda
+    chi_lambda(1) must be the induced dimension [S_N : G] dim M; either
+    failure raises ``InvariantError``.
+    """
+    N = group.degree
+    types = class_cycle_types(group)
+    out = {}
+    for shape in _partitions(N):
+        what = f"the multiplicity of {_specht_name(shape)} in {module.name}"
+        a = character_count(module, group, lambda g: irreducible_value(shape, types[g]), 1, what)
+        if a:
+            out[shape] = a
+    induced = module.dim * factorial(N) // group.order
+    total = sum(a * irreducible_value(shape, (1,) * N) for shape, a in out.items())
+    if total != induced:
+        raise InvariantError(
+            f"{module.name}: its irreducibles sum to dimension {total}, the induced "
+            f"module has {induced}"
+        )
+    return out
+
+
 def sgn_coinvariants_dim(module, group: PermutationGroup) -> int:
     """(1/|G|) sum of sign(g) * character(g), the dimension of M (x)_G sgn."""
     return character_count(
         module, group, Permutation.sign, 1, f"the sign-isotypic dimension of {module.name}"
     )
+
+
+# -- irreducible modules ----------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _rim_hook_sum(betas: tuple, cycles: tuple) -> int:
+    """chi_lambda on the cycle type ``cycles``, lambda given by its beta-set
+    (lambda_i + len - i, decreasing): removing a rim hook of length k moves a
+    bead b to an empty b - k, and its height is the number of beads passed."""
+    if not cycles:
+        return 1
+    k, rest = cycles[0], cycles[1:]
+    total = 0
+    for b in betas:
+        if b >= k and b - k not in betas:
+            height = sum(1 for c in betas if b - k < c < b)
+            moved = tuple(sorted((b - k if c == b else c for c in betas), reverse=True))
+            total += (-1) ** height * _rim_hook_sum(moved, rest)
+    return total
+
+
+def irreducible_value(shape: tuple, cycle_type: tuple) -> int:
+    """chi_lambda on a cycle type, for the partition ``shape`` of N, by the
+    Murnaghan-Nakayama rule (module docstring)."""
+    betas = tuple(part + len(shape) - 1 - i for i, part in enumerate(shape))
+    return _rim_hook_sum(betas, cycle_type)
+
+
+@lru_cache(maxsize=None)
+def irreducible_character(shape: tuple) -> dict:
+    """{cycle type: chi_lambda} over S_N, for the partition ``shape`` of N."""
+    return {t: irreducible_value(shape, t) for t in _partitions(sum(shape))}
+
+
+def standard_tableaux(shape: tuple) -> list:
+    """The standard tableaux of ``shape``, each as the 0-based row of every
+    letter 1..N, in lexicographic order."""
+    n = sum(shape)
+    out = []
+
+    def extend(word, filled):
+        if len(word) == n:
+            out.append(tuple(word))
+            return
+        for r, part in enumerate(shape):
+            if filled[r] < part and (r == 0 or filled[r - 1] > filled[r]):
+                filled[r] += 1
+                extend(word + [r], filled)
+                filled[r] -= 1
+
+    extend([], [0] * len(shape))
+    return out
+
+
+def _specht_name(shape: tuple) -> str:
+    return f"V({','.join(map(str, shape))})"
+
+
+def specht_character(shape: tuple) -> ModuleCharacter:
+    """V_lambda as its closed class function chi_lambda, with no module built."""
+    return ModuleCharacter(_specht_name(shape), sum(shape), irreducible_character(shape))
+
+
+def specht(shape: tuple) -> ModuleSpec:
+    """V_lambda in Young's seminormal form (module docstring), carrying
+    chi_lambda as its closed class function.  Its Coxeter check is an
+    internal invariant: a failure raises ``InvariantError``."""
+    tableaux = standard_tableaux(shape)
+    index = {t: a for a, t in enumerate(tableaux)}
+    n, dim = sum(shape), len(tableaux)
+    mats = []
+    for i in range(1, n):
+        entries = []
+        for t, a in index.items():
+            # rows and columns of the letters i and i + 1
+            ri, rj = t[i - 1], t[i]
+            r = (t[:i].count(rj) - rj) - (t[: i - 1].count(ri) - ri)
+            entries.append((a, a, Fraction(1, r)))
+            if abs(r) > 1:
+                moved = index[t[: i - 1] + (rj, ri) + t[i + 1 :]]
+                entries.append((a, moved, 1 if ri < rj else 1 - Fraction(1, r * r)))
+        mats.append(RationalMatrix.from_entries(dim, dim, entries))
+    labels = ["".join(str(r + 1) for r in t) for t in tableaux]
+    name = _specht_name(shape)
+    try:
+        module = ModuleSpec(name, n, dim, labels, mats)
+    except ValueError as exc:
+        raise InvariantError(f"the seminormal form of {name}: {exc}") from None
+    module.closed = irreducible_character(shape)
+    return module
 
 
 # -- induction ------------------------------------------------------------

@@ -208,6 +208,15 @@ def _partitions(total: int, largest=None):
             yield (part,) + rest
 
 
+def partition_count(n: int) -> int:
+    """p(n), the number of partitions of n, without listing them."""
+    counts = [1] + [0] * n
+    for part in range(1, n + 1):
+        for total in range(part, n + 1):
+            counts[total] += counts[total - part]
+    return counts[n]
+
+
 def _cycle_type_rep(partition) -> Permutation:
     images = []
     start = 1
@@ -236,6 +245,12 @@ def cycle_classes(group: PermutationGroup) -> tuple:
         z = prod(k ** m * factorial(m) for k, m in Counter(partition).items())
         out.append((_cycle_type_rep(partition), factorial(n) // z))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def class_cycle_types(group: PermutationGroup) -> dict:
+    """{rep: cycle type} over the representatives of ``cycle_classes``."""
+    return {rep: rep.cycle_type() for rep, _ in cycle_classes(group)}
 
 
 def young_subgroup(content: tuple) -> PermutationGroup:

@@ -8,10 +8,11 @@ across worker counts.
 
 Every check of a statement of the paper (cor2, cor3, cor4, cor5, ass,
 harrison and induction) and the engine side of every direct realization
-reads its Betti table off the surjective-word quotient Q, the route
-``betti`` ships.  That is valid because H(Q) = H(C), proved in the
-``cubical.py`` docstring.  Where a route is itself under test, the other
-constructions remain the object: prop1 checks ``full_complex``, the
+reads its Betti table off the surjective-word quotient Q, the route each
+irreducible of ``betti``'s isotypic default runs through.  That is valid
+because H(Q) = H(C), proved in the ``cubical.py`` docstring.  Where a
+route is itself under test, the other constructions remain the object:
+prop1 checks ``full_complex``, the
 ``modes`` checks of the oracles suite compare the orbit, naive and quotient
 complexes, and the structural suite checks d.d = 0 on word, orbit and naive
 complexes.

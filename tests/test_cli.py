@@ -503,6 +503,7 @@ def test_broken_invariants_exit_4(exc, monkeypatch, capsys):
         raise exc
 
     monkeypatch.setattr(cli, "cubical_complex", broken)
+    monkeypatch.setattr(cli, "isotypic_table", broken)
     assert main(["betti", "--family", "lie", "--n", "3"]) == 4
     assert capsys.readouterr().err.startswith("internal error:")
 
@@ -566,7 +567,7 @@ def test_a_zero_cap_is_a_resource_cap(capsys):
 
 def test_eight_slots_of_the_word_complex_are_refused_at_once(capsys):
     start = time.perf_counter()
-    assert main(["betti", "--family", "full", "--n", "8"]) == 3
+    assert main(["betti", "--family", "full", "--n", "8", "--mode", "quotient"]) == 3
     assert time.perf_counter() - start < 1
     assert capsys.readouterr().err == (
         f"resource cap: the size of quotient mode for trivial(8)/G8 is 545835, above "
@@ -632,22 +633,33 @@ def test_the_trace_counts_are_refused_by_the_cycle_types_they_read(family, capsy
 
 # (arguments, the counts refused at cap 0 and then at each count before it,
 # under the default cap).  Orbit and quotient mode check the dimension sum
-# first and then add dim M per distinct stabilizer; naive mode and the full
-# orbit complex have one count.
+# first and then add dim M per coinvariant basis; naive mode and the full
+# orbit complex have one count.  Isotypic mode checks p(n)^2, its stabilizer
+# term over Q's stabilizers, and then its size: the V_lambda's quotient
+# counts summed.  The quotient rows were the default before isotypic mode,
+# and their ids leave the mode out as they did then.
 CALIBRATION = [
-    (["--family", "full", "--n", "7"], (47293, 47294), True),
-    (["--family", "full", "--n", "8"], (545835,), False),
-    (["--family", "tr", "--n", "7"], (6757, 52837), True),
-    (["--family", "sder", "--n", "6"], (1112, 8792), True),
+    (["--family", "full", "--n", "7", "--mode", "quotient"], (47293, 47294), True),
+    (["--family", "full", "--n", "8", "--mode", "quotient"], (545835,), False),
+    (["--family", "tr", "--n", "7", "--mode", "quotient"], (6757, 52837), True),
+    (["--family", "sder", "--n", "6", "--mode", "quotient"], (1112, 8792), True),
     (["--family", "tr", "--n", "6", "--mode", "orbit"], (163515, 167355), True),
     (["--family", "lie", "--n", "4", "--mode", "naive", "--mmax", "6"], (345744,), True),
     (["--family", "full", "--n", "6", "--mode", "orbit"], (978405,), False),
     (["--family", "ass", "--n", "6", "--mode", "orbit"], (978405, 1001445), False),
+    (["--family", "full", "--n", "7", "--mode", "isotypic"], (225, 14848, 17197), True),
+    (["--family", "lie", "--n", "7", "--mode", "isotypic"], (225, 14720, 17004), True),
+    (["--family", "sder", "--n", "6", "--mode", "isotypic"], (225, 7680, 8792), True),
+    (["--family", "full", "--n", "8", "--mode", "isotypic"], (484, 97792, 108997), True),
+    (["--family", "lie", "--n", "8", "--mode", "isotypic"], (484, 97536, 108612), True),
+    (["--family", "full", "--n", "9", "--mode", "isotypic"], (900, 670720), False),
 ]
 
 
 @pytest.mark.parametrize(
-    "args, counts, runs", CALIBRATION, ids=[" ".join(c[0][1::2]) for c in CALIBRATION]
+    "args, counts, runs",
+    CALIBRATION,
+    ids=[" ".join(a for a in c[0][1::2] if a != "quotient") for c in CALIBRATION],
 )
 def test_default_cap_calibration(args, counts, runs, capsys):
     cap = 0
@@ -783,8 +795,23 @@ def test_betti_goldens_in_quotient_and_orbit_modes(argv, golden, mode, capsys):
 
 
 @pytest.mark.parametrize("argv, golden", BETTI_GOLDENS, ids=[g for _, g in BETTI_GOLDENS])
+def test_betti_goldens_read_the_same_in_isotypic_and_quotient_mode(argv, golden, capsys):
+    assert main(argv + ["--mode", "quotient"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+    if "harrison" in argv:
+        assert main(argv + ["--mode", "isotypic"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: mode isotypic is not defined for family harrison\n"
+    else:
+        assert main(argv + ["--mode", "isotypic"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("argv, golden", BETTI_GOLDENS, ids=[g for _, g in BETTI_GOLDENS])
 @pytest.mark.parametrize("mode", [[], ["--mode", "orbit"]], ids=["default", "orbit"])
 def test_stabilizer_term_is_the_coinvariant_cache(argv, golden, mode, monkeypatch, capsys):
+    # one builder: the quotient route, the default before isotypic mode
+    mode = mode or ["--mode", "quotient"]
     args = argv[1:] + mode
     dims = _refused_count(args, 0, capsys)
     term = _refused_count(args, dims, capsys) - dims

@@ -91,6 +91,7 @@ from cubix.modules import (
 )
 from cubix.perm import (
     Permutation,
+    PermutationGroup,
     _partitions,
     cyclic_group,
     identity_permutation,
@@ -616,8 +617,8 @@ def test_a_flipped_class_sign_is_a_subspace_escape(monkeypatch, capsys):
         # only the union sweep that CoinvariantBasis reads: the relation
         # blocks stay true.  Negating a non-leading entry r[t] of the row r
         # leading at p makes the back-substitution give e_p a wrong class
-        if sys._getframe(1).f_code.co_name == "__init__":
-            row = next(row for row in echelon if len(row) > 1)
+        row = next((row for row in echelon if len(row) > 1), None)
+        if row is not None and sys._getframe(1).f_code.co_name == "__init__":
             t = max(row)
             row[t] = -row[t]
         return echelon
@@ -762,29 +763,34 @@ def test_operator_matrix_equals_the_entrywise_assembly(surjective, young):
     assert has_fractions(built)
 
 
-def test_a_builder_eliminates_each_generator_once(monkeypatch):
-    real = cubical.relation_block
-    calls = []
+def test_a_builder_builds_each_generator_prefix_once(monkeypatch):
+    real = CoinvariantBasis.__init__
+    built = []
 
-    def counted(module, s):
-        calls.append(s)
-        return real(module, s)
+    def counted(self, module, stabilizer, parent=None):
+        built.append((stabilizer, parent))
+        real(self, module, stabilizer, parent)
 
-    monkeypatch.setattr(cubical, "relation_block", counted)
-    by_images = lambda perms: sorted(perms, key=lambda p: p.images)  # noqa: E731
+    monkeypatch.setattr(CoinvariantBasis, "__init__", counted)
     for module, group in (
         (builtin("lie", 5), symmetric_group(5)),
         (restrict(builtin("lie", 4), young_subgroup((2, 2))), young_subgroup((2, 2))),
+        (restrict(builtin("regular", 4), cyclic_group(4)), cyclic_group(4)),
     ):
         for surjective in (False, True):
-            calls.clear()
+            built.clear()
             builder = OrbitComplexBuilder(module, group, surjective)
             for m in range(1, group.degree + 2):
                 builder.degree(m)
-            gens = [s for stab in builder._coinv_cache for s in stab.generators]
-            # the bases share generators, and each is eliminated once
-            assert len(gens) > len(set(gens))
-            assert by_images(calls) == by_images(set(gens)) == by_images(builder._blocks)
+            groups = [stab for stab, _ in built]
+            # one basis per prefix of each stabilizer's generators, each built
+            # from its own prefix's basis
+            assert len(groups) == len(set(groups)) == len(builder._coinv_cache)
+            stabilizers = {o.stabilizer for m in builder._orbits for o in builder.orbits(m)}
+            assert set(groups) == cubical.basis_groups(stabilizers) >= stabilizers
+            for stab, parent in built:
+                prefix = PermutationGroup(stab.degree, stab.generators[:-1])
+                assert parent is (builder._coinv_cache[prefix] if stab.generators else None)
 
 
 # -- the surjective-word quotient --------------------------------------------
@@ -828,11 +834,13 @@ def test_the_onto_counts_cost_the_cycle_multiplicities(monkeypatch, capsys):
     calls = []
     real = cubical.fixed_words
     monkeypatch.setattr(cubical, "fixed_words", lambda t, g: calls.append(t) or real(t, g))
-    assert main(["betti", "--family", "full", "--n", "12"]) == 3
+    # the onto counts are memoized per pair of types
+    cubical.fixed_onto_words.cache_clear()
+    assert main(["betti", "--family", "full", "--n", "12", "--mode", "quotient"]) == 3
     assert len(calls) == sum(1 + (m + 1) for m in range(1, 13)) == 102
     assert "resource cap" in capsys.readouterr().err
     start = time.perf_counter()
-    assert main(["betti", "--family", "full", "--n", "30"]) == 3
+    assert main(["betti", "--family", "full", "--n", "30", "--mode", "quotient"]) == 3
     assert time.perf_counter() - start < 1
 
 
