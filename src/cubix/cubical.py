@@ -137,9 +137,15 @@ of t, and inclusion-exclusion over them counts the onto words
 (``fixed_onto_words``).  For P = 1, with c(g) cycles in g, that leaves
 m^{c(g)} words of degree m, of which m! S(c(g), m) are onto [m].
 The other two factors are read in closed form where one is known: chi_M of
-a builtin module from ``modules.closed_character`` (any other module traces
-act(g) at the class representatives), and the c_t summed by the cycle type
-of t from ``trace(m)``, for D_m ``harrison.dynkin_trace``.
+a builtin module from ``modules.closed_character``, one class at a time
+(any other module is traced: over S_N once per module, on the block-Coxeter
+words of the classes, ``ModuleSpec.traced``), and the c_t summed by the
+cycle type of t from ``trace(m)``, for D_m ``harrison.dynkin_trace``.  The
+inner sum, sum_t c_t fixed(t, g) at each class representative g, involves
+no module: ``_count_table`` keeps it once per process for each (group,
+trace, m, fixed_words or fixed_onto_words), so a count is p(n) products
+with chi_M, and every module counted over the same group reads the same
+table.
 ``operator_complex`` builds both routes from one (images, trace) pair.
 Since betti_m = dim_m - rank_d(m) - rank_d(m-1), the ranks of the full
 differential follow from Q's Betti numbers: rank_d(m) = dim_m - betti_m -
@@ -170,6 +176,19 @@ V_lambda's table passes the quotient route's checks; every failure is an
 ``full`` (f_lambda copies of each V_lambda) builds matrices of a few
 hundred rows where its quotient has the Fubini number of orbits.  The
 quotient route on M stays the oracle of this one.
+
+Every V_lambda runs over the same S_N and the same Q, so what does not
+depend on the module is built once per process and read by each of them
+(and by every module ``verify`` runs over one S_n): the orbits of Q with
+their Young stabilizers (``_young_orbits``, keyed by (n, m, surjective)),
+each stabilizer's generator prefixes (``prefix_groups``, by group), the
+count tables (``_count_table``, by (group, trace, m, fixed)), so M's word
+dimensions and every V_lambda's size and dimensions are dot products with
+one table per degree, and the differential's skeleton: each term of the
+image of a representative located once, as (target orbit, transfer g,
+coefficient) (``_young_differential``, by (n, m, surjective)).  A
+V_lambda's own work is its coinvariant bases, act(g) on the located
+transfers, the class blocks and the ranks.
 """
 
 from collections import Counter
@@ -506,10 +525,8 @@ def sorted_word(content):
 def sort_transfer(w):
     """(rep, g) with rep sorted and w = g.rep; the stable sort makes g
     deterministic."""
-    order = sorted(range(len(w)), key=lambda p: (w[p], p))
-    g = Permutation(tuple(p + 1 for p in order))
-    rep = tuple(w[p] for p in order)
-    return rep, g
+    order = sorted(range(len(w)), key=w.__getitem__)
+    return tuple(map(w.__getitem__, order)), Permutation(tuple([p + 1 for p in order]))
 
 
 class Orbit(Record):
@@ -550,11 +567,50 @@ def orbit_decomposition(
 def _young_orbits(n: int, m: int, surjective: bool) -> tuple:
     """The orbits under S_n, shared by every builder: the isotypic route
     meets them once per irreducible."""
-    return tuple(
-        Orbit(sorted_word(c), young_subgroup(c))
-        for c in compositions(n, m)
-        if all(c) or not surjective
+    if not surjective:
+        contents = compositions(n, m)
+    elif m <= n:
+        # the positive ones, in the same order: one more in each part
+        contents = (tuple(x + 1 for x in c) for c in compositions(n - m, m))
+    else:
+        contents = ()
+    return tuple(Orbit(sorted_word(c), young_subgroup(c)) for c in contents)
+
+
+@lru_cache(maxsize=None)
+def coface_images(m: int, surjective: bool):
+    """The differential out of degree m as a word operator: rep -> (word,
+    sign) terms.  On Q only the inner cofaces survive, and of their terms
+    only those that send letter i to both i and i+1: every split but the
+    first and last of ``coface``, which send every i to i or every i to i+1
+    (a word onto [m] uses the letter i)."""
+    if surjective:
+        cofaces, kept = range(1, m + 1), slice(1, -1)
+    else:
+        cofaces, kept = range(m + 2), slice(None)
+    return lambda rep: (
+        (w2, -1 if i % 2 else 1) for i in cofaces for w2 in coface(i, rep, m)[kept]
     )
+
+
+def _located(terms, locate) -> list:
+    """[(target orbit index, transfer g, c)] of a representative's image
+    ``terms``, (word, c) pairs: equal words are summed first, and a word
+    whose sum vanishes is dropped."""
+    summed = {}
+    for w2, c in terms:
+        summed[w2] = summed.get(w2, 0) + c
+    return [(*locate(w2), c) for w2, c in summed.items() if c]
+
+
+@lru_cache(maxsize=None)
+def _young_differential(n: int, m: int, surjective: bool) -> list:
+    """The located terms of the differential out of degree m over S_n, one
+    entry per orbit of ``_young_orbits(n, m, surjective)``, None until a
+    module with coinvariants at that orbit needs it.  They depend on (n, m)
+    alone, so every module over S_n reads them: each irreducible of the
+    isotypic route, and each module ``verify`` runs over S_n."""
+    return [None] * len(_young_orbits(n, m, surjective))
 
 
 def _subgroup_orbits(n: int, m: int, group: PermutationGroup, surjective: bool):
@@ -666,7 +722,7 @@ class CoinvariantBasis:
             self.w_matrix = RationalMatrix.identity(dim)
             return
         if parent is None:
-            parent = CoinvariantBasis(module, PermutationGroup(stabilizer.degree, gens[:-1]))
+            parent = CoinvariantBasis(module, prefix_groups(stabilizer)[-2])
         w = parent.w_matrix
         # the classes of e_i.s and e_i in the parent's coordinates
         moved = module.act(gens[-1]) * w
@@ -693,14 +749,19 @@ class CoinvariantBasis:
         return x * self.w_matrix
 
 
+@lru_cache(maxsize=None)
+def prefix_groups(group: PermutationGroup) -> tuple:
+    """The groups of the prefixes of ``group``'s generators, from the
+    trivial one up to ``group`` itself; built once per group, as the
+    stabilizers of the isotypic route are met once per irreducible."""
+    gens = group.generators
+    return tuple(PermutationGroup(group.degree, gens[:i]) for i in range(len(gens))) + (group,)
+
+
 def basis_groups(stabilizers) -> set:
     """Every group an orbit builder builds a ``CoinvariantBasis`` for: each
     stabilizer and each prefix of its generators, down to the trivial one."""
-    return {
-        PermutationGroup(s.degree, s.generators[:i])
-        for s in stabilizers
-        for i in range(len(s.generators) + 1)
-    }
+    return {p for s in stabilizers for p in prefix_groups(s)}
 
 
 class _OrbitDegree:
@@ -749,8 +810,7 @@ class OrbitComplexBuilder:
         # basis refines its generator prefix's, which is built once too
         basis = self._coinv_cache.get(stabilizer)
         if basis is None:
-            gens = stabilizer.generators
-            parent = self._coinv(PermutationGroup(self.n, gens[:-1])) if gens else None
+            parent = self._coinv(prefix_groups(stabilizer)[-2]) if stabilizer.generators else None
             basis = CoinvariantBasis(self.module, stabilizer, parent)
             self._coinv_cache[stabilizer] = basis
         return basis
@@ -783,12 +843,19 @@ class OrbitComplexBuilder:
         ``images(rep)`` yields (word, coefficient) terms of the operator's
         image of a degree-src_m orbit representative.  Equal words are summed
         first, so each surviving term g.rep' is rewritten through the
-        transfer identity and projected into its target orbit once.  Each
-        term's class block is added into one running sum of numerators, which
-        is rescaled only when a block's den does not divide its den.
+        transfer identity and projected into its target orbit once.  Over
+        S_n the differential's terms (``coface_images``) are located once
+        per process and orbit (``_young_differential``), and any other
+        operator's at every call.  Each term's class block is added into
+        one running sum of numerators, which is rescaled only when a block's
+        den does not divide its den.
         """
         src = self.degree(src_m)
         tgt = self.degree(tgt_m)
+        if self.symmetric and images is coface_images(src_m, self.surjective):
+            located = _young_differential(self.n, src_m, self.surjective)
+        else:
+            located = [None] * len(src.orbits)
         dim = self.module.dim
         den = 1
         acc = {}
@@ -797,13 +864,10 @@ class OrbitComplexBuilder:
             if not free:
                 continue
             src_off = src.offsets[oi]
-            terms = {}
-            for w2, c in images(orbit.rep):
-                terms[w2] = terms.get(w2, 0) + c
-            for w2, c in terms.items():
-                if not c:
-                    continue
-                ti, g = self.locate(tgt, w2)
+            terms = located[oi]
+            if terms is None:
+                terms = located[oi] = _located(images(orbit.rep), lambda w: self.locate(tgt, w))
+            for ti, g, c in terms:
                 # the source basis is the unit vectors at ``free``, so
                 # basis . act(g) selects those rows of act(g)
                 action = self.module.act(g)
@@ -835,23 +899,7 @@ class OrbitComplexBuilder:
         return RationalMatrix(src.dim, tgt.dim, data, den)
 
     def differential_matrix(self, m: int) -> RationalMatrix:
-        # on Q only the inner cofaces survive, and of their terms only those
-        # that send letter i to both i and i+1: every split but the first and
-        # last of ``coface``, which send every i to i or every i to i+1 (a
-        # word onto [m] uses the letter i)
-        if self.surjective:
-            cofaces, kept = range(1, m + 1), slice(1, -1)
-        else:
-            cofaces, kept = range(m + 2), slice(None)
-        return self.operator_matrix(
-            m,
-            m + 1,
-            lambda rep: (
-                (w2, -1 if i % 2 else 1)
-                for i in cofaces
-                for w2 in coface(i, rep, m)[kept]
-            ),
-        )
+        return self.operator_matrix(m, m + 1, coface_images(m, self.surjective))
 
 
 def cubical_complex(
@@ -994,32 +1042,38 @@ def fixed_onto_words(t_cycles, g_cycles) -> int:
     return total
 
 
-def trace_count(module, group: PermutationGroup, trace_m, fixed, what: str) -> int:
-    """dim im P_m on M (x)_G k{X} for trace_m = trace(m) (module docstring):
-    ``fixed`` is ``fixed_words`` for all words and ``fixed_onto_words`` for
-    the onto ones.  It must be a non-negative integer (``character_count``
-    raises naming ``what``)."""
-    terms, q = trace_m
+@lru_cache(maxsize=None)
+def _count_table(group: PermutationGroup, trace, m: int, fixed) -> tuple:
+    """({g: sum_t c_t fixed(t, g)} over the class representatives g of
+    ``group``, q) for (c_t by cycle type, q) = trace(m): the part of a
+    trace count that no module enters, built once per process and read by
+    every module counted over ``group``.  The key holds no cycle type, so
+    it stays small whatever m."""
+    terms, q = trace(m)
     cycles = class_cycle_types(group)
-
-    def per_g(g):
-        return sum(c * fixed(t, cycles[g]) for t, c in terms.items())
-
-    return character_count(module, group, per_g, q, what)
+    return {g: sum(c * fixed(t, cycles[g]) for t, c in terms.items()) for g in cycles}, q
 
 
-def check_trace_work(traces: dict, trace, m_max: int, cap: int, label: str) -> None:
+def trace_count(module, group: PermutationGroup, trace, m: int, fixed, what: str) -> int:
+    """dim im P_m on M (x)_G k{X} for P_m given by ``trace`` (module
+    docstring): ``fixed`` is ``fixed_words`` for all words and
+    ``fixed_onto_words`` for the onto ones.  It must be a non-negative
+    integer (``character_count`` raises naming ``what``).  The fixed-word
+    sums come from one shared ``_count_table``, so the count itself is p(n)
+    products with chi_M."""
+    table, q = _count_table(group, trace, m, fixed)
+    return character_count(module, group, table.__getitem__, q, what)
+
+
+def check_trace_work(trace, m_max: int, cap: int, label: str) -> None:
     """Refuse the total cycle-type length of the trace counts through degree
-    m_max + 1 above ``cap``, degree by degree before a degree's trace is
-    built, and add the traces of the degrees ``traces`` lacks.
+    m_max + 1 above ``cap``, degree by degree before a degree is counted.
 
     The full dimensions reach degrees the quotient does not, and each count
     reads the cycle type of every term of P_m (module docstring)."""
     work = 0
     for m in range(1, m_max + 2):
-        if m not in traces:
-            traces[m] = trace(m)
-        work += sum(map(len, traces[m][0]))
+        work += sum(map(len, trace(m)[0]))
         check_cap(work, cap, f"the cycle-type length of the trace counts of {label} "
                   f"through degree {m}")
 
@@ -1054,7 +1108,8 @@ def operator_complex(
     P_m = sum_t c_t slot(t) summed by cycle type, with P_m P_m = q P_m; it
     is read for every degree through m_max + 1, so it should not enumerate
     P_m's terms, and ``images`` checks P_m P_m = q P_m on the degrees it
-    builds where that is not evident.
+    builds where that is not evident.  (``trace``, m) keys the shared count
+    tables (``_count_table``), so ``trace`` is a module-level function.
 
     "orbit" builds im P in degrees 1..m_max+1 of the full orbit complex and
     returns a ``CochainComplex``.  "quotient" builds it on the
@@ -1073,15 +1128,14 @@ def operator_complex(
     n = group.degree
     surjective = mode == "quotient"
     top = min(n, m_max + 1) if surjective else m_max + 1
-    traces = {m: trace(m) for m in range(1, top + 1)}
 
     def count(m, fixed, what):
-        return trace_count(module, group, traces[m], fixed, f"{label}: {what} of degree {m}")
+        return trace_count(module, group, trace, m, fixed, f"{label}: {what} of degree {m}")
 
-    dims = {m: count(m, fixed_words, "the trace count") for m in traces}
+    dims = {m: count(m, fixed_words, "the trace count") for m in range(1, top + 1)}
     want = dims
     if surjective:
-        want = {m: count(m, fixed_onto_words, "the quotient's trace count") for m in traces}
+        want = {m: count(m, fixed_onto_words, "the quotient's trace count") for m in dims}
     # the dimension sum first: it refuses without enumerating a single orbit
     size, what = sum(want.values()), f"the size of {mode} mode for {label}"
     check_cap(size, cap, what)
@@ -1089,8 +1143,8 @@ def operator_complex(
     groups = basis_groups({o.stabilizer for m in want for o in builder.orbits(m)})
     check_cap(size + module.dim * len(groups), cap, what)
     if surjective:
-        check_trace_work(traces, trace, m_max, cap, label)
-        dims.update({m: count(m, fixed_words, "the trace count") for m in traces if m > top})
+        check_trace_work(trace, m_max, cap, label)
+        dims.update({m: count(m, fixed_words, "the trace count") for m in range(top + 1, m_max + 2)})
     built, diffs = images(builder, top)
     for m, dim in built.items():
         if dim != want[m]:
@@ -1111,11 +1165,13 @@ def operator_complex(
 
 def _word_dims(module, group: PermutationGroup, m_max: int, cap: int, label: str) -> dict:
     """The trace counts of M (x)_G (word complex) in degrees 1..m_max+1,
-    after ``check_trace_work``; the traces are dropped on return."""
-    traces = {}
-    check_trace_work(traces, identity_trace, m_max, cap, label)
-    return {m: trace_count(module, group, t, fixed_words, f"{label}: the trace count of degree {m}")
-            for m, t in traces.items()}
+    after ``check_trace_work``."""
+    check_trace_work(identity_trace, m_max, cap, label)
+    return {
+        m: trace_count(module, group, identity_trace, m, fixed_words,
+                       f"{label}: the trace count of degree {m}")
+        for m in range(1, m_max + 2)
+    }
 
 
 def isotypic_table(module, group: PermutationGroup, m_max: int, cap: int = DEFAULT_CAP):
@@ -1150,7 +1206,7 @@ def isotypic_table(module, group: PermutationGroup, m_max: int, cap: int = DEFAU
     size = 0
     for chi in map(specht_character, mult):
         size += chi.dim * groups + sum(
-            trace_count(chi, sym, identity_trace(m), fixed_onto_words,
+            trace_count(chi, sym, identity_trace, m, fixed_onto_words,
                         f"{chi.name}/S{n}: the quotient's trace count of degree {m}")
             for m in range(1, top + 1)
         )

@@ -85,7 +85,11 @@ class RationalMatrix:
         self.ncols = ncols
         self.rows = rows if rows is not None else {}
         if den != 1:
-            g = gcd(den, *(v for row in self.rows.values() for v in row.values()))
+            g = den
+            for row in self.rows.values():
+                g = gcd(g, *row.values())
+                if g == 1:
+                    break
             if g > 1:
                 self.rows = {i: {j: v // g for j, v in r.items()} for i, r in self.rows.items()}
                 den //= g
@@ -220,6 +224,18 @@ class RationalMatrix:
 
     def trace(self):
         return _ratio(sum(r.get(i, 0) for i, r in self.rows.items()), self.den)
+
+    def product_trace(self, other: "RationalMatrix"):
+        """trace(self * other), the sum of self[i][k] other[k][i], without
+        forming the product."""
+        orows = other.rows
+        total = 0
+        for i, row in self.rows.items():
+            for k, v in row.items():
+                brow = orows.get(k)
+                if brow:
+                    total += v * brow.get(i, 0)
+        return _ratio(total, self.den * other.den)
 
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):

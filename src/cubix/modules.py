@@ -35,8 +35,19 @@ chi_(lambda less the hook)(mu less mu_1).
 
 Every count reads a module's character through ``class_function``.  A
 module with a closed class function, ``closed`` (a builtin kind's
-``closed_character`` or a V_lambda's chi_lambda), is read by cycle type;
-any other is traced, act(g) at the class representatives.  A
+``closed_character``, which computes each value as it is read, or a
+V_lambda's chi_lambda), is read by cycle type; any other is traced.  A
+``ModuleSpec`` over S_N is traced once (``ModuleSpec.traced``), on the
+representatives of ``perm.cycle_classes``: the representative of a cycle
+type is the product s_a s_(a+1) ... s_(b-1) over its blocks [a, b]
+(``perm.coxeter_word``), and dropping the last letter of such a word leaves
+the word of another class, so the words form a prefix tree and each
+product along it is taken once.  The last factor of each word is folded
+into the trace, trace(X s) = sum over i, k of X_ik s_ki
+(``RationalMatrix.product_trace``): at N = 6 the 11 classes cost 5
+products, where act(rep) takes 21.  Each product is act of a
+representative, since act(p q) = act(p) act(q) holds once the Coxeter check
+has passed.  A subgroup module traces act(g) at each of its elements.  A
 ``ModuleCharacter`` carries a closed class function and no matrices: the
 isotypic route of ``cubical.py`` reads a builtin kind that way, so it
 never builds the module.
@@ -47,8 +58,9 @@ check them against lives in ``tests/conftest.py``.
 """
 
 import json
+from collections.abc import Mapping
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 from math import factorial
 
@@ -65,9 +77,12 @@ from .perm import (
     _partitions,
     adjacent_transposition,
     class_cycle_types,
+    coxeter_word,
     cycle_classes,
     cyclic_group,
     identity_permutation,
+    partition_count,
+    symmetric_group,
     trivial_group,
 )
 
@@ -138,6 +153,34 @@ class ModuleSpec:
     def character(self, p: Permutation):
         return self.act(p).trace()
 
+    @cached_property
+    def traced(self) -> dict:
+        """{cycle type: chi_M} over S_N, traced on the block-Coxeter words
+        of the class representatives (module docstring); read once per
+        module."""
+        gens = self.gen_actions
+        products = {}
+
+        def product(word):
+            # act of s_(word[0]) ... s_(word[-1]), a generator taken as it is
+            if len(word) == 1:
+                return gens[word[0] - 1]
+            mat = products.get(word)
+            if mat is None:
+                mat = products[word] = product(word[:-1]) * gens[word[-1] - 1]
+            return mat
+
+        out = {}
+        for t in _partitions(self.N):
+            word = coxeter_word(t)
+            if not word:
+                out[t] = self.dim
+            elif len(word) == 1:
+                out[t] = gens[word[0] - 1].trace()
+            else:
+                out[t] = product(word[:-1]).product_trace(gens[word[-1] - 1])
+        return out
+
     def __repr__(self):
         return f"ModuleSpec({self.name}, N={self.N}, dim={self.dim})"
 
@@ -193,7 +236,8 @@ class SubgroupModule:
 
 class ModuleCharacter:
     """An S_N-module known by its closed class function alone: name, N,
-    ``closed`` and the dimension closed[1^N], and no matrices."""
+    ``closed`` and the dimension closed[1^N], and no matrices.  A builtin
+    kind's closed form lists no class before it is read (``ClosedCharacter``)."""
 
     def __init__(self, name, N, closed):
         self.name = name
@@ -367,27 +411,50 @@ def _closed_value(kind: str, t, N: int) -> int:
     return (fixed * lie_value(t[:-1]) if fixed else 0) - lie_value(t)
 
 
-@lru_cache(maxsize=None)
-def closed_character(kind: str, N: int) -> dict:
+class ClosedCharacter(Mapping):
     """{cycle type: character} of a builtin kind over S_N, in closed form.
+    Each value is computed when it is read, so a count over a few classes,
+    or a cap check on p(N), comes before any listing of the partitions."""
+
+    def __init__(self, kind: str, N: int):
+        self.kind = kind
+        self.N = N
+
+    def __getitem__(self, t) -> int:
+        return _closed_value(self.kind, t, self.N)
+
+    def __iter__(self):
+        return _partitions(self.N)
+
+    def __len__(self) -> int:
+        return partition_count(self.N)
+
+
+def closed_character(kind: str, N: int) -> ClosedCharacter:
+    """The character of a builtin kind over S_N in closed form.
 
     Tier-1 pins it equal to the traced character of ``builtin`` on every
     class, and ``module-info`` compares the two on the module it prints.
     """
-    return {t: _closed_value(kind, t, N) for t in _partitions(N)}
+    return ClosedCharacter(kind, N)
 
 
 def class_function(module, group: PermutationGroup) -> dict:
     """{rep: chi_M(rep)} over the representatives of ``perm.cycle_classes``.
 
     A module with a closed class function (a builtin kind, a V_lambda or a
-    ``ModuleCharacter``) reads it by cycle type, and any other (custom,
-    induced, basis-changed or subgroup module) traces act(rep).
+    ``ModuleCharacter``) reads it by cycle type.  Any other is traced: a
+    ``ModuleSpec`` over S_N once per module, on the block-Coxeter words of
+    the classes (``ModuleSpec.traced``), and every other (subgroup)
+    module at each representative, act(rep).
     """
     types = class_cycle_types(group)
-    if module.closed is None:
+    values = module.closed
+    if values is None and isinstance(module, ModuleSpec) and group == symmetric_group(module.N):
+        values = module.traced
+    if values is None:
         return {rep: module.character(rep) for rep in types}
-    return {rep: module.closed[t] for rep, t in types.items()}
+    return {rep: values[t] for rep, t in types.items()}
 
 
 def character_count(module, group: PermutationGroup, f, divisor: int, what: str) -> int:
@@ -400,13 +467,11 @@ def character_count(module, group: PermutationGroup, f, divisor: int, what: str)
     symmetric group.
     """
     chi = class_function(module, group)
-    total = Fraction(
-        sum(count * chi[rep] * f(rep) for rep, count in cycle_classes(group)),
-        group.order * divisor,
-    )
-    if total.denominator != 1 or total < 0:
-        raise InvariantError(f"{what} is {total}, not a dimension")
-    return int(total)
+    total = sum(count * chi[rep] * f(rep) for rep, count in cycle_classes(group))
+    dim, rest = divmod(total, group.order * divisor)
+    if rest or dim < 0:
+        raise InvariantError(f"{what} is {Fraction(total, group.order * divisor)}, not a dimension")
+    return dim
 
 
 def multiplicities(module, group: PermutationGroup) -> dict:
@@ -584,6 +649,13 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_zero(v) -> bool:
+    """The int 0, or the string "0" that ``serialize_module`` writes: an
+    entry ``load_module`` leaves out.  Any other spelling of zero, False and
+    0.0 included, is read (or refused) by ``_entry``."""
+    return v == "0" or _is_int(v) and not v
+
+
 def _entry(name: str, k: int, v):
     """A generator entry: an int, or a string that parses as one or as p/q."""
     if _is_int(v):
@@ -633,9 +705,8 @@ def load_module(data) -> ModuleSpec:
             and all(isinstance(r, list) and len(r) == dim for r in rows)
         ):
             raise ValueError(f"{name}: generator s{k} is not {dim}x{dim}")
-        mats.append(
-            RationalMatrix.from_rows([[_entry(name, k, v) for v in r] for r in rows], dim)
-        )
+        nonzero = [{j: _entry(name, k, v) for j, v in enumerate(r) if not _is_zero(v)} for r in rows]
+        mats.append(RationalMatrix.from_row_dicts(nonzero, dim, dim))
     return ModuleSpec(name, n, dim, labels, mats)
 
 

@@ -125,6 +125,9 @@ class PermutationGroup:
     def __init__(self, degree: int, generators: tuple):
         self.degree = degree
         self.generators = generators
+        # groups key the per-process caches of every count, so the hash is
+        # taken once
+        self._hash = hash((degree, generators))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -132,7 +135,7 @@ class PermutationGroup:
         return (self.degree, self.generators) == (other.degree, other.generators)
 
     def __hash__(self):
-        return hash((self.degree, self.generators))
+        return self._hash
 
     @cached_property
     def elements(self) -> tuple:
@@ -164,7 +167,9 @@ class PermutationGroup:
         return self.order == factorial(self.degree)
 
 
+@lru_cache(maxsize=None)
 def symmetric_group(n: int) -> PermutationGroup:
+    """S_n on its adjacent transpositions, one instance per n."""
     gens = tuple(adjacent_transposition(n, i) for i in range(1, n))
     return PermutationGroup(n, gens)
 
@@ -215,6 +220,20 @@ def partition_count(n: int) -> int:
         for total in range(part, n + 1):
             counts[total] += counts[total - part]
     return counts[n]
+
+
+def coxeter_word(partition) -> tuple:
+    """The indices i1 ... ik with s_(i1) ... s_(ik) the representative of
+    ``partition`` in ``cycle_classes``: s_a s_(a+1) ... s_(b-1) for each block
+    [a, b] of its cycles.  Dropping the last index shortens the last cycle
+    longer than 1 by one point, so it leaves the word of another cycle type
+    of the same degree."""
+    out = []
+    start = 1
+    for part in partition:
+        out.extend(range(start, start + part - 1))
+        start += part
+    return tuple(out)
 
 
 def _cycle_type_rep(partition) -> Permutation:

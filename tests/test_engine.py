@@ -834,8 +834,10 @@ def test_the_onto_counts_cost_the_cycle_multiplicities(monkeypatch, capsys):
     calls = []
     real = cubical.fixed_words
     monkeypatch.setattr(cubical, "fixed_words", lambda t, g: calls.append(t) or real(t, g))
-    # the onto counts are memoized per pair of types
+    # the onto counts are memoized per pair of types, and their sums per
+    # (group, degree) in the shared count tables
     cubical.fixed_onto_words.cache_clear()
+    cubical._count_table.cache_clear()
     assert main(["betti", "--family", "full", "--n", "12", "--mode", "quotient"]) == 3
     assert len(calls) == sum(1 + (m + 1) for m in range(1, 13)) == 102
     assert "resource cap" in capsys.readouterr().err

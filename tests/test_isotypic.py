@@ -3,8 +3,9 @@ modules, multiplicities, and Betti tables summed over the irreducibles."""
 
 import json
 import time
+from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 
@@ -202,6 +203,39 @@ def test_nine_slots_of_the_word_complex_are_refused_at_once(capsys):
         "resource cap: the size of the character table of S30 that isotypic mode reads "
         "for trivial(30)/G30 is 31404816, above the cap"
     )
+
+
+def test_a_hundred_slots_are_refused_before_a_partition_is_listed(capsys):
+    # the closed form of trivial(100) is read one class at a time, so the
+    # character table's size, p(100)^2, is the first count
+    start = time.perf_counter()
+    assert main(["betti", "--family", "full", "--n", "100"]) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err.startswith(
+        f"resource cap: the size of the character table of S100 that isotypic mode reads "
+        f"for trivial(100)/G100 is {partition_count(100) ** 2}, above the cap"
+    )
+
+
+def test_every_irreducible_reads_the_same_count_tables_and_located_terms(monkeypatch):
+    # regular(4) holds all five V_lambda; the route still evaluates each
+    # onto count once per (class, degree) and each coface of Q once per
+    # orbit representative
+    calls = Counter()
+    for name in ("fixed_onto_words", "coface"):
+        real = getattr(cubical, name)
+        monkeypatch.setattr(
+            cubical, name, lambda *args, real=real, name=name: calls.update([name]) or real(*args)
+        )
+    cubical._young_differential.cache_clear()
+    module, sym = builtin_character("regular", 4), symmetric_group(4)
+    assert len(multiplicities(module, sym)) == partition_count(4)
+    table = cubical.isotypic_table(module, sym, 6)
+    assert table == cubical.cubical_complex(builtin("regular", 4), sym, 6, "quotient").betti_table()
+    # Q has degrees 1..4, and C(3, m - 1) orbits in degree m, each with the
+    # cofaces 1..m; the differential out of degree 4 lands in a zero degree
+    assert calls["fixed_onto_words"] == partition_count(4) * 4
+    assert calls["coface"] == sum(comb(3, m - 1) * m for m in (1, 2, 3))
 
 
 def _refused_counts(argv, capsys):

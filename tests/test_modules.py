@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from fractions import Fraction
@@ -26,6 +27,7 @@ from cubix.modules import (
     restrict,
     serialize_module,
     sgn_coinvariants_dim,
+    specht,
     trivial_subgroup_module,
 )
 from cubix.perm import (
@@ -287,6 +289,43 @@ def test_other_modules_trace_their_class_function(monkeypatch):
     }
 
 
+def _traced_by_act(module):
+    group = symmetric_group(module.N)
+    return {rep.cycle_type(): module.act(rep).trace() for rep, _ in cycle_classes(group)}
+
+
+@pytest.mark.parametrize("kind", BUILTIN_KINDS)
+def test_the_prefix_traced_character_is_the_trace_of_act(kind):
+    for n in range(1, 6 if kind == "lie_cyclic" else 7):
+        moved = random_basis_change(builtin(kind, n), seed=n)
+        assert moved.closed is None
+        assert moved.traced == _traced_by_act(moved), (kind, n)
+
+
+def test_the_traced_character_multiplies_each_shared_prefix_once(monkeypatch):
+    # V(3,2,1) in seminormal form has p/q entries; as a plain ModuleSpec it
+    # has no closed form and is traced
+    v = specht((3, 2, 1))
+    module = ModuleSpec("V321", 6, v.dim, v.basis_labels, v.gen_actions)
+    assert module.closed is None and any(a.den > 1 for a in module.gen_actions)
+    calls = []
+    real = RationalMatrix.__mul__
+    monkeypatch.setattr(
+        RationalMatrix, "__mul__", lambda a, b: (calls.append(1), real(a, b))[1]
+    )
+    traced = module.traced
+    # s1s2, s1s2s3, s1s2s3s4, s1s2s4 and s1s3: the last factor of each of the
+    # 11 words is folded into the trace, where act(rep) takes 21 products
+    assert len(calls) == 5
+    monkeypatch.setattr(RationalMatrix, "__mul__", real)
+    assert traced == _traced_by_act(module) == v.closed
+    assert class_function(module, symmetric_group(6)) == {
+        rep: traced[rep.cycle_type()] for rep, _ in cycle_classes(symmetric_group(6))
+    }
+    # read once per module
+    assert module.traced is traced
+
+
 def test_act_starts_each_chain_at_its_first_generator(monkeypatch):
     lie = builtin("lie", 4)
     fresh = ModuleSpec("lie4", 4, lie.dim, lie.basis_labels, lie.gen_actions)
@@ -432,6 +471,27 @@ def test_custom_module_json_roundtrip(tmp_path):
 def test_custom_module_missing_field():
     with pytest.raises(ValueError, match="missing field"):
         load_module({"name": "x", "N": 2, "dim": 1, "basis_labels": ["b"]})
+
+
+@pytest.mark.parametrize("zero", [False, 0.0])
+def test_a_zero_spelled_as_a_bool_or_a_float_is_refused(zero, tmp_path, capsys):
+    data = {"name": "bad", "N": 2, "dim": 2, "basis_labels": ["u", "v"],
+            "generators": [[[1, zero], [0, 1]]]}
+    message = f"bad: generator s1 entry {zero!r} is not an int or a 'p/q' string"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_module(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["betti", "--family", "custom", "--custom", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_zero_entries_are_left_out_in_every_spelling():
+    data = {"name": "swap", "N": 2, "dim": 3, "basis_labels": ["u", "v", "w"],
+            "generators": [[[0, "1", "0"], ["1", 0, "0/5"], [" 0", "-0", 1]]]}
+    (a,) = load_module(data).gen_actions
+    assert a == RationalMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    assert a.rows == {0: {1: 1}, 1: {0: 1}, 2: {2: 1}}
 
 
 def test_custom_module_fraction_entries():
