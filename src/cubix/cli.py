@@ -31,7 +31,8 @@ Every route counts its size before it builds a matrix (``cubical.py``),
 and ``--cap`` sets the one cap on that count for every family and mode; a
 cap below 0 is bad input.
 
-Exit codes: 0 success, 1 verification failure, 2 bad input, 3 resource cap,
+Exit codes: 0 success, 1 verification failure, 2 bad input, 3 resource cap
+(a size count above ``--cap``, or a ``MemoryError``),
 4 internal error (a broken invariant such as a subspace escape, a
 coinvariant relation with a nonzero class, D b != m b on the basis of
 im D in a built degree, d^2 != 0 on the quotient or its Harrison space, a
@@ -256,6 +257,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except DimensionCapExceeded as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("resource cap: the computation ran out of memory", file=sys.stderr)
         return 3
     except (InvariantError, KeyError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -130,12 +130,19 @@ permutes the words, so its trace counts the words it fixes:
     dim im P = (1/(|G| q)) sum_g chi_M(g) sum_t c_t fixed(t, g).
 
 A word fixed by g slot(t) satisfies w(g(p)) = t(w(p)), so it is free at one
-point of each cycle of g, of length l, where it takes a value fixed by t^l
-(``fixed_words``); fixed(t, g) depends only on the cycle types of t and g.
-Over Q the word must also be onto [m]: its image is then a union of cycles
-of t, and inclusion-exclusion over them counts the onto words
-(``fixed_onto_words``).  For P = 1, with c(g) cycles in g, that leaves
-m^{c(g)} words of degree m, of which m! S(c(g), m) are onto [m].
+point of each cycle of g, of length l, where it takes a value fixed by t^l;
+fixed(t, g) depends only on the cycle types of t and g.  Every term t of
+the two operators has one cycle length: the identity has type 1^m, and the
+class sums of D_m sit on the types d^(m/d).  For t of type d^k and g with
+c cycles, t^l fixes all dk letters when d | l and none otherwise, so
+fixed(t, g) is (dk)^c when d divides every cycle length of g and 0
+otherwise (``fixed_words``).  Over Q the word must also be onto [m]: its
+image is then a union of cycles of t, and inclusion-exclusion over the
+binom(k, j) sets of j cycles, each holding the image of (dj)^c fixed words,
+counts the onto words, sum_j (-1)^(k-j) binom(k, j) (dj)^c under the same
+condition (``fixed_onto_words``); a type with two cycle lengths is
+refused.  For P = 1, with c(g) cycles in g, that leaves m^{c(g)} words of
+degree m, of which m! S(c(g), m) are onto [m].
 The other two factors are read in closed form where one is known: chi_M of
 a builtin module from ``modules.closed_character``, one class at a time
 (any other module is traced: over S_N once per module, on the block-Coxeter
@@ -184,17 +191,17 @@ their Young stabilizers (``_young_orbits``, keyed by (n, m, surjective)),
 each stabilizer's generator prefixes (``prefix_groups``, by group), the
 count tables (``_count_table``, by (group, trace, m, fixed)), so M's word
 dimensions and every V_lambda's size and dimensions are dot products with
-one table per degree, and the differential's skeleton: each term of the
-image of a representative located once, as (target orbit, transfer g,
-coefficient) (``_young_differential``, by (n, m, surjective)).  A
-V_lambda's own work is its coinvariant bases, act(g) on the located
-transfers, the class blocks and the ranks.
+one table per degree, and each operator's skeleton: each term of its image
+of a representative located once, as (target orbit, transfer g,
+coefficient) (``_young_located``, by (n, degrees, surjective, operator)),
+for the differential and D_m alike.  A V_lambda's own work is its
+coinvariant bases, act(g) on the located transfers, the class blocks and
+the ranks.
 """
 
-from collections import Counter
 from functools import lru_cache
 from itertools import product
-from math import comb, gcd, lcm, prod
+from math import comb, gcd, lcm
 
 from .linalg import (
     InvariantError,
@@ -604,13 +611,16 @@ def _located(terms, locate) -> list:
 
 
 @lru_cache(maxsize=None)
-def _young_differential(n: int, m: int, surjective: bool) -> list:
-    """The located terms of the differential out of degree m over S_n, one
-    entry per orbit of ``_young_orbits(n, m, surjective)``, None until a
-    module with coinvariants at that orbit needs it.  They depend on (n, m)
-    alone, so every module over S_n reads them: each irreducible of the
-    isotypic route, and each module ``verify`` runs over S_n."""
-    return [None] * len(_young_orbits(n, m, surjective))
+def _young_located(n: int, src_m: int, tgt_m: int, surjective: bool, images) -> list:
+    """The located terms of the word operator ``images`` from degree src_m
+    to tgt_m over S_n, one entry per orbit of ``_young_orbits(n, src_m,
+    surjective)``, None until a module with coinvariants at that orbit
+    needs it.  They depend on no module, so every module over S_n reads
+    them: each irreducible of the isotypic route, and each module
+    ``verify`` runs over S_n.  The key holds the operator itself, so an
+    operator is one object per process (``coface_images``,
+    ``harrison.slot_images``)."""
+    return [None] * len(_young_orbits(n, src_m, surjective))
 
 
 def _subgroup_orbits(n: int, m: int, group: PermutationGroup, surjective: bool):
@@ -844,16 +854,15 @@ class OrbitComplexBuilder:
         image of a degree-src_m orbit representative.  Equal words are summed
         first, so each surviving term g.rep' is rewritten through the
         transfer identity and projected into its target orbit once.  Over
-        S_n the differential's terms (``coface_images``) are located once
-        per process and orbit (``_young_differential``), and any other
-        operator's at every call.  Each term's class block is added into
-        one running sum of numerators, which is rescaled only when a block's
-        den does not divide its den.
+        S_n every operator's terms are located once per process and orbit
+        (``_young_located``), and over a subgroup at every call.  Each
+        term's class block is added into one running sum of numerators,
+        which is rescaled only when a block's den does not divide its den.
         """
         src = self.degree(src_m)
         tgt = self.degree(tgt_m)
-        if self.symmetric and images is coface_images(src_m, self.surjective):
-            located = _young_differential(self.n, src_m, self.surjective)
+        if self.symmetric:
+            located = _young_located(self.n, src_m, tgt_m, self.surjective, images)
         else:
             located = [None] * len(src.orbits)
         dim = self.module.dim
@@ -1010,36 +1019,41 @@ class QuotientComplex:
         return _checked_table(q.label, q.n_slots, rows)
 
 
+def _one_length(t_cycles, g_cycles) -> int:
+    """d for t of type d^k when d divides every cycle length of g, and 0
+    otherwise.  Every term of a word operator here has one cycle length
+    (module docstring), so a type with more is refused."""
+    d = t_cycles[0]
+    if t_cycles.count(d) != len(t_cycles):
+        raise ValueError(f"the cycle type {t_cycles} has more than one cycle length")
+    return 0 if any(ell % d for ell in g_cycles) else d
+
+
 def fixed_words(t_cycles, g_cycles) -> int:
-    """Words w with g.(t * w) = w, for t and g of the given cycle lengths.
+    """Words w with g.(t * w) = w, for t of type d^k and g of the given
+    cycle lengths: (dk)^c when d divides each of the c cycle lengths of g,
+    and 0 otherwise.
 
     Such a word satisfies w(g(p)) = t(w(p)), so on a cycle of g of length l
     it is fixed by its value at one point, which must be a fixed point of
-    t^l; t^l fixes the points of the cycles of t whose length divides l.
+    t^l: all dk points when d | l, and none otherwise.
     """
-    return prod(sum(k for k in t_cycles if not ell % k) for ell in g_cycles)
+    d = _one_length(t_cycles, g_cycles)
+    return (d * len(t_cycles)) ** len(g_cycles) if d else 0
 
 
-@lru_cache(maxsize=None)
 def fixed_onto_words(t_cycles, g_cycles) -> int:
-    """The words of ``fixed_words`` that use every slot.
+    """The words of ``fixed_words`` that use every slot: the sum over
+    j = 0..k of (-1)^(k-j) binom(k, j) (dj)^c under the same condition, and
+    0 otherwise.
 
     Such a word takes on each cycle of g the values of one cycle of t, so
     its image is a union of cycles of t; inclusion-exclusion over the
-    subsets of t's cycles counts the words whose image is all of them.  A
-    subset's term depends only on how many of the c_l cycles of each length
-    l it holds, j_l, and binom(c_l, j_l) subsets hold as many, so the sum
-    runs over those counts: prod (c_l + 1) terms, not 2^len(t_cycles).
-    Each pair of types is counted once per process: the isotypic route
-    reads the same pairs for every irreducible.
+    subsets of t's cycles counts the words whose image is all of them, and
+    each of the binom(k, j) subsets of j cycles leaves (dj)^c words.
     """
-    mult = Counter(t_cycles)
-    total = 0
-    for js in product(*(range(c + 1) for c in mult.values())):
-        sub = tuple(k for k, j in zip(mult, js) for _ in range(j))
-        weight = prod(map(comb, mult.values(), js))
-        total += (-1) ** (len(t_cycles) - len(sub)) * weight * fixed_words(sub, g_cycles)
-    return total
+    d, k, c = _one_length(t_cycles, g_cycles), len(t_cycles), len(g_cycles)
+    return sum((-1) ** (k - j) * comb(k, j) * (d * j) ** c for j in range(k + 1)) if d else 0
 
 
 @lru_cache(maxsize=None)
@@ -1105,9 +1119,10 @@ def operator_complex(
     ``images(builder, top)`` returns (dims, diffs) of im P on the builder's
     degrees 1..top, with diffs[m] from degree m to m + 1.  ``trace(m)``
     returns ({cycle type of t: c_t}, q), the coefficients of
-    P_m = sum_t c_t slot(t) summed by cycle type, with P_m P_m = q P_m; it
-    is read for every degree through m_max + 1, so it should not enumerate
-    P_m's terms, and ``images`` checks P_m P_m = q P_m on the degrees it
+    P_m = sum_t c_t slot(t) summed by cycle type, with P_m P_m = q P_m;
+    each type must have one cycle length (``fixed_words``).  It is read for
+    every degree through m_max + 1, so it should not enumerate P_m's
+    terms, and ``images`` checks P_m P_m = q P_m on the degrees it
     builds where that is not evident.  (``trace``, m) keys the shared count
     tables (``_count_table``), so ``trace`` is a module-level function.
 

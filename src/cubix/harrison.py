@@ -27,7 +27,10 @@ the inverse, gives a different subspace.
 
 On a coinvariant complex both operators are assembled, like the
 differential, by ``OrbitComplexBuilder.operator_matrix``, which the slot
-action may use because it commutes with the position action.
+action may use because it commutes with the position action.  Each term
+tuple is one operator per process (``slot_images``), so over S_n the terms
+of D_m, like the differential's, are located once and read by every
+module.
 ``harrison_complex`` builds only D.  Its basis of im D in each degree is
 an echelon form: ``image_basis`` picks k of D's rows, images that span
 im D, in one sweep, and ``echelon_basis`` sweeps those k rows once more,
@@ -148,11 +151,17 @@ def word_eulerian_matrix(n: int, m: int) -> RationalMatrix:
     return RationalMatrix(m ** n, m ** n, data, eulerian_scale(m))
 
 
+@lru_cache(maxsize=None)
+def slot_images(terms: tuple):
+    """The word operator sum c . slot(t), over (t, c) in ``terms``: rep ->
+    (word, c) terms.  One object per term tuple, so over S_n its located
+    terms are shared by every module (``cubical._young_located``)."""
+    return lambda rep: ((slot_action(t, rep), c) for t, c in terms)
+
+
 def orbit_slot_operator(builder: OrbitComplexBuilder, m: int, terms) -> RationalMatrix:
     """Matrix of sum c . slot(t), over (t, c) in ``terms``, on a coinvariant degree."""
-    return builder.operator_matrix(
-        m, m, lambda rep: ((slot_action(t, rep), c) for t, c in terms)
-    )
+    return builder.operator_matrix(m, m, slot_images(tuple(terms)))
 
 
 def orbit_eulerian_matrix(builder: OrbitComplexBuilder, m: int) -> RationalMatrix:

@@ -212,14 +212,10 @@ def chk_jacobi():
 def chk_eulerian():
     ok = True
     for n in (1, 2, 3):
+        e = {m: word_eulerian_matrix(n, m) for m in range(1, 6)}
         for m in (1, 2, 3, 4):
-            e = word_eulerian_matrix(n, m)
-            if not check_idempotent(e):
-                ok = False
-            e2 = word_eulerian_matrix(n, m + 1)
             d = differential(n, m)
-            if e * d != d * e2:
-                ok = False
+            ok = ok and check_idempotent(e[m]) and e[m] * d == d * e[m + 1]
     return ok, "Eulerian idempotency and d-commutation (n<=3, m<=4)"
 
 

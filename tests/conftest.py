@@ -7,7 +7,7 @@ removed at exit and no ``.hypothesis/`` appears in the checkout."""
 import tempfile
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
+from math import lcm, prod
 
 from hypothesis import configuration, settings
 from hypothesis import strategies as st
@@ -19,7 +19,6 @@ from cubix.cubical import (
     coface,
     differential,
     differential_columns,
-    fixed_words,
     position_action,
     position_indices,
     words,
@@ -225,12 +224,20 @@ def stacked_coinvariant_basis(module, stabilizer):
     return free, RationalMatrix(dim, len(free), {i: r for i, r in w.items() if r}, scale)
 
 
+def general_fixed_words(t_cycles, g_cycles):
+    """``cubix.cubical.fixed_words`` for t of any cycle type: on a cycle of
+    g of length l a fixed word is fixed by its value at one point, a fixed
+    point of t^l, which fixes the cycles of t whose length divides l.  The
+    oracle of the closed form."""
+    return prod(sum(k for k in t_cycles if not ell % k) for ell in g_cycles)
+
+
 def subset_fixed_onto_words(t_cycles, g_cycles):
     """``cubix.cubical.fixed_onto_words`` by inclusion-exclusion over every
     subset of t's cycles, 2^len(t_cycles) terms: its oracle."""
     r = len(t_cycles)
     return sum(
-        (-1) ** (r - k) * fixed_words(sub, g_cycles)
+        (-1) ** (r - k) * general_fixed_words(sub, g_cycles)
         for k in range(r + 1)
         for sub in combinations(t_cycles, k)
     )

@@ -508,6 +508,18 @@ def test_broken_invariants_exit_4(exc, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("internal error:")
 
 
+@pytest.mark.parametrize("mode", ["quotient", "orbit"])
+def test_running_out_of_memory_is_a_resource_cap(mode, monkeypatch, capsys):
+    import cubix.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cubical_complex", exhausted)
+    assert main(["betti", "--family", "lie", "--n", "3", "--mode", mode]) == 3
+    assert capsys.readouterr().err == "resource cap: the computation ran out of memory\n"
+
+
 def test_broken_harrison_invariant_exits_4(monkeypatch, capsys):
     import cubix.cli as cli
 
@@ -629,6 +641,19 @@ def test_the_trace_counts_are_refused_by_the_cycle_types_they_read(family, capsy
     assert main(["betti", "--family", family, "--n", "3", "--mmax", "100000"]) == 3
     assert time.perf_counter() - start < 1
     assert capsys.readouterr().err.startswith("resource cap: the cycle-type length")
+
+
+def test_orbit_mode_refuses_a_large_mmax_by_its_size_count_at_once(capsys):
+    # orbit mode's size count is the sum of every trace count through
+    # m_max + 1; each is a closed form in the cycle lengths, so it does not
+    # grow with the length m of the identity's cycle type
+    start = time.perf_counter()
+    assert main(["betti", "--family", "lie", "--n", "3", "--mode", "orbit", "--mmax", "3000"]) == 3
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err == (
+        "resource cap: the size of orbit mode for lie(3)/S3 is 6763508251500, above the cap "
+        "450000; raise it with --cap to force the computation\n"
+    )
 
 
 # (arguments, the counts refused at cap 0 and then at each count before it,

@@ -10,6 +10,7 @@ import gc
 import sys
 import time
 import weakref
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
@@ -23,6 +24,7 @@ from conftest import (
     entrywise_differential,
     entrywise_operator_matrix,
     fraction_class_coords,
+    general_fixed_words,
     halved_basis_change,
     kron_naive_projector,
     modules_and_groups,
@@ -816,30 +818,39 @@ def test_identity_trace_counts_words_and_onto_words():
 
 
 def test_onto_counts_equal_the_subset_sum():
-    # every pair of cycle types of at most 7 points each, and the types of
-    # D_m's class sums through m = 12 against those of up to 5 points
-    types = [t for total in range(1, 8) for t in _partitions(total)]
-    pairs = [(t, g) for t in types for g in types]
-    dynkin = [t for m in range(1, 13) for t in dynkin_trace(m)[0]]
-    pairs += [(t, g) for t in dynkin for g in types if sum(g) <= 5]
-    for t, g in pairs:
-        assert fixed_onto_words(t, g) == subset_fixed_onto_words(t, g)
+    # every one-length type d^k of at most 12 points, the types of the
+    # identity and of D_m's class sums through m = 12, against every g of
+    # at most 7 points
+    types = [(d,) * k for d in range(1, 13) for k in range(1, 12 // d + 1)]
+    assert {t for m in range(1, 13) for t in dynkin_trace(m)[0]} <= set(types)
+    for t in types:
+        for total in range(1, 8):
+            for g in _partitions(total):
+                assert fixed_words(t, g) == general_fixed_words(t, g)
+                assert fixed_onto_words(t, g) == subset_fixed_onto_words(t, g)
+
+
+def test_a_type_of_two_cycle_lengths_is_refused():
+    for fixed in (fixed_words, fixed_onto_words):
+        with pytest.raises(ValueError, match=r"the cycle type \(2, 1\) has more than one"):
+            fixed((2, 1), (2,))
 
 
 def test_the_onto_counts_cost_the_cycle_multiplicities(monkeypatch, capsys):
-    # full(n) is the trivial module over the trivial group, so each degree
-    # m <= n is counted once over words and once over onto words, on the
-    # identity's type 1^m: 1 + (m + 1) calls, where the subset sum made
-    # 1 + 2^m (8202 through n = 12)
-    calls = []
-    real = cubical.fixed_words
-    monkeypatch.setattr(cubical, "fixed_words", lambda t, g: calls.append(t) or real(t, g))
-    # the onto counts are memoized per pair of types, and their sums per
-    # (group, degree) in the shared count tables
-    cubical.fixed_onto_words.cache_clear()
+    # full(n) is the trivial module over the trivial group, one class, so
+    # each degree m <= n is counted once over words and once over onto
+    # words: one evaluation of each closed form per (class, degree), where
+    # the subset sum made 1 + 2^m calls of fixed_words (8202 through n = 12)
+    calls = Counter()
+    for name in ("fixed_words", "fixed_onto_words"):
+        real = getattr(cubical, name)
+        monkeypatch.setattr(
+            cubical, name, lambda t, g, real=real, name=name: calls.update([name]) or real(t, g)
+        )
+    # the sums per (group, degree) are shared by the process's count tables
     cubical._count_table.cache_clear()
     assert main(["betti", "--family", "full", "--n", "12", "--mode", "quotient"]) == 3
-    assert len(calls) == sum(1 + (m + 1) for m in range(1, 13)) == 102
+    assert calls == {"fixed_words": 12, "fixed_onto_words": 12}
     assert "resource cap" in capsys.readouterr().err
     start = time.perf_counter()
     assert main(["betti", "--family", "full", "--n", "30", "--mode", "quotient"]) == 3

@@ -251,6 +251,25 @@ def test_orbit_dynkin_and_eulerian_have_one_image(module, group):
         )
 
 
+@pytest.mark.parametrize("mode", ["quotient", "orbit"])
+def test_a_second_module_reads_the_located_dynkin_terms(mode, monkeypatch):
+    # D_m's terms over S_3 depend on no module: regular(3) has coinvariants
+    # at every orbit, so it locates them all, and lie(3) after it none
+    calls = []
+    real = harrison.slot_action
+    monkeypatch.setattr(harrison, "slot_action", lambda t, w: calls.append(t) or real(t, w))
+    cubical._young_located.cache_clear()
+    sym = symmetric_group(3)
+    harrison_complex(builtin("regular", 3), sym, 4, mode)
+    assert calls
+    calls.clear()
+    shared = harrison_complex(builtin("lie", 3), sym, 4, mode).betti_table()
+    assert not calls
+    cubical._young_located.cache_clear()
+    assert harrison_complex(builtin("lie", 3), sym, 4, mode).betti_table() == shared
+    assert calls
+
+
 @pytest.mark.parametrize(
     "m, index, error",
     [(3, -1, HarrisonRestrictionError), (2, 1, SubspaceEscape)],

@@ -227,7 +227,7 @@ def test_every_irreducible_reads_the_same_count_tables_and_located_terms(monkeyp
         monkeypatch.setattr(
             cubical, name, lambda *args, real=real, name=name: calls.update([name]) or real(*args)
         )
-    cubical._young_differential.cache_clear()
+    cubical._young_located.cache_clear()
     module, sym = builtin_character("regular", 4), symmetric_group(4)
     assert len(multiplicities(module, sym)) == partition_count(4)
     table = cubical.isotypic_table(module, sym, 6)
