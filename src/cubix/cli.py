@@ -5,19 +5,18 @@ check suite, ``module-info`` dumps a module's matrices and characters.
 Output is deterministic: fixed orderings, no timestamps, no floats.
 
 ``betti --mode`` picks the construction (see ``cubical.py``); all four
-print the same table.  ``isotypic``, the default of every word-complex
-family, splits the module into the irreducibles of S_N and sums their
-tables, each read off the quotient (``cubical.isotypic_table``); a builtin
-family's module is never built.  ``quotient``, the default of ``--family
-harrison``, builds only the surjective-word quotient and reads the full
-complex's dimensions off a trace (``cubical.operator_complex``): of the
-identity, where ``--family full`` takes the trivial module over the trivial
-group, and of the Dynkin element for ``--family harrison`` (see
-``harrison.py``).  ``orbit`` builds every degree of the full orbit complex
+print the same table.  ``isotypic``, the default of every family, splits
+the module into the irreducibles of S_N and sums their quotient Betti
+numbers (``cubical.operator_complex``); a builtin family's module is never
+built.  ``quotient`` builds only the surjective-word quotient and reads the
+full complex's dimensions off a trace: of the identity, where ``--family
+full`` takes the trivial module over the trivial group, and of the Dynkin
+element for ``--family harrison`` (see ``harrison.py``), on each V_lambda
+in isotypic mode.  ``orbit`` builds every degree of the full orbit complex
 (``full_complex`` for ``--family full``), and ``naive`` the averaged
 product space; the quotient is the oracle of the isotypic route, and both
 of these are oracles of the quotient.  Naive mode is not defined for
-``full`` and ``harrison``, nor the isotypic route for ``harrison``.
+``full`` and ``harrison``.
 
 ``verify`` checks the paper's statements (cor2-cor5, ass, harrison,
 induction) and the engine side of every direct realization on the
@@ -53,7 +52,6 @@ from .cubical import (
     DimensionCapExceeded,
     cubical_complex,
     full_complex,
-    isotypic_table,
 )
 from .harrison import harrison_complex
 from .linalg import InvariantError
@@ -123,19 +121,18 @@ def _render_table(table, family: str, slots: int, fmt: str) -> str:
 def cmd_betti(args) -> int:
     if args.cap < 0:
         raise ValueError("--cap must be at least 0")
+    # before any module is read or built
+    if args.mmax is not None and args.mmax < 2:
+        raise ValueError("--mmax must be at least 2")
     family = args.family
-    mode = args.mode or ("quotient" if family == "harrison" else "isotypic")
-    if (family, mode) in (("full", "naive"), ("harrison", "naive"), ("harrison", "isotypic")):
+    mode = args.mode or "isotypic"
+    if mode == "naive" and family in ("full", "harrison"):
         raise ValueError(f"mode {mode} is not defined for family {family}")
     module, slots = _resolve_module(family, args.n, args.custom, build=mode != "isotypic")
     m_max = args.mmax if args.mmax is not None else slots + 2
-    if m_max < 2:
-        raise ValueError("--mmax must be at least 2")
     # the word complex is the trivial module over the trivial group
     group = trivial_group(slots) if family == "full" else symmetric_group(slots)
-    if mode == "isotypic":
-        table = isotypic_table(module, group, m_max, args.cap)
-    elif family == "full" and mode == "orbit":
+    if family == "full" and mode == "orbit":
         table = full_complex(slots, m_max, args.cap).betti_table()
     else:
         build = harrison_complex if family == "harrison" else cubical_complex

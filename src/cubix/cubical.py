@@ -29,9 +29,8 @@ x (x) g.w = x.g (x) w.  Three constructions are provided:
 * quotient mode runs the same orbit builder on the surjective-word
   quotient Q below, which vanishes above degree n, and reads the full
   complex's dimensions off traces; no matrix larger than Q is built;
-* the isotypic route (``isotypic_table``) splits M into the irreducible
-  S_N-modules and runs quotient mode on each; see "The isotypic route"
-  below;
+* the isotypic mode splits M into the irreducible S_N-modules and runs
+  quotient mode on each; see "The isotypic route" below;
 * naive mode works in the full space M (x) (k^m)^{tensor n}.  It spans the
   image of the diagonal averaging projector P by the images P(e_a (x) w)
   of one word w per position orbit, the word of least index: P(v.g) = P(v),
@@ -50,7 +49,7 @@ they build, one for each distinct stabilizer and for each prefix of its
 generators (``basis_groups``; at the default m_max the prefixes are
 stabilizers too), naive mode |G| dim M (m_max + 1)^n, |G| times the size of
 its top degree, and ``full_complex`` its dimensions.  The isotypic route
-counts the quotient sizes of its irreducibles (``isotypic_table``).  Quotient
+sums the quotient sizes of its irreducibles (``_counted``).  Quotient
 mode builds no degree above n, but it counts the full dimensions through
 m_max + 1, and each count reads the cycle type of every term of P_m
 ("Dimensions come from traces" below), so it then refuses the total length
@@ -58,7 +57,8 @@ of those cycle types, degree by degree before each is read: m for the
 identity, the sum of m/d over squarefree d | m for D_m.  The Harrison
 complex of ``harrison.py`` counts as the word complex does, and then the
 2^(m-1) terms of its Dynkin element D_m applied to every orbit of each
-degree m it builds.
+degree m it builds; that count involves no module, so on the isotypic
+route each irreducible's run refuses it before its first term.
 
 All modes must agree on dimensions and Betti tables; that equality is part
 of the acceptance suite, so naive mode is not allowed to borrow pieces of
@@ -153,7 +153,8 @@ no module: ``_count_table`` keeps it once per process for each (group,
 trace, m, fixed_words or fixed_onto_words), so a count is p(n) products
 with chi_M, and every module counted over the same group reads the same
 table.
-``operator_complex`` builds both routes from one (images, trace) pair.
+``operator_complex`` builds all three routes, orbit, quotient and
+isotypic, from one (images, trace) pair.
 Since betti_m = dim_m - rank_d(m) - rank_d(m-1), the ranks of the full
 differential follow from Q's Betti numbers: rank_d(m) = dim_m - betti_m -
 rank_d(m-1), with betti_m = 0 for m > n.
@@ -161,28 +162,36 @@ rank_d(m-1), with betti_m = 0 for m > n.
 The isotypic route
 ------------------
 M (x)_G C is additive in M: a direct sum of modules gives the direct sum
-of complexes, degree by degree and differential by differential, so every
-row (dim, rank_d, betti) of the Betti table is additive too.  By Frobenius
-reciprocity M (x)_G C = (Ind_G^{S_N} M) (x)_{S_N} C, since
-M (x)_G k{X} = (M (x)_G kS_N) (x)_{S_N} k{X} for any S_N-set X.  Over Q
-the induced module is a direct sum of irreducibles,
+of complexes, degree by degree and differential by differential.  A word
+operator P acts on the word factor alone, so it respects that sum, and
+im P is additive in M too: the word complex im 1 and the Harrison complex
+im D_m alike.  So every row (dim, rank_d, betti) of the Betti table of
+im P is additive.  By Frobenius reciprocity M (x)_G C =
+(Ind_G^{S_N} M) (x)_{S_N} C, since M (x)_G k{X} = (M (x)_G kS_N)
+(x)_{S_N} k{X} for any S_N-set X, and P commutes with that isomorphism.
+Over Q the induced module is a direct sum of irreducibles,
 Ind M = sum over lambda of V_lambda^(a_lambda), with
 a_lambda = <Ind chi_M, chi_lambda>_{S_N} = <chi_M, Res chi_lambda>_G.  So
 M's table is the sum of a_lambda times V_lambda's.
 
-``isotypic_table`` reads chi_M on the class representatives of G (closed
-for a builtin kind, so its module is never built, and traced for any
-other), computes each a_lambda against the Murnaghan-Nakayama chi_lambda
+The isotypic mode of ``operator_complex`` (``_isotypic_complex``) reads
+chi_M on the class representatives of G (closed for a builtin kind, so
+its module is never built, and traced for any other), computes each
+a_lambda against the Murnaghan-Nakayama chi_lambda
 (``modules.multiplicities``), builds V_lambda in Young's seminormal form
-for each a_lambda > 0 (``modules.specht``), runs the quotient route on
-V_lambda over S_N, and sums the rows weighted by a_lambda.  Every a_lambda
-must be a non-negative integer, sum a_lambda chi_lambda(1) must be
-dim Ind M, the summed dimensions must equal M's own trace counts, and each
-V_lambda's table passes the quotient route's checks; every failure is an
-``InvariantError``.  A V_lambda has dimension at most sqrt(N!), so
-``full`` (f_lambda copies of each V_lambda) builds matrices of a few
-hundred rows where its quotient has the Fubini number of orbits.  The
-quotient route on M stays the oracle of this one.
+for each a_lambda > 0 (``modules.specht``), runs quotient mode on
+V_lambda over S_N with the same (images, trace) pair, and sums the Betti
+numbers and dimensions weighted by a_lambda.  Every a_lambda must be a
+non-negative integer, sum a_lambda chi_lambda(1) must be dim Ind M, the
+summed dimensions must equal M's own trace counts, and each V_lambda's
+run passes the quotient route's checks; every failure is an
+``InvariantError``.  The ranks then follow by the quotient's one rule,
+rank_d(m) = dim_m - betti_m - rank_d(m-1) (``QuotientComplex``), and are
+the a_lambda-weighted sums, since the summed dimensions are checked.  A
+V_lambda has dimension at most sqrt(N!), so ``full`` (f_lambda copies of
+each V_lambda) builds matrices of a few hundred rows where its quotient
+has the Fubini number of orbits.  The quotient route on M stays the
+oracle of this one.
 
 Every V_lambda runs over the same S_N and the same Q, so what does not
 depend on the module is built once per process and read by each of them
@@ -213,7 +222,6 @@ from .linalg import (
 )
 from .modules import (
     character_count,
-    irreducible_value,
     multiplicities,
     specht,
     specht_character,
@@ -922,15 +930,16 @@ def cubical_complex(
 
     ``module`` may be defined over the full symmetric group or over G only;
     it must be able to act for every element of G.  ``mode`` is "orbit",
-    "naive" (see the module docstring) or "quotient", which returns a
-    ``QuotientComplex``: the surjective-word quotient with the full
-    complex's dimensions, and the same Betti table.  Every mode refuses a
-    size count above ``cap`` (module docstring).
+    "naive" (see the module docstring), "quotient", which returns a
+    ``QuotientComplex``: the surjective-word quotient's Betti numbers with
+    the full complex's dimensions, and the same Betti table, or "isotypic",
+    which sums the quotient over the irreducibles into a
+    ``QuotientComplex``, and needs only M's class function.  Every mode
+    refuses a size count above ``cap`` (module docstring).
     """
-    label = complex_label(module, group)
     if mode == "naive":
-        return _naive_complex(module, group, m_max, cap, label)
-    return operator_complex(module, group, m_max, mode, label, cap=cap)
+        return _naive_complex(module, group, m_max, cap, complex_label(module, group))
+    return operator_complex(module, group, m_max, mode, cap=cap)
 
 
 def complex_label(module, group: PermutationGroup) -> str:
@@ -988,35 +997,38 @@ def _naive_complex(module, group, m_max, cap, label) -> CochainComplex:
 
 
 class QuotientComplex:
-    """M (x)_G Q, built through degree min(n, m_max + 1), with the full
-    complex's dimensions ``dims`` in degrees 1..m_max+1.
+    """The Betti numbers ``bettis`` of M (x)_G Q, {m: betti_m} over the
+    degrees 1..min(n, m_max) (zero above n), with the full complex's
+    dimensions ``dims`` in degrees 1..m_max+1.
 
-    H(Q) = H(C) (module docstring), so ``betti_table`` reads each Betti
-    number off Q and each rank of the full differential off
-    rank_d(m) = dims[m] - betti_m - rank_d(m-1), checking
-    0 <= rank_d(m) <= min(dims[m], dims[m+1]).
+    H(Q) = H(C) (module docstring), so ``betti_table`` reads each rank of
+    the full differential off rank_d(m) = dims[m] - betti_m - rank_d(m-1),
+    checking 0 <= rank_d(m) <= min(dims[m], dims[m+1]).  Quotient mode reads
+    ``bettis`` off the built Q, and the isotypic route sums them over the
+    irreducibles.
     """
 
-    def __init__(self, quotient: CochainComplex, m_max: int, dims: dict):
-        self.quotient = quotient
+    def __init__(self, label: str, n_slots: int, m_max: int, dims: dict, bettis: dict):
+        self.label = label
+        self.n_slots = n_slots
         self.m_max = m_max
         self.dims = dims
+        self.bettis = bettis
 
     def betti_table(self) -> BettiTable:
-        q = self.quotient
         rows = []
         prev = 0
         for m in range(1, self.m_max + 1):
-            betti = q.betti_number(m) if m <= q.n_slots else 0
+            betti = self.bettis.get(m, 0)
             r = self.dims[m] - betti - prev
             if not 0 <= r <= min(self.dims[m], self.dims[m + 1]):
                 raise InvariantError(
-                    f"{q.label}: the rank of d at degree {m} comes out as {r}, "
+                    f"{self.label}: the rank of d at degree {m} comes out as {r}, "
                     f"outside 0..min({self.dims[m]}, {self.dims[m + 1]})"
                 )
             rows.append(BettiRow(m, self.dims[m], r, betti))
             prev = r
-        return _checked_table(q.label, q.n_slots, rows)
+        return _checked_table(self.label, self.n_slots, rows)
 
 
 def _one_length(t_cycles, g_cycles) -> int:
@@ -1068,15 +1080,20 @@ def _count_table(group: PermutationGroup, trace, m: int, fixed) -> tuple:
     return {g: sum(c * fixed(t, cycles[g]) for t, c in terms.items()) for g in cycles}, q
 
 
-def trace_count(module, group: PermutationGroup, trace, m: int, fixed, what: str) -> int:
-    """dim im P_m on M (x)_G k{X} for P_m given by ``trace`` (module
-    docstring): ``fixed`` is ``fixed_words`` for all words and
-    ``fixed_onto_words`` for the onto ones.  It must be a non-negative
-    integer (``character_count`` raises naming ``what``).  The fixed-word
-    sums come from one shared ``_count_table``, so the count itself is p(n)
-    products with chi_M."""
-    table, q = _count_table(group, trace, m, fixed)
-    return character_count(module, group, table.__getitem__, q, what)
+def trace_counts(
+    module, group: PermutationGroup, trace, degrees, fixed, label: str, what="the trace count"
+) -> dict:
+    """{m: dim im P_m} on M (x)_G k{X} over ``degrees``, for P_m given by
+    ``trace`` (module docstring): ``fixed`` is ``fixed_words`` for all words
+    and ``fixed_onto_words`` for the onto ones.  Each must be a
+    non-negative integer (``character_count`` raises naming ``label``,
+    ``what`` and the degree).  The fixed-word sums come from one shared
+    ``_count_table``, so a count itself is p(n) products with chi_M."""
+    out = {}
+    for m in degrees:
+        table, q = _count_table(group, trace, m, fixed)
+        out[m] = character_count(module, group, table.__getitem__, q, f"{label}: {what} of degree {m}")
+    return out
 
 
 def check_trace_work(trace, m_max: int, cap: int, label: str) -> None:
@@ -1104,142 +1121,138 @@ def identity_trace(m: int):
     return {(1,) * m: 1}, 1
 
 
+def _counted(module, group: PermutationGroup, m_max: int, mode: str, trace, label: str, cap: int):
+    """(want, builder, size) of the orbit or quotient mode: the dimensions
+    it must build, the trace counts of degrees 1..m_max+1, or over onto
+    words of degrees 1..min(n, m_max+1) on Q; its orbit builder; and its
+    size, the sum of ``want`` plus dim M per basis group.  Above ``cap`` it
+    refuses that sum first, before an orbit is enumerated, and then the
+    size."""
+    if mode == "quotient":
+        want = trace_counts(module, group, trace, range(1, min(group.degree, m_max + 1) + 1),
+                            fixed_onto_words, label, "the quotient's trace count")
+    else:
+        want = trace_counts(module, group, trace, range(1, m_max + 2), fixed_words, label)
+    size, what = sum(want.values()), f"the size of {mode} mode for {label}"
+    check_cap(size, cap, what)
+    builder = OrbitComplexBuilder(module, group, mode == "quotient")
+    size += module.dim * len(basis_groups({o.stabilizer for m in want for o in builder.orbits(m)}))
+    check_cap(size, cap, what)
+    return want, builder, size
+
+
 def operator_complex(
     module,
     group: PermutationGroup,
     m_max: int,
     mode: str,
-    label: str,
+    label: str = "{}",
     images=word_images,
     trace=identity_trace,
     cap: int = DEFAULT_CAP,
 ):
     """im P inside M (x)_G (word complex), for a word operator P.
 
-    ``images(builder, top)`` returns (dims, diffs) of im P on the builder's
-    degrees 1..top, with diffs[m] from degree m to m + 1.  ``trace(m)``
-    returns ({cycle type of t: c_t}, q), the coefficients of
-    P_m = sum_t c_t slot(t) summed by cycle type, with P_m P_m = q P_m;
-    each type must have one cycle length (``fixed_words``).  It is read for
-    every degree through m_max + 1, so it should not enumerate P_m's
-    terms, and ``images`` checks P_m P_m = q P_m on the degrees it
-    builds where that is not evident.  (``trace``, m) keys the shared count
-    tables (``_count_table``), so ``trace`` is a module-level function.
+    ``label`` is the complex's label around ``complex_label(module,
+    group)``: "{}" for the word complex.  ``images(builder, top)`` returns
+    (dims, diffs) of im P on the builder's degrees 1..top, with diffs[m]
+    from degree m to m + 1.  ``trace(m)`` returns ({cycle type of t: c_t},
+    q), the coefficients of P_m = sum_t c_t slot(t) summed by cycle type,
+    with P_m P_m = q P_m; each type must have one cycle length
+    (``fixed_words``).  It is read for every degree through m_max + 1, so it
+    should not enumerate P_m's terms, and ``images`` checks P_m P_m = q P_m
+    on the degrees it builds where that is not evident.  (``trace``, m) keys
+    the shared count tables (``_count_table``), so ``trace`` is a
+    module-level function.
 
     "orbit" builds im P in degrees 1..m_max+1 of the full orbit complex and
     returns a ``CochainComplex``.  "quotient" builds it on the
     surjective-word quotient only and returns a ``QuotientComplex`` whose
     full dimensions are the trace counts of the module docstring.  Both
-    count the dimensions they will build before building anything (over
-    onto words on Q) and refuse, above ``cap``, their sum, and then that sum
-    plus dim M per distinct stabilizer; "quotient" then refuses the length
-    of the cycle types its full dimensions read, degree by degree, before
-    it reads them (module docstring).  Every count must be a non-negative
-    integer, each built dimension must equal its count, and d^2 must vanish
-    on Q.
+    refuse their size counts above ``cap`` before building anything
+    (``_counted``); "quotient" then refuses the length of the cycle types
+    its full dimensions read, degree by degree, before it reads them
+    (module docstring).  Every count must be a non-negative integer, each
+    built dimension must equal its count, and d^2 must vanish on Q.
+    "isotypic" sums quotient mode over the irreducibles
+    (``_isotypic_complex``) and returns a ``QuotientComplex`` too.
     """
-    if mode not in ("orbit", "quotient"):
+    if mode not in ("orbit", "quotient", "isotypic"):
         raise ValueError(f"unknown mode: {mode}")
-    n = group.degree
-    surjective = mode == "quotient"
-    top = min(n, m_max + 1) if surjective else m_max + 1
-
-    def count(m, fixed, what):
-        return trace_count(module, group, trace, m, fixed, f"{label}: {what} of degree {m}")
-
-    dims = {m: count(m, fixed_words, "the trace count") for m in range(1, top + 1)}
-    want = dims
-    if surjective:
-        want = {m: count(m, fixed_onto_words, "the quotient's trace count") for m in dims}
-    # the dimension sum first: it refuses without enumerating a single orbit
-    size, what = sum(want.values()), f"the size of {mode} mode for {label}"
-    check_cap(size, cap, what)
-    builder = OrbitComplexBuilder(module, group, surjective)
-    groups = basis_groups({o.stabilizer for m in want for o in builder.orbits(m)})
-    check_cap(size + module.dim * len(groups), cap, what)
-    if surjective:
-        check_trace_work(trace, m_max, cap, label)
-        dims.update({m: count(m, fixed_words, "the trace count") for m in range(top + 1, m_max + 2)})
+    if mode == "isotypic":
+        return _isotypic_complex(module, group, m_max, label, images, trace, cap)
+    name = label.format(complex_label(module, group))
+    want, builder, _ = _counted(module, group, m_max, mode, trace, name, cap)
+    top, dims = len(want), want
+    if builder.surjective:
+        check_trace_work(trace, m_max, cap, name)
+        dims = trace_counts(module, group, trace, range(1, m_max + 2), fixed_words, name)
     built, diffs = images(builder, top)
     for m, dim in built.items():
         if dim != want[m]:
             raise InvariantError(
-                f"{label}: the {'quotient' if surjective else 'complex'} has dimension "
+                f"{name}: the {'quotient' if builder.surjective else 'complex'} has dimension "
                 f"{dim} in degree {m}, its trace count is {want[m]}"
             )
-    cx = CochainComplex(label, n, top - 1, built, diffs)
-    if not surjective:
+    cx = CochainComplex(name, group.degree, top - 1, built, diffs)
+    if not builder.surjective:
         return cx
     if not cx.check_d_squared():
-        raise InvariantError(f"{label}: d^2 != 0 on the surjective-word quotient")
-    return QuotientComplex(cx, m_max, dims)
+        raise InvariantError(f"{name}: d^2 != 0 on the surjective-word quotient")
+    bettis = {m: cx.betti_number(m) for m in range(1, min(top, m_max) + 1)}
+    return QuotientComplex(name, group.degree, m_max, dims, bettis)
 
 
 # -- the isotypic route ---------------------------------------------------------
 
 
-def _word_dims(module, group: PermutationGroup, m_max: int, cap: int, label: str) -> dict:
-    """The trace counts of M (x)_G (word complex) in degrees 1..m_max+1,
-    after ``check_trace_work``."""
-    check_trace_work(identity_trace, m_max, cap, label)
-    return {
-        m: trace_count(module, group, identity_trace, m, fixed_words,
-                       f"{label}: the trace count of degree {m}")
-        for m in range(1, m_max + 2)
-    }
-
-
-def isotypic_table(module, group: PermutationGroup, m_max: int, cap: int = DEFAULT_CAP):
-    """The Betti table of M (x)_G (word complex) as the sum of a_lambda times
-    that of V_lambda (x)_(S_N) (word complex), over the irreducibles V_lambda
-    with a_lambda > 0 (module docstring, "The isotypic route").
+def _isotypic_complex(module, group: PermutationGroup, m_max: int, label, images, trace, cap):
+    """im P on M (x)_G (word complex) from a_lambda times im P on
+    V_lambda (x)_(S_N) (word complex), over the irreducibles V_lambda with
+    a_lambda > 0 (module docstring, "The isotypic route"); the arguments
+    are ``operator_complex``'s.
 
     ``module`` needs a class function (``modules.class_function``) and no
     matrices.  Before any V_lambda is built, the route refuses above
     ``cap``, in turn: p(N)^2, the character table it may read; its
     stabilizer term over the stabilizers of Q, the sum of dim V_lambda
-    times their number; its size, the sum of the V_lambda's quotient size
-    counts (``operator_complex``); and the cycle-type length of M's trace
-    counts.  Each V_lambda then runs the quotient route, and the summed
-    dimensions must equal M's trace counts through degree m_max + 1.
+    times their number; its size, the sum of the V_lambda's quotient-mode
+    sizes (``_counted``, which quotient mode refuses on); and the cycle-type
+    length of M's trace counts.  Each V_lambda then runs quotient mode with
+    the same (images, trace), and the summed dimensions must equal M's
+    trace counts through degree m_max + 1.  Only the Betti numbers are
+    summed: ``QuotientComplex`` derives the ranks.
     """
-    label = complex_label(module, group)
+    name = label.format(complex_label(module, group))
     n = group.degree
-    top = min(n, m_max + 1)
     check_cap(partition_count(n) ** 2, cap,
-              f"the size of the character table of S{n} that isotypic mode reads for {label}")
+              f"the size of the character table of S{n} that isotypic mode reads for {name}")
     mult = multiplicities(module, group)
-    what = f"the size of isotypic mode for {label}"
+    irreducibles = [specht_character(shape) for shape in mult]
+    what = f"the size of isotypic mode for {name}"
     # Q's stabilizers are the Young subgroups of the compositions of n into
-    # at most top parts, and every V_lambda builds a basis for each
-    stabilizers = sum(comb(n - 1, k - 1) for k in range(1, top + 1))
-    check_cap(sum(irreducible_value(shape, (1,) * n) for shape in mult) * stabilizers, cap, what)
+    # at most min(n, m_max + 1) parts, and every V_lambda builds a basis for each
+    stabilizers = sum(comb(n - 1, k) for k in range(min(n, m_max + 1)))
+    check_cap(sum(chi.dim for chi in irreducibles) * stabilizers, cap, what)
     sym = symmetric_group(n)
-    groups = len(basis_groups(
-        {o.stabilizer for m in range(1, top + 1) for o in orbit_decomposition(n, m, sym, True)}
-    ))
-    size = 0
-    for chi in map(specht_character, mult):
-        size += chi.dim * groups + sum(
-            trace_count(chi, sym, identity_trace, m, fixed_onto_words,
-                        f"{chi.name}/S{n}: the quotient's trace count of degree {m}")
-            for m in range(1, top + 1)
-        )
-    check_cap(size, cap, what)
-    dims = _word_dims(module, group, m_max, cap, label)
+    check_cap(sum(
+        _counted(chi, sym, m_max, "quotient", trace, label.format(complex_label(chi, sym)), cap)[2]
+        for chi in irreducibles
+    ), cap, what)
+    check_trace_work(trace, m_max, cap, name)
+    dims = trace_counts(module, group, trace, range(1, m_max + 2), fixed_words, name)
     summed = dict.fromkeys(dims, 0)
-    rows = {m: [0, 0] for m in range(1, m_max + 1)}
+    bettis = {}
     for shape, a in mult.items():
-        part = cubical_complex(specht(shape), sym, m_max, "quotient", cap)
-        for m, dim in part.dims.items():
-            summed[m] += a * dim
-        for row in part.betti_table().rows:
-            rows[row.m][0] += a * row.rank
-            rows[row.m][1] += a * row.betti
+        part = operator_complex(specht(shape), sym, m_max, "quotient", label, images, trace, cap)
+        for m in dims:
+            summed[m] += a * part.dims[m]
+        for m, betti in part.bettis.items():
+            bettis[m] = bettis.get(m, 0) + a * betti
     if summed != dims:
         m = min(m for m in dims if summed[m] != dims[m])
         raise InvariantError(
-            f"{label}: its irreducibles sum to dimension {summed[m]} in degree {m}, "
+            f"{name}: its irreducibles sum to dimension {summed[m]} in degree {m}, "
             f"its trace count is {dims[m]}"
         )
-    return _checked_table(label, n, [BettiRow(m, dims[m], r, b) for m, (r, b) in rows.items()])
+    return QuotientComplex(name, n, m_max, dims, bettis)

@@ -88,6 +88,22 @@ builds are dimensions because D_m D_m = m D_m in Q[S_m]; that identity
 depends on m alone, so the tests pin it (above) and no run checks it again.
 The full complex's ranks then follow from Q's Betti numbers as in
 ``cubical.QuotientComplex``.  The orbit mode stays the oracle.
+
+Harrison through the irreducibles
+---------------------------------
+D_m relabels letters and never touches the module factor, so on a direct
+sum M = M' + M'' its matrix is block diagonal: im D_m on M (x)_G C is
+im D_m on M' (x)_G C plus im D_m on M'' (x)_G C, and the differential,
+which also acts on words alone, respects the sum.  Frobenius reciprocity
+identifies M (x)_G C with (Ind M) (x)_{S_N} C, compatibly with every slot
+operator, so im D_m on M is the sum of a_lambda copies of im D_m on each
+irreducible V_lambda, a_lambda the multiplicity of V_lambda in Ind M.  The
+isotypic mode of ``cubical.operator_complex`` therefore runs this quotient
+route, with the same image and trace, on each V_lambda (dimension at most
+sqrt(N!)) and sums the Betti numbers a_lambda times; the summed dimensions
+must equal M's own Dynkin trace counts.  A builtin module enters through
+its closed character alone, so ``harrison --n 8`` builds no
+``regular(8)``.  The quotient route on M stays the oracle.
 """
 
 from functools import lru_cache, partial
@@ -193,6 +209,10 @@ class HarrisonRestrictionError(InvariantError):
     pass
 
 
+# the label of a Harrison complex, around ``cubical.complex_label``
+LABEL = "harrison({})"
+
+
 def dynkin_trace(m: int):
     """D_m summed by the cycle type of t, and its square factor m; see
     ``cubical.operator_complex``.  In closed form (module docstring): the
@@ -201,9 +221,7 @@ def dynkin_trace(m: int):
             for d in range(1, m + 1) if not m % d and mobius(d)}, m
 
 
-def _dynkin_images(
-    builder: OrbitComplexBuilder, top: int, cap: int = DEFAULT_CAP, label: str = "harrison"
-):
+def _dynkin_images(builder: OrbitComplexBuilder, top: int, cap: int = DEFAULT_CAP):
     """(dims, diffs) of im D on the builder's degrees 1..top.
 
     D_m's 2^(m-1) terms are each applied to every orbit of degree m; their
@@ -214,6 +232,7 @@ def _dynkin_images(
     whose cohomology would be meaningless.
     """
     applied = sum(2 ** (m - 1) * len(builder.orbits(m)) for m in range(1, top + 1))
+    label = LABEL.format(complex_label(builder.module, builder.group))
     check_cap(applied, cap, f"the Dynkin terms applied for {label}")
     solvers = {}
     for m in range(1, top + 1):
@@ -239,11 +258,12 @@ def harrison_complex(
     ``mode`` "orbit" builds im D in every degree of the full orbit complex
     and returns a ``CochainComplex``; "quotient" builds it on the
     surjective-word quotient only and returns a ``QuotientComplex`` with
-    the full complex's dimensions from the trace of D (module docstring).
-    Both give the same Betti table, and both refuse, above ``cap``, the
-    size counts of ``cubical.operator_complex`` and then the Dynkin terms
+    the full complex's dimensions from the trace of D (module docstring);
+    "isotypic" sums the quotient mode of each irreducible V_lambda of S_N,
+    a_lambda times, into a ``QuotientComplex`` (module docstring).  All
+    give the same Betti table, and all refuse, above ``cap``, the size
+    counts of ``cubical.operator_complex`` and then the Dynkin terms
     ``_dynkin_images`` would apply.
     """
-    label = f"harrison({complex_label(module, group)})"
-    images = partial(_dynkin_images, cap=cap, label=label)
-    return operator_complex(module, group, m_max, mode, label, images, dynkin_trace, cap)
+    images = partial(_dynkin_images, cap=cap)
+    return operator_complex(module, group, m_max, mode, LABEL, images, dynkin_trace, cap)

@@ -405,7 +405,7 @@ def test_a_custom_module_with_p_q_entries_prints_the_builtin_table(mode, tmp_pat
     assert capsys.readouterr().out == builtin_table
 
 
-@pytest.mark.parametrize("mode", ["quotient", "orbit"])
+@pytest.mark.parametrize("mode", ["isotypic", "quotient", "orbit"])
 def test_harrison_on_a_p_q_module_matches_the_integer_module(mode, tmp_path, capsys):
     ints, pq = write_sder3_files(tmp_path)
     outs = []
@@ -503,7 +503,6 @@ def test_broken_invariants_exit_4(exc, monkeypatch, capsys):
         raise exc
 
     monkeypatch.setattr(cli, "cubical_complex", broken)
-    monkeypatch.setattr(cli, "isotypic_table", broken)
     assert main(["betti", "--family", "lie", "--n", "3"]) == 4
     assert capsys.readouterr().err.startswith("internal error:")
 
@@ -563,6 +562,31 @@ def _refused_count(args, cap, capsys):
     err = capsys.readouterr().err
     assert err.startswith("resource cap: ") and "raise it with --cap" in err
     return int(re.search(r" is (\d+), above the cap ", err).group(1))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--family", "lie", "--n", "8", "--mode", "quotient"],
+        ["--family", "harrison", "--n", "8"],
+        ["--family", "custom", "--custom", "/nonexistent/module.json"],
+    ],
+    ids=["lie-8-quotient", "harrison-8", "custom"],
+)
+def test_a_small_mmax_is_refused_before_a_module_is_read(argv, monkeypatch, capsys):
+    import cubix.cli as cli
+
+    def refuse(*args):
+        raise AssertionError(f"read a module: {args}")
+
+    for name in ("builtin", "builtin_character", "load_module"):
+        monkeypatch.setattr(cli, name, refuse)
+    start = time.perf_counter()
+    assert main(["betti", *argv, "--mmax", "1"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --mmax must be at least 2\n"
 
 
 @pytest.mark.parametrize("cap", ["-1", "-100"])
@@ -678,6 +702,8 @@ CALIBRATION = [
     (["--family", "full", "--n", "8", "--mode", "isotypic"], (484, 97792, 108997), True),
     (["--family", "lie", "--n", "8", "--mode", "isotypic"], (484, 97536, 108612), True),
     (["--family", "full", "--n", "9", "--mode", "isotypic"], (900, 670720), False),
+    (["--family", "harrison", "--n", "7", "--mode", "isotypic"], (225, 14848, 15328), True),
+    (["--family", "harrison", "--n", "8", "--mode", "isotypic"], (484, 97792, 99788), True),
 ]
 
 
@@ -821,14 +847,8 @@ def test_betti_goldens_in_quotient_and_orbit_modes(argv, golden, mode, capsys):
 
 @pytest.mark.parametrize("argv, golden", BETTI_GOLDENS, ids=[g for _, g in BETTI_GOLDENS])
 def test_betti_goldens_read_the_same_in_isotypic_and_quotient_mode(argv, golden, capsys):
-    assert main(argv + ["--mode", "quotient"]) == 0
-    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
-    if "harrison" in argv:
-        assert main(argv + ["--mode", "isotypic"]) == 2
-        err = capsys.readouterr().err
-        assert err == "error: mode isotypic is not defined for family harrison\n"
-    else:
-        assert main(argv + ["--mode", "isotypic"]) == 0
+    for mode in ("quotient", "isotypic"):
+        assert main(argv + ["--mode", mode]) == 0
         assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
@@ -852,6 +872,13 @@ def test_stabilizer_term_is_the_coinvariant_cache(argv, golden, mode, monkeypatc
     capsys.readouterr()
     (builder,) = builders
     assert term == builder.module.dim * len(builder._coinv_cache)
+
+
+def test_harrison_seven_slots_reads_its_golden_through_the_irreducibles(capsys):
+    # the golden is the quotient route's output on regular(7), which takes
+    # about six times as long; the quotient route stays the oracle at n <= 6
+    assert main(["betti", "--family", "harrison", "--n", "7"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "harrison-7.table").read_text()
 
 
 def test_harrison_six_slots_runs_through_the_quotient(capsys):

@@ -64,6 +64,7 @@ from cubix.cubical import (
     sort_transfer,
     sorted_word,
     surjective_words,
+    word_images,
     words,
     _checked_table,
 )
@@ -506,9 +507,10 @@ ORIENTATION_CASES = {
     "full": lambda: full_complex(3, 3),
     "orbit": lambda: cubical_complex(builtin("regular", 3), symmetric_group(3), 3),
     "naive": lambda: cubical_complex(builtin("regular", 3), symmetric_group(3), 3, mode="naive"),
-    "quotient": lambda: cubical_complex(
-        builtin("lie", 4), symmetric_group(4), 4, mode="quotient"
-    ).quotient,
+    # Q's four degrees, as quotient mode builds them
+    "quotient": lambda: CochainComplex("Q", 4, 3, *word_images(
+        OrbitComplexBuilder(builtin("lie", 4), symmetric_group(4), surjective=True), 4
+    )),
     "harrison": lambda: harrison_complex(builtin("regular", 3), symmetric_group(3), 3),
     "direct-lie": lambda: direct_complex("lie", 3, 4),
     "direct-tr": lambda: direct_complex("tr", 3, 4),
@@ -838,9 +840,10 @@ def test_a_type_of_two_cycle_lengths_is_refused():
 
 def test_the_onto_counts_cost_the_cycle_multiplicities(monkeypatch, capsys):
     # full(n) is the trivial module over the trivial group, one class, so
-    # each degree m <= n is counted once over words and once over onto
-    # words: one evaluation of each closed form per (class, degree), where
-    # the subset sum made 1 + 2^m calls of fixed_words (8202 through n = 12)
+    # each degree is counted once over onto words (m <= n) and once over
+    # words (m <= mmax + 1): one evaluation of each closed form per (class,
+    # degree), where the subset sum made 1 + 2^m calls of fixed_words (8202
+    # through n = 12)
     calls = Counter()
     for name in ("fixed_words", "fixed_onto_words"):
         real = getattr(cubical, name)
@@ -850,8 +853,13 @@ def test_the_onto_counts_cost_the_cycle_multiplicities(monkeypatch, capsys):
     # the sums per (group, degree) are shared by the process's count tables
     cubical._count_table.cache_clear()
     assert main(["betti", "--family", "full", "--n", "12", "--mode", "quotient"]) == 3
-    assert calls == {"fixed_words": 12, "fixed_onto_words": 12}
+    # refused at its size, the onto counts summed, before a word is counted
+    assert calls == {"fixed_onto_words": 12}
     assert "resource cap" in capsys.readouterr().err
+    calls.clear()
+    assert main(["betti", "--family", "full", "--n", "5", "--mode", "quotient"]) == 0
+    assert calls == {"fixed_words": 8, "fixed_onto_words": 5}
+    capsys.readouterr()
     start = time.perf_counter()
     assert main(["betti", "--family", "full", "--n", "30", "--mode", "quotient"]) == 3
     assert time.perf_counter() - start < 1

@@ -46,6 +46,7 @@ from cubix.linalg import (
     image_basis,
 )
 from cubix.modules import (
+    BUILTIN_KINDS,
     ModuleSpec,
     builtin,
     induce,
@@ -340,6 +341,9 @@ def test_harrison_quotient_tables_equal_orbit_tables(case):
         assert isinstance(quotient, QuotientComplex)
         assert quotient.dims == orbit.dims
         assert quotient.betti_table() == orbit.betti_table()
+        isotypic = harrison_complex(module, group, m_max, mode="isotypic")
+        assert isotypic.dims == orbit.dims
+        assert isotypic.betti_table() == orbit.betti_table()
     if case == "wide1-moved":
         assert quotient.betti_table().bettis() == (3, 0)
 
@@ -412,6 +416,41 @@ def test_broken_harrison_quotient_checks_raise_and_exit_4(
         harrison_complex(builtin("regular", 3), symmetric_group(3), 5, mode="quotient")
     assert main(["betti", "--family", "harrison", "--n", "3"]) == 4
     assert capsys.readouterr().err.startswith("internal error:")
+
+
+# -- Harrison through the irreducibles ------------------------------------------
+
+
+@pytest.mark.parametrize("kind", BUILTIN_KINDS)
+def test_harrison_through_the_irreducibles_equals_the_quotient_route(kind):
+    # lie_cyclic(n) has n + 1 slots
+    for n in range(1, 6 if kind == "lie_cyclic" else 7):
+        module = builtin(kind, n)
+        group = symmetric_group(module.N)
+        quotient = harrison_complex(module, group, module.N + 2, "quotient")
+        isotypic = harrison_complex(module, group, module.N + 2, "isotypic")
+        assert isinstance(isotypic, QuotientComplex)
+        assert isotypic.dims == quotient.dims, n
+        assert isotypic.betti_table() == quotient.betti_table(), n
+
+
+def test_an_irreducible_whose_dynkin_dimension_is_off_exits_4(monkeypatch, capsys):
+    # regular(3) holds V(2,1) twice; one more dimension of its im D in
+    # degree 2 puts the sum 2 above the 4 of the Dynkin trace count
+    real = cubical.operator_complex
+
+    def off(module, *args):
+        part = real(module, *args)
+        if module.name == "V(2,1)":
+            part.dims[2] += 1
+        return part
+
+    monkeypatch.setattr(cubical, "operator_complex", off)
+    assert main(["betti", "--family", "harrison", "--n", "3"]) == 4
+    assert capsys.readouterr().err == (
+        "internal error: harrison(regular(3)/S3): its irreducibles sum to dimension 6 "
+        "in degree 2, its trace count is 4\n"
+    )
 
 
 # -- the closed forms the counts read where no matrix is built -----------------

@@ -12,6 +12,7 @@ import pytest
 import cubix.cubical as cubical
 import cubix.modules as modules
 from cubix.cli import main
+from cubix.harrison import harrison_complex
 from cubix.linalg import RationalMatrix
 from cubix.modules import (
     builtin,
@@ -111,7 +112,10 @@ def test_a_dense_basis_change_sums_like_its_quotient(seed, tmp_path, capsys):
 
 
 def test_builtin_families_build_no_module(monkeypatch, capsys):
-    argvs = [["betti", "--family", family, "--n", "4"] for family in ("ass", "lie", "tr", "sder")]
+    argvs = [
+        ["betti", "--family", family, "--n", "4"]
+        for family in ("ass", "lie", "tr", "sder", "harrison")
+    ]
     want = []
     for argv in argvs:
         assert main(argv + ["--mode", "quotient"]) == 0
@@ -205,6 +209,25 @@ def test_nine_slots_of_the_word_complex_are_refused_at_once(capsys):
     )
 
 
+def test_harrison_at_nine_slots_is_refused_at_once(capsys):
+    # regular(9) is never built: its closed character gives a_lambda = f_lambda,
+    # so the stabilizer term is full(9)'s
+    start = time.perf_counter()
+    assert main(["betti", "--family", "harrison", "--n", "9"]) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "resource cap: the size of isotypic mode for harrison(regular(9)/S9) is 670720, "
+        "above the cap 450000; raise it with --cap to force the computation\n"
+    )
+    start = time.perf_counter()
+    assert main(["betti", "--family", "harrison", "--n", "30"]) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err.startswith(
+        "resource cap: the size of the character table of S30 that isotypic mode reads "
+        "for harrison(regular(30)/S30) is 31404816, above the cap"
+    )
+
+
 def test_a_hundred_slots_are_refused_before_a_partition_is_listed(capsys):
     # the closed form of trivial(100) is read one class at a time, so the
     # character table's size, p(100)^2, is the first count
@@ -230,7 +253,7 @@ def test_every_irreducible_reads_the_same_count_tables_and_located_terms(monkeyp
     cubical._young_located.cache_clear()
     module, sym = builtin_character("regular", 4), symmetric_group(4)
     assert len(multiplicities(module, sym)) == partition_count(4)
-    table = cubical.isotypic_table(module, sym, 6)
+    table = cubical.cubical_complex(module, sym, 6, "isotypic").betti_table()
     assert table == cubical.cubical_complex(builtin("regular", 4), sym, 6, "quotient").betti_table()
     # Q has degrees 1..4, and C(3, m - 1) orbits in degree m, each with the
     # cofaces 1..m; the differential out of degree 4 lands in a zero degree
@@ -256,18 +279,25 @@ def test_the_isotypic_size_is_the_sum_of_the_irreducibles_quotient_sizes(capsys)
         o.stabilizer for m in (1, 2, 3) for o in cubical.orbit_decomposition(5, m, sym, True)
     }
     assert len(cubical.basis_groups(stabilizers)) > len(stabilizers) == 1 + 4 + 6
-    sizes = []
-    for shape in multiplicities(builtin_character("lie", 5), sym):
-        # the quotient's dimension sum, then that plus dim V per basis
-        cap = 0
-        while True:
-            try:
-                cubical.cubical_complex(specht(shape), sym, 2, "quotient", cap)
-            except cubical.DimensionCapExceeded as refused:
-                cap = refused.required
-                continue
-            break
-        sizes.append(cap)
-    counts = _refused_counts(["betti", "--family", "lie", "--n", "5", "--mmax", "2"], capsys)
-    assert counts[0] == partition_count(5) ** 2
-    assert counts[-1] == sum(sizes)
+    for family, kind, build in [
+        ("lie", "lie", cubical.cubical_complex),
+        ("harrison", "regular", harrison_complex),
+    ]:
+        sizes = []
+        for shape in multiplicities(builtin_character(kind, 5), sym):
+            # the quotient's dimension sum, then that plus dim V per basis,
+            # its size; Harrison's Dynkin terms count, refused later, is no size
+            cap = size = 0
+            while True:
+                try:
+                    build(specht(shape), sym, 2, "quotient", cap)
+                except cubical.DimensionCapExceeded as refused:
+                    cap = refused.required
+                    if str(refused).startswith("the size of quotient mode for "):
+                        size = cap
+                    continue
+                break
+            sizes.append(size)
+        counts = _refused_counts(["betti", "--family", family, "--n", "5", "--mmax", "2"], capsys)
+        assert counts[0] == partition_count(5) ** 2
+        assert counts[-1] == sum(sizes), family
